@@ -46,7 +46,6 @@ class AbdReplicaState:
     def clone(self) -> "AbdReplicaState":
         new = object.__new__(AbdReplicaState)
         new.__dict__.update(self.__dict__)
-        new.__dict__.pop("_snap_id", None)  # cached snapshot of the old state
         return new
 
     def freeze(self) -> tuple:

@@ -117,7 +117,6 @@ def cmd_sweep(args) -> int:
     config = load_scenario(args.config)
     budget = _event_budget()
     worst: dict[tuple, int] = {}
-    failures = 0
     for seed in range(args.base_seed, args.base_seed + args.seeds):
         result = run(config, seed=seed, budget=budget)
         report = build_report(config, result.trace, seed)
@@ -127,7 +126,6 @@ def cmd_sweep(args) -> int:
             key = (entry["kind"], entry["class"])
             worst[key] = max(worst.get(key, 0), entry["duration"])
         if not report["pass"]:
-            failures += 1
             print(f"seed {seed}: FAILED — reproduce with --seed {seed}")
             _print_report_summary(report)
             return EXIT_CHECK_FAILED
@@ -193,8 +191,8 @@ def cmd_explore(args) -> int:
                 bad += 1
         label = "no crash" if crash is None else f"crash subset {sorted(crash.deliver_to)}"
         print(
-            f"{label}: {res.states_visited} configurations, "
-            f"{len(res.histories)} distinct histories"
+            f"{label}: {res.states_visited} configurations, {res.edges} edges, "
+            f"{res.transitions} transitions, {len(res.histories)} distinct histories"
         )
     if bad:
         print(f"explore: {bad} violating histories out of {total_histories}")
@@ -204,7 +202,11 @@ def cmd_explore(args) -> int:
 
 
 def cmd_check(args) -> int:
-    trace = read_jsonl(args.trace)
+    try:
+        trace = read_jsonl(args.trace)
+    except ValueError as exc:
+        print(f"trace error: {args.trace}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     n = max(ev.process for ev in trace) if trace else 1
     config: ScenarioConfig | None = None
     if args.config is not None:

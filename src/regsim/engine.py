@@ -274,12 +274,3 @@ def run(
     effective_seed = config.seed if seed is None else seed
     return _Sim(config, effective_seed, budget).run()
 
-
-def resolve_broadcast(
-    n: int, deliver_to: frozenset[int] | None
-) -> tuple[int, ...]:
-    """Receivers of a broadcast cut short by a crash: exactly the named
-    subset, everyone otherwise."""
-    if deliver_to is None:
-        return tuple(range(1, n + 1))
-    return tuple(p for p in range(1, n + 1) if p in deliver_to)

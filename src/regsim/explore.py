@@ -17,7 +17,9 @@ subset of receivers and halts the invoker there, mirroring a sender dying
 mid-broadcast.
 
 Configurations, messages, suffixes, and suffix sets are all interned to
-small integers; the dominant costs are handler calls (once per graph edge)
+small integers.  Handlers are pure, so each distinct local transition
+(process, snapshot, input) calls its handler once per exploration and every
+other edge reuses the result; the dominant costs are the per-edge tuple work
 and set unions (memoized, so repeated (label, child-set) combinations are
 free).
 """
@@ -57,6 +59,8 @@ class ExploreResult:
     ops: tuple[Op, ...]
     histories: list[History] = field(default_factory=list)
     states_visited: int = 0
+    edges: int = 0  # transitions taken, one per configuration-graph edge
+    transitions: int = 0  # distinct local transitions: one handler call each
 
     def __len__(self) -> int:
         return len(self.histories)
@@ -101,15 +105,14 @@ class _Explorer:
         self.empty_suffix = self.suffixes.get(())
         self.terminal_set = self.suffix_sets.get(frozenset({self.empty_suffix}))
         self.memo: dict[tuple, int] = {}  # config key -> suffix set id
+        # Local transitions, keyed (dest, snap, mid, sender) or ("i", op_id,
+        # snap) -> (new state, new snap, ((dest, mid), ...), completion).
+        # `dest` is in the key because snapshots omit `me`.
+        self.transitions: dict[tuple, tuple] = {}
+        self.noop_memo: dict[tuple[int, int, int], bool] = {}
+        self.edges = 0
         self.label_memo: dict[tuple[tuple, int], int] = {}
         self.union_memo: dict[tuple[int, ...], int] = {}
-
-    def snap(self, state) -> int:
-        cached = getattr(state, "_snap_id", None)
-        if cached is None:
-            cached = self.snaps.get(state.freeze())
-            state._snap_id = cached
-        return cached
 
     def crashed_by(self, cursor: tuple[int, ...]) -> frozenset[int]:
         if self.crash is not None and cursor[self.crash_proc - 1] > self.crash_pos:
@@ -139,76 +142,83 @@ class _Explorer:
     def apply(self, node, action):
         """One transition from a node (snap_ids, states, inflight, cursor).
         Returns (label records, child node)."""
+        self.edges += 1
         snap_ids, states, inflight, cursor = node
-        new_states = list(states)
         new_inflight = list(inflight)
-        label: tuple = ()
+        restrict = None
         if action[0] == "inv":
             op_id = action[1]
             op = self.ops[op_id]
             p = op.process
-            out = self.algo.begin(new_states[p - 1], op)
-            new_states[p - 1] = out.state
+            key = ("i", op_id, snap_ids[p - 1])
             cursor = cursor[: p - 1] + (cursor[p - 1] + 1,) + cursor[p:]
-            label = (("i", op_id, p, op.kind, op.value),)
-            restrict = None
-            crashed = self.crashed_by(cursor)
+            label: tuple = (("i", op_id, p, op.kind, op.value),)
             if self.crash is not None and self.crash.op_index == op_id:
                 restrict = self.crash.deliver_to
                 # In-flight messages addressed to the dead process go nowhere.
                 dead = p - 1
                 n = self.n
                 new_inflight = [e for e in new_inflight if (e // n) % n != dead]
-            self.queue_sends(new_inflight, new_states, p, out.outgoing, restrict, crashed)
-            changed = p
-            if out.completion is not None:
-                label += (("r", op_id, out.completion.value, out.completion.seqno),)
         else:
             entry = action[1]
-            dest, sender, mid = self._unpack(entry)
+            p, sender, mid = self._unpack(entry)
             new_inflight.remove(entry)
-            out = self.algo.deliver(new_states[dest - 1], self.msgs.items[mid], sender)
-            new_states[dest - 1] = out.state
-            self.queue_sends(
-                new_inflight, new_states, dest, out.outgoing, None, self.crashed_by(cursor)
-            )
-            changed = dest
-            if out.completion is not None:
-                op_id = self.per_proc[dest][cursor[dest - 1] - 1]
-                label = (("r", op_id, out.completion.value, out.completion.seqno),)
+            key = (p, snap_ids[p - 1], mid, sender)
+            label = ()
+        trans = self.transitions.get(key)
+        if trans is None:
+            if action[0] == "inv":
+                out = self.algo.begin(states[p - 1], op)
+            else:
+                out = self.algo.deliver(states[p - 1], self.msgs.items[mid], sender)
+            sends = tuple((dest, self.msgs.get(msg)) for dest, msg in out.outgoing)
+            trans = (out.state, self.snaps.get(out.state.freeze()), sends, out.completion)
+            self.transitions[key] = trans
+        state, snap_id, sends, completion = trans
+        if completion is not None:
+            op_id = self.per_proc[p][cursor[p - 1] - 1]
+            label += (("r", op_id, completion.value, completion.seqno),)
+        changed_idx = p - 1
+        new_states, new_snaps = list(states), list(snap_ids)
+        new_states[changed_idx], new_snaps[changed_idx] = state, snap_id
+        self.queue_sends(
+            new_inflight, new_states, new_snaps, p, sends, restrict, self.crashed_by(cursor)
+        )
         # Discard messages whose delivery became a forever-no-op: they
         # neither branch the behavior nor tell configurations apart.  Only
-        # `changed` got a new state; queue_sends screened fresh entries.
-        noop = self.algo.is_noop_delivery
-        state = new_states[changed - 1]
+        # `p` got a new state; queue_sends screened fresh entries.
+        noop = self.noop
         n = self.n
-        changed_idx = changed - 1
-        items = self.msgs.items
-        kept = []
-        for e in new_inflight:
-            if (e // n) % n == changed_idx and noop(state, items[e // (n * n)], e % n + 1):
-                continue
-            kept.append(e)
+        kept = [
+            e
+            for e in new_inflight
+            if (e // n) % n != changed_idx or not noop(state, snap_id, e // (n * n), e % n + 1)
+        ]
         kept.sort()
-        new_snaps = (
-            snap_ids[:changed_idx] + (self.snap(state),) + snap_ids[changed_idx + 1 :]
-        )
-        return label, (new_snaps, new_states, tuple(kept), cursor)
+        return label, (tuple(new_snaps), new_states, tuple(kept), cursor)
+
+    def noop(self, state, snap_id: int, mid: int, sender: int) -> bool:
+        """Memoized is_noop_delivery; `snap_id` is the snapshot of `state`."""
+        key = (snap_id, mid, sender)
+        result = self.noop_memo.get(key)
+        if result is None:
+            result = self.algo.is_noop_delivery(state, self.msgs.items[mid], sender)
+            self.noop_memo[key] = result
+        return result
 
     def queue_sends(
-        self, inflight: list, states: list, sender: int, outgoing, restrict, crashed
+        self, inflight: list, states: list, snaps: list, sender: int, sends, restrict, crashed
     ) -> None:
         n = self.n
-        noop = self.algo.is_noop_delivery
-        for dest, msg in outgoing:
+        noop = self.noop
+        for dest, mid in sends:
             targets = range(1, n + 1) if dest is None else (dest,)
-            mid = self.msgs.get(msg)
             for target in targets:
                 if restrict is not None and target not in restrict:
                     continue
                 if target in crashed:
                     continue  # a crashed process never handles it; skip the branch
-                if noop(states[target - 1], msg, sender):
+                if noop(states[target - 1], snaps[target - 1], mid, sender):
                     continue
                 inflight.append(((mid * n) + target - 1) * n + sender - 1)
 
@@ -244,7 +254,7 @@ class _Explorer:
         """Returns the suffix-set id of the root configuration."""
         init_states = [self.algo.init(p) for p in range(1, self.n + 1)]
         cursor0 = (0,) * self.n
-        snaps0 = tuple(self.snap(s) for s in init_states)
+        snaps0 = tuple(self.snaps.get(s.freeze()) for s in init_states)
         root = (snaps0, init_states, (), cursor0)
         root_key = (snaps0, (), cursor0)
         # Iterative post-order DFS.  A frame finishes when every child edge
@@ -298,6 +308,8 @@ def explore(
     root_set = explorer.run()
     result = ExploreResult(n=n, t=t, ops=ops)
     result.states_visited = len(explorer.memo)
+    result.edges = explorer.edges
+    result.transitions = len(explorer.transitions)
     crash_proc = ops[crash.op_index].process if crash is not None else None
     for suffix_id in sorted(explorer.suffix_sets.items[root_set]):
         records = explorer.suffixes.items[suffix_id]

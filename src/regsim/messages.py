@@ -82,15 +82,28 @@ def _enc_value(value: bytes | None) -> bytes:
     return b"\x01" + _U32.pack(len(value)) + value
 
 
+def _need(data: bytes, off: int, size: int) -> None:
+    if len(data) < off + size:
+        raise ValueError(f"truncated message: {len(data)} bytes, need {off + size}")
+
+
+def _u64_at(data: bytes, off: int) -> int:
+    _need(data, off, 8)
+    return _U64.unpack_from(data, off)[0]
+
+
 def _dec_value(data: bytes, off: int) -> tuple[bytes | None, int]:
+    _need(data, off, 1)
     present = data[off]
     off += 1
     if present == 0:
         return None, off
     if present != 1:
         raise ValueError(f"bad value presence byte {present}")
+    _need(data, off, 4)
     (length,) = _U32.unpack_from(data, off)
     off += 4
+    _need(data, off, length)
     return data[off : off + length], off + length
 
 
@@ -130,39 +143,39 @@ def decode_message(data: bytes) -> Message:
         raise ValueError("empty message")
     tag = data[0]
     if tag == TAG_WRITE:
-        (wsn,) = _U64.unpack_from(data, 1)
+        wsn = _u64_at(data, 1)
         value, off = _dec_value(data, 9)
         _expect_end(data, off)
         return Write(wsn, value)
     if tag == TAG_READ:
-        (rsn,) = _U64.unpack_from(data, 1)
+        rsn = _u64_at(data, 1)
         _expect_end(data, 9)
         return Read(rsn)
     if tag == TAG_STATE:
-        (rsn,) = _U64.unpack_from(data, 1)
-        (wsn,) = _U64.unpack_from(data, 9)
+        rsn = _u64_at(data, 1)
+        wsn = _u64_at(data, 9)
         if len(data) == 17:
             return State(rsn, wsn)
         value, off = _dec_value(data, 17)
         _expect_end(data, off)
         return State(rsn, wsn, value, carries_value=True)
     if tag == TAG_ABD_UPDATE:
-        (opsn,) = _U64.unpack_from(data, 1)
-        (wsn,) = _U64.unpack_from(data, 9)
+        opsn = _u64_at(data, 1)
+        wsn = _u64_at(data, 9)
         value, off = _dec_value(data, 17)
         _expect_end(data, off)
         return AbdUpdate(opsn, wsn, value)
     if tag == TAG_ABD_ACK:
-        (opsn,) = _U64.unpack_from(data, 1)
+        opsn = _u64_at(data, 1)
         _expect_end(data, 9)
         return AbdAck(opsn)
     if tag == TAG_ABD_QUERY:
-        (opsn,) = _U64.unpack_from(data, 1)
+        opsn = _u64_at(data, 1)
         _expect_end(data, 9)
         return AbdQuery(opsn)
     if tag == TAG_ABD_REPORT:
-        (opsn,) = _U64.unpack_from(data, 1)
-        (wsn,) = _U64.unpack_from(data, 9)
+        opsn = _u64_at(data, 1)
+        wsn = _u64_at(data, 9)
         value, off = _dec_value(data, 17)
         _expect_end(data, off)
         return AbdReport(opsn, wsn, value)

@@ -106,11 +106,9 @@ class BoundReport:
 def _concurrent(w: OpRecord, r: OpRecord) -> bool:
     # A pending write extends to infinity.  Equal-tick boundaries count as
     # overlap: precedence requires strictly earlier response.
-    w_end = w.respond if w.respond is not None else None
-    r_end = r.respond if r.respond is not None else None
-    if w_end is not None and w_end < r.invoke:
+    if w.respond is not None and w.respond < r.invoke:
         return False
-    if r_end is not None and r_end < w.invoke:
+    if r.respond is not None and r.respond < w.invoke:
         return False
     return True
 

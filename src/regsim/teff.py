@@ -96,7 +96,6 @@ class ReplicaState:
     def clone(self) -> "ReplicaState":
         new = object.__new__(ReplicaState)
         new.__dict__.update(self.__dict__)
-        new.__dict__.pop("_snap_id", None)  # cached snapshot of the old state
         new.forwarded = set(self.forwarded)
         new.swsn_done = set(self.swsn_done)
         new.know = {s: set(p) for s, p in self.know.items()}

@@ -121,10 +121,13 @@ def write_jsonl(events: Iterable[TraceEvent], path: str | Path) -> None:
 def read_jsonl(path: str | Path) -> list[TraceEvent]:
     events = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                events.append(event_from_json(line))
+                try:
+                    events.append(event_from_json(line))
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from exc
     return events
 
 

@@ -94,6 +94,22 @@ def test_check_without_config_runs_history_checks(tmp_path, capsys):
     assert "claims: pass" in out and "linearizable: pass" in out
 
 
+def test_check_malformed_message_exit_two(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    trace = tmp_path / "trace.jsonl"
+    main(["run", str(cfg), "--out", str(trace)])
+    lines = trace.read_text().splitlines()
+    send = next(i for i, line in enumerate(lines) if '"msg"' in line)
+    event = json.loads(lines[send])
+    event["msg"] = "not hex"
+    lines[send] = json.dumps(event)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trace error:") and err.count("\n") == 1
+
+
 def test_sweep_reports_max_durations(tmp_path, capsys):
     cfg = write_config(tmp_path, network={"kind": "bounded_delay", "Delta": 10})
     assert main(["sweep", str(cfg), "--seeds", "25"]) == 0

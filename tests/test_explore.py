@@ -1,7 +1,11 @@
 """Exhaustive exploration of small instances: the oracle for the protocol."""
 
+import hashlib
+import json
+
 import pytest
 
+from regsim import algos
 from regsim.algos import Op
 from regsim.explore import BroadcastCrash, ExploreLimitError, explore
 from regsim.history import check_claims, check_linearizable, check_termination, checkers_agree
@@ -114,6 +118,14 @@ def test_state_bound_raises_with_partial_count():
     assert err.value.visited > 0
 
 
+def test_edge_and_transition_counts_are_deterministic():
+    first = explore("teff", 3, 1, [WRITE_A, READ2])
+    second = explore("teff", 3, 1, [WRITE_A, READ2])
+    assert first.states_visited < first.edges
+    assert first.transitions < first.edges
+    assert (second.edges, second.transitions) == (first.edges, first.transitions)
+
+
 def test_histories_are_unique():
     res = explore("teff", 3, 1, [WRITE_A, READ2])
     keys = [
@@ -121,3 +133,88 @@ def test_histories_are_unique():
         for h in res.histories
     ]
     assert len(keys) == len(set(keys))
+
+
+def history_set_digest(histories) -> str:
+    """sha256 of the sorted history set: every op field and the crash step."""
+    canon = sorted(
+        json.dumps(
+            [
+                [
+                    [o.op_id, o.process, o.kind, o.invoke, o.respond,
+                     o.value and o.value.decode(), o.seqno]
+                    for o in h.ops
+                ],
+                sorted(h.crashed.items()),
+            ]
+        )
+        for h in histories
+    )
+    return hashlib.sha256("\n".join(canon).encode()).hexdigest()
+
+
+# History-set digests of w:1,r:2 at n=3, t=1: no crash; the write's
+# broadcast reaches neither reader; it reaches p2, p3 or both.
+BOTH_READS = "e079563a45bea04b96243807c81c6e0ccec9501f55010215c5ed44b86d35569b"
+VALUE_LOST = "bfcd52bced424c194fcb00735e5e556ed8d6a756af1b755aa7b10399c7f41c46"
+VALUE_REACHES = "739783bcd7598ce925b04f91f756ba06881470cbf54502593bbadb65ee569986"
+
+# (algorithm, crash mask) -> (configurations, history-set digest); mask bit
+# p-1 set means the write reaches process p.  Taken from the explorer before
+# the local-transition memo existed.
+PINNED = {
+    ("teff", None): (4803, BOTH_READS),
+    ("teff", 0): (49, VALUE_LOST),
+    ("teff", 1): (49, VALUE_LOST),
+    ("teff", 2): (364, VALUE_REACHES),
+    ("teff", 3): (364, VALUE_REACHES),
+    ("teff", 4): (369, VALUE_REACHES),
+    ("teff", 5): (369, VALUE_REACHES),
+    ("teff", 6): (693, VALUE_REACHES),
+    ("teff", 7): (693, VALUE_REACHES),
+    ("teff-modified", None): (4634, BOTH_READS),
+    ("teff-modified", 0): (49, VALUE_LOST),
+    ("teff-modified", 1): (49, VALUE_LOST),
+    ("teff-modified", 2): (318, VALUE_REACHES),
+    ("teff-modified", 3): (318, VALUE_REACHES),
+    ("teff-modified", 4): (365, VALUE_REACHES),
+    ("teff-modified", 5): (365, VALUE_REACHES),
+    ("teff-modified", 6): (624, VALUE_REACHES),
+    ("teff-modified", 7): (624, VALUE_REACHES),
+    ("abd", None): (6078, BOTH_READS),
+    ("abd", 0): (207, VALUE_LOST),
+    ("abd", 1): (207, VALUE_LOST),
+    ("abd", 2): (327, VALUE_REACHES),
+    ("abd", 3): (327, VALUE_REACHES),
+    ("abd", 4): (327, VALUE_REACHES),
+    ("abd", 5): (327, VALUE_REACHES),
+    ("abd", 6): (592, VALUE_REACHES),
+    ("abd", 7): (592, VALUE_REACHES),
+}
+
+
+@pytest.mark.parametrize("alg,mask", list(PINNED), ids=str)
+def test_pinned_configurations_and_histories(alg, mask):
+    crash = None
+    if mask is not None:
+        crash = BroadcastCrash(0, frozenset(p for p in (1, 2, 3) if mask >> (p - 1) & 1))
+    res = explore(alg, 3, 1, [WRITE_A, READ2], crash=crash)
+    assert (res.states_visited, history_set_digest(res.histories)) == PINNED[alg, mask]
+
+
+@pytest.mark.parametrize("alg", ["teff", "teff-modified", "abd"])
+def test_invocations_get_the_invokers_own_state(alg, monkeypatch):
+    # Snapshots omit the process id, so two processes can share one; a
+    # transition reused across processes would hand a process another
+    # process's state.  No delivery handler reads the id, so histories and
+    # counts alone do not show that.
+    algo_class = type(algos.make_algorithm(alg, 3, 1))
+    begin = algo_class.begin
+
+    def checked_begin(self, state, op):
+        assert state.me == op.process
+        return begin(self, state, op)
+
+    monkeypatch.setattr(algo_class, "begin", checked_begin)
+    crash = BroadcastCrash(1, frozenset())
+    assert explore(alg, 3, 1, [WRITE_A, READ2, READ2], crash=crash).histories

@@ -62,3 +62,21 @@ def test_decode_rejects_garbage():
         decode_message(b"\xff\x00")
     with pytest.raises(ValueError):
         decode_message(encode_message(Read(1)) + b"\x00")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"\x01",  # a tag and no sequence number
+        encode_message(Read(1))[:-1],
+        encode_message(State(1, 5))[:12],
+        encode_message(Write(1, b"abc"))[:9],  # no value block
+        encode_message(Write(1, b"abc"))[:12],  # cut inside the length
+        encode_message(Write(1, b"abc"))[:-1],  # cut inside the bytes
+        encode_message(AbdReport(5, 3, b"y"))[:-1],
+    ],
+    ids=lambda d: d.hex(),
+)
+def test_decode_reports_truncation(data):
+    with pytest.raises(ValueError, match="truncated"):
+        decode_message(data)
