@@ -192,7 +192,8 @@ def cmd_explore(args) -> int:
         label = "no crash" if crash is None else f"crash subset {sorted(crash.deliver_to)}"
         print(
             f"{label}: {res.states_visited} configurations, {res.edges} edges, "
-            f"{res.transitions} transitions, {len(res.histories)} distinct histories"
+            f"{res.transitions} transitions, {res.noop_pruned} no-op pruned, "
+            f"{len(res.histories)} distinct histories"
         )
     if bad:
         print(f"explore: {bad} violating histories out of {total_histories}")
@@ -202,17 +203,16 @@ def cmd_explore(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        trace = read_jsonl(args.trace)
-    except ValueError as exc:
-        print(f"trace error: {args.trace}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    n = max(ev.process for ev in trace) if trace else 1
     config: ScenarioConfig | None = None
     if args.config is not None:
         config = load_scenario(args.config)
-        n = config.n
-    history = extract_history(trace, n)
+    try:
+        trace = read_jsonl(args.trace)
+        n = config.n if config is not None else max((ev.process for ev in trace), default=1)
+        history = extract_history(trace, n)
+    except ValueError as exc:
+        print(f"trace error: {args.trace}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     verdicts = [check_termination(history), check_claims(history), check_linearizable(history)]
     ok = all(v.ok for v in verdicts)
     if config is not None:

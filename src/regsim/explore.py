@@ -16,12 +16,15 @@ optional crash cuts one operation's initiating broadcast down to a chosen
 subset of receivers and halts the invoker there, mirroring a sender dying
 mid-broadcast.
 
-Configurations, messages, suffixes, and suffix sets are all interned to
-small integers.  Handlers are pure, so each distinct local transition
-(process, snapshot, input) calls its handler once per exploration and every
-other edge reuses the result; the dominant costs are the per-edge tuple work
-and set unions (memoized, so repeated (label, child-set) combinations are
-free).
+A configuration is one interned local component per process, (process,
+snapshot, inbox of the messages addressed to it), plus the operation cursors:
+Holzmann's collapse compression ("State compression in SPIN", 1997).
+Handlers are pure, so each distinct (process, snapshot, input) calls its
+handler once per exploration.  A step memo maps (local, input) to the
+stepper's next local, sends and completion, and an add memo maps (local,
+message) to a receiver's next local, so an edge costs a few lookups on the
+processes it touches, however many messages are in flight.  Suffix-set
+unions and label prefixes are memoized as well.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ class ExploreResult:
     states_visited: int = 0
     edges: int = 0  # transitions taken, one per configuration-graph edge
     transitions: int = 0  # distinct local transitions: one handler call each
+    noop_pruned: int = 0  # distinct (snapshot, message, sender) judged forever-no-op
 
     def __len__(self) -> int:
         return len(self.histories)
@@ -92,6 +96,9 @@ class _Explorer:
         self.per_proc: dict[int, tuple[int, ...]] = {p: () for p in range(1, n + 1)}
         for op_id, op in enumerate(ops):
             self.per_proc[op.process] += (op_id,)
+        self.inv_labels = [
+            (("i", op_id, op.process, op.kind, op.value),) for op_id, op in enumerate(ops)
+        ]
         if crash is None:
             self.crash_proc = 0
             self.crash_pos = -1
@@ -100,102 +107,144 @@ class _Explorer:
             self.crash_pos = self.per_proc[self.crash_proc].index(crash.op_index)
         self.msgs = _Interner()
         self.snaps = _Interner()
+        # Local components (p, snap, inbox) -> id; `locals` holds, per id,
+        # (p, snap, state, inbox, has_pending, ((order key, action), ...)).
+        self.local_keys = _Interner()
+        self.locals: list[tuple] = []
         self.suffixes = _Interner()  # tuple of history records -> id
         self.suffix_sets = _Interner()  # frozenset of suffix ids -> id
         self.empty_suffix = self.suffixes.get(())
         self.terminal_set = self.suffix_sets.get(frozenset({self.empty_suffix}))
-        self.memo: dict[tuple, int] = {}  # config key -> suffix set id
-        # Local transitions, keyed (dest, snap, mid, sender) or ("i", op_id,
+        self.memo: dict[tuple, int] = {}  # configuration -> suffix set id
+        # Handler results, keyed (dest, snap, mid, sender) or ("i", op_id,
         # snap) -> (new state, new snap, ((dest, mid), ...), completion).
         # `dest` is in the key because snapshots omit `me`.
         self.transitions: dict[tuple, tuple] = {}
+        # (local, "i", op_id) or (local, "d", entry) -> (new local of the
+        # stepping process, ((receiver, entry), ...) for the others, completion).
+        self.steps: dict[tuple, tuple] = {}
+        self.adds: dict[tuple[int, int], int] = {}  # (local, entry) -> local
         self.noop_memo: dict[tuple[int, int, int], bool] = {}
         self.edges = 0
         self.label_memo: dict[tuple[tuple, int], int] = {}
         self.union_memo: dict[tuple[int, ...], int] = {}
 
-    def crashed_by(self, cursor: tuple[int, ...]) -> frozenset[int]:
-        if self.crash is not None and cursor[self.crash_proc - 1] > self.crash_pos:
-            return frozenset({self.crash_proc})
-        return frozenset()
+    def crashed(self, cursor: tuple[int, ...]) -> int:
+        """The halted process, or 0 while every process still runs."""
+        if self.crash_proc and cursor[self.crash_proc - 1] > self.crash_pos:
+            return self.crash_proc
+        return 0
 
-    # In-flight entries are packed ints: ((mid * n) + dest-1) * n + sender-1.
+    # A configuration is (locals, cursor): one local id per process and each
+    # process's operation cursor.  An inbox entry is mid * n + sender - 1.
 
-    def _unpack(self, entry: int) -> tuple[int, int, int]:
-        entry, sender = divmod(entry, self.n)
-        mid, dest = divmod(entry, self.n)
-        return dest + 1, sender + 1, mid
+    def local(self, p: int, snap_id: int, state, inbox: tuple[int, ...]) -> int:
+        ident = self.local_keys.get((p, snap_id, inbox))
+        if ident == len(self.locals):
+            n = self.n
+            # Deliveries are taken in (mid, dest, sender) order.
+            order = [
+                ((e // n * n + p - 1) * n + e % n, (p, "d", e)) for e in dict.fromkeys(inbox)
+            ]
+            self.locals.append((p, snap_id, state, inbox, self.algo.has_pending(state), order))
+        return ident
 
-    def actions_of(self, states, inflight, cursor) -> list:
-        crashed = self.crashed_by(cursor)
-        actions = []
-        for p in range(1, self.n + 1):
-            if p in crashed:
+    def actions_of(self, node) -> list:
+        ids, cursor = node
+        crashed = self.crashed(cursor)
+        actions, deliveries = [], []
+        for p, ident in enumerate(ids, 1):
+            if p == crashed:
                 continue
+            _, _, _, _, pending, order = self.locals[ident]
             idx = cursor[p - 1]
-            if idx < len(self.per_proc[p]) and not self.algo.has_pending(states[p - 1]):
-                actions.append(("inv", self.per_proc[p][idx]))
-        for entry in dict.fromkeys(inflight):
-            actions.append(("dlv", entry))
+            if idx < len(self.per_proc[p]) and not pending:
+                actions.append((p, "i", self.per_proc[p][idx]))
+            deliveries += order
+        deliveries.sort()
+        actions += [action for _, action in deliveries]
         return actions
 
     def apply(self, node, action):
-        """One transition from a node (snap_ids, states, inflight, cursor).
-        Returns (label records, child node)."""
+        """One transition from a node.  Returns (label records, child node)."""
         self.edges += 1
-        snap_ids, states, inflight, cursor = node
-        new_inflight = list(inflight)
-        restrict = None
-        if action[0] == "inv":
-            op_id = action[1]
-            op = self.ops[op_id]
-            p = op.process
-            key = ("i", op_id, snap_ids[p - 1])
+        ids, cursor = node
+        p, kind, arg = action
+        step = self.steps.get((ids[p - 1], kind, arg))
+        if step is None:
+            step = self.step(ids[p - 1], kind, arg)
+        new_local, sends, completion = step
+        if kind == "i":
             cursor = cursor[: p - 1] + (cursor[p - 1] + 1,) + cursor[p:]
-            label: tuple = (("i", op_id, p, op.kind, op.value),)
-            if self.crash is not None and self.crash.op_index == op_id:
-                restrict = self.crash.deliver_to
-                # In-flight messages addressed to the dead process go nowhere.
-                dead = p - 1
-                n = self.n
-                new_inflight = [e for e in new_inflight if (e // n) % n != dead]
+            label = self.inv_labels[arg]
         else:
-            entry = action[1]
-            p, sender, mid = self._unpack(entry)
-            new_inflight.remove(entry)
-            key = (p, snap_ids[p - 1], mid, sender)
             label = ()
+        if completion is not None:
+            op_id = self.per_proc[p][cursor[p - 1] - 1]
+            label += (("r", op_id, completion.value, completion.seqno),)
+        new_ids = list(ids)
+        new_ids[p - 1] = new_local
+        if sends:
+            crashed = self.crashed(cursor)  # a crashed process never handles it
+            adds = self.adds
+            for q, entry in sends:
+                if q != crashed:
+                    ident = new_ids[q - 1]
+                    added = adds.get((ident, entry))
+                    new_ids[q - 1] = self.add(ident, entry) if added is None else added
+        return label, (tuple(new_ids), cursor)
+
+    def step(self, ident: int, kind: str, arg: int) -> tuple:
+        """The stepping process's side of a transition, memoized per local."""
+        n = self.n
+        p, snap_id, state, inbox, _, _ = self.locals[ident]
+        inbox = list(inbox)
+        restrict = None
+        if kind == "i":
+            key = ("i", arg, snap_id)
+            if self.crash is not None and self.crash.op_index == arg:
+                restrict = self.crash.deliver_to
+                inbox = []  # messages addressed to the dead process go nowhere
+        else:
+            inbox.remove(arg)
+            mid, sender = arg // n, arg % n + 1
+            key = (p, snap_id, mid, sender)
         trans = self.transitions.get(key)
         if trans is None:
-            if action[0] == "inv":
-                out = self.algo.begin(states[p - 1], op)
+            if kind == "i":
+                out = self.algo.begin(state, self.ops[arg])
             else:
-                out = self.algo.deliver(states[p - 1], self.msgs.items[mid], sender)
+                out = self.algo.deliver(state, self.msgs.items[mid], sender)
             sends = tuple((dest, self.msgs.get(msg)) for dest, msg in out.outgoing)
             trans = (out.state, self.snaps.get(out.state.freeze()), sends, out.completion)
             self.transitions[key] = trans
         state, snap_id, sends, completion = trans
-        if completion is not None:
-            op_id = self.per_proc[p][cursor[p - 1] - 1]
-            label += (("r", op_id, completion.value, completion.seqno),)
-        changed_idx = p - 1
-        new_states, new_snaps = list(states), list(snap_ids)
-        new_states[changed_idx], new_snaps[changed_idx] = state, snap_id
-        self.queue_sends(
-            new_inflight, new_states, new_snaps, p, sends, restrict, self.crashed_by(cursor)
-        )
-        # Discard messages whose delivery became a forever-no-op: they
-        # neither branch the behavior nor tell configurations apart.  Only
-        # `p` got a new state; queue_sends screened fresh entries.
-        noop = self.noop
+        others = []
+        for dest, mid in sends:
+            for target in range(1, n + 1) if dest is None else (dest,):
+                if restrict is not None and target not in restrict:
+                    continue
+                if target != p:
+                    others.append((target, mid * n + p - 1))
+                elif restrict is None:  # a crashing invoker never receives it
+                    inbox.append(mid * n + p - 1)
+        # Drop messages whose delivery became a forever-no-op: they neither
+        # branch the behavior nor tell configurations apart.
+        kept = tuple(sorted(e for e in inbox if not self.noop(state, snap_id, e // n, e % n + 1)))
+        step = (self.local(p, snap_id, state, kept), tuple(others), completion)
+        self.steps[ident, kind, arg] = step
+        return step
+
+    def add(self, ident: int, entry: int) -> int:
+        """A process's local once `entry` arrives; unchanged if a no-op."""
+        p, snap_id, state, inbox, _, _ = self.locals[ident]
         n = self.n
-        kept = [
-            e
-            for e in new_inflight
-            if (e // n) % n != changed_idx or not noop(state, snap_id, e // (n * n), e % n + 1)
-        ]
-        kept.sort()
-        return label, (tuple(new_snaps), new_states, tuple(kept), cursor)
+        if self.noop(state, snap_id, entry // n, entry % n + 1):
+            added = ident
+        else:
+            added = self.local(p, snap_id, state, tuple(sorted(inbox + (entry,))))
+        self.adds[ident, entry] = added
+        return added
 
     def noop(self, state, snap_id: int, mid: int, sender: int) -> bool:
         """Memoized is_noop_delivery; `snap_id` is the snapshot of `state`."""
@@ -205,22 +254,6 @@ class _Explorer:
             result = self.algo.is_noop_delivery(state, self.msgs.items[mid], sender)
             self.noop_memo[key] = result
         return result
-
-    def queue_sends(
-        self, inflight: list, states: list, snaps: list, sender: int, sends, restrict, crashed
-    ) -> None:
-        n = self.n
-        noop = self.noop
-        for dest, mid in sends:
-            targets = range(1, n + 1) if dest is None else (dest,)
-            for target in targets:
-                if restrict is not None and target not in restrict:
-                    continue
-                if target in crashed:
-                    continue  # a crashed process never handles it; skip the branch
-                if noop(states[target - 1], snaps[target - 1], mid, sender):
-                    continue
-                inflight.append(((mid * n) + target - 1) * n + sender - 1)
 
     def prepend(self, label: tuple, set_id: int) -> int:
         """Suffix set for an edge: label followed by each suffix in the set."""
@@ -252,44 +285,40 @@ class _Explorer:
 
     def run(self) -> int:
         """Returns the suffix-set id of the root configuration."""
-        init_states = [self.algo.init(p) for p in range(1, self.n + 1)]
-        cursor0 = (0,) * self.n
-        snaps0 = tuple(self.snaps.get(s.freeze()) for s in init_states)
-        root = (snaps0, init_states, (), cursor0)
-        root_key = (snaps0, (), cursor0)
+        locals0 = []
+        for p in range(1, self.n + 1):
+            state = self.algo.init(p)
+            locals0.append(self.local(p, self.snaps.get(state.freeze()), state, ()))
+        root = (tuple(locals0), (0,) * self.n)
         # Iterative post-order DFS.  A frame finishes when every child edge
         # has a resolved suffix set; its own set then flows into its parent
         # (via the edge label it was entered through).
-        frames = [[root_key, root, None, 0, [], None]]
-        #          key       node  acts  idx edges parent_label
+        frames = [[root, None, 0, [], None]]
+        #          node  acts  idx edges parent_label
         memo = self.memo
         while frames:
             frame = frames[-1]
-            actions = frame[2]
+            actions = frame[1]
             if actions is None:
-                node = frame[1]
-                actions = self.actions_of(node[1], node[2], node[3])
-                frame[2] = actions
-            if frame[3] == len(actions):
-                set_id = self.terminal_set if not actions else self.union(frame[4])
+                actions = frame[1] = self.actions_of(frame[0])
+            if frame[2] == len(actions):
+                set_id = self.terminal_set if not actions else self.union(frame[3])
                 memo[frame[0]] = set_id
                 frames.pop()
                 if frames:
-                    frames[-1][4].append(self.prepend(frame[5], set_id))
+                    frames[-1][3].append(self.prepend(frame[4], set_id))
                 continue
-            action = actions[frame[3]]
-            frame[3] += 1
-            label, child = self.apply(frame[1], action)
-            c_key = (child[0], child[2], child[3])
-            child_set = memo.get(c_key)
+            action = actions[frame[2]]
+            frame[2] += 1
+            label, child = self.apply(frame[0], action)
+            child_set = memo.get(child)
             if child_set is not None:
-                frame[4].append(self.prepend(label, child_set))
+                frame[3].append(self.prepend(label, child_set))
                 continue
             if len(memo) + len(frames) > self.max_states:
                 raise ExploreLimitError(self.max_states, len(memo))
-            frames.append([c_key, child, None, 0, [], label])
-        return memo[root_key]
-
+            frames.append([child, None, 0, [], label])
+        return memo[root]
 
 def explore(
     algorithm: str,
@@ -310,6 +339,7 @@ def explore(
     result.states_visited = len(explorer.memo)
     result.edges = explorer.edges
     result.transitions = len(explorer.transitions)
+    result.noop_pruned = sum(explorer.noop_memo.values())
     crash_proc = ops[crash.op_index].process if crash is not None else None
     for suffix_id in sorted(explorer.suffix_sets.items[root_set]):
         records = explorer.suffixes.items[suffix_id]

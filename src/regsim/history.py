@@ -99,7 +99,9 @@ def extract_history(trace: list[TraceEvent], n: int) -> History:
             by_id[ev.op_id] = rec
             hist.ops.append(rec)
         elif ev.kind == RESPOND:
-            rec = by_id[ev.op_id]
+            rec = by_id.get(ev.op_id)
+            if rec is None:
+                raise ValueError(f"respond to op {ev.op_id} with no invoke")
             rec.respond = ev.time
             rec.seqno = ev.seqno
             if rec.kind == "read":

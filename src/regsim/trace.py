@@ -79,36 +79,41 @@ def event_to_json(ev: TraceEvent) -> str:
 
 def event_from_json(line: str) -> TraceEvent:
     obj = json.loads(line)
-    kind = obj["kind"]
-    common = dict(time=obj["t"], seq=obj["seq"], kind=kind, process=obj["p"])
-    if kind == INVOKE:
-        return TraceEvent(
-            **common,
-            op_id=obj["op"],
-            op_kind=obj["opkind"],
-            value=_value_in(obj.get("value")),
-        )
-    if kind == RESPOND:
-        return TraceEvent(
-            **common,
-            op_id=obj["op"],
-            op_kind=obj["opkind"],
-            value=_value_in(obj.get("value")),
-            seqno=obj["wsn"],
-        )
-    if kind == SEND:
-        return TraceEvent(
-            **common, peer=obj["to"], message=decode_message(bytes.fromhex(obj["msg"]))
-        )
-    if kind == DELIVER:
-        return TraceEvent(
-            **common, peer=obj["from"], message=decode_message(bytes.fromhex(obj["msg"]))
-        )
-    if kind == CRASH:
-        return TraceEvent(**common)
-    if kind == ROUND_START:
-        return TraceEvent(**common, round_no=obj["round"])
-    raise ValueError(f"unknown event kind {kind!r}")
+    if not isinstance(obj, dict):
+        raise ValueError("event is not a JSON object")
+    try:
+        kind = obj["kind"]
+        common = dict(time=obj["t"], seq=obj["seq"], kind=kind, process=obj["p"])
+        if kind == INVOKE:
+            return TraceEvent(
+                **common,
+                op_id=obj["op"],
+                op_kind=obj["opkind"],
+                value=_value_in(obj.get("value")),
+            )
+        if kind == RESPOND:
+            return TraceEvent(
+                **common,
+                op_id=obj["op"],
+                op_kind=obj["opkind"],
+                value=_value_in(obj.get("value")),
+                seqno=obj["wsn"],
+            )
+        if kind == SEND:
+            return TraceEvent(
+                **common, peer=obj["to"], message=decode_message(bytes.fromhex(obj["msg"]))
+            )
+        if kind == DELIVER:
+            return TraceEvent(
+                **common, peer=obj["from"], message=decode_message(bytes.fromhex(obj["msg"]))
+            )
+        if kind == CRASH:
+            return TraceEvent(**common)
+        if kind == ROUND_START:
+            return TraceEvent(**common, round_no=obj["round"])
+        raise ValueError(f"unknown event kind {kind!r}")
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc.args[0]!r}") from None
 
 
 def write_jsonl(events: Iterable[TraceEvent], path: str | Path) -> None:

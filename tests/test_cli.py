@@ -151,3 +151,24 @@ def test_explore_cli_rejects_bad_ops(capsys):
 )
 def test_bundled_scenarios_pass(name, capsys):
     assert main(["run", str(SCENARIOS / name)]) == 0
+
+
+@pytest.mark.parametrize(
+    "line,reason",
+    [
+        ("[1]", "event is not a JSON object"),
+        ('{"t":0}', "missing field 'kind'"),
+        (
+            '{"t":0,"seq":0,"kind":"respond","p":2,"op":0,"opkind":"read",'
+            '"value":null,"wsn":0}',
+            "respond to op 0 with no invoke",
+        ),
+    ],
+    ids=["not-an-object", "missing-field", "respond-without-invoke"],
+)
+def test_check_malformed_event_exit_two(tmp_path, capsys, line, reason):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(line + "\n")
+    assert main(["check", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trace error:") and reason in err and err.count("\n") == 1

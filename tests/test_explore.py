@@ -135,22 +135,35 @@ def test_histories_are_unique():
     assert len(keys) == len(set(keys))
 
 
-def history_set_digest(histories) -> str:
-    """sha256 of the sorted history set: every op field and the crash step."""
-    canon = sorted(
-        json.dumps(
+def _canon(history) -> str:
+    """Every op field and the crash step of one history, as JSON."""
+    return json.dumps(
+        [
             [
-                [
-                    [o.op_id, o.process, o.kind, o.invoke, o.respond,
-                     o.value and o.value.decode(), o.seqno]
-                    for o in h.ops
-                ],
-                sorted(h.crashed.items()),
-            ]
-        )
-        for h in histories
+                [o.op_id, o.process, o.kind, o.invoke, o.respond,
+                 o.value and o.value.decode(), o.seqno]
+                for o in history.ops
+            ],
+            sorted(history.crashed.items()),
+        ]
     )
-    return hashlib.sha256("\n".join(canon).encode()).hexdigest()
+
+
+def history_set_digest(histories) -> str:
+    """sha256 of the sorted history set."""
+    return hashlib.sha256("\n".join(sorted(map(_canon, histories))).encode()).hexdigest()
+
+
+def history_list_digest(histories) -> str:
+    """sha256 of the history list in the order given."""
+    return hashlib.sha256("\n".join(map(_canon, histories)).encode()).hexdigest()
+
+
+def crash_of(mask):
+    """The write's broadcast cut to the processes whose bit p-1 is set."""
+    if mask is None:
+        return None
+    return BroadcastCrash(0, frozenset(p for p in (1, 2, 3) if mask >> (p - 1) & 1))
 
 
 # History-set digests of w:1,r:2 at n=3, t=1: no crash; the write's
@@ -159,47 +172,74 @@ BOTH_READS = "e079563a45bea04b96243807c81c6e0ccec9501f55010215c5ed44b86d35569b"
 VALUE_LOST = "bfcd52bced424c194fcb00735e5e556ed8d6a756af1b755aa7b10399c7f41c46"
 VALUE_REACHES = "739783bcd7598ce925b04f91f756ba06881470cbf54502593bbadb65ee569986"
 
-# (algorithm, crash mask) -> (configurations, history-set digest); mask bit
-# p-1 set means the write reaches process p.  Taken from the explorer before
-# the local-transition memo existed.
+# (algorithm, crash mask) -> (configurations, edges, transitions, history-set
+# digest); mask bit p-1 set means the write reaches process p.  Configurations
+# and digests were taken from the explorer before the local-transition memo
+# existed, edges and transitions from the first explorer that memoized
+# transitions over whole-configuration tuples.
 PINNED = {
-    ("teff", None): (4803, BOTH_READS),
-    ("teff", 0): (49, VALUE_LOST),
-    ("teff", 1): (49, VALUE_LOST),
-    ("teff", 2): (364, VALUE_REACHES),
-    ("teff", 3): (364, VALUE_REACHES),
-    ("teff", 4): (369, VALUE_REACHES),
-    ("teff", 5): (369, VALUE_REACHES),
-    ("teff", 6): (693, VALUE_REACHES),
-    ("teff", 7): (693, VALUE_REACHES),
-    ("teff-modified", None): (4634, BOTH_READS),
-    ("teff-modified", 0): (49, VALUE_LOST),
-    ("teff-modified", 1): (49, VALUE_LOST),
-    ("teff-modified", 2): (318, VALUE_REACHES),
-    ("teff-modified", 3): (318, VALUE_REACHES),
-    ("teff-modified", 4): (365, VALUE_REACHES),
-    ("teff-modified", 5): (365, VALUE_REACHES),
-    ("teff-modified", 6): (624, VALUE_REACHES),
-    ("teff-modified", 7): (624, VALUE_REACHES),
-    ("abd", None): (6078, BOTH_READS),
-    ("abd", 0): (207, VALUE_LOST),
-    ("abd", 1): (207, VALUE_LOST),
-    ("abd", 2): (327, VALUE_REACHES),
-    ("abd", 3): (327, VALUE_REACHES),
-    ("abd", 4): (327, VALUE_REACHES),
-    ("abd", 5): (327, VALUE_REACHES),
-    ("abd", 6): (592, VALUE_REACHES),
-    ("abd", 7): (592, VALUE_REACHES),
+    ("teff", None): (4803, 30054, 261, BOTH_READS),
+    ("teff", 0): (49, 120, 17, VALUE_LOST),
+    ("teff", 1): (49, 120, 17, VALUE_LOST),
+    ("teff", 2): (364, 1194, 111, VALUE_REACHES),
+    ("teff", 3): (364, 1194, 111, VALUE_REACHES),
+    ("teff", 4): (369, 1193, 113, VALUE_REACHES),
+    ("teff", 5): (369, 1193, 113, VALUE_REACHES),
+    ("teff", 6): (693, 2936, 196, VALUE_REACHES),
+    ("teff", 7): (693, 2936, 196, VALUE_REACHES),
+    ("teff-modified", None): (4634, 29384, 219, BOTH_READS),
+    ("teff-modified", 0): (49, 120, 17, VALUE_LOST),
+    ("teff-modified", 1): (49, 120, 17, VALUE_LOST),
+    ("teff-modified", 2): (318, 1029, 88, VALUE_REACHES),
+    ("teff-modified", 3): (318, 1029, 88, VALUE_REACHES),
+    ("teff-modified", 4): (365, 1209, 104, VALUE_REACHES),
+    ("teff-modified", 5): (365, 1209, 104, VALUE_REACHES),
+    ("teff-modified", 6): (624, 2657, 158, VALUE_REACHES),
+    ("teff-modified", 7): (624, 2657, 158, VALUE_REACHES),
+    ("abd", None): (6078, 29373, 186, BOTH_READS),
+    ("abd", 0): (207, 655, 36, VALUE_LOST),
+    ("abd", 1): (207, 655, 36, VALUE_LOST),
+    ("abd", 2): (327, 1014, 90, VALUE_REACHES),
+    ("abd", 3): (327, 1014, 90, VALUE_REACHES),
+    ("abd", 4): (327, 1014, 59, VALUE_REACHES),
+    ("abd", 5): (327, 1014, 59, VALUE_REACHES),
+    ("abd", 6): (592, 1937, 123, VALUE_REACHES),
+    ("abd", 7): (592, 1937, 123, VALUE_REACHES),
 }
 
 
 @pytest.mark.parametrize("alg,mask", list(PINNED), ids=str)
 def test_pinned_configurations_and_histories(alg, mask):
-    crash = None
-    if mask is not None:
-        crash = BroadcastCrash(0, frozenset(p for p in (1, 2, 3) if mask >> (p - 1) & 1))
-    res = explore(alg, 3, 1, [WRITE_A, READ2], crash=crash)
-    assert (res.states_visited, history_set_digest(res.histories)) == PINNED[alg, mask]
+    res = explore(alg, 3, 1, [WRITE_A, READ2], crash=crash_of(mask))
+    digest = history_set_digest(res.histories)
+    assert (res.states_visited, res.edges, res.transitions, digest) == PINNED[alg, mask]
+
+
+# Digests of the history list in the order explore() returns it, which
+# follows the depth-first search order, for no crash and for the write
+# reaching p2 only; taken from the same explorer as the edge counts above.
+# All three algorithms happen to list these histories in the same order.
+BOTH_READS_ORDER = "bea7367285d243ff3e2719df40b660c5341aec1589de68fa137779a890693c91"
+P2_ONLY_ORDER = "41f30c5823d048753317abc766fb33a925123452d897ccb710f191154fd4c4e0"
+ORDERED = {
+    (alg, mask): BOTH_READS_ORDER if mask is None else P2_ONLY_ORDER
+    for alg in ("teff", "teff-modified", "abd")
+    for mask in (None, 2)
+}
+
+
+@pytest.mark.parametrize("alg,mask", list(ORDERED), ids=str)
+def test_pinned_history_order(alg, mask):
+    res = explore(alg, 3, 1, [WRITE_A, READ2], crash=crash_of(mask))
+    assert history_list_digest(res.histories) == ORDERED[alg, mask]
+
+
+def test_noop_pruned_counts_are_positive_and_repeat():
+    crash = crash_of(6)
+    first = explore("teff", 3, 1, [WRITE_A, READ2], crash=crash)
+    second = explore("teff", 3, 1, [WRITE_A, READ2], crash=crash)
+    assert first.noop_pruned > 0
+    assert second.noop_pruned == first.noop_pruned
 
 
 @pytest.mark.parametrize("alg", ["teff", "teff-modified", "abd"])
