@@ -12,8 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .messages import AbdAck, AbdQuery, AbdReport, AbdUpdate, Message
-from .teff import BROADCAST, WRITER, HandlerOutput as _HandlerOutput, OpResult, ProtocolError
+from .messages import (
+    BROADCAST,
+    WRITER,
+    AbdAck,
+    AbdQuery,
+    AbdReport,
+    AbdUpdate,
+    HandlerOutput,
+    Message,
+    OpResult,
+    ProtocolError,
+    check_replica,
+)
 
 PHASE_WRITE = "write"
 PHASE_QUERY = "query"
@@ -52,18 +63,8 @@ class AbdReplicaState:
         return (self.reg, self.wsn, self.opsn, self.pending)
 
 
-# HandlerOutput is shared with the register protocol module; the state slot
-# simply holds an AbdReplicaState here.
-HandlerOutput = _HandlerOutput
-
-
 def abd_init(me: int, n: int, t: int, initial: bytes | None = None) -> AbdReplicaState:
-    if n < 1:
-        raise ProtocolError(f"n must be positive, got {n}")
-    if 2 * t >= n:
-        raise ProtocolError(f"need 2t < n, got n={n} t={t}")
-    if not 1 <= me <= n:
-        raise ProtocolError(f"process id {me} outside 1..{n}")
+    check_replica(me, n, t)
     return AbdReplicaState(me=me, n=n, t=t, reg=initial)
 
 

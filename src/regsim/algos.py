@@ -9,8 +9,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import abd, teff
-from .messages import AbdAck, AbdQuery, AbdReport, AbdUpdate, Message, Read, State, Write
-from .teff import HandlerOutput
+from .messages import (
+    AbdAck,
+    AbdQuery,
+    AbdReport,
+    AbdUpdate,
+    HandlerOutput,
+    Message,
+    ProtocolError,
+    Read,
+    State,
+    Write,
+)
 
 
 @dataclass(frozen=True)
@@ -52,7 +62,7 @@ class TeffAlgo:
             return teff.on_read(state, msg.rsn, sender)
         if isinstance(msg, State):
             return teff.on_state(state, msg.rsn, msg.wsn, msg.value, sender)
-        raise teff.ProtocolError(f"unexpected message for register protocol: {msg!r}")
+        raise ProtocolError(f"unexpected message for register protocol: {msg!r}")
 
     @staticmethod
     def has_pending(state: teff.ReplicaState) -> bool:
@@ -77,7 +87,7 @@ class TeffAlgo:
 
 
 class AbdAlgo:
-    def __init__(self, n: int, t: int, options: dict | None = None):
+    def __init__(self, n: int, t: int):
         self.n = n
         self.t = t
 
@@ -91,7 +101,7 @@ class AbdAlgo:
 
     def deliver(self, state: abd.AbdReplicaState, msg: Message, sender: int) -> HandlerOutput:
         if not isinstance(msg, (AbdUpdate, AbdAck, AbdQuery, AbdReport)):
-            raise teff.ProtocolError(f"unexpected message for abd: {msg!r}")
+            raise ProtocolError(f"unexpected message for abd: {msg!r}")
         return abd.abd_on_message(state, msg, sender)
 
     @staticmethod
@@ -116,5 +126,5 @@ def make_algorithm(name: str, n: int, t: int, options: dict | None = None):
     if name == "teff-modified":
         return TeffAlgo(n, t, teff.MODIFIED, options)
     if name == "abd":
-        return AbdAlgo(n, t, options)
+        return AbdAlgo(n, t)
     raise ValueError(f"unknown algorithm {name!r}")

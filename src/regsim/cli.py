@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .algos import Op
-from .config import ConfigError, ScenarioConfig, load_scenario
+from .config import ConfigError, load_scenario
 from .engine import DEFAULT_EVENT_BUDGET, BudgetExceededError, ScheduleError, run
 from .explore import BroadcastCrash, ExploreLimitError, explore
 from .history import check_claims, check_linearizable, check_termination, extract_history
@@ -106,11 +106,7 @@ def cmd_run(args) -> int:
     result = run(config, seed=args.seed, budget=_event_budget())
     if args.out is not None:
         write_jsonl(result.trace, args.out)
-    report = build_report(config, result.trace, result.seed)
-    if args.report is not None:
-        Path(args.report).write_text(report_to_json(report), encoding="utf-8")
-    _print_report_summary(report)
-    return EXIT_PASS if report["pass"] else EXIT_CHECK_FAILED
+    return _emit_report(build_report(config, result.trace, result.seed), args.report)
 
 
 def cmd_sweep(args) -> int:
@@ -184,10 +180,7 @@ def cmd_explore(args) -> int:
         res = explore(args.algorithm, args.n, args.t, ops, crash=crash, **kwargs)
         total_histories += len(res.histories)
         for hist in res.histories:
-            claims = check_claims(hist)
-            lin = check_linearizable(hist)
-            agree = lin.status == "skipped" or claims.ok == lin.ok
-            if not claims.ok or not lin.ok or not agree:
+            if not check_claims(hist).ok or not check_linearizable(hist).ok:
                 bad += 1
         label = "no crash" if crash is None else f"crash subset {sorted(crash.deliver_to)}"
         print(
@@ -203,30 +196,33 @@ def cmd_explore(args) -> int:
 
 
 def cmd_check(args) -> int:
-    config: ScenarioConfig | None = None
-    if args.config is not None:
-        config = load_scenario(args.config)
+    config = None if args.config is None else load_scenario(args.config)
     try:
         trace = read_jsonl(args.trace)
-        n = config.n if config is not None else max((ev.process for ev in trace), default=1)
-        history = extract_history(trace, n)
+        if config is not None:
+            report = build_report(config, trace, config.seed)
+        else:
+            history = extract_history(trace, max((ev.process for ev in trace), default=1))
     except ValueError as exc:
         print(f"trace error: {args.trace}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    verdicts = [check_termination(history), check_claims(history), check_linearizable(history)]
-    ok = all(v.ok for v in verdicts)
     if config is not None:
-        report = build_report(config, trace, config.seed)
-        if args.report is not None:
-            Path(args.report).write_text(report_to_json(report), encoding="utf-8")
-        _print_report_summary(report)
-        ok = report["pass"]
-    else:
-        for v in verdicts:
-            print(f"{v.name}: {v.status}")
-            for violation in v.violations:
-                print(f"  - {violation}")
-    return EXIT_PASS if ok else EXIT_CHECK_FAILED
+        return _emit_report(report, args.report)
+    verdicts = [check_termination(history), check_claims(history), check_linearizable(history)]
+    for v in verdicts:
+        print(f"{v.name}: {v.status}")
+        for violation in v.violations:
+            print(f"  - {violation}")
+    return EXIT_PASS if all(v.ok for v in verdicts) else EXIT_CHECK_FAILED
+
+
+def _emit_report(report: dict, path: Path | None) -> int:
+    """Write the report if a path is given, print its summary, map it to an
+    exit code."""
+    if path is not None:
+        path.write_text(report_to_json(report), encoding="utf-8")
+    _print_report_summary(report)
+    return EXIT_PASS if report["pass"] else EXIT_CHECK_FAILED
 
 
 def _print_report_summary(report: dict) -> None:

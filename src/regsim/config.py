@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .algos import ALGORITHMS, Op
@@ -118,8 +118,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    cfg = parse_scenario(data)
-    return _with_digest(cfg, raw)
+    return replace(parse_scenario(data), digest=hashlib.sha256(raw).hexdigest())
 
 
 _KNOWN_FIELDS = {
@@ -154,7 +153,7 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         if key not in ("writer_local_read", "quorum_counts_state"):
             raise ConfigError(f"unknown option {key!r}")
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         n=n,
         t=t,
         algorithm=algorithm,
@@ -163,22 +162,7 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         crashes=crashes,
         seed=seed,
         options=dict(options),
-    )
-    return _with_digest(cfg, canonical)
-
-
-def _with_digest(cfg: ScenarioConfig, raw: bytes) -> ScenarioConfig:
-    digest = hashlib.sha256(raw).hexdigest()
-    return ScenarioConfig(
-        n=cfg.n,
-        t=cfg.t,
-        algorithm=cfg.algorithm,
-        network=cfg.network,
-        ops=cfg.ops,
-        crashes=cfg.crashes,
-        seed=cfg.seed,
-        options=cfg.options,
-        digest=digest,
+        digest=hashlib.sha256(canonical).hexdigest(),
     )
 
 
@@ -223,7 +207,7 @@ def _parse_schedule(spec: NetworkSpec, schedule: dict) -> NetworkSpec:
     if mode == "fixed":
         delay = _req_int(schedule, "delay", minimum=1)
         _check_delay_bound(spec, delay)
-        return _replace_spec(spec, schedule_mode="fixed", schedule_fixed=delay)
+        return replace(spec, schedule_mode="fixed", schedule_fixed=delay)
     if mode == "list":
         delays = schedule.get("delays")
         if not isinstance(delays, list) or not delays:
@@ -232,7 +216,7 @@ def _parse_schedule(spec: NetworkSpec, schedule: dict) -> NetworkSpec:
             if not isinstance(d, int) or d < 1:
                 raise ConfigError("schedule delays must be positive integers")
             _check_delay_bound(spec, d)
-        return _replace_spec(spec, schedule_mode="list", schedule_list=tuple(delays))
+        return replace(spec, schedule_mode="list", schedule_list=tuple(delays))
     if mode == "increasing":
         if spec.kind != "async":
             raise ConfigError("an increasing schedule is unbounded; async only")
@@ -240,7 +224,7 @@ def _parse_schedule(spec: NetworkSpec, schedule: dict) -> NetworkSpec:
         step = schedule.get("step", 1)
         if not isinstance(start, int) or start < 1 or not isinstance(step, int) or step < 1:
             raise ConfigError("increasing schedule needs positive integer start/step")
-        return _replace_spec(
+        return replace(
             spec, schedule_mode="increasing", schedule_start=start, schedule_step=step
         )
     raise ConfigError(f"unknown schedule mode {mode!r}")
@@ -259,7 +243,7 @@ def _parse_overrides(spec: NetworkSpec, overrides: list) -> NetworkSpec:
         if tag is not None and not isinstance(tag, str):
             raise ConfigError("override tag must be a string")
         parsed.append(DelayOverride(sender, dest, tag, delay))
-    return _replace_spec(spec, overrides=tuple(parsed))
+    return replace(spec, overrides=tuple(parsed))
 
 
 def _check_delay_bound(spec: NetworkSpec, delay: int) -> None:
@@ -267,12 +251,6 @@ def _check_delay_bound(spec: NetworkSpec, delay: int) -> None:
         raise ConfigError(f"delay {delay} exceeds Delta={spec.delta}")
     if spec.kind == "async" and delay > spec.dmax:
         raise ConfigError(f"delay {delay} exceeds Dmax={spec.dmax}")
-
-
-def _replace_spec(spec: NetworkSpec, **changes) -> NetworkSpec:
-    from dataclasses import replace
-
-    return replace(spec, **changes)
 
 
 def _parse_ops(items, n: int) -> tuple[Op, ...]:

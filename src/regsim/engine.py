@@ -72,7 +72,6 @@ class BudgetExceededError(Exception):
 @dataclass
 class RunResult:
     trace: list[TraceEvent]
-    states: dict
     crashed: dict[int, int]  # process -> crash tick
     seed: int
 
@@ -169,7 +168,7 @@ class _Sim:
                 self._handle_deliver(time, item[1], item[2], item[3])
             else:
                 self._handle_crash(time, item[1])
-        return RunResult(self.trace, self.states, self.crashed, self.seed)
+        return RunResult(self.trace, self.crashed, self.seed)
 
     def _handle_invoke(self, time: int, op_id: int) -> None:
         op = self.config.ops[op_id]

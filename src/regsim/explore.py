@@ -10,10 +10,12 @@ configuration once and computes, bottom-up over the acyclic configuration
 graph, the set of operation-history suffixes reachable from it.  The root's
 set is then exactly the distinct complete histories, each discovered once.
 
-Histories use their own record index as logical time, preserving the
-invoke/respond precedence order, which is all the checkers need.  An
-optional crash cuts one operation's initiating broadcast down to a chosen
-subset of receivers and halts the invoker there, mirroring a sender dying
+Each suffix becomes invoke/respond/crash trace events with the record index
+as logical time, preserving the invoke/respond precedence order, which is
+all the checkers need; the simulator's history builder, extract_history,
+turns them into a history.  An optional crash cuts one operation's
+initiating broadcast down to a chosen subset of receivers and halts the
+invoker there, at that operation's invoke, mirroring a sender dying
 mid-broadcast.
 
 A configuration is one interned local component per process, (process,
@@ -32,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algos import Op, make_algorithm
-from .history import History, OpRecord
+from .history import History, extract_history
+from .trace import CRASH, INVOKE, RESPOND, TraceEvent
 
 DEFAULT_MAX_STATES = 5_000_000
 
@@ -66,9 +69,6 @@ class ExploreResult:
     transitions: int = 0  # distinct local transitions: one handler call each
     noop_pruned: int = 0  # distinct (snapshot, message, sender) judged forever-no-op
 
-    def __len__(self) -> int:
-        return len(self.histories)
-
 
 class _Interner:
     __slots__ = ("ids", "items")
@@ -96,9 +96,7 @@ class _Explorer:
         self.per_proc: dict[int, tuple[int, ...]] = {p: () for p in range(1, n + 1)}
         for op_id, op in enumerate(ops):
             self.per_proc[op.process] += (op_id,)
-        self.inv_labels = [
-            (("i", op_id, op.process, op.kind, op.value),) for op_id, op in enumerate(ops)
-        ]
+        self.inv_labels = [(("i", op_id),) for op_id in range(len(ops))]
         if crash is None:
             self.crash_proc = 0
             self.crash_pos = -1
@@ -340,36 +338,23 @@ def explore(
     result.edges = explorer.edges
     result.transitions = len(explorer.transitions)
     result.noop_pruned = sum(explorer.noop_memo.values())
-    crash_proc = ops[crash.op_index].process if crash is not None else None
+    crash_op = -1 if crash is None else crash.op_index
     for suffix_id in sorted(explorer.suffix_sets.items[root_set]):
-        records = explorer.suffixes.items[suffix_id]
-        result.histories.append(_history_from(records, crash_proc, n))
+        events = _events(explorer.suffixes.items[suffix_id], ops, crash_op)
+        result.histories.append(extract_history(events, n))
     return result
 
 
-def _history_from(records: tuple, crash_proc: int | None, n: int) -> History:
-    hist = History(n=n)
-    by_id: dict[int, OpRecord] = {}
-    write_count = 0
-    for step, rec in enumerate(records):
-        if rec[0] == "i":
-            _, op_id, p, kind, value = rec
-            op = OpRecord(op_id=op_id, process=p, kind=kind, invoke=step, value=value)
-            if kind == "write":
-                write_count += 1
-                op.seqno = write_count
-            by_id[op_id] = op
-            hist.ops.append(op)
+def _events(records: tuple, ops: tuple[Op, ...], crash_op: int) -> list[TraceEvent]:
+    """A suffix's label records as trace events, the record index as time;
+    the crash falls on the invoke of ops[crash_op]."""
+    events = []
+    for step, (label, op_id, *result) in enumerate(records):
+        op = ops[op_id]
+        if label == "i":
+            events.append(TraceEvent(step, step, INVOKE, op.process, op_id, op.kind, op.value))
+            if op_id == crash_op:
+                events.append(TraceEvent(step, step, CRASH, op.process))
         else:
-            _, op_id, value, seqno = rec
-            op = by_id[op_id]
-            op.respond = step
-            op.seqno = seqno
-            if op.kind == "read":
-                op.value = value
-    if crash_proc is not None:
-        for step, rec in enumerate(records):
-            if rec[0] == "i" and rec[2] == crash_proc:
-                hist.crashed[crash_proc] = step
-                break
-    return hist
+            events.append(TraceEvent(step, step, RESPOND, op.process, op_id, op.kind, *result))
+    return events

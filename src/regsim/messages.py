@@ -1,4 +1,5 @@
-"""Protocol messages and their canonical binary encoding.
+"""Protocol messages, their canonical binary encoding, and the handler
+results both register protocols return.
 
 The wire form is what trace files store (hex), so it must be bit-exact and
 stable: one tag byte, little-endian 64-bit sequence numbers, then a value
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Any
 
 TAG_WRITE = 1
 TAG_READ = 2
@@ -74,6 +76,44 @@ class AbdReport:
 
 
 Message = Write | Read | State | AbdUpdate | AbdAck | AbdQuery | AbdReport
+
+# Process 1 is the single writer in both protocols.
+WRITER = 1
+
+# Destination sentinel: send to every process, including the sender.
+BROADCAST = None
+
+
+class ProtocolError(Exception):
+    """An operation was invoked against its preconditions."""
+
+
+def check_replica(me: int, n: int, t: int) -> None:
+    """The (me, n, t) preconditions shared by both protocols' init."""
+    if n < 1:
+        raise ProtocolError(f"n must be positive, got {n}")
+    if 2 * t >= n:
+        raise ProtocolError(f"need 2t < n, got n={n} t={t}")
+    if not 1 <= me <= n:
+        raise ProtocolError(f"process id {me} outside 1..{n}")
+
+
+@dataclass(frozen=True)
+class OpResult:
+    """Completion of the process's pending operation."""
+
+    kind: str  # "write" | "read"
+    value: bytes | None
+    seqno: int
+
+
+@dataclass(frozen=True)
+class HandlerOutput:
+    """A handler's result; `state` is either protocol's replica state."""
+
+    state: Any
+    outgoing: tuple[tuple[int | None, Message], ...] = ()
+    completion: OpResult | None = None
 
 
 def _enc_value(value: bytes | None) -> bytes:

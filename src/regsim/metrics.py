@@ -29,7 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import ScenarioConfig
-from .history import History, OpRecord, extract_history
+from .history import History, OpRecord
+# Not called here; perfbench/tracer.py wraps regsim.metrics.extract_history by name.
+from .history import extract_history  # noqa: F401
 from .messages import AbdAck, AbdQuery, AbdReport, AbdUpdate, Read, State, Write
 from .trace import SEND, TraceEvent
 
@@ -181,10 +183,11 @@ def bound_for(
     raise ValueError(f"unknown model {model!r}")
 
 
-def assert_bounds(trace: list[TraceEvent], config: ScenarioConfig) -> BoundReport:
-    """Check every operation's measured duration against the bound table and
-    attach per-operation message counts."""
-    history = extract_history(trace, config.n)
+def assert_bounds(
+    trace: list[TraceEvent], history: History, config: ScenarioConfig
+) -> BoundReport:
+    """Check every operation's measured duration (`history` is the trace's
+    history) against the bound table and attach per-operation message counts."""
     model = config.network.kind
     unit = config.network.delta
     counts = count_messages(trace, history)

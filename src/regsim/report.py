@@ -24,7 +24,7 @@ def build_report(config: ScenarioConfig, trace: list[TraceEvent], seed: int) -> 
     termination = check_termination(history)
     claims = check_claims(history)
     linearizable = check_linearizable(history)
-    bounds = assert_bounds(trace, config)
+    bounds = assert_bounds(trace, history, config)
 
     passed = termination.ok and claims.ok and linearizable.ok and bounds.ok
     message_totals: dict[str, int] = {}

@@ -25,19 +25,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .messages import Message, Read, State, Write
-
-WRITER = 1
+from .messages import (
+    BROADCAST,
+    WRITER,
+    HandlerOutput,
+    Message,
+    OpResult,
+    ProtocolError,
+    Read,
+    State,
+    Write,
+    check_replica,
+)
 
 BASE = "base"
 MODIFIED = "modified"
-
-# Destination sentinel: send to every process, including the sender.
-BROADCAST = None
-
-
-class ProtocolError(Exception):
-    """An operation was invoked against its preconditions."""
 
 
 @dataclass(frozen=True)
@@ -50,15 +52,6 @@ class PendingRead:
     rsn: int
     responders: frozenset[int]
     maxwsn: int
-
-
-@dataclass(frozen=True)
-class OpResult:
-    """Completion of the process's pending operation."""
-
-    kind: str  # "write" | "read"
-    value: bytes | None
-    seqno: int
 
 
 @dataclass
@@ -117,13 +110,6 @@ class ReplicaState:
         )
 
 
-@dataclass(frozen=True)
-class HandlerOutput:
-    state: ReplicaState
-    outgoing: tuple[tuple[int | None, Message], ...] = ()
-    completion: OpResult | None = None
-
-
 def init(
     me: int,
     n: int,
@@ -134,12 +120,7 @@ def init(
     quorum_counts_state: bool = True,
     writer_local_read: bool = False,
 ) -> ReplicaState:
-    if n < 1:
-        raise ProtocolError(f"n must be positive, got {n}")
-    if 2 * t >= n:
-        raise ProtocolError(f"need 2t < n, got n={n} t={t}")
-    if not 1 <= me <= n:
-        raise ProtocolError(f"process id {me} outside 1..{n}")
+    check_replica(me, n, t)
     if variant not in (BASE, MODIFIED):
         raise ProtocolError(f"unknown variant {variant!r}")
     return ReplicaState(

@@ -47,7 +47,18 @@ def _value_out(value: bytes | None) -> str | None:
 
 
 def _value_in(raw) -> bytes | None:
-    return None if raw is None else raw.encode("utf-8")
+    if raw is None:
+        return None
+    if type(raw) is not str:
+        raise ValueError(f"field 'value' must be a string or null, got {raw!r}")
+    return raw.encode("utf-8")
+
+
+def _int(obj: dict, key: str) -> int:
+    value = obj[key]
+    if type(value) is not int:  # bool is a subclass of int, so not isinstance
+        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def event_to_json(ev: TraceEvent) -> str:
@@ -83,34 +94,26 @@ def event_from_json(line: str) -> TraceEvent:
         raise ValueError("event is not a JSON object")
     try:
         kind = obj["kind"]
-        common = dict(time=obj["t"], seq=obj["seq"], kind=kind, process=obj["p"])
-        if kind == INVOKE:
+        time, seq, process = _int(obj, "t"), _int(obj, "seq"), _int(obj, "p")
+        if kind == INVOKE or kind == RESPOND:
+            op_kind = obj["opkind"]
+            if op_kind != "write" and op_kind != "read":
+                raise ValueError(f"field 'opkind' must be 'write' or 'read', got {op_kind!r}")
+            value = _value_in(obj.get("value"))
+            seqno = _int(obj, "wsn") if kind == RESPOND else None
+            return TraceEvent(time, seq, kind, process, _int(obj, "op"), op_kind, value, seqno)
+        if kind == SEND or kind == DELIVER:
+            peer = _int(obj, "to" if kind == SEND else "from")
+            raw = obj["msg"]
+            if type(raw) is not str:
+                raise ValueError(f"field 'msg' must be a string, got {raw!r}")
             return TraceEvent(
-                **common,
-                op_id=obj["op"],
-                op_kind=obj["opkind"],
-                value=_value_in(obj.get("value")),
-            )
-        if kind == RESPOND:
-            return TraceEvent(
-                **common,
-                op_id=obj["op"],
-                op_kind=obj["opkind"],
-                value=_value_in(obj.get("value")),
-                seqno=obj["wsn"],
-            )
-        if kind == SEND:
-            return TraceEvent(
-                **common, peer=obj["to"], message=decode_message(bytes.fromhex(obj["msg"]))
-            )
-        if kind == DELIVER:
-            return TraceEvent(
-                **common, peer=obj["from"], message=decode_message(bytes.fromhex(obj["msg"]))
+                time, seq, kind, process, peer=peer, message=decode_message(bytes.fromhex(raw))
             )
         if kind == CRASH:
-            return TraceEvent(**common)
+            return TraceEvent(time, seq, kind, process)
         if kind == ROUND_START:
-            return TraceEvent(**common, round_no=obj["round"])
+            return TraceEvent(time, seq, kind, process, round_no=_int(obj, "round"))
         raise ValueError(f"unknown event kind {kind!r}")
     except KeyError as exc:
         raise ValueError(f"missing field {exc.args[0]!r}") from None

@@ -8,8 +8,15 @@ from regsim.abd import (
     abd_init,
     abd_on_message,
 )
-from regsim.messages import AbdAck, AbdQuery, AbdReport, AbdUpdate
-from regsim.teff import BROADCAST, OpResult, ProtocolError
+from regsim.messages import (
+    BROADCAST,
+    AbdAck,
+    AbdQuery,
+    AbdReport,
+    AbdUpdate,
+    OpResult,
+    ProtocolError,
+)
 
 
 def feed(state, messages):

@@ -152,7 +152,7 @@ def _check_class_runs(build, expected_class, bound, seeds=SEEDS_PER_CLASS):
         rng = random.Random(8_000_000 + seed)
         cfg = parse_scenario(build(rng))
         result = run(cfg, seed=seed)
-        rep = assert_bounds(result.trace, cfg)
+        rep = assert_bounds(result.trace, extract_history(result.trace, cfg.n), cfg)
         assert rep.ok, f"seed {seed}: {rep.violations}"
         reads = [e for e in rep.entries if e.kind == "read"]
         writes = [e for e in rep.entries if e.kind == "write"]
@@ -288,7 +288,7 @@ def test_criterion_3_crashed_writer_read_bound():
             }
         )
         result = run(cfg, seed=seed)
-        rep = assert_bounds(result.trace, cfg)
+        rep = assert_bounds(result.trace, extract_history(result.trace, cfg.n), cfg)
         assert rep.ok, f"seed {seed}: {rep.violations}"
         hist = extract_history(result.trace, 5)
         assert check_termination(hist).ok, f"seed {seed}"
@@ -333,7 +333,8 @@ def test_criterion_4_round_bounds():
                 "seed": 0,
             }
         )
-        rep = assert_bounds(run(cfg, seed=seed).trace, cfg)
+        trace = run(cfg, seed=seed).trace
+        rep = assert_bounds(trace, extract_history(trace, cfg.n), cfg)
         assert rep.ok, f"seed {seed}: {rep.violations}"
         for e in rep.entries:
             assert e.duration == 2, f"seed {seed}: {e.kind} took {e.duration}"
@@ -367,7 +368,8 @@ def test_criterion_4_round_bounds():
                 "seed": 0,
             }
         )
-        rep = assert_bounds(run(cfg, seed=seed).trace, cfg)
+        trace = run(cfg, seed=seed).trace
+        rep = assert_bounds(trace, extract_history(trace, cfg.n), cfg)
         assert rep.ok, f"seed {seed}: {rep.violations}"
         for e in rep.entries:
             if e.kind != "read":
@@ -407,8 +409,10 @@ def test_criterion_5_message_counts():
 def test_criterion_6_read_latency_gap():
     teff_cfg = load_scenario(SCENARIOS / "abd-vs-teff-teff.json")
     abd_cfg = load_scenario(SCENARIOS / "abd-vs-teff-abd.json")
-    teff_rep = assert_bounds(run(teff_cfg).trace, teff_cfg)
-    abd_rep = assert_bounds(run(abd_cfg).trace, abd_cfg)
+    teff_trace = run(teff_cfg).trace
+    abd_trace = run(abd_cfg).trace
+    teff_rep = assert_bounds(teff_trace, extract_history(teff_trace, teff_cfg.n), teff_cfg)
+    abd_rep = assert_bounds(abd_trace, extract_history(abd_trace, abd_cfg.n), abd_cfg)
     teff_read = teff_rep.max_duration("read")
     abd_read = abd_rep.max_duration("read")
     assert teff_read == 2 * DELTA
@@ -429,11 +433,13 @@ def test_criterion_7_base_variant_gap():
     base_res = run(base_cfg)
     mod_res = run(mod_cfg)
 
+    base_hist = extract_history(base_res.trace, base_cfg.n)
+    mod_hist = extract_history(mod_res.trace, mod_cfg.n)
     base_read = next(
-        e for e in assert_bounds(base_res.trace, base_cfg).entries if e.kind == "read"
+        e for e in assert_bounds(base_res.trace, base_hist, base_cfg).entries if e.kind == "read"
     )
     mod_read = next(
-        e for e in assert_bounds(mod_res.trace, mod_cfg).entries if e.kind == "read"
+        e for e in assert_bounds(mod_res.trace, mod_hist, mod_cfg).entries if e.kind == "read"
     )
     assert base_read.read_class == INTERFERING_CRASH
     assert mod_read.read_class == INTERFERING_CRASH

@@ -1,10 +1,14 @@
 """CLI contract: exit codes, artifacts, report regeneration."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import regsim.cli
+import regsim.metrics
+import regsim.report
 from regsim.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -153,6 +157,15 @@ def test_bundled_scenarios_pass(name, capsys):
     assert main(["run", str(SCENARIOS / name)]) == 0
 
 
+INVOKE = '{"t":0,"seq":0,"kind":"invoke","p":1,"op":0,"opkind":"write","value":"a"}'
+RESPOND = '{"t":1,"seq":1,"kind":"respond","p":1,"op":0,"opkind":"write","value":null,"wsn":1}'
+SEND = '{"t":0,"seq":1,"kind":"send","p":1,"to":2,"msg":"020100000000000000"}'
+
+
+def _with(line, **fields):
+    return json.dumps({**json.loads(line), **fields}, separators=(",", ":"))
+
+
 @pytest.mark.parametrize(
     "line,reason",
     [
@@ -163,8 +176,28 @@ def test_bundled_scenarios_pass(name, capsys):
             '"value":null,"wsn":0}',
             "respond to op 0 with no invoke",
         ),
+        (
+            '{"t":0,"seq":0,"kind":"invoke","p":"x","op":0,"opkind":"read"}\n'
+            '{"t":1,"seq":1,"kind":"crash","p":2}',
+            "field 'p' must be an integer",
+        ),
+        (_with(INVOKE, value=5), "field 'value' must be a string or null"),
+        (_with(INVOKE, t=True), "field 't' must be an integer"),
+        (_with(INVOKE, seq=1.5), "field 'seq' must be an integer"),
+        (_with(INVOKE, op="0"), "field 'op' must be an integer"),
+        (_with(INVOKE, opkind="cas"), "field 'opkind' must be 'write' or 'read'"),
+        (INVOKE + "\n" + _with(RESPOND, wsn=None), "field 'wsn' must be an integer"),
+        (_with(SEND, to=[2]), "field 'to' must be an integer"),
+        (_with(SEND, kind="deliver", **{"from": False}), "field 'from' must be an integer"),
+        (_with(SEND, msg=2), "field 'msg' must be a string"),
+        ('{"t":0,"seq":0,"kind":"round_start","p":0,"round":"1"}',
+         "field 'round' must be an integer"),
     ],
-    ids=["not-an-object", "missing-field", "respond-without-invoke"],
+    ids=[
+        "not-an-object", "missing-field", "respond-without-invoke", "string-p",
+        "numeric-value", "bool-t", "float-seq", "string-op", "bad-opkind", "null-wsn",
+        "list-to", "bool-from", "numeric-msg", "string-round",
+    ],
 )
 def test_check_malformed_event_exit_two(tmp_path, capsys, line, reason):
     trace = tmp_path / "trace.jsonl"
@@ -172,3 +205,35 @@ def test_check_malformed_event_exit_two(tmp_path, capsys, line, reason):
     assert main(["check", str(trace)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("trace error:") and reason in err and err.count("\n") == 1
+
+
+def test_check_with_config_malformed_trace_exit_two(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(RESPOND + "\n")
+    assert main(["check", str(trace), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trace error:") and "respond to op 0 with no invoke" in err
+    assert err.count("\n") == 1
+
+
+def test_check_with_config_runs_each_checker_once(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path)
+    trace = tmp_path / "trace.jsonl"
+    assert main(["run", str(cfg), "--out", str(trace)]) == 0
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    names = ("extract_history", "check_termination", "check_claims", "check_linearizable")
+    for module in (regsim.cli, regsim.report, regsim.metrics):
+        for name in names:
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
+    assert main(["check", str(trace), "--config", str(cfg)]) == 0
+    assert calls == {name: 1 for name in names}

@@ -258,3 +258,14 @@ def test_invocations_get_the_invokers_own_state(alg, monkeypatch):
     monkeypatch.setattr(algo_class, "begin", checked_begin)
     crash = BroadcastCrash(1, frozenset())
     assert explore(alg, 3, 1, [WRITE_A, READ2, READ2], crash=crash).histories
+
+
+def test_crash_falls_on_the_crashing_ops_invoke():
+    # p1 crashes during its second op, so the crash step is op 1's invoke,
+    # not p1's first invoke.
+    ops = [WRITE_A, Op(1, "write", b"b"), READ2]
+    res = explore("teff", 3, 1, ops, crash=BroadcastCrash(1, frozenset({2})))
+    assert len(res.histories) == 20
+    for h in res.histories:
+        second_write = next(o for o in h.ops if o.op_id == 1)
+        assert h.crashed == {1: second_write.invoke}

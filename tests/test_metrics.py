@@ -182,7 +182,7 @@ def test_concurrent_forwards_charged_to_the_write():
 
 def test_assert_bounds_flags_violations():
     cfg, result = run_scenario("teff", 3)
-    report = assert_bounds(result.trace, cfg)
+    report = assert_bounds(result.trace, extract_history(result.trace, cfg.n), cfg)
     assert report.ok
     assert report.max_duration("write") == 2 * DELTA
     assert report.max_duration("read", WLF) == 2 * DELTA
@@ -192,7 +192,7 @@ def test_assert_bounds_flags_violations():
         if ev.kind == "respond" and ev.op_kind == "read":
             object.__setattr__(ev, "time", ev.time + 1000)
         doctored.append(ev)
-    bad = assert_bounds(doctored, cfg)
+    bad = assert_bounds(doctored, extract_history(doctored, cfg.n), cfg)
     assert not bad.ok
     assert "read" in bad.violations[0]
 
@@ -221,7 +221,8 @@ def test_pending_read_of_correct_process_counts_as_violation():
             "seed": 0,
         }
     )
-    report = assert_bounds(run(cfg).trace, cfg)
+    trace = run(cfg).trace
+    report = assert_bounds(trace, extract_history(trace, cfg.n), cfg)
     read = next(e for e in report.entries if e.kind == "read")
     assert read.duration is None
     assert read.read_class == INTERFERING_CRASH
@@ -231,6 +232,6 @@ def test_pending_read_of_correct_process_counts_as_violation():
 
 def test_slow_read_processes_counts_over_threshold():
     cfg, result = run_scenario("abd", 3)
-    report = assert_bounds(result.trace, cfg)
+    report = assert_bounds(result.trace, extract_history(result.trace, cfg.n), cfg)
     assert slow_read_processes(report, 3 * DELTA) == {2: 1}  # the 4-delay read
     assert slow_read_processes(report, 4 * DELTA) == {}
