@@ -11,9 +11,7 @@ from dataclasses import dataclass
 from . import abd, teff
 from .messages import (
     AbdAck,
-    AbdQuery,
     AbdReport,
-    AbdUpdate,
     HandlerOutput,
     Message,
     ProtocolError,
@@ -100,8 +98,6 @@ class AbdAlgo:
         return abd.abd_begin_read(state)
 
     def deliver(self, state: abd.AbdReplicaState, msg: Message, sender: int) -> HandlerOutput:
-        if not isinstance(msg, (AbdUpdate, AbdAck, AbdQuery, AbdReport)):
-            raise ProtocolError(f"unexpected message for abd: {msg!r}")
         return abd.abd_on_message(state, msg, sender)
 
     @staticmethod

@@ -4,7 +4,7 @@
     regsim sweep CONFIG --seeds N [--base-seed N]
     regsim explore --n N --t T --ops SPEC [--algorithm A] [--crash-subsets]
                    [--max-states N]
-    regsim check TRACE [--config CONFIG] [--report report.json]
+    regsim check TRACE [--config CONFIG [--report report.json]]
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
 3 resource bound exceeded.  REGSIM_EVENT_BUDGET overrides the per-run event
@@ -196,6 +196,8 @@ def cmd_explore(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.report is not None and args.config is None:
+        raise ConfigError("check --report needs --config")
     config = None if args.config is None else load_scenario(args.config)
     try:
         trace = read_jsonl(args.trace)

@@ -16,18 +16,6 @@ import struct
 from dataclasses import dataclass
 from typing import Any
 
-TAG_WRITE = 1
-TAG_READ = 2
-TAG_STATE = 3
-TAG_ABD_UPDATE = 4
-TAG_ABD_ACK = 5
-TAG_ABD_QUERY = 6
-TAG_ABD_REPORT = 7
-
-_U64 = struct.Struct("<Q")
-_U32 = struct.Struct("<I")
-
-
 @dataclass(frozen=True)
 class Write:
     wsn: int
@@ -116,115 +104,78 @@ class HandlerOutput:
     completion: OpResult | None = None
 
 
-def _enc_value(value: bytes | None) -> bytes:
-    if value is None:
-        return b"\x00"
-    return b"\x01" + _U32.pack(len(value)) + value
+def _row(cls: type, tag: int, fields: tuple[str, ...], value: bool | str) -> tuple:
+    return cls, tag, fields, value, struct.Struct("<B" + "Q" * len(fields))
 
 
-def _need(data: bytes, off: int, size: int) -> None:
-    if len(data) < off + size:
-        raise ValueError(f"truncated message: {len(data)} bytes, need {off + size}")
+# The wire layout, one row per message class: the class, its tag byte, the
+# u64 fields that follow the tag, whether a value block ends the message, and
+# (added by `_row`) the struct that packs the tag and the u64 fields.  In
+# STATE's row the message's own `carries_value` decides; a STATE that ends
+# after its head is the base-variant shape.
+_LAYOUT = (
+    _row(Write, 1, ("wsn",), True),
+    _row(Read, 2, ("rsn",), False),
+    _row(State, 3, ("rsn", "wsn"), "carries_value"),
+    _row(AbdUpdate, 4, ("opsn", "wsn"), True),
+    _row(AbdAck, 5, ("opsn",), False),
+    _row(AbdQuery, 6, ("opsn",), False),
+    _row(AbdReport, 7, ("opsn", "wsn"), True),
+)
+_BY_CLASS = {row[0]: row for row in _LAYOUT}
+_BY_TAG = {row[1]: row for row in _LAYOUT}
+_U32 = struct.Struct("<I")
 
 
-def _u64_at(data: bytes, off: int) -> int:
-    _need(data, off, 8)
-    return _U64.unpack_from(data, off)[0]
-
-
-def _dec_value(data: bytes, off: int) -> tuple[bytes | None, int]:
-    _need(data, off, 1)
-    present = data[off]
-    off += 1
-    if present == 0:
-        return None, off
-    if present != 1:
-        raise ValueError(f"bad value presence byte {present}")
-    _need(data, off, 4)
-    (length,) = _U32.unpack_from(data, off)
-    off += 4
-    _need(data, off, length)
-    return data[off : off + length], off + length
+def _need(data: bytes, size: int) -> None:
+    if len(data) < size:
+        raise ValueError(f"truncated message: {len(data)} bytes, need {size}")
 
 
 def encode_message(msg: Message) -> bytes:
-    if isinstance(msg, Write):
-        return bytes([TAG_WRITE]) + _U64.pack(msg.wsn) + _enc_value(msg.value)
-    if isinstance(msg, Read):
-        return bytes([TAG_READ]) + _U64.pack(msg.rsn)
-    if isinstance(msg, State):
-        head = bytes([TAG_STATE]) + _U64.pack(msg.rsn) + _U64.pack(msg.wsn)
-        if msg.carries_value:
-            return head + _enc_value(msg.value)
-        return head
-    if isinstance(msg, AbdUpdate):
-        return (
-            bytes([TAG_ABD_UPDATE])
-            + _U64.pack(msg.opsn)
-            + _U64.pack(msg.wsn)
-            + _enc_value(msg.value)
-        )
-    if isinstance(msg, AbdAck):
-        return bytes([TAG_ABD_ACK]) + _U64.pack(msg.opsn)
-    if isinstance(msg, AbdQuery):
-        return bytes([TAG_ABD_QUERY]) + _U64.pack(msg.opsn)
-    if isinstance(msg, AbdReport):
-        return (
-            bytes([TAG_ABD_REPORT])
-            + _U64.pack(msg.opsn)
-            + _U64.pack(msg.wsn)
-            + _enc_value(msg.value)
-        )
-    raise TypeError(f"not a protocol message: {msg!r}")
+    row = _BY_CLASS.get(type(msg))
+    if row is None:
+        raise TypeError(f"not a protocol message: {msg!r}")
+    _, tag, fields, value, head = row
+    data = head.pack(tag, *[getattr(msg, f) for f in fields])
+    if value is True or (value and getattr(msg, value)):
+        if msg.value is None:
+            return data + b"\x00"
+        return data + b"\x01" + _U32.pack(len(msg.value)) + msg.value
+    return data
 
 
 def decode_message(data: bytes) -> Message:
     if not data:
         raise ValueError("empty message")
-    tag = data[0]
-    if tag == TAG_WRITE:
-        wsn = _u64_at(data, 1)
-        value, off = _dec_value(data, 9)
-        _expect_end(data, off)
-        return Write(wsn, value)
-    if tag == TAG_READ:
-        rsn = _u64_at(data, 1)
-        _expect_end(data, 9)
-        return Read(rsn)
-    if tag == TAG_STATE:
-        rsn = _u64_at(data, 1)
-        wsn = _u64_at(data, 9)
-        if len(data) == 17:
-            return State(rsn, wsn)
-        value, off = _dec_value(data, 17)
-        _expect_end(data, off)
-        return State(rsn, wsn, value, carries_value=True)
-    if tag == TAG_ABD_UPDATE:
-        opsn = _u64_at(data, 1)
-        wsn = _u64_at(data, 9)
-        value, off = _dec_value(data, 17)
-        _expect_end(data, off)
-        return AbdUpdate(opsn, wsn, value)
-    if tag == TAG_ABD_ACK:
-        opsn = _u64_at(data, 1)
-        _expect_end(data, 9)
-        return AbdAck(opsn)
-    if tag == TAG_ABD_QUERY:
-        opsn = _u64_at(data, 1)
-        _expect_end(data, 9)
-        return AbdQuery(opsn)
-    if tag == TAG_ABD_REPORT:
-        opsn = _u64_at(data, 1)
-        wsn = _u64_at(data, 9)
-        value, off = _dec_value(data, 17)
-        _expect_end(data, off)
-        return AbdReport(opsn, wsn, value)
-    raise ValueError(f"unknown message tag {tag}")
-
-
-def _expect_end(data: bytes, off: int) -> None:
-    if len(data) != off:
-        raise ValueError(f"trailing bytes in message ({len(data) - off})")
+    row = _BY_TAG.get(data[0])
+    if row is None:
+        raise ValueError(f"unknown message tag {data[0]}")
+    cls, _, _, value, head = row
+    off = head.size
+    if len(data) < off:
+        # Name the end of the first u64 field the data cuts.
+        _need(data, 9 + (len(data) - 1) // 8 * 8)
+    nums = head.unpack_from(data)[1:]
+    if not value or (value is not True and len(data) == off):
+        end, args = off, nums
+    else:
+        _need(data, off + 1)
+        present = data[off]
+        if present == 0:
+            end, block = off + 1, None
+        elif present != 1:
+            raise ValueError(f"bad value presence byte {present}")
+        else:
+            _need(data, off + 5)
+            end = off + 5 + _U32.unpack_from(data, off + 1)[0]
+            _need(data, end)
+            block = data[off + 5 : end]
+        # The optional block's flag is the field after `value` (carries_value).
+        args = (*nums, block) if value is True else (*nums, block, True)
+    if len(data) != end:
+        raise ValueError(f"trailing bytes in message ({len(data) - end})")
+    return cls(*args)
 
 
 def message_tag_name(msg: Message) -> str:

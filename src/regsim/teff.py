@@ -17,8 +17,11 @@ Two variants:
               is what keeps reads bounded when the writer dies mid-write and
               no surviving process holds the value.
 
-Handlers are pure: they never mutate the input state, and identical
-(state, input) pairs produce identical outputs.  Process 1 is the writer.
+Every field of a replica state holds an immutable value (ints, bytes,
+frozensets, frozen records, and a `know` dict that handlers replace rather
+than change), so `clone` is a shallow copy.  Handlers are pure: they never
+mutate the input state, and identical (state, input) pairs produce identical
+outputs.  Process 1 is the writer.
 """
 
 from __future__ import annotations
@@ -69,12 +72,11 @@ class ReplicaState:
     res: bytes | None = None
     # wsns this process already broadcast (the "not yet done" gate); the
     # writer's own initiating broadcast counts.
-    forwarded: set[int] = field(default_factory=set)
-    # wsns for which the swsn/res update already fired ("not already done").
-    swsn_done: set[int] = field(default_factory=set)
+    forwarded: frozenset[int] = frozenset()
     # wsn -> distinct processes known to hold that write; entries at or
-    # below swsn are dropped, their predicates can never fire again.
-    know: dict[int, set[int]] = field(default_factory=dict)
+    # below swsn are dropped, their predicates can never fire again.  Clones
+    # share the dict, so handlers bind a new one instead of changing it.
+    know: dict[int, frozenset[int]] = field(default_factory=dict)
     pending_write: PendingWrite | None = None
     pending_read: PendingRead | None = None
 
@@ -89,9 +91,6 @@ class ReplicaState:
     def clone(self) -> "ReplicaState":
         new = object.__new__(ReplicaState)
         new.__dict__.update(self.__dict__)
-        new.forwarded = set(self.forwarded)
-        new.swsn_done = set(self.swsn_done)
-        new.know = {s: set(p) for s, p in self.know.items()}
         return new
 
     def freeze(self) -> tuple:
@@ -102,9 +101,8 @@ class ReplicaState:
             self.rsn,
             self.swsn,
             self.res,
-            tuple(sorted(self.forwarded)),
-            tuple(sorted(self.swsn_done)),
-            tuple((s, tuple(sorted(p))) for s, p in sorted(self.know.items())),
+            self.forwarded,
+            tuple(sorted(self.know.items())),
             self.pending_write,
             self.pending_read,
         )
@@ -145,7 +143,7 @@ def begin_write(state: ReplicaState, value: bytes) -> HandlerOutput:
     st = state.clone()
     st.wsn += 1
     st.reg = value
-    st.forwarded.add(st.wsn)  # the initiating broadcast is this wsn's forward
+    st.forwarded = st.forwarded | {st.wsn}  # the initiating broadcast is its forward
     st.pending_write = PendingWrite(st.wsn)
     return HandlerOutput(st, ((BROADCAST, Write(st.wsn, value)),))
 
@@ -234,20 +232,17 @@ def _absorb_write(
     if wsn not in st.forwarded:
         # Fires even when wsn < st.wsn: the first copy seen for this wsn is
         # still re-broadcast, acknowledging the writer.
-        st.forwarded.add(wsn)
+        st.forwarded = st.forwarded | {wsn}
         outgoing = ((BROADCAST, Write(wsn, value)),)
-    if count and wsn > st.swsn:
-        st.know.setdefault(wsn, set()).add(sender)
-    if (
-        len(st.know.get(wsn, ())) >= st.quorum
-        and wsn > st.swsn
-        and wsn not in st.swsn_done
-    ):
-        st.swsn = wsn
-        st.res = value
-        st.swsn_done.add(wsn)
-        for s in [s for s in st.know if s <= st.swsn]:
-            del st.know[s]
+    if wsn > st.swsn:
+        holders = st.know.get(wsn, frozenset())
+        if count and sender not in holders:
+            holders = holders | {sender}
+            st.know = {**st.know, wsn: holders}
+        if len(holders) >= st.quorum:
+            st.swsn = wsn
+            st.res = value
+            st.know = {s: p for s, p in st.know.items() if s > wsn}
     return outgoing
 
 
@@ -255,7 +250,7 @@ def _write_done(st: ReplicaState, wsn: int) -> OpResult | None:
     pw = st.pending_write
     if pw is None or pw.wsn != wsn:
         return None
-    if len(st.know.get(wsn, ())) >= st.quorum or wsn in st.swsn_done:
+    if wsn <= st.swsn:  # the quorum update for this wsn fired
         st.pending_write = None
         return OpResult("write", None, wsn)
     return None

@@ -1,5 +1,7 @@
 """Unit tests for the two-phase quorum register baseline."""
 
+import random
+
 import pytest
 
 from regsim.abd import (
@@ -110,3 +112,24 @@ def test_duplicate_ack_senders_not_counted_twice():
     st, _, completions = feed(st, [(AbdAck(1), 2), (AbdAck(1), 2)])
     assert completions == []
     assert st.pending.responders == frozenset({2})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_handlers_leave_input_state_unchanged(seed):
+    # A short random walk of the writer: its own operations, and replies and
+    # requests for the current or the previous phase from random senders.
+    rng = random.Random(seed)
+    st = abd_init(1, 3, 1)
+    for _ in range(150):
+        before = st.freeze()
+        if st.pending is None:
+            out = abd_begin_write(st, b"v") if rng.random() < 0.5 else abd_begin_read(st)
+        else:
+            opsn = rng.randint(max(1, st.opsn - 1), st.opsn)
+            wsn = rng.randint(0, 3)
+            msg = rng.choice(
+                [AbdUpdate(opsn, wsn, b"u"), AbdAck(opsn), AbdQuery(opsn), AbdReport(opsn, wsn, b"r")]
+            )
+            out = abd_on_message(st, msg, rng.randint(1, 3))
+        assert st.freeze() == before
+        st = out.state

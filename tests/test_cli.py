@@ -98,6 +98,16 @@ def test_check_without_config_runs_history_checks(tmp_path, capsys):
     assert "claims: pass" in out and "linearizable: pass" in out
 
 
+def test_check_report_without_config_exit_two(tmp_path, capsys):
+    # A report is built from the scenario, so --report alone is refused
+    # before the trace is read (this trace file does not even exist).
+    report = tmp_path / "report.json"
+    assert main(["check", str(tmp_path / "missing.jsonl"), "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not report.exists()
+
+
 def test_check_malformed_message_exit_two(tmp_path, capsys):
     cfg = write_config(tmp_path)
     trace = tmp_path / "trace.jsonl"

@@ -123,7 +123,6 @@ def test_quorum_update_fires_once_per_wsn():
     st = init(2, 3, 1, BASE)
     st, _ = drive(st, [(on_write, 1, b"a", 1), (on_write, 1, b"a", 3)])
     assert st.swsn == 1 and st.res == b"a"
-    assert 1 in st.swsn_done
     assert st.know == {}  # collected knowledge at or below swsn is dropped
     after = on_write(st, 1, b"a", 2)
     assert after.state.swsn == 1 and after.outgoing == ()
@@ -265,17 +264,18 @@ def test_writer_local_read_returns_own_copy():
 # --- properties over random event sequences ------------------------------
 
 
-def random_walk(seed, variant, steps=300):
-    """Drive one replica with a random but protocol-shaped event stream."""
+def walk(seed, variant, steps=300):
+    """Drive one replica with a random but protocol-shaped event stream.
+    Yields (input state, its snapshot taken before the call, output)."""
     rng = random.Random(seed)
     n, t = 5, 2
     st = init(2, n, t, variant)
-    trail = [st]
     for _ in range(steps):
         wsn = rng.randint(1, 4)
         value = bytes([96 + wsn])
         sender = rng.randint(1, n)
         kind = rng.random()
+        before = st.freeze()
         if kind < 0.55:
             out = on_write(st, wsn, value, sender)
         elif kind < 0.8:
@@ -285,8 +285,14 @@ def random_walk(seed, variant, steps=300):
             out = begin_read(st)
         else:
             out = on_read(st, rng.randint(1, 3), sender)
+        yield st, before, out
         st = out.state
-        trail.append(st)
+
+
+def random_walk(seed, variant, steps=300):
+    """The states `walk` passes through, the initial one first."""
+    trail = [init(2, 5, 2, variant)]
+    trail.extend(out.state for _, _, out in walk(seed, variant, steps))
     return trail
 
 
@@ -319,6 +325,15 @@ def test_forward_at_most_once_per_wsn(seed, variant):
             assert dest is BROADCAST
             forwarded.append(msg.wsn)
     assert len(forwarded) == len(set(forwarded))
+
+
+@pytest.mark.parametrize("variant", [BASE, MODIFIED])
+@pytest.mark.parametrize("seed", range(8))
+def test_handlers_leave_input_state_unchanged(seed, variant):
+    # Clones share every field, so a handler that changed one in place
+    # would show here as a changed snapshot of its input.
+    for st, before, _ in walk(seed, variant):
+        assert st.freeze() == before
 
 
 def test_handlers_are_pure():
