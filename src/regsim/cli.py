@@ -6,10 +6,11 @@
                    [--max-states N]
     regsim check TRACE [--config CONFIG [--report report.json]]
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error,
-3 resource bound exceeded.  REGSIM_EVENT_BUDGET overrides the per-run event
-budget.  All scenario semantics live in the config file; flags only control
-seeds, I/O paths, and budgets.
+Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error
+(including a file that cannot be read or written), 3 resource bound
+exceeded.  REGSIM_EVENT_BUDGET overrides the per-run event budget.  All
+scenario semantics live in the config file; flags only control seeds, I/O
+paths, and budgets.
 """
 
 from __future__ import annotations
@@ -105,26 +106,34 @@ def cmd_run(args) -> int:
     config = load_scenario(args.config)
     result = run(config, seed=args.seed, budget=_event_budget())
     if args.out is not None:
-        write_jsonl(result.trace, args.out)
+        try:
+            write_jsonl(result.trace, args.out)
+        except OSError as exc:
+            raise ConfigError(f"cannot write trace: {exc}") from exc
     return _emit_report(build_report(config, result.trace, result.seed), args.report)
 
 
 def cmd_sweep(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     config = load_scenario(args.config)
     budget = _event_budget()
     worst: dict[tuple, int] = {}
     for seed in range(args.base_seed, args.base_seed + args.seeds):
-        result = run(config, seed=seed, budget=budget)
+        # Verdicts and durations need only the operation events; a failing
+        # seed is re-run in full (runs are deterministic) for its report.
+        result = run(config, seed=seed, budget=budget, messages=False)
         report = build_report(config, result.trace, seed)
+        if not report["pass"]:
+            print(f"seed {seed}: FAILED — reproduce with --seed {seed}")
+            result = run(config, seed=seed, budget=budget)
+            _print_report_summary(build_report(config, result.trace, seed))
+            return EXIT_CHECK_FAILED
         for entry in report["bounds"]["entries"]:
             if entry["duration"] is None:
                 continue
             key = (entry["kind"], entry["class"])
             worst[key] = max(worst.get(key, 0), entry["duration"])
-        if not report["pass"]:
-            print(f"seed {seed}: FAILED — reproduce with --seed {seed}")
-            _print_report_summary(report)
-            return EXIT_CHECK_FAILED
     print(f"sweep: {args.seeds} seeds, 0 failures")
     for (kind, cls), duration in sorted(worst.items(), key=lambda kv: str(kv[0])):
         label = f"{kind}" + (f"/{cls}" if cls else "")
@@ -205,7 +214,7 @@ def cmd_check(args) -> int:
             report = build_report(config, trace, config.seed)
         else:
             history = extract_history(trace, max((ev.process for ev in trace), default=1))
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"trace error: {args.trace}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     if config is not None:
@@ -222,7 +231,10 @@ def _emit_report(report: dict, path: Path | None) -> int:
     """Write the report if a path is given, print its summary, map it to an
     exit code."""
     if path is not None:
-        path.write_text(report_to_json(report), encoding="utf-8")
+        try:
+            path.write_text(report_to_json(report), encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write report: {exc}") from exc
     _print_report_summary(report)
     return EXIT_PASS if report["pass"] else EXIT_CHECK_FAILED
 

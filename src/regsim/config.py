@@ -113,7 +113,10 @@ class ScenarioConfig:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read scenario: {exc}") from exc
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:

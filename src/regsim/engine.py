@@ -26,6 +26,12 @@ receivers; with a `crash_at` window the process stays responsive until that
 tick, which models a writer that fails during an operation yet still
 answers requests before dying.  A during_forward crash cuts the relay
 broadcast for one write sequence number.
+
+`run(..., messages=False)` leaves SEND and DELIVER events out of the trace
+and keeps invoke, respond, crash and round_start: the schedule, every delay
+draw and every handler call stay the same, so the operation events (and any
+verdict or duration built from them) equal the full trace's.  `sweep` runs
+this way; message counts need the full trace.
 """
 
 from __future__ import annotations
@@ -103,10 +109,11 @@ class _DelaySource:
 
 
 class _Sim:
-    def __init__(self, config: ScenarioConfig, seed: int, budget: int):
+    def __init__(self, config: ScenarioConfig, seed: int, budget: int, messages: bool):
         self.config = config
         self.seed = seed
         self.budget = budget
+        self.messages = messages
         self.algo = make_algorithm(config.algorithm, config.n, config.t, config.options)
         self.states = {p: self.algo.init(p) for p in range(1, config.n + 1)}
         self.delays = _DelaySource(config.network, random.Random(seed))
@@ -205,7 +212,8 @@ class _Sim:
     def _handle_deliver(self, time: int, dest: int, msg: Message, sender: int) -> None:
         if dest in self.crashed:
             return  # dropped: no events at a crashed process
-        self._emit(time, DELIVER, dest, peer=sender, message=msg)
+        if self.messages:
+            self._emit(time, DELIVER, dest, peer=sender, message=msg)
         out = self.algo.deliver(self.states[dest], msg, sender)
         self.states[dest] = out.state
         restrict = None
@@ -246,7 +254,8 @@ class _Sim:
             for target in targets:
                 if restrict is not None and target not in restrict:
                     continue
-                self._emit(time, SEND, sender, peer=target, message=msg)
+                if self.messages:
+                    self._emit(time, SEND, sender, peer=target, message=msg)
                 delay = self.delays.next(sender, target, msg)
                 self._push(time + delay, (_DLV, target, msg, sender))
 
@@ -268,8 +277,10 @@ def run(
     config: ScenarioConfig,
     seed: int | None = None,
     budget: int = DEFAULT_EVENT_BUDGET,
+    messages: bool = True,
 ) -> RunResult:
-    """Execute a scenario.  `seed` overrides the config's seed."""
+    """Execute a scenario.  `seed` overrides the config's seed; with
+    `messages=False` the trace holds no SEND/DELIVER events."""
     effective_seed = config.seed if seed is None else seed
-    return _Sim(config, effective_seed, budget).run()
+    return _Sim(config, effective_seed, budget, messages).run()
 

@@ -102,6 +102,8 @@ def extract_history(trace: list[TraceEvent], n: int) -> History:
             rec = by_id.get(ev.op_id)
             if rec is None:
                 raise ValueError(f"respond to op {ev.op_id} with no invoke")
+            if ev.time < rec.invoke:
+                raise ValueError(f"respond to op {ev.op_id} before its invoke")
             rec.respond = ev.time
             rec.seqno = ev.seqno
             if rec.kind == "read":

@@ -26,6 +26,7 @@ concurrency.  Async runs get no bounds; reports are informational.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .config import ScenarioConfig
@@ -105,16 +106,6 @@ class BoundReport:
         }
 
 
-def _concurrent(w: OpRecord, r: OpRecord) -> bool:
-    # A pending write extends to infinity.  Equal-tick boundaries count as
-    # overlap: precedence requires strictly earlier response.
-    if w.respond is not None and w.respond < r.invoke:
-        return False
-    if r.respond is not None and r.respond < w.invoke:
-        return False
-    return True
-
-
 def _crashed_during(history: History, w: OpRecord) -> bool:
     crash = history.crashed.get(w.process)
     if crash is None:
@@ -124,32 +115,87 @@ def _crashed_during(history: History, w: OpRecord) -> bool:
     return crash >= w.invoke
 
 
-def classify_read(history: History, read_op: OpRecord, delta: int) -> str:
-    """Bounded-delay classification of one read."""
-    writes = history.writes()
-    concurrent = [w for w in writes if _concurrent(w, read_op)]
-    preceding = [w for w in writes if w.invoke < read_op.invoke and not _concurrent(w, read_op)]
-    closest = max(preceding, key=lambda w: w.invoke) if preceding else None
+_INF = float("inf")
 
-    if not concurrent:
-        if closest is None:
-            return WLF
-        if not _crashed_during(history, closest) and closest.invoke < read_op.invoke - delta:
-            return WLF
-        if _crashed_during(history, closest):
-            return INTERFERING_CRASH
-        return INTERFERING
-    if any(_crashed_during(history, w) for w in concurrent):
+
+def _end(op: OpRecord) -> float:
+    """The op's response tick; a pending op extends to infinity."""
+    return _INF if op.respond is None else op.respond
+
+
+class WriteIndex:
+    """The writes of one history sorted by response tick, a pending write
+    last, so that classifying a read takes one bisection instead of a scan
+    over every write.
+
+    A write precedes a read iff it responded strictly before the read's
+    invoke (an op never responds before its own invoke); otherwise it is
+    concurrent with the read unless it was invoked after the read responded.
+    Equal ticks count as overlap, and a pending write or read extends to
+    infinity.  So for a read invoked at tick a, the writes before position
+    i = bisect_left(responds, a) are those that precede it, and each write
+    from i on is concurrent with it iff invoked no later than its response."""
+
+    def __init__(self, history: History):
+        ordered = sorted(enumerate(history.writes()), key=lambda iw: _end(iw[1]))
+        self.responds = [_end(w) for _, w in ordered]
+        # closest[i]: the latest-invoked write among the first i (on a tie,
+        # the first in history order).
+        self.closest: list[OpRecord | None] = [None]
+        best = (-_INF, 0, None)
+        for pos, w in ordered:
+            best = max(best, (w.invoke, -pos, w))
+            self.closest.append(best[2])
+        # first_invoke[i] / first_crash_invoke[i]: the earliest invoke among
+        # writes i.. (among those the writer crashed during); inf if none.
+        self.first_invoke = [_INF] * (len(ordered) + 1)
+        self.first_crash_invoke = [_INF] * (len(ordered) + 1)
+        for i in range(len(ordered) - 1, -1, -1):
+            w = ordered[i][1]
+            self.first_invoke[i] = min(self.first_invoke[i + 1], w.invoke)
+            crash_invoke = w.invoke if _crashed_during(history, w) else _INF
+            self.first_crash_invoke[i] = min(self.first_crash_invoke[i + 1], crash_invoke)
+
+    def query(self, read_op: OpRecord) -> tuple[OpRecord | None, bool, bool]:
+        """The closest write preceding `read_op`, whether some write is
+        concurrent with it, and whether some write the writer crashed
+        during is."""
+        i = bisect_left(self.responds, read_op.invoke)
+        end = _end(read_op)
+
+        def reaches(first: float) -> bool:  # a write from i on, invoked by `end`
+            return first != _INF and first <= end
+
+        return (
+            self.closest[i],
+            reaches(self.first_invoke[i]),
+            reaches(self.first_crash_invoke[i]),
+        )
+
+
+def classify_read(
+    history: History, read_op: OpRecord, delta: int, writes: WriteIndex | None = None
+) -> str:
+    """Bounded-delay classification of one read (`writes`: the history's
+    index, built here if not given)."""
+    closest, concurrent, crash = (writes or WriteIndex(history)).query(read_op)
+    if concurrent:
+        return INTERFERING_CRASH if crash else INTERFERING
+    if closest is None:
+        return WLF
+    if _crashed_during(history, closest):
         return INTERFERING_CRASH
+    if closest.invoke < read_op.invoke - delta:
+        return WLF
     return INTERFERING
 
 
-def classify_read_round(history: History, read_op: OpRecord) -> str:
+def classify_read_round(
+    history: History, read_op: OpRecord, writes: WriteIndex | None = None
+) -> str:
     """Round-synchrony classification: did a writer crash overlap the read."""
-    for w in history.writes():
-        if _concurrent(w, read_op) and _crashed_during(history, w):
-            return ROUND_CRASH
-    return ROUND_NO_CRASH
+    _, _, crash = (writes or WriteIndex(history)).query(read_op)
+    return ROUND_CRASH if crash else ROUND_NO_CRASH
 
 
 def bound_for(
@@ -191,6 +237,7 @@ def assert_bounds(
     model = config.network.kind
     unit = config.network.delta
     counts = count_messages(trace, history)
+    writes = WriteIndex(history)
     report = BoundReport(
         algorithm=config.algorithm, model=model, informational=model == "async"
     )
@@ -198,11 +245,11 @@ def assert_bounds(
         read_class = None
         if op.kind == "read":
             if model == "round_sync":
-                read_class = classify_read_round(history, op)
+                read_class = classify_read_round(history, op, writes)
             elif model == "bounded_delay":
-                read_class = classify_read(history, op, unit)
+                read_class = classify_read(history, op, unit, writes)
             else:
-                read_class = classify_read(history, op, config.network.dmax)
+                read_class = classify_read(history, op, config.network.dmax, writes)
         duration = None if op.pending else op.respond - op.invoke
         claim = bound_for(config.algorithm, model, op.kind, read_class, unit)
         within: bool | None

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, artifacts, report regeneration."""
 
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -132,6 +133,31 @@ def test_sweep_reports_max_durations(tmp_path, capsys):
     assert "max duration" in out
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_sweep_non_positive_seeds_exit_two(seeds, capsys):
+    assert main(["sweep", str(SCENARIOS / "read-quiet.json"), "--seeds", seeds]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: --seeds") and captured.err.count("\n") == 1
+
+
+def test_sweep_failure_prints_the_full_run_report(capsys):
+    # The sweep judges each seed on a run without message events, then
+    # re-runs a failing seed in full: its output is the FAILED line plus
+    # exactly what `run --seed N` prints, message counts included.
+    path = str(SCENARIOS / "base-gap-base.json")
+    assert main(["sweep", path, "--seeds", "40", "--base-seed", "5"]) == 1
+    swept = capsys.readouterr().out
+    first, rest = swept.split("\n", 1)
+    seed = int(first.split()[1].rstrip(":"))
+    assert first == f"seed {seed}: FAILED — reproduce with --seed {seed}"
+    assert main(["run", path, "--seed", str(seed)]) == 1
+    ran = capsys.readouterr().out
+    assert rest == ran
+    # A lean report would print messages=0 on every line.
+    assert sum(int(m) for m in re.findall(r"messages=(\d+)", ran)) > 0
+
+
 def test_explore_cli_small_instance(capsys):
     code = main(
         ["explore", "--n", "3", "--t", "1", "--ops", "w:1,r:2", "--algorithm", "teff"]
@@ -202,11 +228,12 @@ def _with(line, **fields):
         (_with(SEND, msg=2), "field 'msg' must be a string"),
         ('{"t":0,"seq":0,"kind":"round_start","p":0,"round":"1"}',
          "field 'round' must be an integer"),
+        (_with(INVOKE, t=5) + "\n" + RESPOND, "respond to op 0 before its invoke"),
     ],
     ids=[
         "not-an-object", "missing-field", "respond-without-invoke", "string-p",
         "numeric-value", "bool-t", "float-seq", "string-op", "bad-opkind", "null-wsn",
-        "list-to", "bool-from", "numeric-msg", "string-round",
+        "list-to", "bool-from", "numeric-msg", "string-round", "respond-before-invoke",
     ],
 )
 def test_check_malformed_event_exit_two(tmp_path, capsys, line, reason):
@@ -247,3 +274,34 @@ def test_check_with_config_runs_each_checker_once(tmp_path, capsys, monkeypatch)
                 monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
     assert main(["check", str(trace), "--config", str(cfg)]) == 0
     assert calls == {name: 1 for name in names}
+
+
+@pytest.mark.parametrize(
+    "argv,prefix",
+    [
+        (["run", "{tmp}/missing.json"], "config error:"),
+        (["run", "{tmp}"], "config error:"),
+        (["sweep", "{tmp}/missing.json", "--seeds", "3"], "config error:"),
+        (["run", "{cfg}", "--out", "{tmp}"], "config error:"),
+        (["run", "{cfg}", "--report", "{tmp}/no/such/dir/report.json"], "config error:"),
+        (["check", "{tmp}/missing.jsonl"], "trace error:"),
+        (["check", "{tmp}"], "trace error:"),
+        (["check", "{tmp}/missing.jsonl", "--config", "{cfg}"], "trace error:"),
+        (["check", "{trace}", "--config", "{tmp}/missing.json"], "config error:"),
+        (["check", "{trace}", "--config", "{cfg}", "--report", "{tmp}"], "config error:"),
+    ],
+    ids=[
+        "run-missing", "run-directory", "sweep-missing", "out-directory", "report-no-dir",
+        "check-missing", "check-directory", "check-config-missing-trace",
+        "check-missing-config", "check-report-directory",
+    ],
+)
+def test_unreadable_or_unwritable_file_exit_two(tmp_path, capsys, argv, prefix):
+    cfg = write_config(tmp_path)
+    trace = tmp_path / "trace.jsonl"
+    assert main(["run", str(cfg), "--out", str(trace)]) == 0
+    capsys.readouterr()
+    names = {"tmp": tmp_path, "cfg": cfg, "trace": trace}
+    assert main([arg.format(**names) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1

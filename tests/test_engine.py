@@ -1,11 +1,14 @@
 """Simulator behavior: determinism, delay conformance, crashes, rounds."""
 
+from pathlib import Path
+
 import pytest
 
-from regsim.config import parse_scenario
+from regsim.config import load_scenario, parse_scenario
 from regsim.engine import BudgetExceededError, ScheduleError, run
 from regsim.history import check_termination, extract_history
 from regsim.messages import State, Write
+from regsim.report import build_report
 from regsim.trace import CRASH, DELIVER, ROUND_START, SEND, to_jsonl_bytes
 
 
@@ -254,3 +257,50 @@ def test_channels_deliver_exactly_once():
         (ev.peer, ev.process, ev.message) for ev in trace if ev.kind == DELIVER
     ]
     assert sorted(sends, key=repr) == sorted(delivers, key=repr)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BOUND_FIELDS = ("op", "kind", "class", "duration", "bound", "within")
+
+
+def without_seq(ev):
+    return {k: v for k, v in vars(ev).items() if k != "seq"}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_lean_run_keeps_the_operation_events_and_verdicts(name):
+    # messages=False drops SEND/DELIVER and nothing else: the other events
+    # (times, fields, order) and every verdict and bound entry but the
+    # message counts match the full run's.
+    cfg = load_scenario(SCENARIOS / name)
+    for seed in (None, 1, 2, 3):
+        full = run(cfg, seed=seed)
+        lean = run(cfg, seed=seed, messages=False)
+        assert [without_seq(ev) for ev in lean.trace] == [
+            without_seq(ev) for ev in full.trace if ev.kind not in (SEND, DELIVER)
+        ]
+        assert [ev.seq for ev in lean.trace] == list(range(len(lean.trace)))
+        assert lean.crashed == full.crashed
+        full_report = build_report(cfg, full.trace, full.seed)
+        lean_report = build_report(cfg, lean.trace, lean.seed)
+        assert lean_report["pass"] == full_report["pass"]
+        assert lean_report["checks"] == full_report["checks"]
+        assert [
+            {k: e[k] for k in BOUND_FIELDS} for e in lean_report["bounds"]["entries"]
+        ] == [{k: e[k] for k in BOUND_FIELDS} for e in full_report["bounds"]["entries"]]
+
+
+def test_lean_run_spends_the_same_event_budget():
+    # The budget counts heap items, which a lean run processes all of.
+    cfg = scenario()
+    needed = next(b for b in range(1, 1000) if _fits(cfg, b, messages=True))
+    assert _fits(cfg, needed, messages=False)
+    assert not _fits(cfg, needed - 1, messages=False)
+
+
+def _fits(cfg, budget, messages):
+    try:
+        run(cfg, budget=budget, messages=messages)
+    except BudgetExceededError:
+        return False
+    return True

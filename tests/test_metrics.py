@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regsim.config import parse_scenario
 from regsim.engine import run
@@ -13,6 +15,7 @@ from regsim.metrics import (
     ROUND_CRASH,
     ROUND_NO_CRASH,
     WLF,
+    WriteIndex,
     assert_bounds,
     bound_for,
     classify_read,
@@ -86,6 +89,124 @@ def test_round_classification_two_way():
     assert classify_read_round(h, the_read(h)) == ROUND_NO_CRASH
     h = make_history([(0, None)], [(2, 2, 6)], crashed={1: 0})
     assert classify_read_round(h, the_read(h)) == ROUND_CRASH
+
+
+# The O(reads x writes) scan that WriteIndex replaced, kept as the reference.
+
+
+def _scan_concurrent(w, r):
+    if w.respond is not None and w.respond < r.invoke:
+        return False
+    if r.respond is not None and r.respond < w.invoke:
+        return False
+    return True
+
+
+def _scan_crashed_during(history, w):
+    crash = history.crashed.get(w.process)
+    if crash is None:
+        return False
+    if w.respond is not None:
+        return w.invoke <= crash <= w.respond
+    return crash >= w.invoke
+
+
+def scan_classify_read(history, read_op, delta):
+    writes = history.writes()
+    concurrent = [w for w in writes if _scan_concurrent(w, read_op)]
+    preceding = [
+        w for w in writes if w.invoke < read_op.invoke and not _scan_concurrent(w, read_op)
+    ]
+    closest = max(preceding, key=lambda w: w.invoke) if preceding else None
+    if not concurrent:
+        if closest is None:
+            return WLF
+        if not _scan_crashed_during(history, closest) and closest.invoke < read_op.invoke - delta:
+            return WLF
+        if _scan_crashed_during(history, closest):
+            return INTERFERING_CRASH
+        return INTERFERING
+    if any(_scan_crashed_during(history, w) for w in concurrent):
+        return INTERFERING_CRASH
+    return INTERFERING
+
+
+def scan_classify_read_round(history, read_op):
+    for w in history.writes():
+        if _scan_concurrent(w, read_op) and _scan_crashed_during(history, w):
+            return ROUND_CRASH
+    return ROUND_NO_CRASH
+
+
+@st.composite
+def op_runs(draw, process, kind, first_op_id):
+    """Sequential ops of one process: gaps and durations of 0..12 ticks (so
+    equal-tick boundaries occur), the last one possibly pending."""
+    ops = []
+    t = draw(st.integers(0, 12))
+    count = draw(st.integers(0, 5))
+    for i in range(count):
+        invoke = t
+        if i == count - 1 and draw(st.booleans()):
+            respond = None
+        else:
+            respond = t = invoke + draw(st.integers(0, 12))
+        t += draw(st.integers(0, 12))
+        ops.append(OpRecord(first_op_id + i, process, kind, invoke, respond, b"v", i + 1))
+    return ops
+
+
+@st.composite
+def single_writer_histories(draw):
+    ops = draw(op_runs(1, "write", 0))
+    for p in (2, 3, 4):
+        ops += draw(op_runs(p, "read", 10 * p))
+    h = History(n=4)
+    h.ops = sorted(ops, key=lambda o: o.invoke)
+    for p in draw(st.sets(st.integers(1, 4))):
+        h.crashed[p] = draw(st.integers(0, 80))
+    return h
+
+
+@st.composite
+def any_histories(draw):
+    # Writes by several processes, overlapping in any way: the index does
+    # not rely on the single writer's writes being sequential.
+    interval = st.tuples(st.integers(0, 40), st.one_of(st.none(), st.integers(0, 20)))
+    h = History(n=4)
+    for op_id, (kind, p, (invoke, length)) in enumerate(
+        draw(st.lists(st.tuples(st.sampled_from(["write", "read"]), st.integers(1, 4), interval),
+                      max_size=12))
+    ):
+        respond = None if length is None else invoke + length
+        h.ops.append(OpRecord(op_id, p, kind, invoke, respond, b"v", op_id + 1))
+    for p in draw(st.sets(st.integers(1, 4))):
+        h.crashed[p] = draw(st.integers(0, 60))
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(single_writer_histories(), any_histories()), st.integers(1, 12))
+def test_read_classification_matches_the_scan(h, delta):
+    index = WriteIndex(h)
+    for read in h.reads():
+        expected = scan_classify_read(h, read, delta)
+        assert classify_read(h, read, delta) == expected
+        assert classify_read(h, read, delta, index) == expected
+        assert classify_read_round(h, read, index) == scan_classify_read_round(h, read)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_closest_write_tie_goes_to_the_first_in_history_order(order):
+    # Two writes invoked at the same tick both precede the read; only the
+    # first (p1's, the one whose writer crashed during it) decides.
+    writes = [OpRecord(0, 1, "write", 10, 20, b"a", 1), OpRecord(1, 2, "write", 10, 12, b"b", 2)]
+    h = History(n=3, ops=[writes[i] for i in order], crashed={1: 15})
+    read = OpRecord(2, 3, "read", 50, 60, b"a", 1)
+    h.ops.append(read)
+    expected = INTERFERING_CRASH if order == (0, 1) else WLF
+    assert scan_classify_read(h, read, DELTA) == expected
+    assert classify_read(h, read, DELTA) == expected
 
 
 def test_bound_table_is_total():
