@@ -5,7 +5,9 @@ A write is one broadcast/ack round trip.  A read queries all processes,
 takes the pair with the largest sequence number from a quorum of replies,
 unconditionally writes that pair back, and returns after a quorum of acks.
 Every phase gets a fresh per-process phase id (opsn) so stale replies are
-discarded.  Process 1 is the writer.
+discarded.  `AbdAlgo(n, t)` holds the quorum n - t and the handlers; a
+replica state holds only the protocol's variables.  Process 1 is the
+writer.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from .messages import (
     AbdUpdate,
     HandlerOutput,
     Message,
+    Op,
     OpResult,
     ProtocolError,
-    check_replica,
+    check_model,
 )
 
 PHASE_WRITE = "write"
@@ -42,17 +45,10 @@ class AbdPending:
 
 @dataclass
 class AbdReplicaState:
-    me: int
-    n: int
-    t: int
     reg: bytes | None = None
     wsn: int = 0
     opsn: int = 0
     pending: AbdPending | None = None
-
-    @property
-    def quorum(self) -> int:
-        return self.n - self.t
 
     def clone(self) -> "AbdReplicaState":
         new = object.__new__(AbdReplicaState)
@@ -63,86 +59,98 @@ class AbdReplicaState:
         return (self.reg, self.wsn, self.opsn, self.pending)
 
 
-def abd_init(me: int, n: int, t: int, initial: bytes | None = None) -> AbdReplicaState:
-    check_replica(me, n, t)
-    return AbdReplicaState(me=me, n=n, t=t, reg=initial)
+class AbdAlgo:
+    def __init__(self, n: int, t: int):
+        check_model(n, t)
+        self.quorum = n - t
 
+    @staticmethod
+    def init() -> AbdReplicaState:
+        return AbdReplicaState()
 
-def abd_begin_write(state: AbdReplicaState, value: bytes) -> HandlerOutput:
-    if state.me != WRITER:
-        raise ProtocolError(f"p{state.me} is not the writer")
-    if state.pending is not None:
-        raise ProtocolError("operation already pending (processes are sequential)")
-    if value is None:
-        raise ProtocolError("cannot write the reserved initial value")
-    st = state.clone()
-    st.opsn += 1
-    st.wsn += 1
-    st.reg = value
-    st.pending = AbdPending(PHASE_WRITE, st.opsn, frozenset(), st.wsn, value)
-    return HandlerOutput(st, ((BROADCAST, AbdUpdate(st.opsn, st.wsn, value)),))
+    def begin(self, state: AbdReplicaState, op: Op) -> HandlerOutput:
+        """Invoke `op` at its process, whose state is `state`."""
+        if op.kind == "write" and op.process != WRITER:
+            raise ProtocolError(f"p{op.process} is not the writer")
+        if state.pending is not None:
+            raise ProtocolError("operation already pending (processes are sequential)")
+        if op.kind == "write" and op.value is None:
+            raise ProtocolError("cannot write the reserved initial value")
+        st = state.clone()
+        st.opsn += 1
+        if op.kind == "read":
+            st.pending = AbdPending(PHASE_QUERY, st.opsn, frozenset(), 0, None)
+            return HandlerOutput(st, ((BROADCAST, AbdQuery(st.opsn)),))
+        st.wsn += 1
+        st.reg = op.value
+        st.pending = AbdPending(PHASE_WRITE, st.opsn, frozenset(), st.wsn, op.value)
+        return HandlerOutput(st, ((BROADCAST, AbdUpdate(st.opsn, st.wsn, op.value)),))
 
+    def deliver(self, state: AbdReplicaState, msg: Message, sender: int) -> HandlerOutput:
+        st = state.clone()
+        if isinstance(msg, AbdUpdate):
+            if msg.wsn > st.wsn:
+                st.wsn = msg.wsn
+                st.reg = msg.value
+            return HandlerOutput(st, ((sender, AbdAck(msg.opsn)),))
+        if isinstance(msg, AbdQuery):
+            return HandlerOutput(st, ((sender, AbdReport(msg.opsn, st.wsn, st.reg)),))
+        if isinstance(msg, AbdAck):
+            return self._client_ack(st, msg, sender)
+        if isinstance(msg, AbdReport):
+            return self._client_report(st, msg, sender)
+        raise ProtocolError(f"not an ABD message: {msg!r}")
 
-def abd_begin_read(state: AbdReplicaState) -> HandlerOutput:
-    if state.pending is not None:
-        raise ProtocolError("operation already pending (processes are sequential)")
-    st = state.clone()
-    st.opsn += 1
-    st.pending = AbdPending(PHASE_QUERY, st.opsn, frozenset(), 0, None)
-    return HandlerOutput(st, ((BROADCAST, AbdQuery(st.opsn)),))
+    @staticmethod
+    def has_pending(state: AbdReplicaState) -> bool:
+        return state.pending is not None
 
+    @staticmethod
+    def is_noop_delivery(state: AbdReplicaState, msg: Message, sender: int) -> bool:
+        """Replies to an already-finished phase are discarded forever (phase
+        ids never repeat); updates and queries always produce a reply."""
+        if isinstance(msg, (AbdAck, AbdReport)):
+            return state.pending is None or state.pending.opsn != msg.opsn
+        return False
 
-def abd_on_message(state: AbdReplicaState, msg: Message, sender: int) -> HandlerOutput:
-    st = state.clone()
-    if isinstance(msg, AbdUpdate):
-        if msg.wsn > st.wsn:
-            st.wsn = msg.wsn
-            st.reg = msg.value
-        return HandlerOutput(st, ((sender, AbdAck(msg.opsn)),))
-    if isinstance(msg, AbdQuery):
-        return HandlerOutput(st, ((sender, AbdReport(msg.opsn, st.wsn, st.reg)),))
-    if isinstance(msg, AbdAck):
-        return _client_ack(st, msg, sender)
-    if isinstance(msg, AbdReport):
-        return _client_report(st, msg, sender)
-    raise ProtocolError(f"not an ABD message: {msg!r}")
-
-
-def _client_ack(st: AbdReplicaState, msg: AbdAck, sender: int) -> HandlerOutput:
-    pd = st.pending
-    if pd is None or pd.opsn != msg.opsn:
-        return HandlerOutput(st)  # stale phase, discard
-    if pd.phase not in (PHASE_WRITE, PHASE_WRITE_BACK):
-        return HandlerOutput(st)
-    responders = pd.responders | {sender}
-    if len(responders) < st.quorum:
-        st.pending = replace(pd, responders=responders)
-        return HandlerOutput(st)
-    st.pending = None
-    if pd.phase == PHASE_WRITE:
-        return HandlerOutput(st, completion=OpResult("write", None, pd.best_wsn))
-    return HandlerOutput(
-        st, completion=OpResult("read", pd.best_value, pd.best_wsn)
-    )
-
-
-def _client_report(st: AbdReplicaState, msg: AbdReport, sender: int) -> HandlerOutput:
-    pd = st.pending
-    if pd is None or pd.opsn != msg.opsn or pd.phase != PHASE_QUERY:
-        return HandlerOutput(st)
-    responders = pd.responders | {sender}
-    best_wsn, best_value = pd.best_wsn, pd.best_value
-    if msg.wsn > best_wsn:
-        best_wsn, best_value = msg.wsn, msg.value
-    if len(responders) < st.quorum:
-        st.pending = replace(
-            pd, responders=responders, best_wsn=best_wsn, best_value=best_value
+    def _client_ack(self, st: AbdReplicaState, msg: AbdAck, sender: int) -> HandlerOutput:
+        pd = st.pending
+        if pd is None or pd.opsn != msg.opsn:
+            return HandlerOutput(st)  # stale phase, discard
+        if pd.phase not in (PHASE_WRITE, PHASE_WRITE_BACK):
+            return HandlerOutput(st)
+        responders = pd.responders | {sender}
+        if len(responders) < self.quorum:
+            st.pending = replace(pd, responders=responders)
+            return HandlerOutput(st)
+        st.pending = None
+        if pd.phase == PHASE_WRITE:
+            return HandlerOutput(st, completion=OpResult("write", None, pd.best_wsn))
+        return HandlerOutput(
+            st, completion=OpResult("read", pd.best_value, pd.best_wsn)
         )
-        return HandlerOutput(st)
-    # Quorum of reports: write the freshest pair back, even if all replies
-    # agree, then wait for acks.
-    st.opsn += 1
-    st.pending = AbdPending(
-        PHASE_WRITE_BACK, st.opsn, frozenset(), best_wsn, best_value
-    )
-    return HandlerOutput(st, ((BROADCAST, AbdUpdate(st.opsn, best_wsn, best_value)),))
+
+    def _client_report(
+        self, st: AbdReplicaState, msg: AbdReport, sender: int
+    ) -> HandlerOutput:
+        pd = st.pending
+        if pd is None or pd.opsn != msg.opsn or pd.phase != PHASE_QUERY:
+            return HandlerOutput(st)
+        responders = pd.responders | {sender}
+        best_wsn, best_value = pd.best_wsn, pd.best_value
+        if msg.wsn > best_wsn:
+            best_wsn, best_value = msg.wsn, msg.value
+        if len(responders) < self.quorum:
+            st.pending = replace(
+                pd, responders=responders, best_wsn=best_wsn, best_value=best_value
+            )
+            return HandlerOutput(st)
+        # Quorum of reports: write the freshest pair back, even if all replies
+        # agree, then wait for acks.
+        st.opsn += 1
+        st.pending = AbdPending(
+            PHASE_WRITE_BACK, st.opsn, frozenset(), best_wsn, best_value
+        )
+        return HandlerOutput(
+            st, ((BROADCAST, AbdUpdate(st.opsn, best_wsn, best_value)),)
+        )

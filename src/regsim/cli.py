@@ -7,10 +7,11 @@
     regsim check TRACE [--config CONFIG [--report report.json]]
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error
-(including a file that cannot be read or written), 3 resource bound
-exceeded.  REGSIM_EVENT_BUDGET overrides the per-run event budget.  All
-scenario semantics live in the config file; flags only control seeds, I/O
-paths, and budgets.
+(including a file that cannot be read or written, and an `explore` model
+that `config.check_model` rejects), 3 resource bound exceeded.
+REGSIM_EVENT_BUDGET overrides the per-run event budget.  All scenario
+semantics live in the config file; flags only control seeds, I/O paths, and
+budgets.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import os
 import sys
 from pathlib import Path
 
-from .algos import Op
-from .config import ConfigError, load_scenario
+from .config import ConfigError, check_model, load_scenario
 from .engine import DEFAULT_EVENT_BUDGET, BudgetExceededError, ScheduleError, run
 from .explore import BroadcastCrash, ExploreLimitError, explore
 from .history import check_claims, check_linearizable, check_termination, extract_history
+from .messages import Op
 from .report import build_report, report_to_json
 from .trace import read_jsonl, write_jsonl
 
@@ -163,6 +164,7 @@ def _parse_ops_spec(spec: str) -> list[Op]:
 
 
 def cmd_explore(args) -> int:
+    check_model(args.n, args.t, args.algorithm)
     ops = _parse_ops_spec(args.ops)
     for op in ops:
         if not 1 <= op.process <= args.n:

@@ -20,11 +20,16 @@ A scenario is a JSON object:
 
 Network kinds: "async" (random delays in [1, Dmax]), "bounded_delay" (random
 in [1, Delta]), "round_sync" (every delay exactly delta, operations aligned
-to round starts).  `schedule` pins delays instead of drawing them: "fixed",
-"list" (consumed in send order, last entry repeats), or "increasing" (every
-message slower than the one before; async only).  `overrides` pin the delay
-of individual (sender, receiver, message-tag) edges and win over the
-schedule.  All times are integer ticks.
+to round starts); `NetworkSpec.delta` holds whichever of Dmax, Delta and
+delta the kind takes.  `schedule` pins delays instead of drawing them:
+"fixed" (parsed as a one-entry list), "list" (consumed in send order, last
+entry repeats), or "increasing" (every message slower than the one before;
+async only).  `overrides` pin the delay of individual (sender, receiver,
+message-tag) edges and win over the schedule.  All times are integer ticks.
+
+The model check (0 <= t, 2t < n, a known algorithm) is `check_model`, which
+`regsim explore` shares.  Option values are JSON booleans.  Input of the
+wrong JSON type raises ConfigError like any other malformed field.
 
 Crash triggers: "at" halts the process at a tick; "during_broadcast"
 truncates the named operation's initiating broadcast to `deliver_to` —
@@ -41,8 +46,9 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .algos import ALGORITHMS, Op
-from .messages import message_tag_name
+from . import messages
+from .algos import ALGORITHMS
+from .messages import Op, ProtocolError
 
 DEFAULT_INCREASING_START = 1
 
@@ -79,24 +85,22 @@ class DelayOverride:
     def matches(self, sender: int, dest: int, msg) -> bool:
         if self.sender != sender or self.dest != dest:
             return False
-        return self.tag is None or message_tag_name(msg) == self.tag
+        return self.tag is None or type(msg).__name__ == self.tag
+
+
+# The field that holds each network kind's delay bound.
+_DELTA_FIELD = {"async": "Dmax", "bounded_delay": "Delta", "round_sync": "delta"}
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
     kind: str  # "async" | "bounded_delay" | "round_sync"
-    delta: int = 0  # Delta (bounded_delay) or delta (round_sync)
-    dmax: int = 0  # async only
-    schedule_mode: str | None = None  # None | "fixed" | "list" | "increasing"
-    schedule_fixed: int = 0
+    delta: int  # Dmax, Delta or delta: the kind's `_DELTA_FIELD`
+    schedule_mode: str | None = None  # None | "list" | "increasing"
     schedule_list: tuple[int, ...] = ()
     schedule_start: int = DEFAULT_INCREASING_START
     schedule_step: int = 1
     overrides: tuple[DelayOverride, ...] = ()
-
-    @property
-    def max_delay(self) -> int:
-        return self.dmax if self.kind == "async" else self.delta
 
 
 @dataclass(frozen=True)
@@ -136,25 +140,20 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     unknown = set(data) - _KNOWN_FIELDS
     if unknown:
         raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
-    n = _req_int(data, "n", minimum=1)
-    t = _req_int(data, "t", minimum=0)
-    if 2 * t >= n:
-        raise ConfigError(f"model constraint violated: need 2t < n, got n={n} t={t}")
+    n = _req_int(data, "n")
+    t = _req_int(data, "t")
     algorithm = data.get("algorithm", "teff")
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    network = _parse_network(data.get("network"))
+    check_model(n, t, algorithm)
+    network = _parse_network(data.get("network"), n)
     ops = _parse_ops(data.get("ops", []), n)
     crashes = _parse_crashes(data.get("crashes", []), n, t, ops, network, algorithm)
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
-    options = data.get("options", {})
-    if not isinstance(options, dict):
-        raise ConfigError("options must be an object")
-    for key in options:
+    seed = _int(data.get("seed", 0), "seed")
+    options = _object(data.get("options", {}), "options")
+    for key, value in options.items():
         if key not in ("writer_local_read", "quorum_counts_state"):
             raise ConfigError(f"unknown option {key!r}")
+        if not isinstance(value, bool):
+            raise ConfigError(f"option {key} must be true or false")
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
     return ScenarioConfig(
         n=n,
@@ -169,77 +168,100 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     )
 
 
-def _req_int(data: dict, key: str, minimum: int | None = None) -> int:
-    if key not in data:
-        raise ConfigError(f"missing required field {key!r}")
-    value = data[key]
+def check_model(n: int, t: int, algorithm: str) -> None:
+    """The system model a scenario and `regsim explore` must satisfy: the
+    protocols' own (n >= 1, 0 <= t, 2t < n) and a known algorithm."""
+    try:
+        messages.check_model(n, t)
+    except ProtocolError as exc:
+        raise ConfigError(f"model constraint violated: {exc}") from exc
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+
+
+def _int(value, what: str, minimum: int | None = None) -> int:
+    """`value` as an int (a JSON boolean is not one) no less than `minimum`."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{key} must be an integer")
+        raise ConfigError(f"{what} must be an integer")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}")
+        raise ConfigError(f"{what} must be >= {minimum}")
     return value
 
 
-def _parse_network(data) -> NetworkSpec:
+def _req_int(data: dict, key: str, minimum: int | None = None) -> int:
+    if key not in data:
+        raise ConfigError(f"missing required field {key!r}")
+    return _int(data[key], key, minimum)
+
+
+def _pid(data: dict, key: str, n: int, where: str) -> int:
+    """The process id under `key`, in 1..n."""
+    process = _req_int(data, key)
+    if not 1 <= process <= n:
+        raise ConfigError(f"{where}: {key} {process} outside 1..{n}")
+    return process
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object")
+    return value
+
+
+def _parse_network(data, n: int) -> NetworkSpec:
     if data is None:
         raise ConfigError("missing required field 'network'")
-    kind = data.get("kind")
-    if kind == "async":
-        spec = NetworkSpec(kind="async", dmax=_req_int(data, "Dmax", minimum=1))
-    elif kind == "bounded_delay":
-        spec = NetworkSpec(kind="bounded_delay", delta=_req_int(data, "Delta", minimum=1))
-    elif kind == "round_sync":
-        spec = NetworkSpec(kind="round_sync", delta=_req_int(data, "delta", minimum=1))
-    else:
+    kind = _object(data, "network").get("kind")
+    if not isinstance(kind, str) or kind not in _DELTA_FIELD:
         raise ConfigError(f"unknown network kind {kind!r}")
+    spec = NetworkSpec(kind, _req_int(data, _DELTA_FIELD[kind], minimum=1))
     schedule = data.get("schedule")
     if schedule is not None:
         if kind == "round_sync":
             raise ConfigError("round_sync delays are fixed at delta; no schedule allowed")
-        spec = _parse_schedule(spec, schedule)
+        spec = _parse_schedule(spec, _object(schedule, "schedule"))
     overrides = data.get("overrides", [])
+    if not isinstance(overrides, list):
+        raise ConfigError("overrides must be an array")
     if overrides:
         if kind == "round_sync":
             raise ConfigError("round_sync delays are fixed at delta; no overrides allowed")
-        spec = _parse_overrides(spec, overrides)
+        spec = _parse_overrides(spec, overrides, n)
     return spec
 
 
 def _parse_schedule(spec: NetworkSpec, schedule: dict) -> NetworkSpec:
     mode = schedule.get("mode")
     if mode == "fixed":
-        delay = _req_int(schedule, "delay", minimum=1)
-        _check_delay_bound(spec, delay)
-        return replace(spec, schedule_mode="fixed", schedule_fixed=delay)
-    if mode == "list":
+        delays = [_req_int(schedule, "delay", minimum=1)]
+    elif mode == "list":
         delays = schedule.get("delays")
         if not isinstance(delays, list) or not delays:
             raise ConfigError("schedule mode 'list' needs a non-empty 'delays' array")
         for d in delays:
-            if not isinstance(d, int) or d < 1:
-                raise ConfigError("schedule delays must be positive integers")
-            _check_delay_bound(spec, d)
-        return replace(spec, schedule_mode="list", schedule_list=tuple(delays))
-    if mode == "increasing":
+            _int(d, "schedule delays", minimum=1)
+    elif mode == "increasing":
         if spec.kind != "async":
             raise ConfigError("an increasing schedule is unbounded; async only")
-        start = schedule.get("start", DEFAULT_INCREASING_START)
-        step = schedule.get("step", 1)
-        if not isinstance(start, int) or start < 1 or not isinstance(step, int) or step < 1:
-            raise ConfigError("increasing schedule needs positive integer start/step")
+        start = _int(schedule.get("start", DEFAULT_INCREASING_START), "start", minimum=1)
+        step = _int(schedule.get("step", 1), "step", minimum=1)
         return replace(
             spec, schedule_mode="increasing", schedule_start=start, schedule_step=step
         )
-    raise ConfigError(f"unknown schedule mode {mode!r}")
+    else:
+        raise ConfigError(f"unknown schedule mode {mode!r}")
+    for d in delays:
+        _check_delay_bound(spec, d)
+    return replace(spec, schedule_mode="list", schedule_list=tuple(delays))
 
 
-def _parse_overrides(spec: NetworkSpec, overrides: list) -> NetworkSpec:
+def _parse_overrides(spec: NetworkSpec, overrides: list, n: int) -> NetworkSpec:
     parsed = []
-    for item in overrides:
-        if not isinstance(item, dict):
-            raise ConfigError("each override must be an object")
-        sender = _req_int(item, "from", minimum=1)
-        dest = _req_int(item, "to", minimum=1)
+    for i, item in enumerate(overrides):
+        where = f"overrides[{i}]"
+        item = _object(item, where)
+        sender = _pid(item, "from", n, where)
+        dest = _pid(item, "to", n, where)
         delay = _req_int(item, "delay", minimum=1)
         _check_delay_bound(spec, delay)
         tag = item.get("tag")
@@ -250,10 +272,8 @@ def _parse_overrides(spec: NetworkSpec, overrides: list) -> NetworkSpec:
 
 
 def _check_delay_bound(spec: NetworkSpec, delay: int) -> None:
-    if spec.kind == "bounded_delay" and delay > spec.delta:
-        raise ConfigError(f"delay {delay} exceeds Delta={spec.delta}")
-    if spec.kind == "async" and delay > spec.dmax:
-        raise ConfigError(f"delay {delay} exceeds Dmax={spec.dmax}")
+    if delay > spec.delta:
+        raise ConfigError(f"delay {delay} exceeds {_DELTA_FIELD[spec.kind]}={spec.delta}")
 
 
 def _parse_ops(items, n: int) -> tuple[Op, ...]:
@@ -261,12 +281,9 @@ def _parse_ops(items, n: int) -> tuple[Op, ...]:
         raise ConfigError("ops must be an array")
     ops = []
     for i, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise ConfigError(f"ops[{i}] must be an object")
+        item = _object(item, f"ops[{i}]")
         time = _req_int(item, "time", minimum=0)
-        process = _req_int(item, "process", minimum=1)
-        if process > n:
-            raise ConfigError(f"ops[{i}]: process {process} outside 1..{n}")
+        process = _pid(item, "process", n, f"ops[{i}]")
         kind = item.get("op")
         if kind == "write":
             if process != 1:
@@ -294,11 +311,8 @@ def _parse_crashes(
     crashes = []
     seen = set()
     for i, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise ConfigError(f"crashes[{i}] must be an object")
-        process = _req_int(item, "process", minimum=1)
-        if process > n:
-            raise ConfigError(f"crashes[{i}]: process {process} outside 1..{n}")
+        item = _object(item, f"crashes[{i}]")
+        process = _pid(item, "process", n, f"crashes[{i}]")
         if process in seen:
             raise ConfigError(f"crashes[{i}]: process {process} crashes twice")
         seen.add(process)
@@ -310,7 +324,7 @@ def _parse_crashes(
         if "at" in item:
             crashes.append(CrashSpec(process, at=_req_int(item, "at", minimum=0)))
         elif "during_broadcast" in item:
-            spec = item["during_broadcast"]
+            spec = _object(item["during_broadcast"], f"crashes[{i}]: during_broadcast")
             op_index = _req_int(spec, "op_index", minimum=0)
             if op_index >= len(ops):
                 raise ConfigError(f"crashes[{i}]: op_index {op_index} out of range")
@@ -322,10 +336,7 @@ def _parse_crashes(
             deliver_to = _parse_subset(spec.get("deliver_to"), n, f"crashes[{i}]")
             crash_at = spec.get("crash_at")
             if crash_at is not None:
-                if not isinstance(crash_at, int) or crash_at < ops[op_index].time:
-                    raise ConfigError(
-                        f"crashes[{i}]: crash_at must be an integer >= the op time"
-                    )
+                _int(crash_at, f"crashes[{i}]: crash_at", minimum=ops[op_index].time)
                 if network.kind == "round_sync":
                     raise ConfigError(
                         f"crashes[{i}]: crash_at windows are not defined for round_sync"
@@ -336,9 +347,9 @@ def _parse_crashes(
                 )
             )
         else:
-            spec = item["during_forward"]
             if algorithm == "abd":
                 raise ConfigError(f"crashes[{i}]: during_forward applies to teff only")
+            spec = _object(item["during_forward"], f"crashes[{i}]: during_forward")
             wsn = _req_int(spec, "wsn", minimum=1)
             deliver_to = _parse_subset(spec.get("deliver_to"), n, f"crashes[{i}]")
             crashes.append(CrashSpec(process, forward_wsn=wsn, deliver_to=deliver_to))
@@ -350,7 +361,7 @@ def _parse_subset(value, n: int, where: str) -> frozenset[int]:
         raise ConfigError(f"{where}: deliver_to must be an array of process ids")
     out = set()
     for p in value:
-        if not isinstance(p, int) or not 1 <= p <= n:
-            raise ConfigError(f"{where}: deliver_to entry {p!r} outside 1..{n}")
+        if not 1 <= _int(p, f"{where}: deliver_to entry") <= n:
+            raise ConfigError(f"{where}: deliver_to entry {p} outside 1..{n}")
         out.add(p)
     return frozenset(out)

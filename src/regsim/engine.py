@@ -36,13 +36,15 @@ this way; message counts need the full trace.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import random
 from dataclasses import dataclass
 
-from .algos import Op, make_algorithm
+from .algos import make_algorithm
 from .config import CrashSpec, NetworkSpec, ScenarioConfig
-from .messages import Message, Write
+from .messages import Message, Op, Write
 from .trace import (
     CRASH,
     DELIVER,
@@ -83,29 +85,28 @@ class RunResult:
 
 
 class _DelaySource:
+    """Per-send delays.  The first override matching (sender, receiver, tag)
+    wins; otherwise the network's rule, picked once per run, gives the
+    delay.  A rule that counts (a list or an increasing schedule) or draws
+    (one randint per send, in send order) advances only when it is used."""
+
     def __init__(self, spec: NetworkSpec, rng: random.Random):
-        self.spec = spec
-        self.rng = rng
-        self.count = 0
+        self.overrides = spec.overrides
+        if spec.kind == "round_sync":
+            self.rule = itertools.repeat(spec.delta).__next__
+        elif spec.schedule_mode == "list":
+            delays = spec.schedule_list
+            self.rule = itertools.chain(delays, itertools.repeat(delays[-1])).__next__
+        elif spec.schedule_mode == "increasing":
+            self.rule = itertools.count(spec.schedule_start, spec.schedule_step).__next__
+        else:
+            self.rule = functools.partial(rng.randint, 1, spec.delta)
 
     def next(self, sender: int, dest: int, msg: Message) -> int:
-        spec = self.spec
-        for ov in spec.overrides:
+        for ov in self.overrides:
             if ov.matches(sender, dest, msg):
                 return ov.delay
-        if spec.kind == "round_sync":
-            return spec.delta
-        if spec.schedule_mode == "fixed":
-            return spec.schedule_fixed
-        if spec.schedule_mode == "list":
-            idx = min(self.count, len(spec.schedule_list) - 1)
-            self.count += 1
-            return spec.schedule_list[idx]
-        if spec.schedule_mode == "increasing":
-            delay = spec.schedule_start + spec.schedule_step * self.count
-            self.count += 1
-            return delay
-        return self.rng.randint(1, spec.max_delay)
+        return self.rule()
 
 
 class _Sim:
@@ -115,7 +116,7 @@ class _Sim:
         self.budget = budget
         self.messages = messages
         self.algo = make_algorithm(config.algorithm, config.n, config.t, config.options)
-        self.states = {p: self.algo.init(p) for p in range(1, config.n + 1)}
+        self.states = {p: self.algo.init() for p in range(1, config.n + 1)}
         self.delays = _DelaySource(config.network, random.Random(seed))
         self.round = config.network.kind == "round_sync"
         self.delta = config.network.delta

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algos import Op, make_algorithm
+from .algos import make_algorithm
 from .history import History, extract_history
+from .messages import Op
 from .trace import CRASH, INVOKE, RESPOND, TraceEvent
 
 DEFAULT_MAX_STATES = 5_000_000
@@ -116,7 +117,8 @@ class _Explorer:
         self.memo: dict[tuple, int] = {}  # configuration -> suffix set id
         # Handler results, keyed (dest, snap, mid, sender) or ("i", op_id,
         # snap) -> (new state, new snap, ((dest, mid), ...), completion).
-        # `dest` is in the key because snapshots omit `me`.
+        # No delivery handler reads its receiver, but `dest` stays in the key
+        # so that a transition is one handler call per process.
         self.transitions: dict[tuple, tuple] = {}
         # (local, "i", op_id) or (local, "d", entry) -> (new local of the
         # stepping process, ((receiver, entry), ...) for the others, completion).
@@ -285,7 +287,7 @@ class _Explorer:
         """Returns the suffix-set id of the root configuration."""
         locals0 = []
         for p in range(1, self.n + 1):
-            state = self.algo.init(p)
+            state = self.algo.init()
             locals0.append(self.local(p, self.snaps.get(state.freeze()), state, ()))
         root = (tuple(locals0), (0,) * self.n)
         # Iterative post-order DFS.  A frame finishes when every child edge

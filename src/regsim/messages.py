@@ -1,5 +1,6 @@
-"""Protocol messages, their canonical binary encoding, and the handler
-results both register protocols return.
+"""Protocol messages, their canonical binary encoding, and the types both
+register protocols share: the operation they are invoked with, the model
+check and the handler result.
 
 The wire form is what trace files store (hex), so it must be bit-exact and
 stable: one tag byte, little-endian 64-bit sequence numbers, then a value
@@ -15,6 +16,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from typing import Any
+
 
 @dataclass(frozen=True)
 class Write:
@@ -76,14 +78,25 @@ class ProtocolError(Exception):
     """An operation was invoked against its preconditions."""
 
 
-def check_replica(me: int, n: int, t: int) -> None:
-    """The (me, n, t) preconditions shared by both protocols' init."""
+def check_model(n: int, t: int) -> None:
+    """The system model both protocols assume: n >= 1 processes, of which
+    at most t crash, with 0 <= t and 2t < n."""
     if n < 1:
         raise ProtocolError(f"n must be positive, got {n}")
+    if t < 0:
+        raise ProtocolError(f"t must be non-negative, got {t}")
     if 2 * t >= n:
         raise ProtocolError(f"need 2t < n, got n={n} t={t}")
-    if not 1 <= me <= n:
-        raise ProtocolError(f"process id {me} outside 1..{n}")
+
+
+@dataclass(frozen=True)
+class Op:
+    """One scheduled register operation."""
+
+    process: int
+    kind: str  # "write" | "read"
+    value: bytes | None = None
+    time: int = 0
 
 
 @dataclass(frozen=True)
@@ -176,7 +189,3 @@ def decode_message(data: bytes) -> Message:
     if len(data) != end:
         raise ValueError(f"trailing bytes in message ({len(data) - end})")
     return cls(*args)
-
-
-def message_tag_name(msg: Message) -> str:
-    return type(msg).__name__

@@ -246,10 +246,8 @@ def assert_bounds(
         if op.kind == "read":
             if model == "round_sync":
                 read_class = classify_read_round(history, op, writes)
-            elif model == "bounded_delay":
-                read_class = classify_read(history, op, unit, writes)
             else:
-                read_class = classify_read(history, op, config.network.dmax, writes)
+                read_class = classify_read(history, op, unit, writes)
         duration = None if op.pending else op.respond - op.invoke
         claim = bound_for(config.algorithm, model, op.kind, read_class, unit)
         within: bool | None

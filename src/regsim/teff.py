@@ -17,11 +17,21 @@ Two variants:
               is what keeps reads bounded when the writer dies mid-write and
               no surviving process holds the value.
 
-Every field of a replica state holds an immutable value (ints, bytes,
-frozensets, frozen records, and a `know` dict that handlers replace rather
-than change), so `clone` is a shallow copy.  Handlers are pure: they never
-mutate the input state, and identical (state, input) pairs produce identical
-outputs.  Process 1 is the writer.
+`TeffAlgo(n, t, variant, options)` is the protocol: it holds the system
+constants (the quorum n - t, the variant and the two options) and the
+handlers.  A replica state holds only the protocol's variables, so every
+process starts from the same state and no handler takes a process id; the
+writer check reads the invoked `Op`'s process.  Every field of a replica
+state holds an immutable value (ints, bytes, frozensets, frozen records, and
+a `know` dict that handlers replace rather than change), so `clone` is a
+shallow copy.  Handlers are pure: they never mutate the input state, and
+identical (state, input) pairs produce identical outputs.  Process 1 is the
+writer.
+
+Options (JSON booleans in a scenario): `quorum_counts_state` (default true)
+lets a modified-variant STATE reply count toward a write's quorum, and
+`writer_local_read` (default false) lets the writer answer its own reads
+from its copy at once.
 """
 
 from __future__ import annotations
@@ -33,12 +43,13 @@ from .messages import (
     WRITER,
     HandlerOutput,
     Message,
+    Op,
     OpResult,
     ProtocolError,
     Read,
     State,
     Write,
-    check_replica,
+    check_model,
 )
 
 BASE = "base"
@@ -59,12 +70,6 @@ class PendingRead:
 
 @dataclass
 class ReplicaState:
-    me: int
-    n: int
-    t: int
-    variant: str
-    quorum_counts_state: bool = True
-    writer_local_read: bool = False
     reg: bytes | None = None
     wsn: int = 0
     rsn: int = 0
@@ -79,14 +84,6 @@ class ReplicaState:
     know: dict[int, frozenset[int]] = field(default_factory=dict)
     pending_write: PendingWrite | None = None
     pending_read: PendingRead | None = None
-
-    @property
-    def quorum(self) -> int:
-        return self.n - self.t
-
-    @property
-    def is_writer(self) -> bool:
-        return self.me == WRITER
 
     def clone(self) -> "ReplicaState":
         new = object.__new__(ReplicaState)
@@ -108,142 +105,165 @@ class ReplicaState:
         )
 
 
-def init(
-    me: int,
-    n: int,
-    t: int,
-    variant: str = BASE,
-    initial: bytes | None = None,
-    *,
-    quorum_counts_state: bool = True,
-    writer_local_read: bool = False,
-) -> ReplicaState:
-    check_replica(me, n, t)
-    if variant not in (BASE, MODIFIED):
-        raise ProtocolError(f"unknown variant {variant!r}")
-    return ReplicaState(
-        me=me,
-        n=n,
-        t=t,
-        variant=variant,
-        quorum_counts_state=quorum_counts_state,
-        writer_local_read=writer_local_read,
-        reg=initial,
-        res=initial,
-    )
+class TeffAlgo:
+    def __init__(self, n: int, t: int, variant: str, options: dict | None = None):
+        check_model(n, t)
+        if variant not in (BASE, MODIFIED):
+            raise ProtocolError(f"unknown variant {variant!r}")
+        options = options or {}
+        self.quorum = n - t
+        self.variant = variant
+        self.quorum_counts_state = options.get("quorum_counts_state", True)
+        self.writer_local_read = options.get("writer_local_read", False)
 
+    @staticmethod
+    def init() -> ReplicaState:
+        return ReplicaState()
 
-def begin_write(state: ReplicaState, value: bytes) -> HandlerOutput:
-    if not state.is_writer:
-        raise ProtocolError(f"p{state.me} is not the writer")
-    if state.pending_write is not None or state.pending_read is not None:
-        raise ProtocolError("operation already pending (processes are sequential)")
-    if value is None:
-        raise ProtocolError("cannot write the reserved initial value")
-    st = state.clone()
-    st.wsn += 1
-    st.reg = value
-    st.forwarded = st.forwarded | {st.wsn}  # the initiating broadcast is its forward
-    st.pending_write = PendingWrite(st.wsn)
-    return HandlerOutput(st, ((BROADCAST, Write(st.wsn, value)),))
+    def begin(self, state: ReplicaState, op: Op) -> HandlerOutput:
+        """Invoke `op` at its process, whose state is `state`."""
+        if self.has_pending(state):
+            raise ProtocolError("operation already pending (processes are sequential)")
+        if op.kind == "write":
+            if op.process != WRITER:
+                raise ProtocolError(f"p{op.process} is not the writer")
+            if op.value is None:
+                raise ProtocolError("cannot write the reserved initial value")
+            st = state.clone()
+            st.wsn += 1
+            st.reg = op.value
+            st.forwarded = st.forwarded | {st.wsn}  # the initiating broadcast is its forward
+            st.pending_write = PendingWrite(st.wsn)
+            return HandlerOutput(st, ((BROADCAST, Write(st.wsn, op.value)),))
+        if self.writer_local_read and op.process == WRITER:
+            # Optional shortcut: the writer serves reads from its own copy.
+            return HandlerOutput(
+                state.clone(), completion=OpResult("read", state.reg, state.wsn)
+            )
+        st = state.clone()
+        st.rsn += 1
+        st.pending_read = PendingRead(st.rsn, frozenset(), 0)
+        return HandlerOutput(st, ((BROADCAST, Read(st.rsn)),))
 
+    def deliver(self, state: ReplicaState, msg: Message, sender: int) -> HandlerOutput:
+        if isinstance(msg, Write):
+            return self.on_write(state, msg.wsn, msg.value, sender)
+        if isinstance(msg, Read):
+            return self.on_read(state, msg.rsn, sender)
+        if isinstance(msg, State):
+            return self.on_state(state, msg.rsn, msg.wsn, msg.value, sender)
+        raise ProtocolError(f"unexpected message for register protocol: {msg!r}")
 
-def begin_read(state: ReplicaState) -> HandlerOutput:
-    if state.pending_write is not None or state.pending_read is not None:
-        raise ProtocolError("operation already pending (processes are sequential)")
-    if state.writer_local_read and state.is_writer:
-        # Optional shortcut: the writer serves reads from its own copy.
-        return HandlerOutput(
-            state.clone(), completion=OpResult("read", state.reg, state.wsn)
-        )
-    st = state.clone()
-    st.rsn += 1
-    st.pending_read = PendingRead(st.rsn, frozenset(), 0)
-    return HandlerOutput(st, ((BROADCAST, Read(st.rsn)),))
+    @staticmethod
+    def has_pending(state: ReplicaState) -> bool:
+        return state.pending_write is not None or state.pending_read is not None
 
+    def is_noop_delivery(self, state: ReplicaState, msg: Message, sender: int) -> bool:
+        """True when delivering `msg` can never change `state`, emit anything,
+        or complete an operation — now or after any future transitions.  The
+        conditions below are monotone (forwarded/swsn/rsn only grow), so the
+        explorer may discard such messages.  Conservative: False when unsure."""
+        if isinstance(msg, Write):
+            return msg.wsn in state.forwarded and msg.wsn <= state.swsn
+        if isinstance(msg, State):
+            pr = state.pending_read
+            stale = pr is None or pr.rsn != msg.rsn
+            if not stale:
+                return False
+            if self.variant == BASE or msg.wsn == 0:
+                return True
+            return msg.wsn in state.forwarded and msg.wsn <= state.swsn
+        return False
 
-def on_write(
-    state: ReplicaState, wsn: int, value: bytes | None, sender: int
-) -> HandlerOutput:
-    st = state.clone()
-    outgoing = _absorb_write(st, wsn, value, sender)
-    completion = _write_done(st, wsn) or _read_done(st)
-    return HandlerOutput(st, outgoing, completion)
+    def on_write(
+        self, state: ReplicaState, wsn: int, value: bytes | None, sender: int
+    ) -> HandlerOutput:
+        st = state.clone()
+        outgoing = self._absorb_write(st, wsn, value, sender)
+        completion = _write_done(st, wsn) or self._read_done(st)
+        return HandlerOutput(st, outgoing, completion)
 
+    def on_read(self, state: ReplicaState, rsn: int, sender: int) -> HandlerOutput:
+        if self.variant == MODIFIED:
+            reply = State(rsn, state.wsn, state.reg, carries_value=True)
+        else:
+            reply = State(rsn, state.wsn)
+        return HandlerOutput(state.clone(), ((sender, reply),))
 
-def on_read(state: ReplicaState, rsn: int, sender: int) -> HandlerOutput:
-    if state.variant == MODIFIED:
-        reply = State(rsn, state.wsn, state.reg, carries_value=True)
-    else:
-        reply = State(rsn, state.wsn)
-    return HandlerOutput(state.clone(), ((sender, reply),))
+    def on_state(
+        self,
+        state: ReplicaState,
+        rsn: int,
+        wsn: int,
+        value: bytes | None,
+        sender: int,
+    ) -> HandlerOutput:
+        st = state.clone()
+        outgoing: tuple[tuple[int | None, Message], ...] = ()
+        if self.variant == MODIFIED and wsn >= 1:
+            # The modified variant treats the reply like a WRITE first.  wsn 0
+            # is the initial value: no WRITE(0) exists, so there is nothing to
+            # forward or count for it.
+            outgoing = self._absorb_write(
+                st, wsn, value, sender, count=self.quorum_counts_state
+            )
+        pr = st.pending_read
+        if pr is not None and pr.rsn == rsn:
+            st.pending_read = PendingRead(
+                pr.rsn, pr.responders | {sender}, max(pr.maxwsn, wsn)
+            )
+        completion = _write_done(st, wsn) or self._read_done(st)
+        return HandlerOutput(st, outgoing, completion)
 
+    def check_read_complete(self, state: ReplicaState) -> tuple[bytes | None, int] | None:
+        """Read predicate: a quorum of replies and swsn caught up with the
+        largest advertised wsn.  Returns (value, seqno) without mutating."""
+        pr = state.pending_read
+        if pr is None:
+            raise ProtocolError("no read pending")
+        if len(pr.responders) >= self.quorum and state.swsn >= pr.maxwsn:
+            return (state.res, state.swsn)
+        return None
 
-def on_state(
-    state: ReplicaState,
-    rsn: int,
-    wsn: int,
-    value: bytes | None,
-    sender: int,
-) -> HandlerOutput:
-    st = state.clone()
-    outgoing: tuple[tuple[int | None, Message], ...] = ()
-    if st.variant == MODIFIED and wsn >= 1:
-        # The modified variant treats the reply like a WRITE first.  wsn 0 is
-        # the initial value: no WRITE(0) exists, so there is nothing to
-        # forward or count for it.
-        outgoing = _absorb_write(
-            st, wsn, value, sender, count=st.quorum_counts_state
-        )
-    pr = st.pending_read
-    if pr is not None and pr.rsn == rsn:
-        st.pending_read = PendingRead(
-            pr.rsn, pr.responders | {sender}, max(pr.maxwsn, wsn)
-        )
-    completion = _write_done(st, wsn) or _read_done(st)
-    return HandlerOutput(st, outgoing, completion)
+    def _absorb_write(
+        self,
+        st: ReplicaState,
+        wsn: int,
+        value: bytes | None,
+        sender: int,
+        count: bool = True,
+    ) -> tuple[tuple[int | None, Message], ...]:
+        """Lines shared by WRITE receipt (both variants) and STATE receipt
+        (modified variant): adopt newer value, forward once, count knowledge,
+        advance swsn on quorum."""
+        outgoing: tuple[tuple[int | None, Message], ...] = ()
+        if wsn > st.wsn:
+            st.reg = value
+            st.wsn = wsn
+        if wsn not in st.forwarded:
+            # Fires even when wsn < st.wsn: the first copy seen for this wsn is
+            # still re-broadcast, acknowledging the writer.
+            st.forwarded = st.forwarded | {wsn}
+            outgoing = ((BROADCAST, Write(wsn, value)),)
+        if wsn > st.swsn:
+            holders = st.know.get(wsn, frozenset())
+            if count and sender not in holders:
+                holders = holders | {sender}
+                st.know = {**st.know, wsn: holders}
+            if len(holders) >= self.quorum:
+                st.swsn = wsn
+                st.res = value
+                st.know = {s: p for s, p in st.know.items() if s > wsn}
+        return outgoing
 
-
-def check_read_complete(state: ReplicaState) -> tuple[bytes | None, int] | None:
-    """Read predicate: a quorum of replies and swsn caught up with the
-    largest advertised wsn.  Returns (value, seqno) without mutating."""
-    pr = state.pending_read
-    if pr is None:
-        raise ProtocolError("no read pending")
-    if len(pr.responders) >= state.quorum and state.swsn >= pr.maxwsn:
-        return (state.res, state.swsn)
-    return None
-
-
-def _absorb_write(
-    st: ReplicaState,
-    wsn: int,
-    value: bytes | None,
-    sender: int,
-    count: bool = True,
-) -> tuple[tuple[int | None, Message], ...]:
-    """Lines shared by WRITE receipt (both variants) and STATE receipt
-    (modified variant): adopt newer value, forward once, count knowledge,
-    advance swsn on quorum."""
-    outgoing: tuple[tuple[int | None, Message], ...] = ()
-    if wsn > st.wsn:
-        st.reg = value
-        st.wsn = wsn
-    if wsn not in st.forwarded:
-        # Fires even when wsn < st.wsn: the first copy seen for this wsn is
-        # still re-broadcast, acknowledging the writer.
-        st.forwarded = st.forwarded | {wsn}
-        outgoing = ((BROADCAST, Write(wsn, value)),)
-    if wsn > st.swsn:
-        holders = st.know.get(wsn, frozenset())
-        if count and sender not in holders:
-            holders = holders | {sender}
-            st.know = {**st.know, wsn: holders}
-        if len(holders) >= st.quorum:
-            st.swsn = wsn
-            st.res = value
-            st.know = {s: p for s, p in st.know.items() if s > wsn}
-    return outgoing
+    def _read_done(self, st: ReplicaState) -> OpResult | None:
+        if st.pending_read is None:
+            return None
+        done = self.check_read_complete(st)
+        if done is None:
+            return None
+        st.pending_read = None
+        return OpResult("read", done[0], done[1])
 
 
 def _write_done(st: ReplicaState, wsn: int) -> OpResult | None:
@@ -254,13 +274,3 @@ def _write_done(st: ReplicaState, wsn: int) -> OpResult | None:
         st.pending_write = None
         return OpResult("write", None, wsn)
     return None
-
-
-def _read_done(st: ReplicaState) -> OpResult | None:
-    if st.pending_read is None:
-        return None
-    done = check_read_complete(st)
-    if done is None:
-        return None
-    st.pending_read = None
-    return OpResult("read", done[0], done[1])

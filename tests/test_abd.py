@@ -4,28 +4,34 @@ import random
 
 import pytest
 
-from regsim.abd import (
-    abd_begin_read,
-    abd_begin_write,
-    abd_init,
-    abd_on_message,
-)
+from regsim.abd import AbdAlgo
 from regsim.messages import (
     BROADCAST,
     AbdAck,
     AbdQuery,
     AbdReport,
     AbdUpdate,
+    Op,
     OpResult,
     ProtocolError,
 )
 
+A3 = AbdAlgo(3, 1)
 
-def feed(state, messages):
+
+def write(value, process=1):
+    return Op(process, "write", value)
+
+
+def read(process=2):
+    return Op(process, "read")
+
+
+def feed(state, messages, algo=A3):
     completions = []
     outgoing = []
     for msg, sender in messages:
-        out = abd_on_message(state, msg, sender)
+        out = algo.deliver(state, msg, sender)
         state = out.state
         outgoing.extend(out.outgoing)
         if out.completion is not None:
@@ -34,7 +40,7 @@ def feed(state, messages):
 
 
 def test_write_broadcasts_update_and_completes_on_quorum():
-    out = abd_begin_write(abd_init(1, 3, 1), b"a")
+    out = A3.begin(A3.init(), write(b"a"))
     assert out.outgoing == ((BROADCAST, AbdUpdate(1, 1, b"a")),)
     st, _, completions = feed(out.state, [(AbdAck(1), 1)])
     assert completions == []
@@ -45,17 +51,17 @@ def test_write_broadcasts_update_and_completes_on_quorum():
 
 def test_non_writer_rejected():
     with pytest.raises(ProtocolError):
-        abd_begin_write(abd_init(2, 3, 1), b"a")
+        A3.begin(A3.init(), write(b"a", process=2))
 
 
 def test_op_while_pending_rejected():
-    st = abd_begin_write(abd_init(1, 3, 1), b"a").state
+    st = A3.begin(A3.init(), write(b"a")).state
     with pytest.raises(ProtocolError):
-        abd_begin_read(st)
+        A3.begin(st, read(1))
 
 
 def test_server_adopts_newer_only_but_always_acks():
-    st = abd_init(2, 3, 1)
+    st = A3.init()
     st, outgoing, _ = feed(st, [(AbdUpdate(9, 3, b"c"), 1)])
     assert st.wsn == 3 and st.reg == b"c"
     st, outgoing2, _ = feed(st, [(AbdUpdate(10, 1, b"a"), 1)])
@@ -65,13 +71,13 @@ def test_server_adopts_newer_only_but_always_acks():
 
 
 def test_server_reports_current_pair():
-    st = abd_init(3, 3, 1)
+    st = A3.init()
     st, outgoing, _ = feed(st, [(AbdQuery(4), 2)])
     assert outgoing == [(2, AbdReport(4, 0, None))]
 
 
 def test_read_on_fresh_system_returns_initial_value():
-    out = abd_begin_read(abd_init(2, 3, 1))
+    out = A3.begin(A3.init(), read())
     assert out.outgoing == ((BROADCAST, AbdQuery(1)),)
     st, outgoing, completions = feed(
         out.state, [(AbdReport(1, 0, None), 1), (AbdReport(1, 0, None), 2)]
@@ -84,7 +90,7 @@ def test_read_on_fresh_system_returns_initial_value():
 
 
 def test_read_selects_max_pair_for_write_back():
-    st = abd_begin_read(abd_init(2, 3, 1)).state
+    st = A3.begin(A3.init(), read()).state
     st, outgoing, _ = feed(st, [(AbdReport(1, 1, b"a"), 1), (AbdReport(1, 2, b"b"), 3)])
     assert outgoing == [(BROADCAST, AbdUpdate(2, 2, b"b"))]
     st, _, completions = feed(st, [(AbdAck(2), 2), (AbdAck(2), 3)])
@@ -92,7 +98,7 @@ def test_read_selects_max_pair_for_write_back():
 
 
 def test_stale_phase_replies_discarded():
-    st = abd_begin_read(abd_init(2, 3, 1)).state
+    st = A3.begin(A3.init(), read()).state
     st, outgoing, completions = feed(
         st,
         [
@@ -108,8 +114,9 @@ def test_stale_phase_replies_discarded():
 
 
 def test_duplicate_ack_senders_not_counted_twice():
-    st = abd_begin_write(abd_init(1, 5, 2), b"a").state
-    st, _, completions = feed(st, [(AbdAck(1), 2), (AbdAck(1), 2)])
+    a5 = AbdAlgo(5, 2)
+    st = a5.begin(a5.init(), write(b"a")).state
+    st, _, completions = feed(st, [(AbdAck(1), 2), (AbdAck(1), 2)], a5)
     assert completions == []
     assert st.pending.responders == frozenset({2})
 
@@ -119,17 +126,17 @@ def test_handlers_leave_input_state_unchanged(seed):
     # A short random walk of the writer: its own operations, and replies and
     # requests for the current or the previous phase from random senders.
     rng = random.Random(seed)
-    st = abd_init(1, 3, 1)
+    st = A3.init()
     for _ in range(150):
         before = st.freeze()
         if st.pending is None:
-            out = abd_begin_write(st, b"v") if rng.random() < 0.5 else abd_begin_read(st)
+            out = A3.begin(st, write(b"v") if rng.random() < 0.5 else read(1))
         else:
             opsn = rng.randint(max(1, st.opsn - 1), st.opsn)
             wsn = rng.randint(0, 3)
             msg = rng.choice(
                 [AbdUpdate(opsn, wsn, b"u"), AbdAck(opsn), AbdQuery(opsn), AbdReport(opsn, wsn, b"r")]
             )
-            out = abd_on_message(st, msg, rng.randint(1, 3))
+            out = A3.deliver(st, msg, rng.randint(1, 3))
         assert st.freeze() == before
         st = out.state

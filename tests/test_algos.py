@@ -10,4 +10,4 @@ from regsim.messages import AbdAck, ProtocolError, Write
 def test_deliver_rejects_the_other_protocols_message(name, foreign):
     algo = make_algorithm(name, 3, 1)
     with pytest.raises(ProtocolError):
-        algo.deliver(algo.init(2), foreign, 1)
+        algo.deliver(algo.init(), foreign, 1)

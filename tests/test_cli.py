@@ -51,6 +51,18 @@ def test_run_config_error_exit_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "over",
+    [{"network": 5, "ops": []}, {"options": {"writer_local_read": "no"}}],
+    ids=str,
+)
+def test_run_wrong_json_type_exit_two(tmp_path, capsys, over):
+    cfg = write_config(tmp_path, **over)
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_run_schedule_error_exit_two(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -183,6 +195,22 @@ def test_explore_cli_state_bound_exit_three(capsys):
 
 def test_explore_cli_rejects_bad_ops(capsys):
     assert main(["explore", "--n", "3", "--t", "1", "--ops", "w:2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ["--n", "2", "--t", "1"],
+        ["--n", "3", "--t", "-1"],
+        ["--n", "0", "--t", "0"],
+        ["--n", "3", "--t", "1", "--algorithm", "bogus"],
+    ],
+    ids=" ".join,
+)
+def test_explore_cli_checks_the_model(model, capsys):
+    assert main(["explore", *model, "--ops", "w:1,r:2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,12 @@
-import pytest
+import json
+from pathlib import Path
 
-from regsim.config import ConfigError, parse_scenario
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from regsim.algos import ALGORITHMS
+from regsim.config import ConfigError, check_model, parse_scenario
 
 
 def minimal(**over):
@@ -122,3 +128,124 @@ def test_empty_write_value_rejected():
     ops = [{"time": 0, "process": 1, "op": "write", "value": ""}]
     with pytest.raises(ConfigError, match="value"):
         parse_scenario(minimal(ops=ops))
+
+
+ASYNC = {"kind": "async", "Dmax": 10}
+BOUNDED = {"kind": "bounded_delay", "Delta": 10}
+FORWARD = {"process": 2, "during_forward": 5}
+CUT = {"op_index": 0, "deliver_to": []}
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"network": 5},
+        {"network": [BOUNDED]},
+        {"network": {**BOUNDED, "schedule": 5}},
+        {"network": {**BOUNDED, "schedule": ["fixed"]}},
+        {"network": {**BOUNDED, "overrides": 5}},
+        {"network": {**BOUNDED, "overrides": {"from": 1, "to": 2, "delay": 1}}},
+        {"network": {**BOUNDED, "overrides": [5]}},
+        {"crashes": [{"process": 1, "during_broadcast": 5}]},
+        {"crashes": [{"process": 1, "during_broadcast": [0]}]},
+        {"crashes": [FORWARD]},
+        {"crashes": [5]},
+        {"ops": [5]},
+        {"options": []},
+    ],
+    ids=str,
+)
+def test_wrong_json_type_rejected(over):
+    with pytest.raises(ConfigError, match="must be an (object|array)"):
+        parse_scenario(minimal(**over))
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"seed": True},
+        {"n": True},
+        {"crashes": [{"process": 1, "during_broadcast": {**CUT, "deliver_to": [True]}}]},
+        {"crashes": [{"process": 2, "during_forward": {"wsn": 1, "deliver_to": [False]}}]},
+        {"crashes": [{"process": 1, "during_broadcast": {**CUT, "crash_at": True}}]},
+        {"network": {**BOUNDED, "schedule": {"mode": "list", "delays": [True]}}},
+        {"network": {**BOUNDED, "schedule": {"mode": "fixed", "delay": True}}},
+        {"network": {**ASYNC, "schedule": {"mode": "increasing", "start": True}}},
+        {"network": {**ASYNC, "schedule": {"mode": "increasing", "step": True}}},
+        {"network": {**BOUNDED, "overrides": [{"from": True, "to": 2, "delay": 1}]}},
+    ],
+    ids=str,
+)
+def test_booleans_are_not_integers(over):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        parse_scenario(minimal(**over))
+
+
+@pytest.mark.parametrize("end", ["from", "to"])
+@pytest.mark.parametrize("process", [0, 4])
+def test_override_process_outside_range_rejected(end, process):
+    override = {"from": 1, "to": 2, "delay": 1, end: process}
+    with pytest.raises(ConfigError, match=f"overrides\\[0\\]: {end}"):
+        parse_scenario(minimal(network={**BOUNDED, "overrides": [override]}))
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None, [], {}])
+@pytest.mark.parametrize("key", ["writer_local_read", "quorum_counts_state"])
+def test_option_values_must_be_booleans(key, value):
+    with pytest.raises(ConfigError, match=f"option {key} must be true or false"):
+        parse_scenario(minimal(options={key: value}))
+
+
+def test_boolean_options_accepted():
+    options = {"writer_local_read": False, "quorum_counts_state": True}
+    assert parse_scenario(minimal(options=options)).options == options
+
+
+@pytest.mark.parametrize("n,t", [(0, 0), (3, -1), (2, 1), (4, 2)])
+def test_check_model_rejects_n_and_t(n, t):
+    with pytest.raises(ConfigError, match="model constraint violated"):
+        check_model(n, t, "teff")
+    with pytest.raises(ConfigError, match="model constraint violated"):
+        parse_scenario(minimal(n=n, t=t, ops=[]))
+
+
+def test_check_model_accepts_the_model():
+    for algorithm in ALGORITHMS:
+        check_model(3, 1, algorithm)
+        check_model(1, 0, algorithm)
+
+
+# Any JSON value: what a scenario file may hold in any field.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats(-2, 12) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BUNDLED = [json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))]
+
+
+def mutated(data, value):
+    """`value` with one subtree replaced by an arbitrary JSON value."""
+    if isinstance(value, dict) and value and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(value)))
+        return {**value, key: mutated(data, value[key])}
+    if isinstance(value, list) and value and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(value) - 1))
+        return [*value[:i], mutated(data, value[i]), *value[i + 1 :]]
+    return data.draw(JSON)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_parse_scenario_raises_only_config_error(data):
+    # Start from a bundled scenario, so the generated input gets past the
+    # first checks, and replace a few of its subtrees at random.
+    scenario = data.draw(st.sampled_from(BUNDLED))
+    for _ in range(data.draw(st.integers(1, 3))):
+        scenario = mutated(data, scenario)
+    try:
+        parse_scenario(scenario)
+    except ConfigError:
+        pass

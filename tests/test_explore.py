@@ -5,8 +5,7 @@ import json
 
 import pytest
 
-from regsim import algos
-from regsim.algos import Op
+from regsim.algos import Op, make_algorithm
 from regsim.explore import BroadcastCrash, ExploreLimitError, explore
 from regsim.history import check_claims, check_linearizable, check_termination, checkers_agree
 
@@ -244,20 +243,28 @@ def test_noop_pruned_counts_are_positive_and_repeat():
 
 @pytest.mark.parametrize("alg", ["teff", "teff-modified", "abd"])
 def test_invocations_get_the_invokers_own_state(alg, monkeypatch):
-    # Snapshots omit the process id, so two processes can share one; a
+    # States hold no process id, so two processes can share a snapshot; a
     # transition reused across processes would hand a process another
-    # process's state.  No delivery handler reads the id, so histories and
-    # counts alone do not show that.
-    algo_class = type(algos.make_algorithm(alg, 3, 1))
+    # process's state.  A process's own counters show it: teff's rsn counts
+    # its reads, ABD's opsn its phases (one per write, two per read).  Each
+    # op's time is its index, so the check knows the invoker's earlier ops.
+    ops = [Op(1, "write", b"a", 0), Op(2, "read", None, 1), Op(2, "read", None, 2)]
+    algo_class = type(make_algorithm(alg, 3, 1))
     begin = algo_class.begin
+    invoked = set()
 
     def checked_begin(self, state, op):
-        assert state.me == op.process
+        earlier = [o for o in ops[: op.time] if o.process == op.process]
+        if alg == "abd":
+            assert state.opsn == sum(1 if o.kind == "write" else 2 for o in earlier)
+        else:
+            assert state.rsn == sum(o.kind == "read" for o in earlier)
+        invoked.add(op.time)
         return begin(self, state, op)
 
     monkeypatch.setattr(algo_class, "begin", checked_begin)
-    crash = BroadcastCrash(1, frozenset())
-    assert explore(alg, 3, 1, [WRITE_A, READ2, READ2], crash=crash).histories
+    assert explore(alg, 3, 1, ops, crash=BroadcastCrash(0, frozenset({2}))).histories
+    assert invoked == {0, 1, 2}
 
 
 def test_crash_falls_on_the_crashing_ops_invoke():

@@ -5,20 +5,19 @@ import random
 import pytest
 
 from regsim import teff
-from regsim.messages import Read, State, Write
-from regsim.teff import (
-    BASE,
-    BROADCAST,
-    MODIFIED,
-    ProtocolError,
-    begin_read,
-    begin_write,
-    check_read_complete,
-    init,
-    on_read,
-    on_state,
-    on_write,
-)
+from regsim.messages import Op, Read, State, Write
+from regsim.teff import BASE, BROADCAST, MODIFIED, ProtocolError, TeffAlgo
+
+B3 = TeffAlgo(3, 1, BASE)
+M3 = TeffAlgo(3, 1, MODIFIED)
+
+
+def write(value, process=1):
+    return Op(process, "write", value)
+
+
+def read(process=2):
+    return Op(process, "read")
 
 
 def drive(state, events):
@@ -37,7 +36,7 @@ def drive(state, events):
 
 
 def test_init_fresh_state():
-    st = init(1, 3, 1, BASE)
+    st = B3.init()
     assert (st.wsn, st.swsn, st.rsn) == (0, 0, 0)
     assert st.reg is None and st.res is None
     assert st.forwarded == set() and st.know == {}
@@ -45,21 +44,21 @@ def test_init_fresh_state():
 
 def test_init_rejects_too_many_faults():
     with pytest.raises(ProtocolError):
-        init(1, 4, 2, BASE)
+        TeffAlgo(4, 2, BASE)
     with pytest.raises(ProtocolError):
-        init(1, 0, 0, BASE)
+        TeffAlgo(0, 0, BASE)
 
 
 def test_init_non_writer_is_valid():
-    st = init(2, 5, 2, MODIFIED)
-    assert st.me == 2 and not st.is_writer
+    algo = TeffAlgo(5, 2, MODIFIED)
+    assert algo.begin(algo.init(), read(2)).state.pending_read.rsn == 1
 
 
-# --- begin_write --------------------------------------------------------
+# --- begin: write -------------------------------------------------------
 
 
 def test_first_write_broadcasts_wsn_one():
-    out = begin_write(init(1, 3, 1, BASE), b"a")
+    out = B3.begin(B3.init(), write(b"a"))
     assert out.outgoing == ((BROADCAST, Write(1, b"a")),)
     assert out.state.wsn == 1 and out.state.reg == b"a"
     assert out.state.pending_write.wsn == 1
@@ -68,29 +67,29 @@ def test_first_write_broadcasts_wsn_one():
 
 
 def test_write_increments_existing_wsn():
-    st = init(1, 3, 1, BASE)
+    st = B3.init()
     st.wsn = 4
-    out = begin_write(st, b"e")
+    out = B3.begin(st, write(b"e"))
     assert out.outgoing == ((BROADCAST, Write(5, b"e")),)
 
 
 def test_non_writer_cannot_write():
     with pytest.raises(ProtocolError):
-        begin_write(init(2, 3, 1, BASE), b"a")
+        B3.begin(B3.init(), write(b"a", process=2))
 
 
 def test_second_write_while_pending_rejected():
-    out = begin_write(init(1, 3, 1, BASE), b"a")
+    out = B3.begin(B3.init(), write(b"a"))
     with pytest.raises(ProtocolError):
-        begin_write(out.state, b"b")
+        B3.begin(out.state, write(b"b"))
 
 
 # --- on_write -----------------------------------------------------------
 
 
 def test_fresh_value_adopted_and_forwarded():
-    st = init(2, 3, 1, BASE)
-    out = on_write(st, 1, b"a", 1)
+    st = B3.init()
+    out = B3.on_write(st, 1, b"a", 1)
     assert out.state.reg == b"a" and out.state.wsn == 1
     assert out.outgoing == ((BROADCAST, Write(1, b"a")),)
 
@@ -98,78 +97,79 @@ def test_fresh_value_adopted_and_forwarded():
 def test_stale_value_still_forwarded_once():
     # A process can see its first copy of an old sequence number after
     # already holding a newer one; the relay still happens.
-    st = init(3, 3, 1, BASE)
+    st = B3.init()
     st.wsn = 2
     st.reg = b"b"
-    out = on_write(st, 1, b"a", 2)
+    out = B3.on_write(st, 1, b"a", 2)
     assert out.state.reg == b"b" and out.state.wsn == 2
     assert out.outgoing == ((BROADCAST, Write(1, b"a")),)
-    again = on_write(out.state, 1, b"a", 3)
+    again = B3.on_write(out.state, 1, b"a", 3)
     assert again.outgoing == ()
 
 
 def test_writer_completes_at_quorum():
     # n=3, t=1: two distinct senders are enough.
-    st = begin_write(init(1, 3, 1, BASE), b"a").state
-    st, completions = drive(st, [(on_write, 1, b"a", 1)])
+    st = B3.begin(B3.init(), write(b"a")).state
+    st, completions = drive(st, [(B3.on_write, 1, b"a", 1)])
     assert completions == []
-    st, completions = drive(st, [(on_write, 1, b"a", 2)])
+    st, completions = drive(st, [(B3.on_write, 1, b"a", 2)])
     assert completions == [teff.OpResult("write", None, 1)]
     assert st.pending_write is None
     assert st.swsn == 1 and st.res == b"a"
 
 
 def test_quorum_update_fires_once_per_wsn():
-    st = init(2, 3, 1, BASE)
-    st, _ = drive(st, [(on_write, 1, b"a", 1), (on_write, 1, b"a", 3)])
+    st = B3.init()
+    st, _ = drive(st, [(B3.on_write, 1, b"a", 1), (B3.on_write, 1, b"a", 3)])
     assert st.swsn == 1 and st.res == b"a"
     assert st.know == {}  # collected knowledge at or below swsn is dropped
-    after = on_write(st, 1, b"a", 2)
+    after = B3.on_write(st, 1, b"a", 2)
     assert after.state.swsn == 1 and after.outgoing == ()
 
 
 def test_duplicate_senders_do_not_reach_quorum():
-    st = init(2, 5, 2, BASE)
-    st, _ = drive(st, [(on_write, 1, b"a", 1), (on_write, 1, b"a", 1)])
+    b5 = TeffAlgo(5, 2, BASE)
+    st = b5.init()
+    st, _ = drive(st, [(b5.on_write, 1, b"a", 1), (b5.on_write, 1, b"a", 1)])
     assert st.swsn == 0
     assert st.know[1] == {1}
 
 
-# --- begin_read / on_read -----------------------------------------------
+# --- begin: read / on_read -----------------------------------------------
 
 
 def test_begin_read_broadcasts_next_rsn():
-    out = begin_read(init(2, 3, 1, BASE))
+    out = B3.begin(B3.init(), read())
     assert out.outgoing == ((BROADCAST, Read(1)),)
     assert out.state.pending_read.rsn == 1
 
-    st = init(2, 3, 1, BASE)
+    st = B3.init()
     st.rsn = 7
-    assert begin_read(st).outgoing == ((BROADCAST, Read(8)),)
+    assert B3.begin(st, read()).outgoing == ((BROADCAST, Read(8)),)
 
 
 def test_begin_read_while_pending_rejected():
-    out = begin_read(init(2, 3, 1, BASE))
+    out = B3.begin(B3.init(), read())
     with pytest.raises(ProtocolError):
-        begin_read(out.state)
+        B3.begin(out.state, read())
 
 
 def test_on_read_replies_current_wsn():
-    st = init(3, 3, 1, BASE)
+    st = B3.init()
     st.wsn = 5
     st.reg = b"e"
-    out = on_read(st, 2, 2)
+    out = B3.on_read(st, 2, 2)
     assert out.outgoing == ((2, State(2, 5)),)
 
-    fresh = init(3, 3, 1, BASE)
-    assert on_read(fresh, 1, 2).outgoing == ((2, State(1, 0)),)
+    fresh = B3.init()
+    assert B3.on_read(fresh, 1, 2).outgoing == ((2, State(1, 0)),)
 
 
 def test_on_read_modified_carries_value():
-    st = init(3, 3, 1, MODIFIED)
+    st = M3.init()
     st.wsn = 5
     st.reg = b"e"
-    out = on_read(st, 2, 2)
+    out = M3.on_read(st, 2, 2)
     assert out.outgoing == ((2, State(2, 5, b"e", carries_value=True)),)
 
 
@@ -177,85 +177,87 @@ def test_on_read_modified_carries_value():
 
 
 def test_read_completes_on_fresh_system():
-    st = begin_read(init(2, 3, 1, BASE)).state
-    st, completions = drive(st, [(on_state, 1, 0, None, 2), (on_state, 1, 0, None, 3)])
+    st = B3.begin(B3.init(), read()).state
+    st, completions = drive(st, [(B3.on_state, 1, 0, None, 2), (B3.on_state, 1, 0, None, 3)])
     assert completions == [teff.OpResult("read", None, 0)]
     assert st.pending_read is None
 
 
 def test_read_waits_for_swsn_to_catch_up():
-    st = begin_read(init(2, 3, 1, BASE)).state
-    st, completions = drive(st, [(on_state, 1, 0, None, 3), (on_state, 1, 1, None, 1)])
+    st = B3.begin(B3.init(), read()).state
+    st, completions = drive(st, [(B3.on_state, 1, 0, None, 3), (B3.on_state, 1, 1, None, 1)])
     # Quorum of replies but swsn (0) < maxwsn (1): keep waiting.
     assert completions == []
-    assert check_read_complete(st) is None
+    assert B3.check_read_complete(st) is None
     # Knowledge of wsn 1 from a quorum unblocks it.
-    st, completions = drive(st, [(on_write, 1, b"a", 1), (on_write, 1, b"a", 3)])
+    st, completions = drive(st, [(B3.on_write, 1, b"a", 1), (B3.on_write, 1, b"a", 3)])
     assert completions == [teff.OpResult("read", b"a", 1)]
 
 
 def test_read_returns_newer_value_after_write_quorum():
     # swsn advances through WRITE deliveries before the second reply arrives;
     # the read then returns the newer value.
-    st = begin_read(init(2, 3, 1, BASE)).state
+    st = B3.begin(B3.init(), read()).state
     st, completions = drive(
         st,
         [
-            (on_state, 1, 0, None, 3),
-            (on_write, 1, b"a", 1),
-            (on_write, 1, b"a", 2),
+            (B3.on_state, 1, 0, None, 3),
+            (B3.on_write, 1, b"a", 1),
+            (B3.on_write, 1, b"a", 2),
         ],
     )
     assert completions == []
     assert st.swsn == 1
-    st, completions = drive(st, [(on_state, 1, 1, None, 2)])
+    st, completions = drive(st, [(B3.on_state, 1, 1, None, 2)])
     assert completions == [teff.OpResult("read", b"a", 1)]
 
 
 def test_stale_state_replies_ignored():
-    st = init(2, 3, 1, BASE)
+    st = B3.init()
     st.rsn = 3
     st.pending_read = teff.PendingRead(3, frozenset(), 0)
-    out = on_state(st, 2, 9, None, 3)
+    out = B3.on_state(st, 2, 9, None, 3)
     assert out.state.pending_read == teff.PendingRead(3, frozenset(), 0)
     assert out.completion is None
 
 
 def test_modified_state_feeds_write_path():
-    st = init(2, 3, 1, MODIFIED)
-    out = on_state(st, 1, 1, b"v", 3)
+    st = M3.init()
+    out = M3.on_state(st, 1, 1, b"v", 3)
     assert out.state.reg == b"v" and out.state.wsn == 1
     assert out.outgoing == ((BROADCAST, Write(1, b"v")),)
     # Stale replies keep feeding it too.
-    st2 = on_state(out.state, 1, 2, b"w", 1).state
+    st2 = M3.on_state(out.state, 1, 2, b"w", 1).state
     assert st2.wsn == 2 and st2.reg == b"w"
 
 
 def test_modified_state_counts_toward_quorum_by_default():
-    st = init(2, 3, 1, MODIFIED)
-    st, _ = drive(st, [(on_state, 1, 1, b"v", 3), (on_write, 1, b"v", 1)])
+    st = M3.init()
+    st, _ = drive(st, [(M3.on_state, 1, 1, b"v", 3), (M3.on_write, 1, b"v", 1)])
     assert st.swsn == 1 and st.res == b"v"
 
 
 def test_quorum_counts_state_off_only_forwards():
-    st = init(2, 3, 1, MODIFIED, quorum_counts_state=False)
-    st, _ = drive(st, [(on_state, 1, 1, b"v", 3), (on_state, 2, 1, b"v", 1)])
+    algo = TeffAlgo(3, 1, MODIFIED, {"quorum_counts_state": False})
+    st = algo.init()
+    st, _ = drive(st, [(algo.on_state, 1, 1, b"v", 3), (algo.on_state, 2, 1, b"v", 1)])
     assert st.swsn == 0  # replies alone never commit knowledge
-    st, _ = drive(st, [(on_write, 1, b"v", 1), (on_write, 1, b"v", 3)])
+    st, _ = drive(st, [(algo.on_write, 1, b"v", 1), (algo.on_write, 1, b"v", 3)])
     assert st.swsn == 1
 
 
 def test_modified_state_wsn_zero_is_inert_on_write_path():
-    st = init(2, 3, 1, MODIFIED)
-    out = on_state(st, 1, 0, None, 3)
+    st = M3.init()
+    out = M3.on_state(st, 1, 0, None, 3)
     assert out.outgoing == ()  # nothing to relay for the initial value
     assert out.state.know == {}
 
 
 def test_writer_local_read_returns_own_copy():
-    st = begin_write(init(1, 3, 1, BASE, writer_local_read=True), b"a").state
-    st, completions = drive(st, [(on_write, 1, b"a", 1), (on_write, 1, b"a", 2)])
-    out = begin_read(st)
+    algo = TeffAlgo(3, 1, BASE, {"writer_local_read": True})
+    st = algo.begin(algo.init(), write(b"a")).state
+    st, completions = drive(st, [(algo.on_write, 1, b"a", 1), (algo.on_write, 1, b"a", 2)])
+    out = algo.begin(st, read(1))
     assert out.completion == teff.OpResult("read", b"a", 1)
     assert out.outgoing == ()
     assert out.state.rsn == 0
@@ -269,7 +271,8 @@ def walk(seed, variant, steps=300):
     Yields (input state, its snapshot taken before the call, output)."""
     rng = random.Random(seed)
     n, t = 5, 2
-    st = init(2, n, t, variant)
+    algo = TeffAlgo(n, t, variant)
+    st = algo.init()
     for _ in range(steps):
         wsn = rng.randint(1, 4)
         value = bytes([96 + wsn])
@@ -277,21 +280,21 @@ def walk(seed, variant, steps=300):
         kind = rng.random()
         before = st.freeze()
         if kind < 0.55:
-            out = on_write(st, wsn, value, sender)
+            out = algo.on_write(st, wsn, value, sender)
         elif kind < 0.8:
             carried = (value if variant == MODIFIED else None)
-            out = on_state(st, rng.randint(1, 3), wsn, carried, sender)
+            out = algo.on_state(st, rng.randint(1, 3), wsn, carried, sender)
         elif st.pending_read is None:
-            out = begin_read(st)
+            out = algo.begin(st, read())
         else:
-            out = on_read(st, rng.randint(1, 3), sender)
+            out = algo.on_read(st, rng.randint(1, 3), sender)
         yield st, before, out
         st = out.state
 
 
 def random_walk(seed, variant, steps=300):
     """The states `walk` passes through, the initial one first."""
-    trail = [init(2, 5, 2, variant)]
+    trail = [TeffAlgo(5, 2, variant).init()]
     trail.extend(out.state for _, _, out in walk(seed, variant, steps))
     return trail
 
@@ -308,18 +311,19 @@ def test_monotonicity_and_coupling(seed, variant):
         assert cur.res == values_by_wsn[cur.swsn]
         for s, holders in cur.know.items():
             assert s > cur.swsn
-            assert len(holders) <= cur.n
+            assert len(holders) <= 5  # n
 
 
 @pytest.mark.parametrize("variant", [BASE, MODIFIED])
 @pytest.mark.parametrize("seed", range(8))
 def test_forward_at_most_once_per_wsn(seed, variant):
     rng = random.Random(seed ^ 0x5EED)
-    st = init(3, 5, 2, variant)
+    algo = TeffAlgo(5, 2, variant)
+    st = algo.init()
     forwarded = []
     for _ in range(400):
         wsn = rng.randint(1, 4)
-        out = on_write(st, wsn, bytes([96 + wsn]), rng.randint(1, 5))
+        out = algo.on_write(st, wsn, bytes([96 + wsn]), rng.randint(1, 5))
         st = out.state
         for dest, msg in out.outgoing:
             assert dest is BROADCAST
@@ -337,10 +341,10 @@ def test_handlers_leave_input_state_unchanged(seed, variant):
 
 
 def test_handlers_are_pure():
-    st = init(2, 3, 1, MODIFIED)
-    st, _ = drive(st, [(on_write, 1, b"a", 1)])
-    first = on_state(st, 1, 2, b"b", 3)
-    second = on_state(st, 1, 2, b"b", 3)
+    st = M3.init()
+    st, _ = drive(st, [(M3.on_write, 1, b"a", 1)])
+    first = M3.on_state(st, 1, 2, b"b", 3)
+    second = M3.on_state(st, 1, 2, b"b", 3)
     assert first.state.freeze() == second.state.freeze()
     assert first.outgoing == second.outgoing
     assert first.completion == second.completion
