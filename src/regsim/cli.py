@@ -7,8 +7,9 @@
     regsim check TRACE [--config CONFIG [--report report.json]]
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error
-(including a file that cannot be read or written, and an `explore` model
-that `config.check_model` rejects), 3 resource bound exceeded.
+(including a file that cannot be read or written, an `explore` model that
+`config.check_model` rejects and a `--max-states` below 1), 3 resource bound
+exceeded.
 REGSIM_EVENT_BUDGET overrides the per-run event budget.  All scenario
 semantics live in the config file; flags only control seeds, I/O paths, and
 budgets.
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from .config import ConfigError, check_model, load_scenario
 from .engine import DEFAULT_EVENT_BUDGET, BudgetExceededError, ScheduleError, run
-from .explore import BroadcastCrash, ExploreLimitError, explore
+from .explore import DEFAULT_MAX_STATES, BroadcastCrash, ExploreLimitError, explore
 from .history import check_claims, check_linearizable, check_termination, extract_history
 from .messages import Op
 from .report import build_report, report_to_json
@@ -80,9 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument(
         "--crash-subsets",
         action="store_true",
-        help="also explore the first write's broadcast cut to every subset",
+        help="also explore the first write's broadcast cut to every subset of the "
+        "other processes (the crashing writer never hears its own broadcast)",
     )
-    p_exp.add_argument("--max-states", type=int, default=None)
+    p_exp.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
     p_exp.set_defaults(func=cmd_explore)
 
     p_check = sub.add_parser("check", help="re-check a stored trace")
@@ -171,24 +173,23 @@ def cmd_explore(args) -> int:
             raise ConfigError(f"ops process {op.process} outside 1..{args.n}")
         if op.kind == "write" and op.process != 1:
             raise ConfigError("writes are issued by the designated writer (process 1)")
-    kwargs = {}
-    if args.max_states is not None:
-        kwargs["max_states"] = args.max_states
+    if args.max_states < 1:
+        raise ConfigError(f"--max-states must be at least 1, got {args.max_states}")
 
     crash_cases: list[BroadcastCrash | None] = [None]
     if args.crash_subsets:
         first_write = next((i for i, op in enumerate(ops) if op.kind == "write"), None)
         if first_write is None:
             raise ConfigError("--crash-subsets needs at least one write in --ops")
-        everyone = list(range(1, args.n + 1))
-        for mask in range(1 << args.n):
-            subset = frozenset(p for p in everyone if mask & (1 << (p - 1)))
+        others = [p for p in range(1, args.n + 1) if p != ops[first_write].process]
+        for mask in range(1 << len(others)):
+            subset = frozenset(p for i, p in enumerate(others) if mask >> i & 1)
             crash_cases.append(BroadcastCrash(first_write, subset))
 
     total_histories = 0
     bad = 0
     for crash in crash_cases:
-        res = explore(args.algorithm, args.n, args.t, ops, crash=crash, **kwargs)
+        res = explore(args.algorithm, args.n, args.t, ops, crash=crash, max_states=args.max_states)
         total_histories += len(res.histories)
         for hist in res.histories:
             if not check_claims(hist).ok or not check_linearizable(hist).ok:

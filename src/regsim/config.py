@@ -123,7 +123,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"cannot read scenario: {exc}") from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     return replace(parse_scenario(data), digest=hashlib.sha256(raw).hexdigest())
 

@@ -16,14 +16,17 @@ all the checkers need; the simulator's history builder, extract_history,
 turns them into a history.  An optional crash cuts one operation's
 initiating broadcast down to a chosen subset of receivers and halts the
 invoker there, at that operation's invoke, mirroring a sender dying
-mid-broadcast.
+mid-broadcast.  The halted invoker takes no step and absorbs every message,
+so whether the subset holds it changes nothing.  The result depends on the
+instance alone, not on the search order: the histories come sorted by their
+label records (None before any bytes).
 
 A configuration is one interned local component per process, (process,
 snapshot, inbox of the messages addressed to it), plus the operation cursors:
 Holzmann's collapse compression ("State compression in SPIN", 1997).
-Handlers are pure, so each distinct (process, snapshot, input) calls its
-handler once per exploration.  A step memo maps (local, input) to the
-stepper's next local, sends and completion, and an add memo maps (local,
+Handlers are pure and read no receiver, so each distinct (snapshot, input)
+calls its handler once per exploration.  A step memo maps (local, input) to
+the stepper's next local, sends and completion, and an add memo maps (local,
 message) to a receiver's next local, so an edge costs a few lookups on the
 processes it touches, however many messages are in flight.  Suffix-set
 unions and label prefixes are memoized as well.
@@ -31,7 +34,7 @@ unions and label prefixes are memoized as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algos import make_algorithm
 from .history import History, extract_history
@@ -61,14 +64,11 @@ class BroadcastCrash:
 
 @dataclass
 class ExploreResult:
-    n: int
-    t: int
-    ops: tuple[Op, ...]
-    histories: list[History] = field(default_factory=list)
-    states_visited: int = 0
-    edges: int = 0  # transitions taken, one per configuration-graph edge
-    transitions: int = 0  # distinct local transitions: one handler call each
-    noop_pruned: int = 0  # distinct (snapshot, message, sender) judged forever-no-op
+    histories: list[History]  # in canonical order
+    states_visited: int
+    edges: int  # transitions taken, one per configuration-graph edge
+    transitions: int  # distinct local transitions: one handler call each
+    noop_pruned: int  # distinct (snapshot, message, sender) judged forever-no-op
 
 
 class _Interner:
@@ -98,16 +98,11 @@ class _Explorer:
         for op_id, op in enumerate(ops):
             self.per_proc[op.process] += (op_id,)
         self.inv_labels = [(("i", op_id),) for op_id in range(len(ops))]
-        if crash is None:
-            self.crash_proc = 0
-            self.crash_pos = -1
-        else:
-            self.crash_proc = ops[crash.op_index].process
-            self.crash_pos = self.per_proc[self.crash_proc].index(crash.op_index)
         self.msgs = _Interner()
         self.snaps = _Interner()
         # Local components (p, snap, inbox) -> id; `locals` holds, per id,
-        # (p, snap, state, inbox, has_pending, ((order key, action), ...)).
+        # (p, snap, state, inbox, idle, deliveries); idle means no invocation.
+        # A halted process's local is (p, None, None, (), True, ()).
         self.local_keys = _Interner()
         self.locals: list[tuple] = []
         self.suffixes = _Interner()  # tuple of history records -> id
@@ -115,10 +110,8 @@ class _Explorer:
         self.empty_suffix = self.suffixes.get(())
         self.terminal_set = self.suffix_sets.get(frozenset({self.empty_suffix}))
         self.memo: dict[tuple, int] = {}  # configuration -> suffix set id
-        # Handler results, keyed (dest, snap, mid, sender) or ("i", op_id,
-        # snap) -> (new state, new snap, ((dest, mid), ...), completion).
-        # No delivery handler reads its receiver, but `dest` stays in the key
-        # so that a transition is one handler call per process.
+        # Handler results, keyed (snap, mid, sender) or ("i", op_id, snap)
+        # -> (new state, new snap, ((dest, mid), ...), completion).
         self.transitions: dict[tuple, tuple] = {}
         # (local, "i", op_id) or (local, "d", entry) -> (new local of the
         # stepping process, ((receiver, entry), ...) for the others, completion).
@@ -129,40 +122,26 @@ class _Explorer:
         self.label_memo: dict[tuple[tuple, int], int] = {}
         self.union_memo: dict[tuple[int, ...], int] = {}
 
-    def crashed(self, cursor: tuple[int, ...]) -> int:
-        """The halted process, or 0 while every process still runs."""
-        if self.crash_proc and cursor[self.crash_proc - 1] > self.crash_pos:
-            return self.crash_proc
-        return 0
-
     # A configuration is (locals, cursor): one local id per process and each
     # process's operation cursor.  An inbox entry is mid * n + sender - 1.
 
     def local(self, p: int, snap_id: int, state, inbox: tuple[int, ...]) -> int:
         ident = self.local_keys.get((p, snap_id, inbox))
         if ident == len(self.locals):
-            n = self.n
-            # Deliveries are taken in (mid, dest, sender) order.
-            order = [
-                ((e // n * n + p - 1) * n + e % n, (p, "d", e)) for e in dict.fromkeys(inbox)
-            ]
-            self.locals.append((p, snap_id, state, inbox, self.algo.has_pending(state), order))
+            idle = state is None or self.algo.has_pending(state)
+            deliveries = [(p, "d", e) for e in dict.fromkeys(inbox)]
+            self.locals.append((p, snap_id, state, inbox, idle, deliveries))
         return ident
 
     def actions_of(self, node) -> list:
         ids, cursor = node
-        crashed = self.crashed(cursor)
-        actions, deliveries = [], []
+        actions = []
         for p, ident in enumerate(ids, 1):
-            if p == crashed:
-                continue
-            _, _, _, _, pending, order = self.locals[ident]
+            _, _, _, _, idle, deliveries = self.locals[ident]
             idx = cursor[p - 1]
-            if idx < len(self.per_proc[p]) and not pending:
+            if not idle and idx < len(self.per_proc[p]):
                 actions.append((p, "i", self.per_proc[p][idx]))
-            deliveries += order
-        deliveries.sort()
-        actions += [action for _, action in deliveries]
+            actions += deliveries
         return actions
 
     def apply(self, node, action):
@@ -184,31 +163,22 @@ class _Explorer:
             label += (("r", op_id, completion.value, completion.seqno),)
         new_ids = list(ids)
         new_ids[p - 1] = new_local
-        if sends:
-            crashed = self.crashed(cursor)  # a crashed process never handles it
-            adds = self.adds
-            for q, entry in sends:
-                if q != crashed:
-                    ident = new_ids[q - 1]
-                    added = adds.get((ident, entry))
-                    new_ids[q - 1] = self.add(ident, entry) if added is None else added
+        adds = self.adds
+        for q, entry in sends:
+            ident = new_ids[q - 1]
+            added = adds.get((ident, entry))
+            new_ids[q - 1] = self.add(ident, entry) if added is None else added
         return label, (tuple(new_ids), cursor)
 
     def step(self, ident: int, kind: str, arg: int) -> tuple:
         """The stepping process's side of a transition, memoized per local."""
         n = self.n
         p, snap_id, state, inbox, _, _ = self.locals[ident]
-        inbox = list(inbox)
-        restrict = None
         if kind == "i":
             key = ("i", arg, snap_id)
-            if self.crash is not None and self.crash.op_index == arg:
-                restrict = self.crash.deliver_to
-                inbox = []  # messages addressed to the dead process go nowhere
         else:
-            inbox.remove(arg)
             mid, sender = arg // n, arg % n + 1
-            key = (p, snap_id, mid, sender)
+            key = (snap_id, mid, sender)
         trans = self.transitions.get(key)
         if trans is None:
             if kind == "i":
@@ -219,27 +189,35 @@ class _Explorer:
             trans = (out.state, self.snaps.get(out.state.freeze()), sends, out.completion)
             self.transitions[key] = trans
         state, snap_id, sends, completion = trans
-        others = []
-        for dest, mid in sends:
-            for target in range(1, n + 1) if dest is None else (dest,):
-                if restrict is not None and target not in restrict:
-                    continue
-                if target != p:
-                    others.append((target, mid * n + p - 1))
-                elif restrict is None:  # a crashing invoker never receives it
-                    inbox.append(mid * n + p - 1)
-        # Drop messages whose delivery became a forever-no-op: they neither
-        # branch the behavior nor tell configurations apart.
-        kept = tuple(sorted(e for e in inbox if not self.noop(state, snap_id, e // n, e % n + 1)))
-        step = (self.local(p, snap_id, state, kept), tuple(others), completion)
+        fanout = [
+            (q, mid * n + p - 1)
+            for dest, mid in sends
+            for q in (range(1, n + 1) if dest is None else (dest,))
+        ]
+        if kind == "i" and self.crash is not None and self.crash.op_index == arg:
+            # The invoker dies mid-broadcast: only `deliver_to` hears it,
+            # and the invoker halts.
+            others = tuple(e for e in fanout if e[0] in self.crash.deliver_to)
+            step = (self.local(p, None, None, ()), others, completion)
+        else:
+            inbox = list(inbox)
+            if kind == "d":
+                inbox.remove(arg)
+            inbox += [e for q, e in fanout if q == p]
+            # Drop messages whose delivery became a forever-no-op: they
+            # neither branch the behavior nor tell configurations apart.
+            kept = [e for e in inbox if not self.noop(state, snap_id, e // n, e % n + 1)]
+            others = tuple(e for e in fanout if e[0] != p)
+            step = (self.local(p, snap_id, state, tuple(sorted(kept))), others, completion)
         self.steps[ident, kind, arg] = step
         return step
 
     def add(self, ident: int, entry: int) -> int:
-        """A process's local once `entry` arrives; unchanged if a no-op."""
+        """A process's local once `entry` arrives; unchanged if a no-op or
+        if the process has halted."""
         p, snap_id, state, inbox, _, _ = self.locals[ident]
         n = self.n
-        if self.noop(state, snap_id, entry // n, entry % n + 1):
+        if state is None or self.noop(state, snap_id, entry // n, entry % n + 1):
             added = ident
         else:
             added = self.local(p, snap_id, state, tuple(sorted(inbox + (entry,))))
@@ -335,16 +313,26 @@ def explore(
         raise ValueError(f"crash op_index {crash.op_index} out of range")
     explorer = _Explorer(algorithm, n, t, ops, crash, options, max_states)
     root_set = explorer.run()
-    result = ExploreResult(n=n, t=t, ops=ops)
-    result.states_visited = len(explorer.memo)
-    result.edges = explorer.edges
-    result.transitions = len(explorer.transitions)
-    result.noop_pruned = sum(explorer.noop_memo.values())
+    suffixes = [explorer.suffixes.items[s] for s in explorer.suffix_sets.items[root_set]]
     crash_op = -1 if crash is None else crash.op_index
-    for suffix_id in sorted(explorer.suffix_sets.items[root_set]):
-        events = _events(explorer.suffixes.items[suffix_id], ops, crash_op)
-        result.histories.append(extract_history(events, n))
-    return result
+    return ExploreResult(
+        histories=[
+            extract_history(_events(s, ops, crash_op), n) for s in sorted(suffixes, key=_order_key)
+        ],
+        states_visited=len(explorer.memo),
+        edges=explorer.edges,
+        transitions=len(explorer.transitions),
+        noop_pruned=sum(explorer.noop_memo.values()),
+    )
+
+
+def _order_key(records: tuple) -> tuple:
+    """The canonical sort key of a suffix: its label records, with each
+    respond value v as (v is not None, v or b""), so None sorts first."""
+    return tuple(
+        (label, op_id, *((r[0] is not None, r[0] or b"", r[1]) if r else ()))
+        for label, op_id, *r in records
+    )
 
 
 def _events(records: tuple, ops: tuple[Op, ...], crash_op: int) -> list[TraceEvent]:

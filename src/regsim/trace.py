@@ -89,7 +89,10 @@ def event_to_json(ev: TraceEvent) -> str:
 
 
 def event_from_json(line: str) -> TraceEvent:
-    obj = json.loads(line)
+    try:
+        obj = json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("event is not a JSON object")
     try:

@@ -11,6 +11,8 @@ import regsim.cli
 import regsim.metrics
 import regsim.report
 from regsim.cli import main
+from regsim.explore import BroadcastCrash, explore
+from regsim.messages import Op
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -204,6 +206,8 @@ def test_explore_cli_rejects_bad_ops(capsys):
         ["--n", "3", "--t", "-1"],
         ["--n", "0", "--t", "0"],
         ["--n", "3", "--t", "1", "--algorithm", "bogus"],
+        ["--n", "3", "--t", "1", "--max-states", "0"],
+        ["--n", "3", "--t", "1", "--max-states", "-5"],
     ],
     ids=" ".join,
 )
@@ -211,6 +215,31 @@ def test_explore_cli_checks_the_model(model, capsys):
     assert main(["explore", *model, "--ops", "w:1,r:2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_explore_cli_crash_subsets_are_the_other_processes_subsets(capsys):
+    # The crashing writer p1 never hears its own broadcast, so only the
+    # 2^(n-1) subsets of {2, 3} are explored, after the no-crash case.
+    assert main(["explore", "--n", "3", "--t", "1", "--ops", "w:1,r:2", "--crash-subsets"]) == 0
+    *cases, summary = capsys.readouterr().out.splitlines()
+    expected = []
+    for subset in (None, set(), {2}, {3}, {2, 3}):
+        crash = None if subset is None else BroadcastCrash(0, frozenset(subset))
+        res = explore("teff", 3, 1, [Op(1, "write", b"v1"), Op(2, "read")], crash=crash)
+        label = "no crash" if subset is None else f"crash subset {sorted(subset)}"
+        expected.append(
+            f"{label}: {res.states_visited} configurations, {res.edges} edges, "
+            f"{res.transitions} transitions, {res.noop_pruned} no-op pruned, "
+            f"{len(res.histories)} distinct histories"
+        )
+    assert cases == expected
+    assert summary == "explore: all 28 histories atomic; checkers agree"
+
+
+def test_explore_cli_crash_subsets_need_a_write(capsys):
+    assert main(["explore", "--n", "3", "--t", "1", "--ops", "r:2", "--crash-subsets"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: --crash-subsets needs at least one write in --ops\n"
 
 
 @pytest.mark.parametrize(
@@ -257,11 +286,13 @@ def _with(line, **fields):
         ('{"t":0,"seq":0,"kind":"round_start","p":0,"round":"1"}',
          "field 'round' must be an integer"),
         (_with(INVOKE, t=5) + "\n" + RESPOND, "respond to op 0 before its invoke"),
+        ("[" * 100_000, "line 1: JSON nested too deeply"),
     ],
     ids=[
         "not-an-object", "missing-field", "respond-without-invoke", "string-p",
         "numeric-value", "bool-t", "float-seq", "string-op", "bad-opkind", "null-wsn",
         "list-to", "bool-from", "numeric-msg", "string-round", "respond-before-invoke",
+        "deep-nesting",
     ],
 )
 def test_check_malformed_event_exit_two(tmp_path, capsys, line, reason):
@@ -317,11 +348,16 @@ def test_check_with_config_runs_each_checker_once(tmp_path, capsys, monkeypatch)
         (["check", "{tmp}/missing.jsonl", "--config", "{cfg}"], "trace error:"),
         (["check", "{trace}", "--config", "{tmp}/missing.json"], "config error:"),
         (["check", "{trace}", "--config", "{cfg}", "--report", "{tmp}"], "config error:"),
+        (["run", "{deep}"], "config error:"),
+        (["sweep", "{deep}", "--seeds", "3"], "config error:"),
+        (["check", "{trace}", "--config", "{deep}"], "config error:"),
+        (["run", "{latin1}"], "config error:"),
     ],
     ids=[
         "run-missing", "run-directory", "sweep-missing", "out-directory", "report-no-dir",
         "check-missing", "check-directory", "check-config-missing-trace",
-        "check-missing-config", "check-report-directory",
+        "check-missing-config", "check-report-directory", "run-deeply-nested",
+        "sweep-deeply-nested", "check-config-deeply-nested", "run-not-utf8",
     ],
 )
 def test_unreadable_or_unwritable_file_exit_two(tmp_path, capsys, argv, prefix):
@@ -329,7 +365,11 @@ def test_unreadable_or_unwritable_file_exit_two(tmp_path, capsys, argv, prefix):
     trace = tmp_path / "trace.jsonl"
     assert main(["run", str(cfg), "--out", str(trace)]) == 0
     capsys.readouterr()
-    names = {"tmp": tmp_path, "cfg": cfg, "trace": trace}
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"description": "café"}'.encode("latin-1"))
+    names = {"tmp": tmp_path, "cfg": cfg, "trace": trace, "deep": deep, "latin1": latin1}
     assert main([arg.format(**names) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
