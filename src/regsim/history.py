@@ -80,12 +80,16 @@ class Verdict:
 def extract_history(trace: list[TraceEvent], n: int) -> History:
     """Rebuild operation records from a trace.  The writer's k-th write has
     sequence number k whether or not it completed (the single writer
-    increments by one per write), so pending writes still get a seqno."""
+    increments by one per write), so pending writes still get a seqno.
+    Raises ValueError unless each op is invoked once and responded to at
+    most once, after its invoke, by its process and as its kind."""
     hist = History(n=n)
     by_id: dict[int, OpRecord] = {}
     write_count = 0
     for ev in trace:
         if ev.kind == INVOKE:
+            if ev.op_id in by_id:
+                raise ValueError(f"second invoke of op {ev.op_id}")
             rec = OpRecord(
                 op_id=ev.op_id,
                 process=ev.process,
@@ -104,6 +108,13 @@ def extract_history(trace: list[TraceEvent], n: int) -> History:
                 raise ValueError(f"respond to op {ev.op_id} with no invoke")
             if ev.time < rec.invoke:
                 raise ValueError(f"respond to op {ev.op_id} before its invoke")
+            if rec.respond is not None:
+                raise ValueError(f"second respond to op {ev.op_id}")
+            if ev.process != rec.process or ev.op_kind != rec.kind:
+                raise ValueError(
+                    f"respond to op {ev.op_id} is a {ev.op_kind} by p{ev.process}, "
+                    f"but it was invoked as a {rec.kind} by p{rec.process}"
+                )
             rec.respond = ev.time
             rec.seqno = ev.seqno
             if rec.kind == "read":

@@ -5,14 +5,21 @@ seed produces a byte-identical file.  Messages appear in their canonical hex
 encoding; `seq` is the global processing order and doubles as the tie-break
 for simultaneous events.  Process 0 stands for the system itself
 (round_start markers).
+
+Events are immutable NamedTuples.  A line is built from one template per
+kind, exactly as `json.dumps(obj, separators=(",", ":"))` would write the
+event's fields, and parsed back with every field's type checked.  Messages
+are frozen values, and a trace repeats few of them many times (a relayed
+WRITE is one message sent and delivered n^2 times), so each distinct message
+is encoded to hex, and each distinct hex string decoded, once per memo entry.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .messages import Message, decode_message, encode_message
 
@@ -23,9 +30,11 @@ DELIVER = "deliver"
 CRASH = "crash"
 ROUND_START = "round_start"
 
+# Distinct messages remembered by each direction of the codec.
+_MESSAGE_MEMO = 4096
 
-@dataclass(frozen=True)
-class TraceEvent:
+
+class TraceEvent(NamedTuple):
     time: int
     seq: int
     kind: str
@@ -42,8 +51,22 @@ class TraceEvent:
     round_no: int | None = None
 
 
-def _value_out(value: bytes | None) -> str | None:
-    return None if value is None else value.decode("utf-8")
+_string = json.JSONEncoder(separators=(",", ":")).encode
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+@functools.lru_cache(maxsize=_MESSAGE_MEMO)
+def _message_hex(msg: Message) -> str:
+    return encode_message(msg).hex()
+
+
+@functools.lru_cache(maxsize=_MESSAGE_MEMO)
+def _message_from_hex(raw: str) -> Message:
+    return decode_message(bytes.fromhex(raw))
+
+
+def _value_out(value: bytes | None) -> str:
+    return "null" if value is None else _string(value.decode("utf-8"))
 
 
 def _value_in(raw) -> bytes | None:
@@ -62,42 +85,56 @@ def _int(obj: dict, key: str) -> int:
 
 
 def event_to_json(ev: TraceEvent) -> str:
-    obj: dict = {"t": ev.time, "seq": ev.seq, "kind": ev.kind, "p": ev.process}
-    if ev.kind == INVOKE:
-        obj["op"] = ev.op_id
-        obj["opkind"] = ev.op_kind
-        if ev.op_kind == "write":
-            obj["value"] = _value_out(ev.value)
-    elif ev.kind == RESPOND:
-        obj["op"] = ev.op_id
-        obj["opkind"] = ev.op_kind
-        obj["value"] = _value_out(ev.value)
-        obj["wsn"] = ev.seqno
-    elif ev.kind == SEND:
-        obj["to"] = ev.peer
-        obj["msg"] = encode_message(ev.message).hex()
-    elif ev.kind == DELIVER:
-        obj["from"] = ev.peer
-        obj["msg"] = encode_message(ev.message).hex()
-    elif ev.kind == CRASH:
-        pass
-    elif ev.kind == ROUND_START:
-        obj["round"] = ev.round_no
-    else:
-        raise ValueError(f"unknown event kind {ev.kind!r}")
-    return json.dumps(obj, separators=(",", ":"))
+    """The event's line, without the newline.  Integer fields hold ints."""
+    time, seq, kind, p, op_id, op_kind, value, seqno, peer, message, round_no = ev
+    if kind == SEND:
+        return (
+            f'{{"t":{time},"seq":{seq},"kind":"send","p":{p},"to":{peer},'
+            f'"msg":"{_message_hex(message)}"}}'
+        )
+    if kind == DELIVER:
+        return (
+            f'{{"t":{time},"seq":{seq},"kind":"deliver","p":{p},"from":{peer},'
+            f'"msg":"{_message_hex(message)}"}}'
+        )
+    if kind == INVOKE:
+        head = (
+            f'{{"t":{time},"seq":{seq},"kind":"invoke","p":{p},"op":{op_id},'
+            f'"opkind":{_string(op_kind)}'
+        )
+        return f'{head},"value":{_value_out(value)}}}' if op_kind == "write" else head + "}"
+    if kind == RESPOND:
+        return (
+            f'{{"t":{time},"seq":{seq},"kind":"respond","p":{p},"op":{op_id},'
+            f'"opkind":{_string(op_kind)},"value":{_value_out(value)},"wsn":{seqno}}}'
+        )
+    if kind == ROUND_START:
+        return f'{{"t":{time},"seq":{seq},"kind":"round_start","p":{p},"round":{round_no}}}'
+    if kind == CRASH:
+        return f'{{"t":{time},"seq":{seq},"kind":"crash","p":{p}}}'
+    raise ValueError(f"unknown event kind {kind!r}")
 
 
 def event_from_json(line: str) -> TraceEvent:
+    line = line.strip(" \t\n\r")  # the JSON whitespace json.loads skips, raw_decode not
     try:
-        obj = json.loads(line)
+        obj, end = _raw_decode(line)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
     if not isinstance(obj, dict):
         raise ValueError("event is not a JSON object")
     try:
         kind = obj["kind"]
         time, seq, process = _int(obj, "t"), _int(obj, "seq"), _int(obj, "p")
+        if kind == SEND or kind == DELIVER:
+            peer = _int(obj, "to" if kind == SEND else "from")
+            raw = obj["msg"]
+            if type(raw) is not str:
+                raise ValueError(f"field 'msg' must be a string, got {raw!r}")
+            message = _message_from_hex(raw)
+            return TraceEvent(time, seq, kind, process, None, None, None, None, peer, message)
         if kind == INVOKE or kind == RESPOND:
             op_kind = obj["opkind"]
             if op_kind != "write" and op_kind != "read":
@@ -105,14 +142,6 @@ def event_from_json(line: str) -> TraceEvent:
             value = _value_in(obj.get("value"))
             seqno = _int(obj, "wsn") if kind == RESPOND else None
             return TraceEvent(time, seq, kind, process, _int(obj, "op"), op_kind, value, seqno)
-        if kind == SEND or kind == DELIVER:
-            peer = _int(obj, "to" if kind == SEND else "from")
-            raw = obj["msg"]
-            if type(raw) is not str:
-                raise ValueError(f"field 'msg' must be a string, got {raw!r}")
-            return TraceEvent(
-                time, seq, kind, process, peer=peer, message=decode_message(bytes.fromhex(raw))
-            )
         if kind == CRASH:
             return TraceEvent(time, seq, kind, process)
         if kind == ROUND_START:
@@ -124,9 +153,7 @@ def event_from_json(line: str) -> TraceEvent:
 
 def write_jsonl(events: Iterable[TraceEvent], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for ev in events:
-            fh.write(event_to_json(ev))
-            fh.write("\n")
+        fh.writelines(event_to_json(ev) + "\n" for ev in events)
 
 
 def read_jsonl(path: str | Path) -> list[TraceEvent]:

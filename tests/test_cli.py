@@ -287,12 +287,26 @@ def _with(line, **fields):
          "field 'round' must be an integer"),
         (_with(INVOKE, t=5) + "\n" + RESPOND, "respond to op 0 before its invoke"),
         ("[" * 100_000, "line 1: JSON nested too deeply"),
+        (INVOKE + "\n" + RESPOND + "\n" + _with(RESPOND, t=2, seq=2), "second respond to op 0"),
+        (
+            INVOKE + "\n" + _with(RESPOND, opkind="read", value="zz"),
+            "respond to op 0 is a read by p1, but it was invoked as a write by p1",
+        ),
+        (
+            INVOKE + "\n" + _with(RESPOND, p=2),
+            "respond to op 0 is a write by p2, but it was invoked as a write by p1",
+        ),
+        (
+            INVOKE + "\n" + '{"t":1,"seq":1,"kind":"invoke","p":2,"op":0,"opkind":"read"}',
+            "second invoke of op 0",
+        ),
     ],
     ids=[
         "not-an-object", "missing-field", "respond-without-invoke", "string-p",
         "numeric-value", "bool-t", "float-seq", "string-op", "bad-opkind", "null-wsn",
         "list-to", "bool-from", "numeric-msg", "string-round", "respond-before-invoke",
-        "deep-nesting",
+        "deep-nesting", "second-respond", "respond-other-kind", "respond-other-process",
+        "second-invoke",
     ],
 )
 def test_check_malformed_event_exit_two(tmp_path, capsys, line, reason):

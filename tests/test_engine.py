@@ -264,7 +264,7 @@ BOUND_FIELDS = ("op", "kind", "class", "duration", "bound", "within")
 
 
 def without_seq(ev):
-    return {k: v for k, v in vars(ev).items() if k != "seq"}
+    return ev._replace(seq=None)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))

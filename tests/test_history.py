@@ -1,5 +1,7 @@
 """Checker behavior on constructed and extracted histories."""
 
+import pytest
+
 from regsim.config import parse_scenario
 from regsim.engine import run
 from regsim.history import (
@@ -11,6 +13,7 @@ from regsim.history import (
     checkers_agree,
     extract_history,
 )
+from regsim.trace import INVOKE, RESPOND, TraceEvent
 
 
 def w(op_id, invoke, respond, seqno, process=1):
@@ -182,3 +185,31 @@ def test_extraction_assigns_pending_write_seqnos():
     assert [op.seqno for op in h.ops] == [1, 2]
     assert h.ops[1].pending
     assert h.crashed == {1: 50}
+
+
+WRITE_INVOKE = TraceEvent(0, 0, INVOKE, 1, 0, "write", b"a")
+WRITE_RESPOND = TraceEvent(5, 1, RESPOND, 1, 0, "write", None, 1)
+
+
+@pytest.mark.parametrize(
+    "trace,reason",
+    [
+        ([WRITE_INVOKE, TraceEvent(1, 1, INVOKE, 2, 0, "read")], "second invoke of op 0"),
+        (
+            [WRITE_INVOKE, WRITE_RESPOND, WRITE_RESPOND._replace(time=6, seq=2)],
+            "second respond to op 0",
+        ),
+        (
+            [WRITE_INVOKE, WRITE_RESPOND._replace(process=2)],
+            "respond to op 0 is a write by p2, but it was invoked as a write by p1",
+        ),
+        (
+            [WRITE_INVOKE, WRITE_RESPOND._replace(op_kind="read", value=b"zz")],
+            "respond to op 0 is a read by p1, but it was invoked as a write by p1",
+        ),
+    ],
+    ids=["second-invoke", "second-respond", "other-process", "other-kind"],
+)
+def test_extraction_rejects_inconsistent_traces(trace, reason):
+    with pytest.raises(ValueError, match=reason):
+        extract_history(trace, 3)

@@ -311,7 +311,7 @@ def test_assert_bounds_flags_violations():
     doctored = []
     for ev in result.trace:
         if ev.kind == "respond" and ev.op_kind == "read":
-            object.__setattr__(ev, "time", ev.time + 1000)
+            ev = ev._replace(time=ev.time + 1000)
         doctored.append(ev)
     bad = assert_bounds(doctored, extract_history(doctored, cfg.n), cfg)
     assert not bad.ok

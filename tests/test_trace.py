@@ -1,11 +1,33 @@
-"""Trace events: JSONL decoding rejects malformed input with ValueError."""
+"""Trace events: the JSONL codec writes what `json.dumps` would, round trips
+every event, and rejects malformed input with ValueError."""
 
 import json
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regsim.trace import event_from_json, event_to_json
+from regsim.messages import (
+    AbdAck,
+    AbdQuery,
+    AbdReport,
+    AbdUpdate,
+    Read,
+    State,
+    Write,
+    encode_message,
+)
+from regsim.trace import (
+    CRASH,
+    DELIVER,
+    INVOKE,
+    RESPOND,
+    ROUND_START,
+    SEND,
+    TraceEvent,
+    event_from_json,
+    event_to_json,
+)
 
 # One valid event of each kind, as `write_jsonl` writes it.
 VALID = [
@@ -50,3 +72,91 @@ def test_events_with_replaced_fields_raise_only_value_error(data):
         event_from_json(json.dumps(event))
     except ValueError:
         pass
+
+
+# The dict + json.dumps encoder that the per-kind templates replaced, kept as
+# the reference.
+def dumps_event(ev):
+    obj = {"t": ev.time, "seq": ev.seq, "kind": ev.kind, "p": ev.process}
+    value = None if ev.value is None else ev.value.decode("utf-8")
+    if ev.kind == INVOKE:
+        obj["op"] = ev.op_id
+        obj["opkind"] = ev.op_kind
+        if ev.op_kind == "write":
+            obj["value"] = value
+    elif ev.kind == RESPOND:
+        obj["op"] = ev.op_id
+        obj["opkind"] = ev.op_kind
+        obj["value"] = value
+        obj["wsn"] = ev.seqno
+    elif ev.kind == SEND:
+        obj["to"] = ev.peer
+        obj["msg"] = encode_message(ev.message).hex()
+    elif ev.kind == DELIVER:
+        obj["from"] = ev.peer
+        obj["msg"] = encode_message(ev.message).hex()
+    elif ev.kind == ROUND_START:
+        obj["round"] = ev.round_no
+    return json.dumps(obj, separators=(",", ":"))
+
+
+U64 = st.integers(0, 2**64 - 1)
+# Quotes, backslashes, control characters, non-ASCII and astral characters
+# are the ones JSON escapes.
+TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\xe9\u2028\U0001f600a') | st.characters())
+VALUE = st.none() | TEXT.map(lambda text: text.encode("utf-8"))
+BLOCK = st.none() | st.binary(max_size=8)
+MESSAGES = st.one_of(
+    st.builds(Write, U64, BLOCK),
+    st.builds(Read, U64),
+    st.builds(State, U64, U64),
+    st.builds(State, U64, U64, BLOCK, st.just(True)),
+    st.builds(AbdUpdate, U64, U64, BLOCK),
+    st.builds(AbdAck, U64),
+    st.builds(AbdQuery, U64),
+    st.builds(AbdReport, U64, U64, BLOCK),
+)
+
+
+@st.composite
+def trace_events(draw):
+    time, seq, process, number = (draw(st.integers()) for _ in range(4))
+    kind = draw(st.sampled_from([INVOKE, RESPOND, SEND, DELIVER, CRASH, ROUND_START]))
+    if kind == INVOKE:
+        op_kind = draw(st.sampled_from(["write", "read"]))
+        value = draw(VALUE) if op_kind == "write" else None
+        return TraceEvent(time, seq, kind, process, number, op_kind, value)
+    if kind == RESPOND:
+        op_kind = draw(st.sampled_from(["write", "read"]))
+        return TraceEvent(time, seq, kind, process, number, op_kind, draw(VALUE), draw(U64))
+    if kind in (SEND, DELIVER):
+        return TraceEvent(time, seq, kind, process, peer=number, message=draw(MESSAGES))
+    if kind == ROUND_START:
+        return TraceEvent(time, seq, kind, process, round_no=number)
+    return TraceEvent(time, seq, kind, process)
+
+
+def _sent(msg):
+    return TraceEvent(0, 0, SEND, 1, peer=2, message=msg)
+
+
+# Messages of different classes with equal fields must not share a memo entry.
+@example(_sent(AbdUpdate(1, 2, b"v")))
+@example(_sent(AbdReport(1, 2, b"v")))
+@example(_sent(AbdAck(3)))
+@example(_sent(AbdQuery(3)))
+@settings(max_examples=600, deadline=None)
+@given(trace_events())
+def test_codec_matches_json_dumps_and_round_trips(ev):
+    line = event_to_json(ev)
+    assert line == dumps_event(ev)
+    assert event_from_json(line) == ev
+
+
+@pytest.mark.parametrize("msg", ["zz", "09", "0101"], ids=["not-hex", "unknown-tag", "truncated"])
+def test_bad_message_raises_on_every_call(msg):
+    line = VALID[2].replace('"020100000000000000"', json.dumps(msg))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            event_from_json(line)
+    assert event_from_json(VALID[2]).message == Read(1)
