@@ -2,28 +2,37 @@
 
 A history is the per-operation view of a trace: invoke/respond times, the
 value and sequence number each write produced and each read returned.
-Three checkers run over it:
+extract_history admits only histories of the paper's model: process 1 is
+the single writer, and each process invokes an operation only after its
+previous one responded, at that tick or later.  So the writes form a chain
+w1 < w2 < ... in seqno order, of which only the last may be pending.
+
+One op precedes another if it responded at a tick before the other's
+invoke, or if both belong to one process and it came first (program order:
+an op invoked at the very tick its predecessor responded still follows it).
+Three checkers run over a history:
 
 * check_termination - every operation by a process that never crashed must
   have responded; a crashed process is excused only for its last operation.
-* check_claims      - pairwise sequence-number checks over non-overlapping
-  operations: no read returns a value newer than all writes that started
-  after it finished, no read returns a value older than a write that
-  finished before it started, and no later read returns an older value than
-  an earlier read.
+* check_claims      - atomicity, judged read by read.  Over a chain of
+  writes, a completed read of seqno k is atomic iff it returns the value
+  write k wrote (None for k = 0), it does not precede write k, write k+1
+  does not precede it, and no read that precedes it returned a higher seqno
+  (Lamport, "On interprocess communication", 1986; Gibbons & Korach 1997).
+  One sort and one bisection per read: O((R+W) log R).
 * check_linearizable - brute-force search for a total order that extends
-  real-time precedence in which every read returns the closest preceding
-  write (or the initial value).  Exponential, intended for small histories;
-  it is the independent cross-check for check_claims.
-
-Reads carry (value, seqno) pairs internally so equal values written twice
-stay distinguishable; callers surface only the value.
+  precedence in which every read returns the seqno and value of the last
+  write placed before it (or the initial value).  Exponential, intended for
+  small histories; it is the independent oracle for check_claims.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 
+from .messages import WRITER
 from .trace import CRASH, INVOKE, RESPOND, TraceEvent
 
 LINEARIZE_MAX_OPS = 9
@@ -82,44 +91,51 @@ def extract_history(trace: list[TraceEvent], n: int) -> History:
     sequence number k whether or not it completed (the single writer
     increments by one per write), so pending writes still get a seqno.
     Raises ValueError unless each op is invoked once and responded to at
-    most once, after its invoke, by its process and as its kind."""
+    most once, after its invoke, by its process and as its kind; only p1
+    writes; and each process invokes an op only once its previous op has
+    responded, at that tick or later."""
     hist = History(n=n)
     by_id: dict[int, OpRecord] = {}
+    last: dict[int, OpRecord] = {}  # process -> its latest op
     write_count = 0
     for ev in trace:
-        if ev.kind == INVOKE:
-            if ev.op_id in by_id:
-                raise ValueError(f"second invoke of op {ev.op_id}")
-            rec = OpRecord(
-                op_id=ev.op_id,
-                process=ev.process,
-                kind=ev.op_kind,
-                invoke=ev.time,
-                value=ev.value,
-            )
-            if ev.op_kind == "write":
+        kind = ev.kind
+        if kind == INVOKE:
+            time, _, _, process, op_id, op_kind, value, _, _, _, _ = ev
+            if op_id in by_id:
+                raise ValueError(f"second invoke of op {op_id}")
+            prev = last.get(process)
+            if prev is not None and (prev.respond is None or time < prev.respond):
+                raise ValueError(
+                    f"invoke of op {op_id} by p{process} at tick {time}, before its "
+                    f"op {prev.op_id} responded"
+                )
+            rec = OpRecord(op_id, process, op_kind, time, value=value)
+            if op_kind == "write":
+                if process != WRITER:
+                    raise ValueError(f"write op {op_id} by p{process}; only p{WRITER} writes")
                 write_count += 1
                 rec.seqno = write_count
-            by_id[ev.op_id] = rec
+            by_id[op_id] = last[process] = rec
             hist.ops.append(rec)
-        elif ev.kind == RESPOND:
-            rec = by_id.get(ev.op_id)
+        elif kind == RESPOND:
+            time, _, _, process, op_id, op_kind, value, seqno, _, _, _ = ev
+            rec = by_id.get(op_id)
             if rec is None:
-                raise ValueError(f"respond to op {ev.op_id} with no invoke")
-            if ev.time < rec.invoke:
-                raise ValueError(f"respond to op {ev.op_id} before its invoke")
+                raise ValueError(f"respond to op {op_id} with no invoke")
+            if time < rec.invoke:
+                raise ValueError(f"respond to op {op_id} before its invoke")
             if rec.respond is not None:
-                raise ValueError(f"second respond to op {ev.op_id}")
-            if ev.process != rec.process or ev.op_kind != rec.kind:
+                raise ValueError(f"second respond to op {op_id}")
+            if process != rec.process or op_kind != rec.kind:
                 raise ValueError(
-                    f"respond to op {ev.op_id} is a {ev.op_kind} by p{ev.process}, "
+                    f"respond to op {op_id} is a {op_kind} by p{process}, "
                     f"but it was invoked as a {rec.kind} by p{rec.process}"
                 )
-            rec.respond = ev.time
-            rec.seqno = ev.seqno
+            rec.respond = time
             if rec.kind == "read":
-                rec.value = ev.value
-        elif ev.kind == CRASH:
+                rec.value, rec.seqno = value, seqno
+        elif kind == CRASH:
             hist.crashed[ev.process] = ev.time
     return hist
 
@@ -147,61 +163,84 @@ def check_termination(history: History) -> Verdict:
     return Verdict("termination", "fail" if violations else "pass", violations)
 
 
-def check_claims(history: History) -> Verdict:
-    """Pairwise atomicity claims; "before" means responded strictly before
-    the other op's invoke."""
-    violations = []
-    writes = history.writes()
-    reads = [r for r in history.reads() if not r.pending]
-    known = {0} | {w.seqno for w in writes}
-    for r in reads:
-        if r.seqno not in known:
-            violations.append(
-                f"read op {r.op_id} returned seqno {r.seqno} which no write produced"
-            )
+def _precedence(history: History):
+    """The precedence relation over `history`'s ops (module docstring)."""
+    position = {id(op): i for i, op in enumerate(history.ops)}
 
-    # No read from the future: a read finishing before a write starts must
-    # return something older than that write.
-    for r in reads:
-        for w in writes:
-            if r.respond < w.invoke and not r.seqno < w.seqno:
-                violations.append(
-                    f"read op {r.op_id} (seqno {r.seqno}) finished before "
-                    f"write op {w.op_id} (seqno {w.seqno}) started"
-                )
-    # No overwritten values: a write finishing before a read starts is a floor.
-    for w in writes:
-        if w.pending:
+    def precedes(a: OpRecord, b: OpRecord) -> bool:
+        return a.respond is not None and (
+            a.respond < b.invoke
+            or (a.process == b.process and position[id(a)] < position[id(b)])
+        )
+
+    return precedes
+
+
+def check_claims(history: History) -> Verdict:
+    """Atomicity, judged read by read against the chain of writes: its
+    write, the write after it, and the highest-seqno read that precedes it
+    (module docstring)."""
+    violations = []
+    precedes = _precedence(history)
+    writes: dict[int, OpRecord | None] = {w.seqno: w for w in history.writes()}
+    writes[0] = None  # the initial value
+    reads = [r for r in history.reads() if not r.pending]
+    # finished[i]: the highest-seqno read among the first i to respond.
+    by_respond = sorted((r for r in reads if r.seqno in writes), key=lambda r: r.respond)
+    responds = [r.respond for r in by_respond]
+    finished = [None, *accumulate(by_respond, lambda a, b: b if b.seqno > a.seqno else a)]
+    own: dict[int, OpRecord] = {}  # process -> its highest-seqno read so far
+
+    for r in reads:  # in history order, so in each process's program order
+        k = r.seqno
+        if k not in writes:
+            violations.append(f"read op {r.op_id} returned seqno {k} which no write produced")
             continue
-        for r in reads:
-            if w.respond < r.invoke and not w.seqno <= r.seqno:
-                violations.append(
-                    f"read op {r.op_id} (seqno {r.seqno}) started after "
-                    f"write op {w.op_id} (seqno {w.seqno}) finished"
-                )
-    # No new/old inversion between non-overlapping reads.
-    for a in reads:
-        for b in reads:
-            if a is not b and a.respond < b.invoke and not a.seqno <= b.seqno:
-                violations.append(
-                    f"read op {a.op_id} (seqno {a.seqno}) before read op "
-                    f"{b.op_id} (seqno {b.seqno}): new/old inversion"
-                )
+        w = writes[k]
+        expected = None if w is None else w.value
+        if r.value != expected:
+            violations.append(
+                f"read op {r.op_id} (seqno {k}) returned {r.value!r}, not {expected!r}"
+            )
+        # No read from the future: a read that precedes write k cannot return it.
+        if w is not None and precedes(r, w):
+            violations.append(
+                f"read op {r.op_id} (seqno {k}) finished before "
+                f"write op {w.op_id} (seqno {k}) started"
+            )
+        # No overwritten value: write k+1 preceding the read is a floor.
+        nxt = writes.get(k + 1)
+        if nxt is not None and precedes(nxt, r):
+            violations.append(
+                f"read op {r.op_id} (seqno {k}) started after "
+                f"write op {nxt.op_id} (seqno {k + 1}) finished"
+            )
+        # No new/old inversion: the reads that precede this one finished
+        # before its invoke or came first in its process.
+        before = finished[bisect_left(responds, r.invoke)]
+        mine = own.get(r.process)
+        if mine is not None and (before is None or mine.seqno > before.seqno):
+            before = mine
+        if before is not None and before.seqno > k:
+            violations.append(
+                f"read op {before.op_id} (seqno {before.seqno}) before read op "
+                f"{r.op_id} (seqno {k}): new/old inversion"
+            )
+        if mine is None or k > mine.seqno:
+            own[r.process] = r
     return Verdict("claims", "fail" if violations else "pass", violations)
 
 
 def check_linearizable(history: History, max_ops: int = LINEARIZE_MAX_OPS) -> Verdict:
     """Search for a witness sequence.  Pending operations may be placed or
     left out (a crashed write may or may not have taken effect)."""
-    completed = [op for op in history.ops if not op.pending]
-    pending = [op for op in history.ops if op.pending]
-    if len(completed) + len(pending) > max_ops:
+    if len(history.ops) > max_ops:
         return Verdict(
             "linearizable",
             "skipped",
             note=f"history has more than {max_ops} ops; rely on check_claims",
         )
-    if _linearize(completed, pending):
+    if _linearize(history.ops, _precedence(history)):
         return Verdict("linearizable", "pass")
     return Verdict(
         "linearizable",
@@ -210,41 +249,31 @@ def check_linearizable(history: History, max_ops: int = LINEARIZE_MAX_OPS) -> Ve
     )
 
 
-def _linearize(completed: list[OpRecord], pending: list[OpRecord]) -> bool:
-    ops = completed + pending
-
-    def precedes(a: OpRecord, b: OpRecord) -> bool:
-        return a.respond is not None and a.respond < b.invoke
-
-    preds: dict[int, list[int]] = {id(op): [] for op in ops}
-    for a in ops:
-        for b in ops:
-            if a is not b and precedes(a, b):
-                preds[id(b)].append(id(a))
-
+def _linearize(ops: list[OpRecord], precedes) -> bool:
+    preds = {id(b): [id(a) for a in ops if a is not b and precedes(a, b)] for b in ops}
     placed: set[int] = set()
-    must_place = {id(op) for op in completed}
 
-    def step(last_wsn: int, remaining: list[OpRecord]) -> bool:
-        if all(id(op) not in must_place for op in remaining):
+    def step(last: tuple[int, bytes | None], remaining: list[OpRecord]) -> bool:
+        """`last`: the seqno and value of the last write placed."""
+        if all(op.pending for op in remaining):
             return True  # the rest are pending ops that may not have taken effect
         for i, op in enumerate(remaining):
             if any(p not in placed for p in preds[id(op)]):
                 continue
             if op.kind == "write":
-                new_wsn = op.seqno
+                after = (op.seqno, op.value)
+            elif (op.seqno, op.value) == last:
+                after = last
             else:
-                if op.seqno != last_wsn:
-                    continue
-                new_wsn = last_wsn
+                continue
             placed.add(id(op))
-            ok = step(new_wsn, remaining[:i] + remaining[i + 1 :])
+            ok = step(after, remaining[:i] + remaining[i + 1 :])
             placed.discard(id(op))
             if ok:
                 return True
         return False
 
-    return step(0, ops)
+    return step((0, None), ops)
 
 
 def checkers_agree(history: History) -> bool:

@@ -26,15 +26,15 @@ concurrency.  Async runs get no bounds; reports are informational.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .config import ScenarioConfig
 from .history import History, OpRecord
 # Not called here; perfbench/tracer.py wraps regsim.metrics.extract_history by name.
 from .history import extract_history  # noqa: F401
-from .messages import AbdAck, AbdQuery, AbdReport, AbdUpdate, Read, State, Write
-from .trace import SEND, TraceEvent
+from .messages import WRITER, AbdAck, AbdQuery, AbdReport, AbdUpdate, Read, State, Write
+from .trace import INVOKE, SEND, TraceEvent
 
 WLF = "wlf"
 INTERFERING = "interfering_no_crash"
@@ -106,15 +106,6 @@ class BoundReport:
         }
 
 
-def _crashed_during(history: History, w: OpRecord) -> bool:
-    crash = history.crashed.get(w.process)
-    if crash is None:
-        return False
-    if w.respond is not None:
-        return w.invoke <= crash <= w.respond
-    return crash >= w.invoke
-
-
 _INF = float("inf")
 
 
@@ -124,52 +115,42 @@ def _end(op: OpRecord) -> float:
 
 
 class WriteIndex:
-    """The writes of one history sorted by response tick, a pending write
-    last, so that classifying a read takes one bisection instead of a scan
-    over every write.
+    """The writes of one history, a chain w1 < w2 < ... whose invoke and
+    response ticks both ascend (extract_history admits no other), so that
+    classifying a read takes one bisection.
 
     A write precedes a read iff it responded strictly before the read's
-    invoke (an op never responds before its own invoke); otherwise it is
-    concurrent with the read unless it was invoked after the read responded.
-    Equal ticks count as overlap, and a pending write or read extends to
-    infinity.  So for a read invoked at tick a, the writes before position
-    i = bisect_left(responds, a) are those that precede it, and each write
-    from i on is concurrent with it iff invoked no later than its response."""
+    invoke; otherwise it is concurrent with the read unless it was invoked
+    after the read responded.  Equal ticks count as overlap, and a pending
+    write or read extends to infinity.  So for a read invoked at tick a, the
+    writes before i = bisect_left(responds, a) precede it, and those from i
+    on that were invoked by its response are concurrent with it.  The writes
+    the writer crashed during (invoked by the crash tick, responded at or
+    after it, or never) are the chain positions lo..hi-1."""
 
     def __init__(self, history: History):
-        ordered = sorted(enumerate(history.writes()), key=lambda iw: _end(iw[1]))
-        self.responds = [_end(w) for _, w in ordered]
-        # closest[i]: the latest-invoked write among the first i (on a tie,
-        # the first in history order).
-        self.closest: list[OpRecord | None] = [None]
-        best = (-_INF, 0, None)
-        for pos, w in ordered:
-            best = max(best, (w.invoke, -pos, w))
-            self.closest.append(best[2])
-        # first_invoke[i] / first_crash_invoke[i]: the earliest invoke among
-        # writes i.. (among those the writer crashed during); inf if none.
-        self.first_invoke = [_INF] * (len(ordered) + 1)
-        self.first_crash_invoke = [_INF] * (len(ordered) + 1)
-        for i in range(len(ordered) - 1, -1, -1):
-            w = ordered[i][1]
-            self.first_invoke[i] = min(self.first_invoke[i + 1], w.invoke)
-            crash_invoke = w.invoke if _crashed_during(history, w) else _INF
-            self.first_crash_invoke[i] = min(self.first_crash_invoke[i + 1], crash_invoke)
+        self.writes = history.writes()
+        self.invokes = [w.invoke for w in self.writes]
+        self.responds = [_end(w) for w in self.writes]
+        crash = history.crashed.get(WRITER, -_INF)  # no crash: before every write
+        self.crash_lo = bisect_left(self.responds, crash)
+        self.crash_hi = bisect_right(self.invokes, crash)
 
-    def query(self, read_op: OpRecord) -> tuple[OpRecord | None, bool, bool]:
-        """The closest write preceding `read_op`, whether some write is
-        concurrent with it, and whether some write the writer crashed
+    def query(self, read_op: OpRecord) -> tuple[OpRecord | None, bool, bool, bool]:
+        """The closest write preceding `read_op` (the latest invoked; a
+        zero-length write ties with the next one, and the first wins),
+        whether the writer crashed during it, whether some write is
+        concurrent with `read_op`, and whether some write the writer crashed
         during is."""
         i = bisect_left(self.responds, read_op.invoke)
         end = _end(read_op)
-
-        def reaches(first: float) -> bool:  # a write from i on, invoked by `end`
-            return first != _INF and first <= end
-
+        closest = bisect_left(self.invokes, self.invokes[i - 1]) if i else None
+        first_crash = max(i, self.crash_lo)
         return (
-            self.closest[i],
-            reaches(self.first_invoke[i]),
-            reaches(self.first_crash_invoke[i]),
+            None if closest is None else self.writes[closest],
+            closest is not None and self.crash_lo <= closest < self.crash_hi,
+            i < len(self.invokes) and self.invokes[i] <= end,
+            first_crash < self.crash_hi and self.invokes[first_crash] <= end,
         )
 
 
@@ -178,12 +159,12 @@ def classify_read(
 ) -> str:
     """Bounded-delay classification of one read (`writes`: the history's
     index, built here if not given)."""
-    closest, concurrent, crash = (writes or WriteIndex(history)).query(read_op)
+    closest, closest_crash, concurrent, crash = (writes or WriteIndex(history)).query(read_op)
     if concurrent:
         return INTERFERING_CRASH if crash else INTERFERING
     if closest is None:
         return WLF
-    if _crashed_during(history, closest):
+    if closest_crash:
         return INTERFERING_CRASH
     if closest.invoke < read_op.invoke - delta:
         return WLF
@@ -194,7 +175,7 @@ def classify_read_round(
     history: History, read_op: OpRecord, writes: WriteIndex | None = None
 ) -> str:
     """Round-synchrony classification: did a writer crash overlap the read."""
-    _, _, crash = (writes or WriteIndex(history)).query(read_op)
+    *_, crash = (writes or WriteIndex(history)).query(read_op)
     return ROUND_CRASH if crash else ROUND_NO_CRASH
 
 
@@ -285,66 +266,53 @@ def assert_bounds(
     return report
 
 
+# count_messages' dispatch on the message class: the field a send is charged
+# by, and whether as a write's wsn, as a request from its sender or as a reply
+# to its destination.  A run uses one protocol, so READ and ABD numbers never
+# share a key.
+_BY_WSN, _REQUEST, _REPLY = range(3)
+_CHARGE = {
+    Write: ("wsn", _BY_WSN),
+    Read: ("rsn", _REQUEST),
+    State: ("rsn", _REPLY),
+    AbdQuery: ("opsn", _REQUEST),
+    AbdUpdate: ("opsn", _REQUEST),
+    AbdAck: ("opsn", _REPLY),
+    AbdReport: ("opsn", _REPLY),
+}
+
+
 def count_messages(trace: list[TraceEvent], history: History) -> dict[int, int]:
-    """Attribute every point-to-point send to an operation.
+    """Attribute every point-to-point send to an operation, in one pass
+    over the trace.
 
     WRITE(s) traffic belongs to the write that produced sequence number s,
-    wherever it was relayed from.  READ(rsn)/STATE(rsn) traffic belongs to
-    the read that issued rsn at that reader.  ABD messages carry a phase id;
-    both phases of a read charge the read.
+    wherever it was relayed from.  A READ(rsn), or an ABD phase message
+    (QUERY or UPDATE with phase id opsn), belongs to the op its sender last
+    invoked when it first sent that number; the replies to it (STATE(rsn),
+    ACK or REPORT(opsn)) are charged through the number at their
+    destination.  So both phases of an ABD read charge the read.
     """
-    wsn_to_op = {w.seqno: w.op_id for w in history.writes()}
-    intervals: dict[int, list[OpRecord]] = {}
-    for op in history.ops:
-        intervals.setdefault(op.process, []).append(op)
-
-    def op_at(process: int, time: int) -> int | None:
-        best = None
-        for op in intervals.get(process, []):
-            if op.invoke <= time and (op.respond is None or time <= op.respond):
-                if best is None or op.invoke > best.invoke:
-                    best = op
-        return best.op_id if best is not None else None
-
-    read_key_to_op: dict[tuple[int, int], int] = {}
-    abd_key_to_op: dict[tuple[int, int], int] = {}
-    for ev in trace:
-        if ev.kind != SEND:
-            continue
-        msg = ev.message
-        if isinstance(msg, Read):
-            key = (ev.process, msg.rsn)
-            if key not in read_key_to_op:
-                owner = op_at(ev.process, ev.time)
-                if owner is not None:
-                    read_key_to_op[key] = owner
-        elif isinstance(msg, (AbdUpdate, AbdQuery)):
-            key = (ev.process, msg.opsn)
-            if key not in abd_key_to_op:
-                owner = op_at(ev.process, ev.time)
-                if owner is not None:
-                    abd_key_to_op[key] = owner
-
+    write_op = {w.seqno: w.op_id for w in history.writes()}
+    latest: dict[int, int] = {}  # process -> the op it last invoked
+    owner: dict[tuple[int, int], int | None] = {}  # (process, rsn/opsn) -> op
     counts: dict[int, int] = {}
-
-    def charge(op_id: int | None) -> None:
-        if op_id is not None:
-            counts[op_id] = counts.get(op_id, 0) + 1
-
     for ev in trace:
-        if ev.kind != SEND:
-            continue
-        msg = ev.message
-        if isinstance(msg, Write):
-            charge(wsn_to_op.get(msg.wsn))
-        elif isinstance(msg, Read):
-            charge(read_key_to_op.get((ev.process, msg.rsn)))
-        elif isinstance(msg, State):
-            charge(read_key_to_op.get((ev.peer, msg.rsn)))
-        elif isinstance(msg, (AbdUpdate, AbdQuery)):
-            charge(abd_key_to_op.get((ev.process, msg.opsn)))
-        elif isinstance(msg, (AbdAck, AbdReport)):
-            charge(abd_key_to_op.get((ev.peer, msg.opsn)))
+        kind = ev.kind
+        if kind == SEND:
+            msg = ev.message
+            name, role = _CHARGE[type(msg)]
+            number = getattr(msg, name)
+            if role == _BY_WSN:
+                op_id = write_op.get(number)
+            elif role == _REQUEST:
+                op_id = owner.setdefault((ev.process, number), latest.get(ev.process))
+            else:
+                op_id = owner.get((ev.peer, number))
+            if op_id is not None:
+                counts[op_id] = counts.get(op_id, 0) + 1
+        elif kind == INVOKE:
+            latest[ev.process] = ev.op_id
     return counts
 
 

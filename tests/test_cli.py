@@ -317,6 +317,33 @@ def test_check_malformed_event_exit_two(tmp_path, capsys, line, reason):
     assert err.startswith("trace error:") and reason in err and err.count("\n") == 1
 
 
+READ = '{"t":2,"seq":2,"kind":"invoke","p":2,"op":1,"opkind":"read"}'
+READ_DONE = '{"t":4,"seq":3,"kind":"respond","p":2,"op":1,"opkind":"read","value":"a","wsn":1}'
+
+
+@pytest.mark.parametrize(
+    "lines,reason",
+    [
+        (
+            [READ, _with(READ, t=3, seq=3, op=2)],
+            "invoke of op 2 by p2 at tick 3, before its op 1 responded",
+        ),
+        (
+            [READ, READ_DONE, _with(READ, t=3, seq=4, op=2)],
+            "invoke of op 2 by p2 at tick 3, before its op 1 responded",
+        ),
+        ([_with(INVOKE, p=2)], "write op 0 by p2; only p1 writes"),
+    ],
+    ids=["invoke-while-pending", "invoke-before-respond", "second-writer"],
+)
+def test_check_trace_outside_the_model_exit_two(tmp_path, capsys, lines, reason):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trace error:") and reason in err and err.count("\n") == 1
+
+
 def test_check_with_config_malformed_trace_exit_two(tmp_path, capsys):
     cfg = write_config(tmp_path)
     trace = tmp_path / "trace.jsonl"

@@ -1,10 +1,13 @@
 """Checker behavior on constructed and extracted histories."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from regsim.config import parse_scenario
 from regsim.engine import run
 from regsim.history import (
+    LINEARIZE_MAX_OPS,
     History,
     OpRecord,
     check_claims,
@@ -213,3 +216,130 @@ WRITE_RESPOND = TraceEvent(5, 1, RESPOND, 1, 0, "write", None, 1)
 def test_extraction_rejects_inconsistent_traces(trace, reason):
     with pytest.raises(ValueError, match=reason):
         extract_history(trace, 3)
+
+
+def test_invoke_at_the_previous_respond_tick_is_accepted():
+    # tests/test_cli.py checks that an earlier invoke is rejected.
+    trace = [
+        TraceEvent(2, 2, INVOKE, 2, 1, "read"),
+        TraceEvent(4, 3, RESPOND, 2, 1, "read", b"a", 1),
+        TraceEvent(4, 4, INVOKE, 2, 2, "read"),
+    ]
+    assert [op.invoke for op in extract_history(trace, 3).ops] == [2, 4]
+
+
+# --- values and program order ----------------------------------------------
+
+
+def test_read_must_return_the_value_of_its_seqno():
+    good = hist([w(0, 0, 2, 1), r(1, 2, 3, 5, 1)])
+    assert check_claims(good).ok and check_linearizable(good).ok
+    bad = hist([w(0, 0, 2, 1), OpRecord(1, 2, "read", 3, 5, b"zz", 1)])
+    claims = check_claims(bad)
+    assert not claims.ok and not check_linearizable(bad).ok
+    assert claims.violations == ["read op 1 (seqno 1) returned b'zz', not b'a'"]
+
+
+def test_initial_read_must_return_none():
+    bad = hist([OpRecord(0, 2, "read", 0, 1, b"a", 0)])
+    assert not check_claims(bad).ok and not check_linearizable(bad).ok
+
+
+def test_program_order_orders_ops_touching_at_a_tick():
+    # One delay each way: every op starts at the tick the one before it in
+    # its process ends.
+    cfg = parse_scenario(
+        {
+            "n": 3,
+            "t": 1,
+            "algorithm": "teff",
+            "network": {
+                "kind": "bounded_delay",
+                "Delta": 1,
+                "schedule": {"mode": "fixed", "delay": 1},
+            },
+            "ops": [
+                {"time": 0, "process": 1, "op": "write", "value": "a"},
+                {"time": 2, "process": 1, "op": "write", "value": "b"},
+                {"time": 2, "process": 2, "op": "read"},
+                {"time": 4, "process": 2, "op": "read"},
+            ],
+            "seed": 0,
+        }
+    )
+    h = extract_history(run(cfg).trace, 3)
+    intervals = [(op.kind, op.invoke, op.respond) for op in h.ops]
+    assert intervals == [("write", 0, 2), ("write", 2, 4), ("read", 2, 4), ("read", 4, 6)]
+    assert check_claims(h).ok and check_linearizable(h).ok
+    # p2's first read returns write 2 and its second read write 1: in real
+    # time the two reads overlap at tick 4, but p2 ran them in that order.
+    first, second = h.reads()
+    first.seqno, first.value, second.seqno, second.value = 2, b"b", 1, b"a"
+    claims = check_claims(h)
+    assert not claims.ok and not check_linearizable(h).ok
+    assert claims.violations == ["read op 2 (seqno 2) before read op 3 (seqno 1): new/old inversion"]
+
+
+def test_touching_writes_are_ordered_for_the_oracle_too():
+    # Write 2 follows write 1 although they touch at tick 2, so a read after
+    # write 2 finished cannot return write 1.
+    h = hist([w(0, 0, 2, 1), w(1, 2, 4, 2), r(2, 2, 5, 6, 1)])
+    assert not check_claims(h).ok
+    assert not check_linearizable(h).ok
+    assert checkers_agree(h)
+
+
+# --- the per-read check against the oracle ---------------------------------
+
+
+@st.composite
+def sequential_histories(draw):
+    """Histories of the paper's model with at most 9 ops, built as traces:
+    p1 writes (and may read), p2 and p3 read, each process one op at a time
+    with gaps and durations of 0-2 ticks, so ops often touch at a tick; a
+    process's last op may be pending.  Reads return seqnos 0..W+1 (W+1 is
+    unknown) and sometimes a wrong value."""
+    values = [b"a", b"b", b"zz"]
+    ticks = st.sampled_from([0, 0, 1, 2])  # gaps and durations
+    per_process = []
+    op_id = 0
+    for p in (1, 2, 3):
+        events, tick = [], draw(ticks)
+        count = draw(st.integers(0, 4 if p == 1 else 3))
+        for i in range(count):
+            kind = "write" if p == 1 and draw(st.booleans()) else "read"
+            value = draw(st.sampled_from(values)) if kind == "write" else None
+            events.append((tick, INVOKE, p, op_id, kind, value))
+            if i < count - 1 or draw(st.booleans()):
+                tick += draw(ticks)
+                events.append((tick, RESPOND, p, op_id, kind))
+                tick += draw(ticks)
+            op_id += 1
+        per_process.append(events)
+    merged = sorted(
+        (ev for events in draw(st.permutations(per_process)) for ev in events),
+        key=lambda ev: ev[0],
+    )
+    assume(op_id <= LINEARIZE_MAX_OPS)
+    written = [None]
+    trace = []
+    for seq, (tick, kind, p, op, op_kind, *value) in enumerate(merged):
+        if kind == INVOKE:
+            if op_kind == "write":
+                written.append(value[0])
+            trace.append(TraceEvent(tick, seq, INVOKE, p, op, op_kind, *value))
+        elif op_kind == "write":
+            trace.append(TraceEvent(tick, seq, RESPOND, p, op, "write", None, len(written) - 1))
+        else:
+            latest = len(written) - 1
+            seqno = draw(st.sampled_from([latest, latest, max(latest - 1, 0), *range(latest + 2)]))
+            right = written[seqno] if seqno < len(written) else None
+            value = draw(st.sampled_from([right, right, right, None, *values]))
+            trace.append(TraceEvent(tick, seq, RESPOND, p, op, "read", value, seqno))
+    return extract_history(trace, 3)
+
+
+@settings(max_examples=600, deadline=None)
+@given(sequential_histories())
+def test_claims_agree_with_the_oracle(h):
+    assert check_claims(h).ok == check_linearizable(h).ok

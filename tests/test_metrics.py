@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from regsim.config import parse_scenario
 from regsim.engine import run
 from regsim.history import History, OpRecord, extract_history
+from regsim.trace import CRASH, INVOKE, RESPOND, TraceEvent
 from regsim.metrics import (
     INTERFERING,
     INTERFERING_CRASH,
@@ -168,25 +169,8 @@ def single_writer_histories(draw):
     return h
 
 
-@st.composite
-def any_histories(draw):
-    # Writes by several processes, overlapping in any way: the index does
-    # not rely on the single writer's writes being sequential.
-    interval = st.tuples(st.integers(0, 40), st.one_of(st.none(), st.integers(0, 20)))
-    h = History(n=4)
-    for op_id, (kind, p, (invoke, length)) in enumerate(
-        draw(st.lists(st.tuples(st.sampled_from(["write", "read"]), st.integers(1, 4), interval),
-                      max_size=12))
-    ):
-        respond = None if length is None else invoke + length
-        h.ops.append(OpRecord(op_id, p, kind, invoke, respond, b"v", op_id + 1))
-    for p in draw(st.sets(st.integers(1, 4))):
-        h.crashed[p] = draw(st.integers(0, 60))
-    return h
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(single_writer_histories(), any_histories()), st.integers(1, 12))
+@given(single_writer_histories(), st.integers(1, 12))
 def test_read_classification_matches_the_scan(h, delta):
     index = WriteIndex(h)
     for read in h.reads():
@@ -198,15 +182,42 @@ def test_read_classification_matches_the_scan(h, delta):
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
 def test_closest_write_tie_goes_to_the_first_in_history_order(order):
-    # Two writes invoked at the same tick both precede the read; only the
-    # first (p1's, the one whose writer crashed during it) decides.
-    writes = [OpRecord(0, 1, "write", 10, 20, b"a", 1), OpRecord(1, 2, "write", 10, 12, b"b", 2)]
-    h = History(n=3, ops=[writes[i] for i in order], crashed={1: 15})
-    read = OpRecord(2, 3, "read", 50, 60, b"a", 1)
-    h.ops.append(read)
-    expected = INTERFERING_CRASH if order == (0, 1) else WLF
-    assert scan_classify_read(h, read, DELTA) == expected
-    assert classify_read(h, read, DELTA) == expected
+    # p1's zero-length write of a and its write of b are both invoked at tick
+    # 10 and both precede the read; the writer crashed at 12, during b only.
+    # Only the first in history order (a) decides, so the read is wlf.  The
+    # trace fixes that order: b invoked before a responded is no history.
+    at_ten = [
+        TraceEvent(10, 0, RESPOND, 1, 0, "write", None, 1),
+        TraceEvent(10, 0, INVOKE, 1, 1, "write", b"b"),
+    ]
+    trace = [
+        TraceEvent(10, 0, INVOKE, 1, 0, "write", b"a"),
+        *(at_ten[i] for i in order),
+        TraceEvent(12, 0, RESPOND, 1, 1, "write", None, 2),
+        TraceEvent(12, 0, CRASH, 1),
+        TraceEvent(50, 0, INVOKE, 3, 2, "read"),
+        TraceEvent(60, 0, RESPOND, 3, 2, "read", b"b", 2),
+    ]
+    if order == (1, 0):
+        with pytest.raises(ValueError, match="before its op 0 responded"):
+            extract_history(trace, 3)
+        return
+    h = extract_history(trace, 3)
+    read = h.reads()[0]
+    assert WriteIndex(h).query(read)[0] is h.writes()[0]
+    assert scan_classify_read(h, read, DELTA) == WLF
+    assert classify_read(h, read, DELTA) == WLF
+
+
+def test_extraction_rejects_a_second_writer():
+    # Two writers invoked at one tick: the writes would not form a chain,
+    # which WriteIndex relies on.
+    trace = [
+        TraceEvent(10, 0, INVOKE, 1, 0, "write", b"a"),
+        TraceEvent(10, 1, INVOKE, 2, 1, "write", b"b"),
+    ]
+    with pytest.raises(ValueError, match="write op 1 by p2; only p1 writes"):
+        extract_history(trace, 3)
 
 
 def test_bound_table_is_total():
