@@ -149,10 +149,9 @@ class _Sim:
         heapq.heappush(self.heap, (time, item[0], self.insert_seq, item))
         self.insert_seq += 1
 
-    def _emit(self, time: int, kind: str, process: int, **fields) -> None:
-        self.trace.append(
-            TraceEvent(time=time, seq=len(self.trace), kind=kind, process=process, **fields)
-        )
+    def _emit(self, time: int, kind: str, process: int, *fields) -> None:
+        """Append one event; `fields` follow TraceEvent's field order."""
+        self.trace.append(TraceEvent(time, len(self.trace), kind, process, *fields))
 
     def _mark_round(self, time: int) -> None:
         if not self.round or time % self.delta != 0:
@@ -160,7 +159,7 @@ class _Sim:
         rnd = time // self.delta
         if rnd not in self.rounds_marked:
             self.rounds_marked.add(rnd)
-            self._emit(time, ROUND_START, 0, round_no=rnd)
+            self._emit(time, ROUND_START, 0, None, None, None, None, None, None, rnd)
 
     def run(self) -> RunResult:
         processed = 0
@@ -190,14 +189,7 @@ class _Sim:
             )
         out = self.algo.begin(self.states[proc], op)
         self.states[proc] = out.state
-        self._emit(
-            time,
-            INVOKE,
-            proc,
-            op_id=op_id,
-            op_kind=op.kind,
-            value=op.value if op.kind == "write" else None,
-        )
+        self._emit(time, INVOKE, proc, op_id, op.kind, op.value if op.kind == "write" else None)
         trigger = self.op_crash.get(op_id)
         restrict = trigger.deliver_to if trigger is not None else None
         self.pending_op[proc] = op_id
@@ -214,7 +206,7 @@ class _Sim:
         if dest in self.crashed:
             return  # dropped: no events at a crashed process
         if self.messages:
-            self._emit(time, DELIVER, dest, peer=sender, message=msg)
+            self._emit(time, DELIVER, dest, None, None, None, None, sender, msg)
         out = self.algo.deliver(self.states[dest], msg, sender)
         self.states[dest] = out.state
         restrict = None
@@ -256,22 +248,14 @@ class _Sim:
                 if restrict is not None and target not in restrict:
                     continue
                 if self.messages:
-                    self._emit(time, SEND, sender, peer=target, message=msg)
+                    self._emit(time, SEND, sender, None, None, None, None, target, msg)
                 delay = self.delays.next(sender, target, msg)
                 self._push(time + delay, (_DLV, target, msg, sender))
 
     def _respond(self, time: int, proc: int, result) -> None:
         op_id = self.pending_op.pop(proc)
         op = self.config.ops[op_id]
-        self._emit(
-            time,
-            RESPOND,
-            proc,
-            op_id=op_id,
-            op_kind=op.kind,
-            value=result.value,
-            seqno=result.seqno,
-        )
+        self._emit(time, RESPOND, proc, op_id, op.kind, result.value, result.seqno)
 
 
 def run(

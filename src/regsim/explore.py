@@ -4,10 +4,10 @@ Explores every reachable interleaving of operation invocations and message
 deliveries (time-free: asynchrony means any delivery order).  Rather than
 walking every interleaving separately, the search exploits that a
 configuration's future behavior depends only on the configuration — replica
-states, in-flight message multiset, and each process's operation cursor —
-never on how it was reached.  A depth-first pass visits each distinct
-configuration once and computes, bottom-up over the acyclic configuration
-graph, the set of operation-history suffixes reachable from it.  The root's
+states, in-flight message multiset, and how many operations each process
+has invoked — never on how it was reached.  A depth-first pass visits each
+distinct configuration once and computes, bottom-up over the acyclic
+configuration graph, the set of operation-history suffixes reachable from it.  The root's
 set is then exactly the distinct complete histories, each discovered once.
 
 Each suffix becomes invoke/respond/crash trace events with the record index
@@ -21,15 +21,17 @@ so whether the subset holds it changes nothing.  The result depends on the
 instance alone, not on the search order: the histories come sorted by their
 label records (None before any bytes).
 
-A configuration is one interned local component per process, (process,
-snapshot, inbox of the messages addressed to it), plus the operation cursors:
-Holzmann's collapse compression ("State compression in SPIN", 1997).
-Handlers are pure and read no receiver, so each distinct (snapshot, input)
-calls its handler once per exploration.  A step memo maps (local, input) to
-the stepper's next local, sends and completion, and an add memo maps (local,
-message) to a receiver's next local, so an edge costs a few lookups on the
-processes it touches, however many messages are in flight.  Suffix-set
-unions and label prefixes are memoized as well.
+A configuration is one tuple of interned local components, one per
+process: (process, snapshot, inbox of the messages addressed to it, number
+of operations invoked), Holzmann's collapse compression ("State compression
+in SPIN", 1997).  Each local caches its enabled actions, so a
+configuration's actions are its locals' lists concatenated.  Handlers are
+pure and read no receiver, so each distinct (snapshot, input) calls its
+handler once per exploration.  A step memo maps (local, input) to the
+stepper's next local, its sends and the label records the step adds to the
+history, and an add memo maps (local, message) to a receiver's next local,
+so an edge swaps the locals it touches, however many messages are in
+flight.  Suffix-set unions and label prefixes are memoized as well.
 """
 
 from __future__ import annotations
@@ -97,13 +99,12 @@ class _Explorer:
         self.per_proc: dict[int, tuple[int, ...]] = {p: () for p in range(1, n + 1)}
         for op_id, op in enumerate(ops):
             self.per_proc[op.process] += (op_id,)
-        self.inv_labels = [(("i", op_id),) for op_id in range(len(ops))]
         self.msgs = _Interner()
-        self.snaps = _Interner()
-        # Local components (p, snap, inbox) -> id; `locals` holds, per id,
-        # (p, snap, state, inbox, idle, deliveries); idle means no invocation.
-        # A halted process's local is (p, None, None, (), True, ()).
-        self.local_keys = _Interner()
+        self.snaps: dict = {}  # frozen state -> snapshot id
+        # Local components (p, snap, inbox, ops invoked) -> id; `locals`
+        # holds, per id, (p, snap, state, inbox, ops invoked, actions).  A
+        # halted process's local has snap and state None and no actions.
+        self.local_ids: dict[tuple, int] = {}
         self.locals: list[tuple] = []
         self.suffixes = _Interner()  # tuple of history records -> id
         self.suffix_sets = _Interner()  # frozenset of suffix ids -> id
@@ -114,7 +115,7 @@ class _Explorer:
         # -> (new state, new snap, ((dest, mid), ...), completion).
         self.transitions: dict[tuple, tuple] = {}
         # (local, "i", op_id) or (local, "d", entry) -> (new local of the
-        # stepping process, ((receiver, entry), ...) for the others, completion).
+        # stepping process, ((receiver, entry), ...) for the others, labels).
         self.steps: dict[tuple, tuple] = {}
         self.adds: dict[tuple[int, int], int] = {}  # (local, entry) -> local
         self.noop_memo: dict[tuple[int, int, int], bool] = {}
@@ -122,58 +123,46 @@ class _Explorer:
         self.label_memo: dict[tuple[tuple, int], int] = {}
         self.union_memo: dict[tuple[int, ...], int] = {}
 
-    # A configuration is (locals, cursor): one local id per process and each
-    # process's operation cursor.  An inbox entry is mid * n + sender - 1.
+    # A configuration is the tuple of local ids, one per process.  An inbox
+    # entry is mid * n + sender - 1.
 
-    def local(self, p: int, snap_id: int, state, inbox: tuple[int, ...]) -> int:
-        ident = self.local_keys.get((p, snap_id, inbox))
+    def local(self, p: int, snap_id, state, inbox: tuple[int, ...], invoked: int) -> int:
+        key = (p, snap_id, inbox, invoked)
+        ident = self.local_ids.setdefault(key, len(self.locals))
         if ident == len(self.locals):
-            idle = state is None or self.algo.has_pending(state)
-            deliveries = [(p, "d", e) for e in dict.fromkeys(inbox)]
-            self.locals.append((p, snap_id, state, inbox, idle, deliveries))
+            # Enabled actions: the next invocation when idle with ops left,
+            # then each distinct inbox entry.
+            mine = self.per_proc[p]
+            idle = state is not None and not self.algo.has_pending(state)
+            actions = [(p, "i", mine[invoked])] if idle and invoked < len(mine) else []
+            actions += [(p, "d", e) for e in dict.fromkeys(inbox)]
+            self.locals.append((p, snap_id, state, inbox, invoked, actions))
         return ident
 
     def actions_of(self, node) -> list:
-        ids, cursor = node
-        actions = []
-        for p, ident in enumerate(ids, 1):
-            _, _, _, _, idle, deliveries = self.locals[ident]
-            idx = cursor[p - 1]
-            if not idle and idx < len(self.per_proc[p]):
-                actions.append((p, "i", self.per_proc[p][idx]))
-            actions += deliveries
-        return actions
+        return [action for ident in node for action in self.locals[ident][5]]
 
     def apply(self, node, action):
         """One transition from a node.  Returns (label records, child node)."""
         self.edges += 1
-        ids, cursor = node
         p, kind, arg = action
-        step = self.steps.get((ids[p - 1], kind, arg))
+        step = self.steps.get((node[p - 1], kind, arg))
         if step is None:
-            step = self.step(ids[p - 1], kind, arg)
-        new_local, sends, completion = step
-        if kind == "i":
-            cursor = cursor[: p - 1] + (cursor[p - 1] + 1,) + cursor[p:]
-            label = self.inv_labels[arg]
-        else:
-            label = ()
-        if completion is not None:
-            op_id = self.per_proc[p][cursor[p - 1] - 1]
-            label += (("r", op_id, completion.value, completion.seqno),)
-        new_ids = list(ids)
+            step = self.step(node[p - 1], kind, arg)
+        new_local, sends, labels = step
+        new_ids = list(node)
         new_ids[p - 1] = new_local
         adds = self.adds
         for q, entry in sends:
             ident = new_ids[q - 1]
             added = adds.get((ident, entry))
             new_ids[q - 1] = self.add(ident, entry) if added is None else added
-        return label, (tuple(new_ids), cursor)
+        return labels, tuple(new_ids)
 
     def step(self, ident: int, kind: str, arg: int) -> tuple:
         """The stepping process's side of a transition, memoized per local."""
         n = self.n
-        p, snap_id, state, inbox, _, _ = self.locals[ident]
+        p, snap_id, state, inbox, invoked, _ = self.locals[ident]
         if kind == "i":
             key = ("i", arg, snap_id)
         else:
@@ -186,9 +175,17 @@ class _Explorer:
             else:
                 out = self.algo.deliver(state, self.msgs.items[mid], sender)
             sends = tuple((dest, self.msgs.get(msg)) for dest, msg in out.outgoing)
-            trans = (out.state, self.snaps.get(out.state.freeze()), sends, out.completion)
+            snap_id = self.snaps.setdefault(out.state.freeze(), len(self.snaps))
+            trans = (out.state, snap_id, sends, out.completion)
             self.transitions[key] = trans
         state, snap_id, sends, completion = trans
+        labels = ()
+        if kind == "i":
+            invoked += 1
+            labels = (("i", arg),)
+        if completion is not None:
+            op_id = self.per_proc[p][invoked - 1]
+            labels += (("r", op_id, completion.value, completion.seqno),)
         fanout = [
             (q, mid * n + p - 1)
             for dest, mid in sends
@@ -198,7 +195,7 @@ class _Explorer:
             # The invoker dies mid-broadcast: only `deliver_to` hears it,
             # and the invoker halts.
             others = tuple(e for e in fanout if e[0] in self.crash.deliver_to)
-            step = (self.local(p, None, None, ()), others, completion)
+            step = (self.local(p, None, None, (), invoked), others, labels)
         else:
             inbox = list(inbox)
             if kind == "d":
@@ -206,21 +203,21 @@ class _Explorer:
             inbox += [e for q, e in fanout if q == p]
             # Drop messages whose delivery became a forever-no-op: they
             # neither branch the behavior nor tell configurations apart.
-            kept = [e for e in inbox if not self.noop(state, snap_id, e // n, e % n + 1)]
+            kept = sorted(e for e in inbox if not self.noop(state, snap_id, e // n, e % n + 1))
             others = tuple(e for e in fanout if e[0] != p)
-            step = (self.local(p, snap_id, state, tuple(sorted(kept))), others, completion)
+            step = (self.local(p, snap_id, state, tuple(kept), invoked), others, labels)
         self.steps[ident, kind, arg] = step
         return step
 
     def add(self, ident: int, entry: int) -> int:
         """A process's local once `entry` arrives; unchanged if a no-op or
         if the process has halted."""
-        p, snap_id, state, inbox, _, _ = self.locals[ident]
+        p, snap_id, state, inbox, invoked, _ = self.locals[ident]
         n = self.n
         if state is None or self.noop(state, snap_id, entry // n, entry % n + 1):
             added = ident
         else:
-            added = self.local(p, snap_id, state, tuple(sorted(inbox + (entry,))))
+            added = self.local(p, snap_id, state, tuple(sorted(inbox + (entry,))), invoked)
         self.adds[ident, entry] = added
         return added
 
@@ -263,11 +260,9 @@ class _Explorer:
 
     def run(self) -> int:
         """Returns the suffix-set id of the root configuration."""
-        locals0 = []
-        for p in range(1, self.n + 1):
-            state = self.algo.init()
-            locals0.append(self.local(p, self.snaps.get(state.freeze()), state, ()))
-        root = (tuple(locals0), (0,) * self.n)
+        state = self.algo.init()
+        snap_id = self.snaps.setdefault(state.freeze(), len(self.snaps))
+        root = tuple(self.local(p, snap_id, state, (), 0) for p in range(1, self.n + 1))
         # Iterative post-order DFS.  A frame finishes when every child edge
         # has a resolved suffix set; its own set then flows into its parent
         # (via the edge label it was entered through).

@@ -89,8 +89,9 @@ def extract_history(trace: list[TraceEvent], n: int) -> History:
     increments by one per write), so pending writes still get a seqno.
     Raises ValueError unless each op is invoked once and responded to at
     most once, after its invoke, by its process and as its kind; only p1
-    writes; and each process invokes an op only once its previous op has
-    responded, at that tick or later."""
+    writes; each process invokes an op only once its previous op has
+    responded, at that tick or later; process ids start at 1; and a process
+    crashes at most once, with no op event of its own after its crash."""
     hist = History(n=n)
     by_id: dict[int, OpRecord] = {}
     last: dict[int, OpRecord] = {}  # process -> its latest op
@@ -101,6 +102,10 @@ def extract_history(trace: list[TraceEvent], n: int) -> History:
             time, _, _, process, op_id, op_kind, value, _, _, _, _ = ev
             if op_id in by_id:
                 raise ValueError(f"second invoke of op {op_id}")
+            if process < 1:
+                raise ValueError(f"invoke of op {op_id} by p{process}; processes start at p1")
+            if process in hist.crashed:
+                raise ValueError(f"invoke of op {op_id} by p{process} after its crash")
             prev = last.get(process)
             if prev is not None and (prev.respond is None or time < prev.respond):
                 raise ValueError(
@@ -124,6 +129,8 @@ def extract_history(trace: list[TraceEvent], n: int) -> History:
                 raise ValueError(f"respond to op {op_id} before its invoke")
             if rec.respond is not None:
                 raise ValueError(f"second respond to op {op_id}")
+            if process in hist.crashed:
+                raise ValueError(f"respond to op {op_id} by p{process} after its crash")
             if process != rec.process or op_kind != rec.kind:
                 raise ValueError(
                     f"respond to op {op_id} is a {op_kind} by p{process}, "
@@ -133,7 +140,12 @@ def extract_history(trace: list[TraceEvent], n: int) -> History:
             if rec.kind == "read":
                 rec.value, rec.seqno = value, seqno
         elif kind == CRASH:
-            hist.crashed[ev.process] = ev.time
+            process = ev.process
+            if process < 1:
+                raise ValueError(f"crash of p{process}; processes start at p1")
+            if process in hist.crashed:
+                raise ValueError(f"second crash of p{process}")
+            hist.crashed[process] = ev.time
     return hist
 
 

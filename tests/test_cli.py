@@ -253,6 +253,7 @@ def test_bundled_scenarios_pass(name, capsys):
 INVOKE = '{"t":0,"seq":0,"kind":"invoke","p":1,"op":0,"opkind":"write","value":"a"}'
 RESPOND = '{"t":1,"seq":1,"kind":"respond","p":1,"op":0,"opkind":"write","value":null,"wsn":1}'
 SEND = '{"t":0,"seq":1,"kind":"send","p":1,"to":2,"msg":"020100000000000000"}'
+CRASH = '{"t":0,"seq":0,"kind":"crash","p":1}'
 
 
 def _with(line, **fields):
@@ -300,13 +301,25 @@ def _with(line, **fields):
             INVOKE + "\n" + '{"t":1,"seq":1,"kind":"invoke","p":2,"op":0,"opkind":"read"}',
             "second invoke of op 0",
         ),
+        (CRASH + "\n" + _with(INVOKE, t=1, seq=1), "invoke of op 0 by p1 after its crash"),
+        (
+            INVOKE + "\n" + _with(CRASH, t=1, seq=1) + "\n" + _with(RESPOND, t=2, seq=2),
+            "respond to op 0 by p1 after its crash",
+        ),
+        (CRASH + "\n" + _with(CRASH, t=1, seq=1), "second crash of p1"),
+        (
+            '{"t":0,"seq":0,"kind":"invoke","p":0,"op":0,"opkind":"read"}',
+            "invoke of op 0 by p0; processes start at p1",
+        ),
+        (_with(CRASH, p=-1), "crash of p-1; processes start at p1"),
     ],
     ids=[
         "not-an-object", "missing-field", "respond-without-invoke", "string-p",
         "numeric-value", "bool-t", "float-seq", "string-op", "bad-opkind", "null-wsn",
         "list-to", "bool-from", "numeric-msg", "string-round", "respond-before-invoke",
         "deep-nesting", "second-respond", "respond-other-kind", "respond-other-process",
-        "second-invoke",
+        "second-invoke", "invoke-after-crash", "respond-after-crash", "second-crash",
+        "invoke-by-p0", "crash-by-p-1",
     ],
 )
 def test_check_malformed_event_exit_two(tmp_path, capsys, line, reason):

@@ -235,6 +235,27 @@ def test_pinned_history_order(alg, mask):
     assert history_list_digest(res.histories) == ORDERED[alg, mask]
 
 
+# w:1,r:2,r:2 with the write's broadcast cut to p2: p2 runs two ops, so the
+# counts cover a process's operation cursor.  Taken from the explorer that
+# kept the cursors beside the locals; the three algorithms reach the same
+# history list.
+READ2_TWICE = {
+    "teff": (1456, 5555, 237, 122),
+    "teff-modified": (1480, 5920, 195, 92),
+    "abd": (4077, 18536, 224, 192),
+}
+READ2_TWICE_ORDER = "94725bdeeec4e838424c0bd3aae8bc8557c2140e845ff75135ddd40d300a3842"
+
+
+@pytest.mark.parametrize("alg", list(READ2_TWICE))
+def test_pinned_two_ops_on_one_process(alg):
+    res = explore(alg, 3, 1, [WRITE_A, READ2, READ2], crash=crash_of(2))
+    counts = (res.states_visited, res.edges, res.transitions, res.noop_pruned)
+    assert counts == READ2_TWICE[alg]
+    assert len(res.histories) == 11
+    assert history_list_digest(res.histories) == READ2_TWICE_ORDER
+
+
 @pytest.mark.parametrize("alg", ["teff", "abd"])
 @pytest.mark.parametrize(
     "ops,mask", [([WRITE_A, READ2, READ3], 2), ([WRITE_A, READ2], None)], ids=["wrr-2", "wr"]
