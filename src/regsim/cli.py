@@ -18,6 +18,7 @@ budgets.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -39,6 +40,12 @@ EXIT_RESOURCE_BOUND = 3
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # A command makes no reference cycles worth a pass of Python's cyclic
+    # collector, but a long trace makes each pass traverse every event it
+    # holds.  So the collector pauses while the command runs, and afterwards
+    # is back in the state the caller left it in, also on error.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -50,6 +57,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceededError, ExploreLimitError) as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_BOUND
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _build_parser() -> argparse.ArgumentParser:

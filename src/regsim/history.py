@@ -104,6 +104,8 @@ def extract_history(trace: list[TraceEvent], n: int) -> History:
                 raise ValueError(f"second invoke of op {op_id}")
             if process < 1:
                 raise ValueError(f"invoke of op {op_id} by p{process}; processes start at p1")
+            if process > n:
+                raise ValueError(f"invoke of op {op_id} by p{process}; processes end at p{n}")
             if process in hist.crashed:
                 raise ValueError(f"invoke of op {op_id} by p{process} after its crash")
             prev = last.get(process)
@@ -143,6 +145,8 @@ def extract_history(trace: list[TraceEvent], n: int) -> History:
             process = ev.process
             if process < 1:
                 raise ValueError(f"crash of p{process}; processes start at p1")
+            if process > n:
+                raise ValueError(f"crash of p{process}; processes end at p{n}")
             if process in hist.crashed:
                 raise ValueError(f"second crash of p{process}")
             hist.crashed[process] = ev.time

@@ -8,16 +8,24 @@ for simultaneous events.  Process 0 stands for the system itself
 
 Events are immutable NamedTuples.  A line is built from one template per
 kind, exactly as `json.dumps(obj, separators=(",", ":"))` would write the
-event's fields, and parsed back with every field's type checked.  Messages
-are frozen values, and a trace repeats few of them many times (a relayed
-WRITE is one message sent and delivered n^2 times), so each distinct message
-is encoded to hex, and each distinct hex string decoded, once per memo entry.
+event's fields.  A send or deliver line of exactly that shape is parsed back
+by one compiled pattern, the inverse of those two templates.  Every other
+line (the other kinds, and any line the pattern declines: spaces, other key
+orders, escapes, floats, `-0` and the like) is parsed as JSON with every
+field's type checked.  Either way a line gives the same event or the same
+error.  Messages are frozen values, and a trace repeats few of them many
+times (a relayed WRITE is one message sent and delivered n^2 times), so each
+distinct message is encoded to hex, and each distinct hex string decoded,
+once per memo entry.  The regsim commands run with Python's cyclic garbage
+collector paused (`cli.main`), so a long trace is read without collector
+passes over its growing event list.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import re
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -50,6 +58,16 @@ class TraceEvent(NamedTuple):
     # round_start
     round_no: int | None = None
 
+
+# The send and deliver templates of `event_to_json`, inverted: an integer as
+# `str(int)` writes it (no `-0`, no leading zero), and the peer's key follows
+# the kind ("to" if group 3 matched "send", else "from").  Groups: t, seq,
+# "send" or None, p, peer, message hex.
+_INT = "(0|-?[1-9][0-9]*)"
+_MESSAGE_LINE = re.compile(
+    f'{{"t":{_INT},"seq":{_INT},"kind":"(?:(send)|deliver)","p":{_INT},'
+    f'"(?(3)to|from)":{_INT},"msg":"([0-9a-f]*)"}}'
+)
 
 _string = json.JSONEncoder(separators=(",", ":")).encode
 _raw_decode = json.JSONDecoder().raw_decode
@@ -116,6 +134,20 @@ def event_to_json(ev: TraceEvent) -> str:
 
 
 def event_from_json(line: str) -> TraceEvent:
+    """The event of one line.  Raises ValueError on a malformed line."""
+    match = _MESSAGE_LINE.fullmatch(line)
+    if match is None:
+        return _json_event(line)
+    time, seq, sent, process, peer, raw = match.groups()
+    return TraceEvent(
+        int(time), int(seq), SEND if sent else DELIVER, int(process),
+        None, None, None, None, int(peer), _message_from_hex(raw),
+    )
+
+
+def _json_event(line: str) -> TraceEvent:
+    """Any line, parsed as JSON with every field's type checked: the
+    reference that the send/deliver pattern must agree with."""
     line = line.strip(" \t\n\r")  # the JSON whitespace json.loads skips, raw_decode not
     try:
         obj, end = _raw_decode(line)

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, artifacts, report regeneration."""
 
+import gc
 import json
 import re
 from collections import Counter
@@ -74,6 +75,42 @@ def test_run_schedule_error_exit_two(tmp_path, capsys):
         ],
     )
     assert main(["run", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize(
+    "over,budget,code",
+    [({}, None, 0), ({"n": 4, "t": 2}, None, 2), ({}, "2", 3), ({}, None, RuntimeError)],
+    ids=["exit-0", "config-error-exit-2", "resource-bound-exit-3", "raises"],
+)
+def test_main_leaves_the_collector_as_it_found_it(
+    tmp_path, capsys, monkeypatch, collecting, over, budget, code
+):
+    cfg = write_config(tmp_path, **over)
+    if budget is not None:
+        monkeypatch.setenv("REGSIM_EVENT_BUDGET", budget)
+    during = []
+    cmd_run = regsim.cli.cmd_run
+
+    def recorded(args):
+        during.append(gc.isenabled())
+        if code is RuntimeError:
+            raise RuntimeError("command failed")
+        return cmd_run(args)
+
+    monkeypatch.setattr(regsim.cli, "cmd_run", recorded)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if code is RuntimeError:
+            with pytest.raises(RuntimeError, match="command failed"):
+                main(["run", str(cfg)])
+        else:
+            assert main(["run", str(cfg)]) == code
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
 
 
 def test_run_check_failure_exit_one(capsys):
@@ -357,14 +394,23 @@ def test_check_trace_outside_the_model_exit_two(tmp_path, capsys, lines, reason)
     assert err.startswith("trace error:") and reason in err and err.count("\n") == 1
 
 
-def test_check_with_config_malformed_trace_exit_two(tmp_path, capsys):
+# The scenario has n=3, so p9 and p4 name no process of it.
+@pytest.mark.parametrize(
+    "lines,reason",
+    [
+        ([RESPOND], "respond to op 0 with no invoke"),
+        ([INVOKE, RESPOND, _with(READ, p=9, op=99)], "invoke of op 99 by p9; processes end at p3"),
+        ([_with(CRASH, p=4)], "crash of p4; processes end at p3"),
+    ],
+    ids=["respond-without-invoke", "invoke-by-p9", "crash-of-p4"],
+)
+def test_check_with_config_malformed_trace_exit_two(tmp_path, capsys, lines, reason):
     cfg = write_config(tmp_path)
     trace = tmp_path / "trace.jsonl"
-    trace.write_text(RESPOND + "\n")
+    trace.write_text("\n".join(lines) + "\n")
     assert main(["check", str(trace), "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("trace error:") and "respond to op 0 with no invoke" in err
-    assert err.count("\n") == 1
+    assert err.startswith("trace error:") and reason in err and err.count("\n") == 1
 
 
 def test_check_with_config_runs_each_checker_once(tmp_path, capsys, monkeypatch):

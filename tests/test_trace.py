@@ -1,7 +1,9 @@
 """Trace events: the JSONL codec writes what `json.dumps` would, round trips
-every event, and rejects malformed input with ValueError."""
+every event, and rejects malformed input with ValueError.  The send/deliver
+pattern agrees with the JSON path on every line, canonical or not."""
 
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +27,8 @@ from regsim.trace import (
     ROUND_START,
     SEND,
     TraceEvent,
+    _json_event,
+    _MESSAGE_LINE,
     event_from_json,
     event_to_json,
 )
@@ -102,8 +106,10 @@ def dumps_event(ev):
 
 U64 = st.integers(0, 2**64 - 1)
 # Quotes, backslashes, control characters, non-ASCII and astral characters
-# are the ones JSON escapes.
-TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\xe9\u2028\U0001f600a') | st.characters())
+# are the ones JSON escapes.  Values are UTF-8 bytes, so no lone surrogates.
+TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\xe9\u2028\U0001f600a') | st.characters(codec="utf-8")
+)
 VALUE = st.none() | TEXT.map(lambda text: text.encode("utf-8"))
 BLOCK = st.none() | st.binary(max_size=8)
 MESSAGES = st.one_of(
@@ -150,7 +156,84 @@ def _sent(msg):
 def test_codec_matches_json_dumps_and_round_trips(ev):
     line = event_to_json(ev)
     assert line == dumps_event(ev)
-    assert event_from_json(line) == ev
+    # Every send/deliver line takes the pattern, and the JSON path agrees.
+    assert (_MESSAGE_LINE.fullmatch(line) is not None) == (ev.kind in (SEND, DELIVER))
+    assert event_from_json(line) == _json_event(line) == ev
+
+
+def _outcome(decode, line):
+    try:
+        return decode(line)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _first_int(key, to):
+    """Replace the integer of field `key` by to(its text)."""
+    return lambda line: re.sub(f'"{key}":(-?[0-9]+)', lambda m: f'"{key}":{to(m[1])}', line, 1)
+
+
+def _escape_kind(line):
+    kind = json.loads(line)["kind"]
+    return line.replace(f'"kind":"{kind}"', f'"kind":"\\u{ord(kind[0]):04x}{kind[1:]}"')
+
+
+def _swap_peer_key(line):
+    if '"to":' in line:
+        return line.replace('"to":', '"from":')
+    return line.replace('"from":', '"to":')
+
+
+def _upper_hex(line):
+    return re.sub('"msg":"([0-9a-f]*)"', lambda m: f'"msg":"{m[1].upper()}"', line)
+
+
+# Lines near the canonical send/deliver shape; each must give the JSON path's
+# event or error.
+PERTURBATIONS = {
+    "default-separators": lambda line: json.dumps(json.loads(line)),
+    "reordered-keys": lambda line: json.dumps(
+        dict(reversed(json.loads(line).items())), separators=(",", ":")
+    ),
+    "duplicated-key": lambda line: line[:-1] + ',"p":7}',
+    "leading-zero": _first_int("seq", lambda text: "0" + text),
+    "minus-zero": _first_int("t", lambda text: "-0"),
+    "uppercase-hex": _upper_hex,
+    "escaped-kind": _escape_kind,
+    "float-field": _first_int("p", lambda text: text + ".0"),
+    "bool-field": _first_int("t", lambda text: "true"),
+    "swapped-peer-key": _swap_peer_key,
+    "trailing-data": lambda line: line + "}",
+    "long-integer": _first_int("seq", lambda text: "9" * 5000),
+}
+MESSAGE_EVENTS = st.builds(
+    TraceEvent, st.integers(), st.integers(), st.sampled_from([SEND, DELIVER]), st.integers(),
+    peer=st.integers(), message=MESSAGES,
+)
+# Their hex holds the letters a-f.
+SENT = _sent(Read(0xFACE))
+DELIVERED = TraceEvent(3, 4, DELIVER, 2, peer=1, message=State(0xBEEF, 1))
+
+
+@example(SENT, "default-separators")
+@example(DELIVERED, "reordered-keys")
+@example(SENT, "duplicated-key")
+@example(DELIVERED, "leading-zero")
+@example(SENT, "minus-zero")
+@example(DELIVERED, "uppercase-hex")
+@example(SENT, "escaped-kind")
+@example(DELIVERED, "escaped-kind")
+@example(SENT, "float-field")
+@example(DELIVERED, "bool-field")
+@example(SENT, "swapped-peer-key")
+@example(DELIVERED, "swapped-peer-key")
+@example(SENT, "trailing-data")
+@example(DELIVERED, "long-integer")
+@settings(max_examples=600, deadline=None)
+@given(MESSAGE_EVENTS, st.sampled_from(sorted(PERTURBATIONS)))
+def test_perturbed_message_lines_decode_as_json_does(ev, perturbation):
+    line = PERTURBATIONS[perturbation](event_to_json(ev))
+    assert _outcome(event_from_json, line) == _outcome(_json_event, line)
 
 
 @pytest.mark.parametrize("msg", ["zz", "09", "0101"], ids=["not-hex", "unknown-tag", "truncated"])
