@@ -17,11 +17,11 @@ __all__ = ["ALGORITHMS", "AbdAlgo", "Op", "TeffAlgo", "make_algorithm"]
 ALGORITHMS = ("teff", "teff-modified", "abd")
 
 
-def make_algorithm(name: str, n: int, t: int, options: dict | None = None):
+def make_algorithm(name: str, n: int, t: int):
     if name == "teff":
-        return TeffAlgo(n, t, BASE, options)
+        return TeffAlgo(n, t, BASE)
     if name == "teff-modified":
-        return TeffAlgo(n, t, MODIFIED, options)
+        return TeffAlgo(n, t, MODIFIED)
     if name == "abd":
         return AbdAlgo(n, t)
     raise ValueError(f"unknown algorithm {name!r}")

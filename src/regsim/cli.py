@@ -8,9 +8,9 @@
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error
 (including a file that cannot be read or written, an `explore` model that
-`config.check_model` rejects and a `--max-states` below 1), 3 resource bound
-exceeded.
-REGSIM_EVENT_BUDGET overrides the per-run event budget.  All scenario
+`config.check_model` rejects, and a `--max-states` or REGSIM_EVENT_BUDGET
+below 1), 3 resource bound exceeded.
+REGSIM_EVENT_BUDGET sets the per-run event budget.  All scenario
 semantics live in the config file; flags only control seeds, I/O paths, and
 budgets.
 """
@@ -110,9 +110,12 @@ def _event_budget() -> int:
     if raw is None:
         return DEFAULT_EVENT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError as exc:
         raise ConfigError(f"REGSIM_EVENT_BUDGET must be an integer, got {raw!r}") from exc
+    if budget < 1:
+        raise ConfigError(f"REGSIM_EVENT_BUDGET must be at least 1, got {budget}")
+    return budget
 
 
 def cmd_run(args) -> int:

@@ -6,16 +6,14 @@ A scenario is a JSON object:
       "n": 5, "t": 2,
       "algorithm": "teff" | "teff-modified" | "abd",
       "network": {"kind": "bounded_delay", "Delta": 10,
-                  "schedule": {"mode": "fixed", "delay": 10},
-                  "overrides": [{"from": 5, "to": 1, "tag": "Read", "delay": 1}]},
+                  "schedule": {"mode": "fixed", "delay": 10}},
       "crashes": [{"process": 1, "at": 30},
                   {"process": 1, "during_broadcast":
                       {"op_index": 0, "deliver_to": [2], "crash_at": 11}},
                   {"process": 2, "during_forward": {"wsn": 1, "deliver_to": [3]}}],
       "ops": [{"time": 0, "process": 1, "op": "write", "value": "a"},
               {"time": 40, "process": 2, "op": "read"}],
-      "seed": 42,
-      "options": {"writer_local_read": false, "quorum_counts_state": true}
+      "seed": 42
     }
 
 Network kinds: "async" (random delays in [1, Dmax]), "bounded_delay" (random
@@ -24,12 +22,13 @@ to round starts); `NetworkSpec.delta` holds whichever of Dmax, Delta and
 delta the kind takes.  `schedule` pins delays instead of drawing them:
 "fixed" (parsed as a one-entry list), "list" (consumed in send order, last
 entry repeats), or "increasing" (every message slower than the one before;
-async only).  `overrides` pin the delay of individual (sender, receiver,
-message-tag) edges and win over the schedule.  All times are integer ticks.
+async only).  All times are integer ticks.
 
 The model check (0 <= t, 2t < n, a known algorithm) is `check_model`, which
-`regsim explore` shares.  Option values are JSON booleans.  Input of the
-wrong JSON type raises ConfigError like any other malformed field.
+`regsim explore` shares.  Every object, nested ones included, admits only
+its own keys (a network only its kind's delta field, a schedule only its
+mode's keys, a read no value); an unknown key raises ConfigError, as does
+input of the wrong JSON type or any other malformed field.
 
 Crash triggers: "at" halts the process at a tick; "during_broadcast"
 truncates the named operation's initiating broadcast to `deliver_to` —
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import messages
@@ -75,21 +74,12 @@ class CrashSpec:
         return "during_broadcast"
 
 
-@dataclass(frozen=True)
-class DelayOverride:
-    sender: int
-    dest: int
-    tag: str | None  # message class name, e.g. "Read"; None matches any
-    delay: int
-
-    def matches(self, sender: int, dest: int, msg) -> bool:
-        if self.sender != sender or self.dest != dest:
-            return False
-        return self.tag is None or type(msg).__name__ == self.tag
-
-
 # The field that holds each network kind's delay bound.
 _DELTA_FIELD = {"async": "Dmax", "bounded_delay": "Delta", "round_sync": "delta"}
+# The keys each schedule mode takes besides "mode".
+_SCHEDULE_FIELDS = {"fixed": ("delay",), "list": ("delays",), "increasing": ("start", "step")}
+_OP_FIELDS = ("time", "process", "op")
+_TRIGGERS = ("at", "during_broadcast", "during_forward")
 
 
 @dataclass(frozen=True)
@@ -100,7 +90,6 @@ class NetworkSpec:
     schedule_list: tuple[int, ...] = ()
     schedule_start: int = DEFAULT_INCREASING_START
     schedule_step: int = 1
-    overrides: tuple[DelayOverride, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -112,7 +101,6 @@ class ScenarioConfig:
     ops: tuple[Op, ...]
     crashes: tuple[CrashSpec, ...] = ()
     seed: int = 0
-    options: dict = field(default_factory=dict)
     digest: str = ""
 
 
@@ -128,32 +116,19 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     return replace(parse_scenario(data), digest=hashlib.sha256(raw).hexdigest())
 
 
-_KNOWN_FIELDS = {
-    "n", "t", "algorithm", "network", "crashes", "ops", "seed", "options",
-    "description",
-}
+_KNOWN_FIELDS = ("n", "t", "algorithm", "network", "crashes", "ops", "seed", "description")
 
 
 def parse_scenario(data: dict) -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("scenario must be a JSON object")
-    unknown = set(data) - _KNOWN_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
+    _object(data, "scenario", _KNOWN_FIELDS)
     n = _req_int(data, "n")
     t = _req_int(data, "t")
     algorithm = data.get("algorithm", "teff")
     check_model(n, t, algorithm)
-    network = _parse_network(data.get("network"), n)
+    network = _parse_network(data.get("network"))
     ops = _parse_ops(data.get("ops", []), n)
     crashes = _parse_crashes(data.get("crashes", []), n, t, ops, network, algorithm)
     seed = _int(data.get("seed", 0), "seed")
-    options = _object(data.get("options", {}), "options")
-    for key, value in options.items():
-        if key not in ("writer_local_read", "quorum_counts_state"):
-            raise ConfigError(f"unknown option {key!r}")
-        if not isinstance(value, bool):
-            raise ConfigError(f"option {key} must be true or false")
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
     return ScenarioConfig(
         n=n,
@@ -163,7 +138,6 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         ops=ops,
         crashes=crashes,
         seed=seed,
-        options=dict(options),
         digest=hashlib.sha256(canonical).hexdigest(),
     )
 
@@ -202,36 +176,38 @@ def _pid(data: dict, key: str, n: int, where: str) -> int:
     return process
 
 
-def _object(value, what: str) -> dict:
+def _object(value, what: str, fields: tuple[str, ...] | None = None) -> dict:
+    """`value` as a JSON object; with `fields`, one that holds no other key."""
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be an object")
+    if fields is not None:
+        unknown = set(value).difference(fields)
+        if unknown:
+            raise ConfigError(f"{what}: unknown fields {sorted(unknown)}")
     return value
 
 
-def _parse_network(data, n: int) -> NetworkSpec:
+def _parse_network(data) -> NetworkSpec:
     if data is None:
         raise ConfigError("missing required field 'network'")
     kind = _object(data, "network").get("kind")
     if not isinstance(kind, str) or kind not in _DELTA_FIELD:
         raise ConfigError(f"unknown network kind {kind!r}")
+    _object(data, "network", ("kind", _DELTA_FIELD[kind], "schedule"))
     spec = NetworkSpec(kind, _req_int(data, _DELTA_FIELD[kind], minimum=1))
     schedule = data.get("schedule")
     if schedule is not None:
         if kind == "round_sync":
             raise ConfigError("round_sync delays are fixed at delta; no schedule allowed")
-        spec = _parse_schedule(spec, _object(schedule, "schedule"))
-    overrides = data.get("overrides", [])
-    if not isinstance(overrides, list):
-        raise ConfigError("overrides must be an array")
-    if overrides:
-        if kind == "round_sync":
-            raise ConfigError("round_sync delays are fixed at delta; no overrides allowed")
-        spec = _parse_overrides(spec, overrides, n)
+        spec = _parse_schedule(spec, schedule)
     return spec
 
 
-def _parse_schedule(spec: NetworkSpec, schedule: dict) -> NetworkSpec:
-    mode = schedule.get("mode")
+def _parse_schedule(spec: NetworkSpec, schedule) -> NetworkSpec:
+    mode = _object(schedule, "schedule").get("mode")
+    if not isinstance(mode, str) or mode not in _SCHEDULE_FIELDS:
+        raise ConfigError(f"unknown schedule mode {mode!r}")
+    _object(schedule, "schedule", ("mode", *_SCHEDULE_FIELDS[mode]))
     if mode == "fixed":
         delays = [_req_int(schedule, "delay", minimum=1)]
     elif mode == "list":
@@ -240,7 +216,7 @@ def _parse_schedule(spec: NetworkSpec, schedule: dict) -> NetworkSpec:
             raise ConfigError("schedule mode 'list' needs a non-empty 'delays' array")
         for d in delays:
             _int(d, "schedule delays", minimum=1)
-    elif mode == "increasing":
+    else:
         if spec.kind != "async":
             raise ConfigError("an increasing schedule is unbounded; async only")
         start = _int(schedule.get("start", DEFAULT_INCREASING_START), "start", minimum=1)
@@ -248,27 +224,9 @@ def _parse_schedule(spec: NetworkSpec, schedule: dict) -> NetworkSpec:
         return replace(
             spec, schedule_mode="increasing", schedule_start=start, schedule_step=step
         )
-    else:
-        raise ConfigError(f"unknown schedule mode {mode!r}")
     for d in delays:
         _check_delay_bound(spec, d)
     return replace(spec, schedule_mode="list", schedule_list=tuple(delays))
-
-
-def _parse_overrides(spec: NetworkSpec, overrides: list, n: int) -> NetworkSpec:
-    parsed = []
-    for i, item in enumerate(overrides):
-        where = f"overrides[{i}]"
-        item = _object(item, where)
-        sender = _pid(item, "from", n, where)
-        dest = _pid(item, "to", n, where)
-        delay = _req_int(item, "delay", minimum=1)
-        _check_delay_bound(spec, delay)
-        tag = item.get("tag")
-        if tag is not None and not isinstance(tag, str):
-            raise ConfigError("override tag must be a string")
-        parsed.append(DelayOverride(sender, dest, tag, delay))
-    return replace(spec, overrides=tuple(parsed))
 
 
 def _check_delay_bound(spec: NetworkSpec, delay: int) -> None:
@@ -281,23 +239,22 @@ def _parse_ops(items, n: int) -> tuple[Op, ...]:
         raise ConfigError("ops must be an array")
     ops = []
     for i, item in enumerate(items):
-        item = _object(item, f"ops[{i}]")
+        where = f"ops[{i}]"
+        kind = _object(item, where).get("op")
+        if kind not in ("write", "read"):
+            raise ConfigError(f"{where}: op must be 'write' or 'read'")
+        _object(item, where, _OP_FIELDS if kind == "read" else (*_OP_FIELDS, "value"))
         time = _req_int(item, "time", minimum=0)
-        process = _pid(item, "process", n, f"ops[{i}]")
-        kind = item.get("op")
-        if kind == "write":
-            if process != 1:
-                raise ConfigError(
-                    f"ops[{i}]: writes are issued by the designated writer (process 1)"
-                )
-            value = item.get("value")
-            if not isinstance(value, str) or value == "":
-                raise ConfigError(f"ops[{i}]: write needs a non-empty string value")
-            ops.append(Op(process, "write", value.encode("utf-8"), time))
-        elif kind == "read":
+        process = _pid(item, "process", n, where)
+        if kind == "read":
             ops.append(Op(process, "read", None, time))
-        else:
-            raise ConfigError(f"ops[{i}]: op must be 'write' or 'read'")
+            continue
+        if process != 1:
+            raise ConfigError(f"{where}: writes are issued by the designated writer (process 1)")
+        value = item.get("value")
+        if not isinstance(value, str) or value == "":
+            raise ConfigError(f"{where}: write needs a non-empty string value")
+        ops.append(Op(process, "write", value.encode("utf-8"), time))
     return tuple(ops)
 
 
@@ -311,12 +268,12 @@ def _parse_crashes(
     crashes = []
     seen = set()
     for i, item in enumerate(items):
-        item = _object(item, f"crashes[{i}]")
+        item = _object(item, f"crashes[{i}]", ("process", *_TRIGGERS))
         process = _pid(item, "process", n, f"crashes[{i}]")
         if process in seen:
             raise ConfigError(f"crashes[{i}]: process {process} crashes twice")
         seen.add(process)
-        triggers = [k for k in ("at", "during_broadcast", "during_forward") if k in item]
+        triggers = [k for k in _TRIGGERS if k in item]
         if len(triggers) != 1:
             raise ConfigError(
                 f"crashes[{i}]: exactly one of at/during_broadcast/during_forward"
@@ -324,7 +281,11 @@ def _parse_crashes(
         if "at" in item:
             crashes.append(CrashSpec(process, at=_req_int(item, "at", minimum=0)))
         elif "during_broadcast" in item:
-            spec = _object(item["during_broadcast"], f"crashes[{i}]: during_broadcast")
+            spec = _object(
+                item["during_broadcast"],
+                f"crashes[{i}]: during_broadcast",
+                ("op_index", "deliver_to", "crash_at"),
+            )
             op_index = _req_int(spec, "op_index", minimum=0)
             if op_index >= len(ops):
                 raise ConfigError(f"crashes[{i}]: op_index {op_index} out of range")
@@ -349,7 +310,9 @@ def _parse_crashes(
         else:
             if algorithm == "abd":
                 raise ConfigError(f"crashes[{i}]: during_forward applies to teff only")
-            spec = _object(item["during_forward"], f"crashes[{i}]: during_forward")
+            spec = _object(
+                item["during_forward"], f"crashes[{i}]: during_forward", ("wsn", "deliver_to")
+            )
             wsn = _req_int(spec, "wsn", minimum=1)
             deliver_to = _parse_subset(spec.get("deliver_to"), n, f"crashes[{i}]")
             crashes.append(CrashSpec(process, forward_wsn=wsn, deliver_to=deliver_to))

@@ -84,29 +84,18 @@ class RunResult:
     seed: int
 
 
-class _DelaySource:
-    """Per-send delays.  The first override matching (sender, receiver, tag)
-    wins; otherwise the network's rule, picked once per run, gives the
-    delay.  A rule that counts (a list or an increasing schedule) or draws
-    (one randint per send, in send order) advances only when it is used."""
-
-    def __init__(self, spec: NetworkSpec, rng: random.Random):
-        self.overrides = spec.overrides
-        if spec.kind == "round_sync":
-            self.rule = itertools.repeat(spec.delta).__next__
-        elif spec.schedule_mode == "list":
-            delays = spec.schedule_list
-            self.rule = itertools.chain(delays, itertools.repeat(delays[-1])).__next__
-        elif spec.schedule_mode == "increasing":
-            self.rule = itertools.count(spec.schedule_start, spec.schedule_step).__next__
-        else:
-            self.rule = functools.partial(rng.randint, 1, spec.delta)
-
-    def next(self, sender: int, dest: int, msg: Message) -> int:
-        for ov in self.overrides:
-            if ov.matches(sender, dest, msg):
-                return ov.delay
-        return self.rule()
+def _delay_rule(spec: NetworkSpec, rng: random.Random):
+    """The network's per-send delay, as a callable picked once per run.  A
+    rule that counts (a list or an increasing schedule) or draws (one
+    randint per send, in send order) advances only when it is called."""
+    if spec.kind == "round_sync":
+        return itertools.repeat(spec.delta).__next__
+    if spec.schedule_mode == "list":
+        delays = spec.schedule_list
+        return itertools.chain(delays, itertools.repeat(delays[-1])).__next__
+    if spec.schedule_mode == "increasing":
+        return itertools.count(spec.schedule_start, spec.schedule_step).__next__
+    return functools.partial(rng.randint, 1, spec.delta)
 
 
 class _Sim:
@@ -115,9 +104,9 @@ class _Sim:
         self.seed = seed
         self.budget = budget
         self.messages = messages
-        self.algo = make_algorithm(config.algorithm, config.n, config.t, config.options)
+        self.algo = make_algorithm(config.algorithm, config.n, config.t)
         self.states = {p: self.algo.init() for p in range(1, config.n + 1)}
-        self.delays = _DelaySource(config.network, random.Random(seed))
+        self.delay = _delay_rule(config.network, random.Random(seed))
         self.round = config.network.kind == "round_sync"
         self.delta = config.network.delta
         self.trace: list[TraceEvent] = []
@@ -249,8 +238,7 @@ class _Sim:
                     continue
                 if self.messages:
                     self._emit(time, SEND, sender, None, None, None, None, target, msg)
-                delay = self.delays.next(sender, target, msg)
-                self._push(time + delay, (_DLV, target, msg, sender))
+                self._push(time + self.delay(), (_DLV, target, msg, sender))
 
     def _respond(self, time: int, proc: int, result) -> None:
         op_id = self.pending_op.pop(proc)
@@ -264,7 +252,7 @@ def run(
     budget: int = DEFAULT_EVENT_BUDGET,
     messages: bool = True,
 ) -> RunResult:
-    """Execute a scenario.  `seed` overrides the config's seed; with
+    """Execute a scenario.  `seed`, if given, replaces the config's seed; with
     `messages=False` the trace holds no SEND/DELIVER events."""
     effective_seed = config.seed if seed is None else seed
     return _Sim(config, effective_seed, budget, messages).run()

@@ -90,8 +90,8 @@ class _Interner:
 
 
 class _Explorer:
-    def __init__(self, algorithm, n, t, ops, crash, options, max_states):
-        self.algo = make_algorithm(algorithm, n, t, options)
+    def __init__(self, algorithm, n, t, ops, crash, max_states):
+        self.algo = make_algorithm(algorithm, n, t)
         self.n = n
         self.ops = ops
         self.crash = crash
@@ -300,13 +300,12 @@ def explore(
     ops: list[Op] | tuple[Op, ...],
     *,
     crash: BroadcastCrash | None = None,
-    options: dict | None = None,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> ExploreResult:
     ops = tuple(ops)
     if crash is not None and not 0 <= crash.op_index < len(ops):
         raise ValueError(f"crash op_index {crash.op_index} out of range")
-    explorer = _Explorer(algorithm, n, t, ops, crash, options, max_states)
+    explorer = _Explorer(algorithm, n, t, ops, crash, max_states)
     root_set = explorer.run()
     suffixes = [explorer.suffixes.items[s] for s in explorer.suffix_sets.items[root_set]]
     crash_op = -1 if crash is None else crash.op_index

@@ -12,26 +12,21 @@ Two variants:
 
 * base      - STATE(rsn, wsn): replies carry only the sequence number.
 * modified  - STATE(rsn, wsn, reg): replies carry the value too, and a
-              received STATE is first pushed through the WRITE handler, so a
-              reader can re-broadcast a value it learned from a reply.  This
-              is what keeps reads bounded when the writer dies mid-write and
-              no surviving process holds the value.
+              received STATE is first pushed through the WRITE handler, its
+              sender counted as a holder of that write, so a reader can
+              re-broadcast a value it learned from a reply.  This is what
+              keeps reads bounded when the writer dies mid-write and no
+              surviving process holds the value.
 
-`TeffAlgo(n, t, variant, options)` is the protocol: it holds the system
-constants (the quorum n - t, the variant and the two options) and the
-handlers.  A replica state holds only the protocol's variables, so every
-process starts from the same state and no handler takes a process id; the
-writer check reads the invoked `Op`'s process.  Every field of a replica
-state holds an immutable value (ints, bytes, frozensets, frozen records, and
-a `know` dict that handlers replace rather than change), so `clone` is a
-shallow copy.  Handlers are pure: they never mutate the input state, and
-identical (state, input) pairs produce identical outputs.  Process 1 is the
-writer.
-
-Options (JSON booleans in a scenario): `quorum_counts_state` (default true)
-lets a modified-variant STATE reply count toward a write's quorum, and
-`writer_local_read` (default false) lets the writer answer its own reads
-from its copy at once.
+`TeffAlgo(n, t, variant)` is the protocol: it holds the system constants
+(the quorum n - t and the variant) and the handlers.  A replica state holds
+only the protocol's variables, so every process starts from the same state
+and no handler takes a process id; the writer check reads the invoked
+`Op`'s process.  Every field of a replica state holds an immutable value
+(ints, bytes, frozensets, frozen records, and a `know` dict that handlers
+replace rather than change), so `clone` is a shallow copy.  Handlers are
+pure: they never mutate the input state, and identical (state, input) pairs
+produce identical outputs.  Process 1 is the writer.
 """
 
 from __future__ import annotations
@@ -106,15 +101,12 @@ class ReplicaState:
 
 
 class TeffAlgo:
-    def __init__(self, n: int, t: int, variant: str, options: dict | None = None):
+    def __init__(self, n: int, t: int, variant: str):
         check_model(n, t)
         if variant not in (BASE, MODIFIED):
             raise ProtocolError(f"unknown variant {variant!r}")
-        options = options or {}
         self.quorum = n - t
         self.variant = variant
-        self.quorum_counts_state = options.get("quorum_counts_state", True)
-        self.writer_local_read = options.get("writer_local_read", False)
 
     @staticmethod
     def init() -> ReplicaState:
@@ -135,11 +127,6 @@ class TeffAlgo:
             st.forwarded = st.forwarded | {st.wsn}  # the initiating broadcast is its forward
             st.pending_write = PendingWrite(st.wsn)
             return HandlerOutput(st, ((BROADCAST, Write(st.wsn, op.value)),))
-        if self.writer_local_read and op.process == WRITER:
-            # Optional shortcut: the writer serves reads from its own copy.
-            return HandlerOutput(
-                state.clone(), completion=OpResult("read", state.reg, state.wsn)
-            )
         st = state.clone()
         st.rsn += 1
         st.pending_read = PendingRead(st.rsn, frozenset(), 0)
@@ -201,12 +188,10 @@ class TeffAlgo:
         st = state.clone()
         outgoing: tuple[tuple[int | None, Message], ...] = ()
         if self.variant == MODIFIED and wsn >= 1:
-            # The modified variant treats the reply like a WRITE first.  wsn 0
-            # is the initial value: no WRITE(0) exists, so there is nothing to
-            # forward or count for it.
-            outgoing = self._absorb_write(
-                st, wsn, value, sender, count=self.quorum_counts_state
-            )
+            # The modified variant treats the reply like a WRITE first, its
+            # sender counted as a holder.  wsn 0 is the initial value: no
+            # WRITE(0) exists, so there is nothing to forward or count for it.
+            outgoing = self._absorb_write(st, wsn, value, sender)
         pr = st.pending_read
         if pr is not None and pr.rsn == rsn:
             st.pending_read = PendingRead(
@@ -231,7 +216,6 @@ class TeffAlgo:
         wsn: int,
         value: bytes | None,
         sender: int,
-        count: bool = True,
     ) -> tuple[tuple[int | None, Message], ...]:
         """Lines shared by WRITE receipt (both variants) and STATE receipt
         (modified variant): adopt newer value, forward once, count knowledge,
@@ -247,7 +231,7 @@ class TeffAlgo:
             outgoing = ((BROADCAST, Write(wsn, value)),)
         if wsn > st.swsn:
             holders = st.know.get(wsn, frozenset())
-            if count and sender not in holders:
+            if sender not in holders:
                 holders = holders | {sender}
                 st.know = {**st.know, wsn: holders}
             if len(holders) >= self.quorum:

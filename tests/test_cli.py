@@ -56,7 +56,7 @@ def test_run_config_error_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "over",
-    [{"network": 5, "ops": []}, {"options": {"writer_local_read": "no"}}],
+    [{"network": 5, "ops": []}, {"crashes": {"process": 2, "at": 5}}],
     ids=str,
 )
 def test_run_wrong_json_type_exit_two(tmp_path, capsys, over):
@@ -64,6 +64,27 @@ def test_run_wrong_json_type_exit_two(tmp_path, capsys, over):
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+BOUNDED = {"kind": "bounded_delay", "Delta": 10}
+
+
+@pytest.mark.parametrize(
+    "over,error",
+    [
+        ({"options": {"writer_local_read": False}}, "scenario: unknown fields ['options']"),
+        ({"network": {**BOUNDED, "overrides": []}}, "network: unknown fields ['overrides']"),
+        (
+            {"network": {**BOUNDED, "shedule": {"mode": "fixed", "delay": 1}}},
+            "network: unknown fields ['shedule']",
+        ),
+    ],
+    ids=["options", "overrides", "shedule"],
+)
+def test_run_unknown_field_exit_two(tmp_path, capsys, over, error):
+    cfg = write_config(tmp_path, **over)
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
 
 
 def test_run_schedule_error_exit_two(tmp_path, capsys):
@@ -124,6 +145,15 @@ def test_budget_exit_three(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path)
     assert main(["run", str(cfg)]) == 3
     assert "resource bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5", "many"])
+def test_bad_event_budget_exit_two(tmp_path, capsys, monkeypatch, budget):
+    monkeypatch.setenv("REGSIM_EVENT_BUDGET", budget)
+    cfg = write_config(tmp_path)
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: REGSIM_EVENT_BUDGET") and err.count("\n") == 1
 
 
 def test_check_regenerates_identical_report(tmp_path, capsys):

@@ -110,18 +110,16 @@ def test_increasing_schedule_is_async_only():
         parse_scenario(minimal(network=net))
 
 
-def test_round_sync_rejects_schedules_and_overrides():
+def test_round_sync_rejects_schedules():
     net = {"kind": "round_sync", "delta": 2, "schedule": {"mode": "fixed", "delay": 2}}
     with pytest.raises(ConfigError, match="no schedule"):
-        parse_scenario(minimal(network=net))
-    net = {"kind": "round_sync", "delta": 2, "overrides": [{"from": 1, "to": 2, "delay": 1}]}
-    with pytest.raises(ConfigError, match="no overrides"):
         parse_scenario(minimal(network=net))
 
 
 def test_unknown_option_rejected():
-    with pytest.raises(ConfigError, match="unknown option"):
-        parse_scenario(minimal(options={"typo": True}))
+    # The protocols take no options: the field itself is unknown.
+    with pytest.raises(ConfigError, match=r"^scenario: unknown fields \['options'\]$"):
+        parse_scenario(minimal(options={"writer_local_read": False}))
 
 
 def test_empty_write_value_rejected():
@@ -143,15 +141,11 @@ CUT = {"op_index": 0, "deliver_to": []}
         {"network": [BOUNDED]},
         {"network": {**BOUNDED, "schedule": 5}},
         {"network": {**BOUNDED, "schedule": ["fixed"]}},
-        {"network": {**BOUNDED, "overrides": 5}},
-        {"network": {**BOUNDED, "overrides": {"from": 1, "to": 2, "delay": 1}}},
-        {"network": {**BOUNDED, "overrides": [5]}},
         {"crashes": [{"process": 1, "during_broadcast": 5}]},
         {"crashes": [{"process": 1, "during_broadcast": [0]}]},
         {"crashes": [FORWARD]},
         {"crashes": [5]},
         {"ops": [5]},
-        {"options": []},
     ],
     ids=str,
 )
@@ -172,7 +166,6 @@ def test_wrong_json_type_rejected(over):
         {"network": {**BOUNDED, "schedule": {"mode": "fixed", "delay": True}}},
         {"network": {**ASYNC, "schedule": {"mode": "increasing", "start": True}}},
         {"network": {**ASYNC, "schedule": {"mode": "increasing", "step": True}}},
-        {"network": {**BOUNDED, "overrides": [{"from": True, "to": 2, "delay": 1}]}},
     ],
     ids=str,
 )
@@ -181,24 +174,46 @@ def test_booleans_are_not_integers(over):
         parse_scenario(minimal(**over))
 
 
-@pytest.mark.parametrize("end", ["from", "to"])
-@pytest.mark.parametrize("process", [0, 4])
-def test_override_process_outside_range_rejected(end, process):
-    override = {"from": 1, "to": 2, "delay": 1, end: process}
-    with pytest.raises(ConfigError, match=f"overrides\\[0\\]: {end}"):
-        parse_scenario(minimal(network={**BOUNDED, "overrides": [override]}))
+READ = {"time": 50, "process": 2, "op": "read"}
+# (scenario change, the one-line error it raises)
+UNKNOWN_FIELDS = [
+    ({"shedule": {"mode": "fixed", "delay": 1}}, "scenario: unknown fields ['shedule']"),
+    ({"network": {**BOUNDED, "overrides": []}}, "network: unknown fields ['overrides']"),
+    ({"network": {**BOUNDED, "Dmax": 10}}, "network: unknown fields ['Dmax']"),
+    (
+        {"network": {**BOUNDED, "shedule": {"mode": "fixed", "delay": 1}}},
+        "network: unknown fields ['shedule']",
+    ),
+    (
+        {"network": {**BOUNDED, "schedule": {"mode": "fixed", "delays": [1]}}},
+        "schedule: unknown fields ['delays']",
+    ),
+    (
+        {"network": {**ASYNC, "schedule": {"mode": "list", "delays": [1], "step": 1}}},
+        "schedule: unknown fields ['step']",
+    ),
+    ({"ops": [{**READ, "value": "a"}]}, "ops[0]: unknown fields ['value']"),
+    ({"ops": [{**READ, "proces": 2}]}, "ops[0]: unknown fields ['proces']"),
+    (
+        {"crashes": [{"process": 2, "at": 5, "crash_at": 9}]},
+        "crashes[0]: unknown fields ['crash_at']",
+    ),
+    (
+        {"crashes": [{"process": 1, "during_broadcast": {**CUT, "crashat": 9}}]},
+        "crashes[0]: during_broadcast: unknown fields ['crashat']",
+    ),
+    (
+        {"crashes": [{"process": 2, "during_forward": {"wsn": 1, "deliver_to": [], "at": 9}}]},
+        "crashes[0]: during_forward: unknown fields ['at']",
+    ),
+]
 
 
-@pytest.mark.parametrize("value", ["no", 0, 1, None, [], {}])
-@pytest.mark.parametrize("key", ["writer_local_read", "quorum_counts_state"])
-def test_option_values_must_be_booleans(key, value):
-    with pytest.raises(ConfigError, match=f"option {key} must be true or false"):
-        parse_scenario(minimal(options={key: value}))
-
-
-def test_boolean_options_accepted():
-    options = {"writer_local_read": False, "quorum_counts_state": True}
-    assert parse_scenario(minimal(options=options)).options == options
+@pytest.mark.parametrize("over,message", UNKNOWN_FIELDS, ids=[m for _, m in UNKNOWN_FIELDS])
+def test_unknown_nested_field_rejected(over, message):
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(minimal(**over))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("n,t", [(0, 0), (3, -1), (2, 1), (4, 2)])

@@ -97,19 +97,6 @@ def test_modified_variant_same_outcomes_on_small_instance():
     assert as_tuples(base) == as_tuples(modified)
 
 
-def test_quorum_counts_state_off_still_atomic():
-    res = explore(
-        "teff-modified",
-        3,
-        1,
-        [WRITE_A, READ2],
-        options={"quorum_counts_state": False},
-    )
-    for h in res.histories:
-        assert check_termination(h).ok
-        assert check_claims(h).ok and check_linearizable(h).ok
-
-
 def test_state_bound_raises_with_partial_count():
     with pytest.raises(ExploreLimitError) as err:
         explore("teff", 3, 1, [WRITE_A, READ2, READ3], max_states=500)

@@ -7,10 +7,11 @@ place of the real one."""
 import pytest
 
 import regsim.explore
-from regsim.abd import AbdAlgo
+from regsim.abd import PHASE_WRITE_BACK, AbdAlgo
 from regsim.algos import Op
 from regsim.explore import explore
 from regsim.history import check_claims, check_linearizable
+from regsim.messages import HandlerOutput, OpResult
 from regsim.teff import BASE, MODIFIED, TeffAlgo
 from test_history import oracle
 
@@ -30,7 +31,7 @@ def test_read_returning_reg_fails_both_checkers(variant, monkeypatch):
     monkeypatch.setattr(
         regsim.explore,
         "make_algorithm",
-        lambda name, n, t, options=None: ReadsRegNotRes(n, t, variant, options),
+        lambda name, n, t: ReadsRegNotRes(n, t, variant),
     )
     ops = [Op(1, "write", b"v1", 0), Op(1, "write", b"v2", 1), Op(2, "read", None, 2)]
     histories = explore("teff", 3, 1, ops).histories
@@ -59,21 +60,41 @@ class AbdSmallQuorum(AbdAlgo):
 @pytest.mark.parametrize(
     "algorithm,mutant",
     [
-        ("teff", lambda n, t, options: TeffSmallQuorum(n, t, BASE, options)),
-        ("teff-modified", lambda n, t, options: TeffSmallQuorum(n, t, MODIFIED, options)),
-        ("abd", lambda n, t, options: AbdSmallQuorum(n, t)),
+        ("teff", lambda n, t: TeffSmallQuorum(n, t, BASE)),
+        ("teff-modified", lambda n, t: TeffSmallQuorum(n, t, MODIFIED)),
+        ("abd", AbdSmallQuorum),
     ],
     ids=["teff", "teff-modified", "abd"],
 )
 def test_quorum_of_n_minus_t_minus_1_fails_every_checker(algorithm, mutant, monkeypatch):
-    monkeypatch.setattr(
-        regsim.explore,
-        "make_algorithm",
-        lambda name, n, t, options=None: mutant(n, t, options),
-    )
+    monkeypatch.setattr(regsim.explore, "make_algorithm", lambda name, n, t: mutant(n, t))
     ops = [Op(1, "write", b"v1", 0), Op(2, "read", None, 1)]
     histories = explore(algorithm, 3, 1, ops).histories
     claims = [not check_claims(h).ok for h in histories]
     assert (len(histories), sum(claims)) == (11, 1)
     assert claims == [not check_linearizable(h).ok for h in histories]
     assert claims == [not oracle(h) for h in histories]
+
+
+class AbdNoWriteBack(AbdAlgo):
+    """A read returns the freshest pair of its quorum of reports at once,
+    without writing the pair back first, so a later read may find only
+    processes that still hold an older pair."""
+
+    def _client_report(self, st, msg, sender):
+        out = super()._client_report(st, msg, sender)
+        pd = out.state.pending
+        if pd is None or pd.phase != PHASE_WRITE_BACK:
+            return out
+        out.state.pending = None
+        return HandlerOutput(out.state, completion=OpResult("read", pd.best_value, pd.best_wsn))
+
+
+def test_abd_read_without_write_back_fails_every_checker(monkeypatch):
+    monkeypatch.setattr(regsim.explore, "make_algorithm", lambda name, n, t: AbdNoWriteBack(n, t))
+    ops = [Op(1, "write", b"v1", 0), Op(2, "read", None, 1), Op(2, "read", None, 2)]
+    res = explore("abd", 3, 1, ops)
+    claims = [not check_claims(h).ok for h in res.histories]
+    assert (res.states_visited, len(res.histories), sum(claims)) == (7810, 35, 4)
+    assert claims == [not check_linearizable(h).ok for h in res.histories]
+    assert claims == [not oracle(h) for h in res.histories]

@@ -237,30 +237,11 @@ def test_modified_state_counts_toward_quorum_by_default():
     assert st.swsn == 1 and st.res == b"v"
 
 
-def test_quorum_counts_state_off_only_forwards():
-    algo = TeffAlgo(3, 1, MODIFIED, {"quorum_counts_state": False})
-    st = algo.init()
-    st, _ = drive(st, [(algo.on_state, 1, 1, b"v", 3), (algo.on_state, 2, 1, b"v", 1)])
-    assert st.swsn == 0  # replies alone never commit knowledge
-    st, _ = drive(st, [(algo.on_write, 1, b"v", 1), (algo.on_write, 1, b"v", 3)])
-    assert st.swsn == 1
-
-
 def test_modified_state_wsn_zero_is_inert_on_write_path():
     st = M3.init()
     out = M3.on_state(st, 1, 0, None, 3)
     assert out.outgoing == ()  # nothing to relay for the initial value
     assert out.state.know == {}
-
-
-def test_writer_local_read_returns_own_copy():
-    algo = TeffAlgo(3, 1, BASE, {"writer_local_read": True})
-    st = algo.begin(algo.init(), write(b"a")).state
-    st, completions = drive(st, [(algo.on_write, 1, b"a", 1), (algo.on_write, 1, b"a", 2)])
-    out = algo.begin(st, read(1))
-    assert out.completion == teff.OpResult("read", b"a", 1)
-    assert out.outgoing == ()
-    assert out.state.rsn == 0
 
 
 # --- properties over random event sequences ------------------------------
