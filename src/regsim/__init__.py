@@ -7,27 +7,3 @@ register value), and "abd" (classic two-phase quorum register baseline).
 """
 
 __version__ = "0.1.0"
-
-from .messages import (
-    Write,
-    Read,
-    State,
-    AbdUpdate,
-    AbdAck,
-    AbdQuery,
-    AbdReport,
-    encode_message,
-    decode_message,
-)
-
-__all__ = [
-    "Write",
-    "Read",
-    "State",
-    "AbdUpdate",
-    "AbdAck",
-    "AbdQuery",
-    "AbdReport",
-    "encode_message",
-    "decode_message",
-]

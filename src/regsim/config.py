@@ -20,9 +20,13 @@ Network kinds: "async" (random delays in [1, Dmax]), "bounded_delay" (random
 in [1, Delta]), "round_sync" (every delay exactly delta, operations aligned
 to round starts); `NetworkSpec.delta` holds whichever of Dmax, Delta and
 delta the kind takes.  `schedule` pins delays instead of drawing them:
-"fixed" (parsed as a one-entry list), "list" (consumed in send order, last
-entry repeats), or "increasing" (every message slower than the one before;
-async only).  All times are integer ticks.
+"fixed", "list" (consumed in send order, last entry repeats), or
+"increasing" (every message slower than the one before; async only).  All
+times are integer ticks.  Each network parses into one delay rule:
+`delays` pins the first sends' delays (None draws every one), and each
+later send is `step` slower than the one before — "fixed" is `(delay,)`,
+"list" its tuple, "increasing" `(start,)` with `step`, round_sync
+`(delta,)`.
 
 The model check (0 <= t, 2t < n, a known algorithm) is `check_model`, which
 `regsim explore` shares.  Every object, nested ones included, admits only
@@ -31,11 +35,15 @@ mode's keys, a read no value); an unknown key raises ConfigError, as does
 input of the wrong JSON type or any other malformed field.
 
 Crash triggers: "at" halts the process at a tick; "during_broadcast"
-truncates the named operation's initiating broadcast to `deliver_to` —
-by default the process halts at the same tick, while an explicit later
-`crash_at` leaves it responsive (it answers messages but its cut broadcast
-is never repaired) until that tick; "during_forward" truncates the process's
-relay broadcast of the given write sequence number and halts it there.
+cuts the named operation's initiating broadcast to `deliver_to` and halts
+the process then, or, with a later `crash_at`, leaves it responsive (it
+answers messages but its cut broadcast is never repaired) until that tick;
+"during_forward" cuts the process's relay broadcast of the wsn-th write in
+time order and halts it then.  A wsn that no write reaches, or a relay by
+the writer (whose own broadcast is its forward), could never fire and is a
+ConfigError.  Each crash parses into one `CrashSpec`: halt at `at`, or cut
+the step that invokes `op_index` or broadcasts `relay` and halt then, or
+at `at` if that is later.
 """
 
 from __future__ import annotations
@@ -47,9 +55,7 @@ from pathlib import Path
 
 from . import messages
 from .algos import ALGORITHMS
-from .messages import Op, ProtocolError
-
-DEFAULT_INCREASING_START = 1
+from .messages import WRITER, Message, Op, ProtocolError, Write
 
 
 class ConfigError(Exception):
@@ -59,19 +65,10 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class CrashSpec:
     process: int
-    at: int | None = None
-    op_index: int | None = None
-    deliver_to: frozenset[int] | None = None
-    crash_at: int | None = None  # during_broadcast only: responsive until then
-    forward_wsn: int | None = None
-
-    @property
-    def trigger(self) -> str:
-        if self.at is not None:
-            return "at"
-        if self.forward_wsn is not None:
-            return "during_forward"
-        return "during_broadcast"
+    at: int | None = None  # with a cut: responsive until then
+    op_index: int | None = None  # cut this op's initiating broadcast
+    relay: Message | None = None  # cut the broadcast of this relayed message
+    deliver_to: frozenset[int] | None = None  # a cut's receivers
 
 
 # The field that holds each network kind's delay bound.
@@ -86,10 +83,8 @@ _TRIGGERS = ("at", "during_broadcast", "during_forward")
 class NetworkSpec:
     kind: str  # "async" | "bounded_delay" | "round_sync"
     delta: int  # Dmax, Delta or delta: the kind's `_DELTA_FIELD`
-    schedule_mode: str | None = None  # None | "list" | "increasing"
-    schedule_list: tuple[int, ...] = ()
-    schedule_start: int = DEFAULT_INCREASING_START
-    schedule_step: int = 1
+    delays: tuple[int, ...] | None = None  # pinned, in send order; None draws
+    step: int = 0  # each send after the last pinned one is this much slower
 
 
 @dataclass(frozen=True)
@@ -196,11 +191,11 @@ def _parse_network(data) -> NetworkSpec:
     _object(data, "network", ("kind", _DELTA_FIELD[kind], "schedule"))
     spec = NetworkSpec(kind, _req_int(data, _DELTA_FIELD[kind], minimum=1))
     schedule = data.get("schedule")
-    if schedule is not None:
-        if kind == "round_sync":
+    if kind == "round_sync":
+        if schedule is not None:
             raise ConfigError("round_sync delays are fixed at delta; no schedule allowed")
-        spec = _parse_schedule(spec, schedule)
-    return spec
+        return replace(spec, delays=(spec.delta,))
+    return spec if schedule is None else _parse_schedule(spec, schedule)
 
 
 def _parse_schedule(spec: NetworkSpec, schedule) -> NetworkSpec:
@@ -219,19 +214,13 @@ def _parse_schedule(spec: NetworkSpec, schedule) -> NetworkSpec:
     else:
         if spec.kind != "async":
             raise ConfigError("an increasing schedule is unbounded; async only")
-        start = _int(schedule.get("start", DEFAULT_INCREASING_START), "start", minimum=1)
+        start = _int(schedule.get("start", 1), "start", minimum=1)
         step = _int(schedule.get("step", 1), "step", minimum=1)
-        return replace(
-            spec, schedule_mode="increasing", schedule_start=start, schedule_step=step
-        )
+        return replace(spec, delays=(start,), step=step)
     for d in delays:
-        _check_delay_bound(spec, d)
-    return replace(spec, schedule_mode="list", schedule_list=tuple(delays))
-
-
-def _check_delay_bound(spec: NetworkSpec, delay: int) -> None:
-    if delay > spec.delta:
-        raise ConfigError(f"delay {delay} exceeds {_DELTA_FIELD[spec.kind]}={spec.delta}")
+        if d > spec.delta:
+            raise ConfigError(f"delay {d} exceeds {_DELTA_FIELD[spec.kind]}={spec.delta}")
+    return replace(spec, delays=tuple(delays))
 
 
 def _parse_ops(items, n: int) -> tuple[Op, ...]:
@@ -303,9 +292,7 @@ def _parse_crashes(
                         f"crashes[{i}]: crash_at windows are not defined for round_sync"
                     )
             crashes.append(
-                CrashSpec(
-                    process, op_index=op_index, deliver_to=deliver_to, crash_at=crash_at
-                )
+                CrashSpec(process, at=crash_at, op_index=op_index, deliver_to=deliver_to)
             )
         else:
             if algorithm == "abd":
@@ -315,7 +302,15 @@ def _parse_crashes(
             )
             wsn = _req_int(spec, "wsn", minimum=1)
             deliver_to = _parse_subset(spec.get("deliver_to"), n, f"crashes[{i}]")
-            crashes.append(CrashSpec(process, forward_wsn=wsn, deliver_to=deliver_to))
+            if process == WRITER:
+                raise ConfigError(f"crashes[{i}]: the writer relays no write")
+            # The writer numbers its writes as it invokes them: in time
+            # order, ties in list order.
+            writes = sorted((op for op in ops if op.kind == "write"), key=lambda op: op.time)
+            if wsn > len(writes):
+                raise ConfigError(f"crashes[{i}]: no write gets wsn {wsn} ({len(writes)} in ops)")
+            relay = Write(wsn, writes[wsn - 1].value)
+            crashes.append(CrashSpec(process, relay=relay, deliver_to=deliver_to))
     return tuple(crashes)
 
 

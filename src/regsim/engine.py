@@ -5,11 +5,13 @@ runs entirely at the tick of the event that triggered it.  Simultaneous
 events are ordered by insertion sequence number, so a (config, seed) pair
 always produces the same trace byte-for-byte.
 
-Network models assign a per-message delay at send time: "bounded_delay"
-draws from [1, Delta] (or follows the pinned schedule), "async" from
-[1, Dmax], and "round_sync" uses exactly delta with operation invocations
-aligned to round boundaries — which reproduces lock-step rounds where
-everything sent at a round's start arrives at its end.
+Every send gets its delay from one rule, which config.py builds from the
+network: pinned delays in send order, each send after the last pinned one
+`step` slower than the one before, or, with nothing pinned, a draw from
+[1, delta] (Dmax or Delta).  "round_sync" pins every delay to delta and
+aligns operation invocations to round boundaries — which reproduces
+lock-step rounds where everything sent at a round's start arrives at its
+end.
 
 Simultaneous events settle in a fixed order: crashes, then deliveries, then
 invocations (ties within a kind by insertion).  Deliveries-before-invocations
@@ -20,12 +22,13 @@ by the crashed process.
 Crashes: a crashed process sends, receives, and executes nothing from its
 crash tick on.  Messages it sent earlier are still delivered (the crash
 stops the process, not the network).  Deliveries addressed to a crashed
-process are dropped without trace events.  A during_broadcast crash cuts
-the initiating broadcast of one operation down to a chosen subset of
-receivers; with a `crash_at` window the process stays responsive until that
-tick, which models a writer that fails during an operation yet still
-answers requests before dying.  A during_forward crash cuts the relay
-broadcast for one write sequence number.
+process are dropped without trace events.  Every crash is one rule, a
+`CrashSpec`: the process halts at `at`, or its step that invokes
+`op_index` or broadcasts the `relay` message is cut: that step's sends
+reach only `deliver_to`, and the process halts then, or at `at` if that is
+later.  A later `at` keeps the process responsive until that tick, which
+models a writer that fails during an operation yet still answers requests
+before dying.  The engine matches a relay as a message it never reads.
 
 `run(..., messages=False)` leaves SEND and DELIVER events out of the trace
 and keeps invoke, respond, crash and round_start: the schedule, every delay
@@ -36,15 +39,15 @@ this way; message counts need the full trace.
 
 from __future__ import annotations
 
-import functools
 import heapq
-import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, count
 
 from .algos import make_algorithm
 from .config import CrashSpec, NetworkSpec, ScenarioConfig
-from .messages import Message, Op, Write
+from .messages import HandlerOutput, Message, Op
 from .trace import (
     CRASH,
     DELIVER,
@@ -86,16 +89,12 @@ class RunResult:
 
 def _delay_rule(spec: NetworkSpec, rng: random.Random):
     """The network's per-send delay, as a callable picked once per run.  A
-    rule that counts (a list or an increasing schedule) or draws (one
-    randint per send, in send order) advances only when it is called."""
-    if spec.kind == "round_sync":
-        return itertools.repeat(spec.delta).__next__
-    if spec.schedule_mode == "list":
-        delays = spec.schedule_list
-        return itertools.chain(delays, itertools.repeat(delays[-1])).__next__
-    if spec.schedule_mode == "increasing":
-        return itertools.count(spec.schedule_start, spec.schedule_step).__next__
-    return functools.partial(rng.randint, 1, spec.delta)
+    pinned rule counts and a drawn one takes one randint per send, in send
+    order; each advances only when it is called."""
+    if spec.delays is None:
+        return partial(rng.randint, 1, spec.delta)
+    *head, last = spec.delays
+    return chain(head, count(last, spec.step)).__next__
 
 
 class _Sim:
@@ -114,17 +113,17 @@ class _Sim:
         self.insert_seq = 0
         self.crashed: dict[int, int] = {}
         self.pending_op: dict[int, int] = {}  # process -> op id
-        self.op_crash: dict[int, CrashSpec] = {}  # op index -> trigger
-        self.fwd_crash: dict[tuple[int, int], CrashSpec] = {}  # (proc, wsn) -> trigger
+        self.op_cuts: dict[int, CrashSpec] = {}  # op id -> cut
+        self.relay_cuts: dict[tuple[int, Message], CrashSpec] = {}  # (proc, msg) -> cut
         self.rounds_marked: set[int] = set()
 
         for spec in config.crashes:
-            if spec.trigger == "at":
-                self._push(spec.at, (_CRASH, spec.process))
-            elif spec.trigger == "during_broadcast":
-                self.op_crash[spec.op_index] = spec
+            if spec.op_index is not None:
+                self.op_cuts[spec.op_index] = spec
+            elif spec.relay is not None:
+                self.relay_cuts[(spec.process, spec.relay)] = spec
             else:
-                self.fwd_crash[(spec.process, spec.forward_wsn)] = spec
+                self._push(spec.at, (_CRASH, spec.process))
 
         for op_id, op in enumerate(config.ops):
             self._push(self._op_time(op), (_INV, op_id))
@@ -179,17 +178,8 @@ class _Sim:
         out = self.algo.begin(self.states[proc], op)
         self.states[proc] = out.state
         self._emit(time, INVOKE, proc, op_id, op.kind, op.value if op.kind == "write" else None)
-        trigger = self.op_crash.get(op_id)
-        restrict = trigger.deliver_to if trigger is not None else None
         self.pending_op[proc] = op_id
-        self._dispatch_sends(time, proc, out.outgoing, restrict)
-        if out.completion is not None:
-            self._respond(time, proc, out.completion)
-        if trigger is not None:
-            if trigger.crash_at is None or trigger.crash_at <= time:
-                self._kill(time, proc)
-            else:
-                self._push(trigger.crash_at, (_CRASH, proc))
+        self._finish(time, proc, out, self.op_cuts.get(op_id))
 
     def _handle_deliver(self, time: int, dest: int, msg: Message, sender: int) -> None:
         if dest in self.crashed:
@@ -198,20 +188,26 @@ class _Sim:
             self._emit(time, DELIVER, dest, None, None, None, None, sender, msg)
         out = self.algo.deliver(self.states[dest], msg, sender)
         self.states[dest] = out.state
-        restrict = None
-        die_after = False
-        for _, out_msg in out.outgoing:
-            if isinstance(out_msg, Write):
-                trigger = self.fwd_crash.get((dest, out_msg.wsn))
-                if trigger is not None:
-                    restrict = trigger.deliver_to
-                    die_after = True
+        cut = None
+        if self.relay_cuts:
+            for _, out_msg in out.outgoing:
+                cut = self.relay_cuts.get((dest, out_msg))
+                if cut is not None:
                     break
-        self._dispatch_sends(time, dest, out.outgoing, restrict)
+        self._finish(time, dest, out, cut)
+
+    def _finish(self, time: int, proc: int, out: HandlerOutput, cut: CrashSpec | None) -> None:
+        """Send a step's messages (a cut step's to `deliver_to` only) and its
+        response; a cut then halts the process now, or at `at` if later."""
+        restrict = None if cut is None else cut.deliver_to
+        self._dispatch_sends(time, proc, out.outgoing, restrict)
         if out.completion is not None:
-            self._respond(time, dest, out.completion)
-        if die_after:
-            self._kill(time, dest)
+            self._respond(time, proc, out.completion)
+        if cut is not None:
+            if cut.at is None or cut.at <= time:
+                self._kill(time, proc)
+            else:
+                self._push(cut.at, (_CRASH, proc))
 
     def _handle_crash(self, time: int, proc: int) -> None:
         if proc not in self.crashed:

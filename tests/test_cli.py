@@ -2,7 +2,10 @@
 
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -14,6 +17,7 @@ import regsim.report
 from regsim.cli import main
 from regsim.explore import BroadcastCrash, explore
 from regsim.messages import Op
+from test_config import NEVER_RELAYED
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -46,6 +50,23 @@ def test_run_pass_exit_zero(tmp_path, capsys):
     assert trace.exists() and report.exists()
     out = capsys.readouterr().out
     assert "termination: pass" in out
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    quiet = str(SCENARIOS / "read-quiet.json")
+    done = subprocess.run(
+        [sys.executable, "-m", "regsim", "run", quiet],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert main(["run", quiet]) == done.returncode == 0
+    assert done.stdout == capsys.readouterr().out
+    missing = str(tmp_path / "missing.json")
+    done = subprocess.run(
+        [sys.executable, "-m", "regsim", "run", missing],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert done.returncode == 2 and done.stderr.startswith("config error: cannot read")
 
 
 def test_run_config_error_exit_two(tmp_path, capsys):
@@ -83,6 +104,13 @@ BOUNDED = {"kind": "bounded_delay", "Delta": 10}
 )
 def test_run_unknown_field_exit_two(tmp_path, capsys, over, error):
     cfg = write_config(tmp_path, **over)
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+
+
+@pytest.mark.parametrize("crash,error", NEVER_RELAYED, ids=["wsn", "writer"])
+def test_run_relay_crash_that_never_fires_exit_two(tmp_path, capsys, crash, error):
+    cfg = write_config(tmp_path, crashes=[crash])
     assert main(["run", str(cfg)]) == 2
     assert capsys.readouterr().err == f"config error: {error}\n"
 

@@ -76,7 +76,7 @@ def test_crash_window_needs_async_time():
         }
     ]
     cfg = parse_scenario(minimal(crashes=crashes))
-    assert cfg.crashes[0].crash_at == 3
+    assert cfg.crashes[0].at == 3
 
     with pytest.raises(ConfigError, match="round_sync"):
         parse_scenario(
@@ -88,6 +88,22 @@ def test_during_forward_is_register_protocol_only():
     crashes = [{"process": 2, "during_forward": {"wsn": 1, "deliver_to": [3]}}]
     with pytest.raises(ConfigError, match="teff only"):
         parse_scenario(minimal(algorithm="abd", crashes=crashes))
+
+
+# (during_forward crash, the one-line error): each relay could never happen.
+NEVER_RELAYED = [
+    ({"process": 2, "during_forward": {"wsn": 2, "deliver_to": [3]}},
+     "crashes[0]: no write gets wsn 2 (1 in ops)"),
+    ({"process": 1, "during_forward": {"wsn": 1, "deliver_to": [3]}},
+     "crashes[0]: the writer relays no write"),
+]
+
+
+@pytest.mark.parametrize("crash,message", NEVER_RELAYED, ids=["wsn", "writer"])
+def test_during_forward_that_can_never_fire_rejected(crash, message):
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(minimal(crashes=[crash]))
+    assert str(err.value) == message
 
 
 def test_delay_schedule_bounded_by_delta():

@@ -1,5 +1,6 @@
 """Simulator behavior: determinism, delay conformance, crashes, rounds."""
 
+from collections import defaultdict, deque
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,41 @@ def sends_and_delivers(trace):
             times = sent[(ev.peer, ev.process, ev.message)]
             pairs.append((times.pop(0), ev.time))
     return pairs
+
+
+def send_delays(trace):
+    """Each SEND's delay (its DELIVER tick minus its send tick), in send order."""
+    delays, waiting = [], defaultdict(deque)
+    for ev in trace:
+        if ev.kind == SEND:
+            waiting[(ev.process, ev.peer, ev.message)].append(len(delays))
+            delays.append(ev.time)
+        elif ev.kind == DELIVER:
+            i = waiting[(ev.peer, ev.process, ev.message)].popleft()
+            delays[i] = ev.time - delays[i]
+    return delays
+
+
+ASYNC = {"kind": "async", "Dmax": 50}
+
+
+@pytest.mark.parametrize(
+    "network,delays",
+    [
+        ({**ASYNC, "schedule": {"mode": "list", "delays": [3, 1, 2]}}, [3, 1] + [2] * 13),
+        ({"kind": "bounded_delay", "Delta": 10, "schedule": {"mode": "fixed", "delay": 7}},
+         [7] * 15),
+        ({**ASYNC, "schedule": {"mode": "increasing", "start": 2, "step": 3}},
+         list(range(2, 45, 3))),
+        ({**ASYNC, "schedule": {"mode": "increasing"}}, list(range(1, 16))),
+        ({"kind": "round_sync", "delta": 3}, [3] * 15),
+    ],
+    ids=["list", "fixed", "increasing-2-3", "increasing", "round_sync"],
+)
+def test_pinned_delays_in_send_order(network, delays):
+    # The write's broadcast and two relays, then the read's broadcast and
+    # three replies: 15 sends, and no delay is drawn.
+    assert send_delays(run(scenario(network=network)).trace) == delays
 
 
 def test_same_seed_bit_identical():
@@ -206,6 +242,31 @@ def test_during_forward_cuts_relay():
         if ev.kind == SEND and isinstance(ev.message, Write) and ev.process == 2
     ]
     assert relays == [(2, 3)]
+    assert result.crashed[2] == 10
+
+
+def test_during_forward_cuts_the_relay_of_the_first_invoked_write():
+    # The ops list the writes out of time order; wsn 1 is the write at tick 0.
+    cfg = scenario(
+        network={
+            "kind": "bounded_delay",
+            "Delta": 10,
+            "schedule": {"mode": "fixed", "delay": 10},
+        },
+        ops=[
+            {"time": 50, "process": 1, "op": "write", "value": "b"},
+            {"time": 0, "process": 1, "op": "write", "value": "a"},
+        ],
+        crashes=[{"process": 2, "during_forward": {"wsn": 1, "deliver_to": [3]}}],
+        seed=0,
+    )
+    result = run(cfg)
+    relays = [
+        (ev.time, ev.peer, ev.message)
+        for ev in result.trace
+        if ev.kind == SEND and ev.process == 2
+    ]
+    assert relays == [(10, 3, Write(1, b"a"))]
     assert result.crashed[2] == 10
 
 

@@ -10,7 +10,7 @@ import regsim.explore
 from regsim.abd import PHASE_WRITE_BACK, AbdAlgo
 from regsim.algos import Op
 from regsim.explore import explore
-from regsim.history import check_claims, check_linearizable
+from regsim.history import check_claims, check_linearizable, check_termination
 from regsim.messages import HandlerOutput, OpResult
 from regsim.teff import BASE, MODIFIED, TeffAlgo
 from test_history import oracle
@@ -98,3 +98,27 @@ def test_abd_read_without_write_back_fails_every_checker(monkeypatch):
     assert (res.states_visited, len(res.histories), sum(claims)) == (7810, 35, 4)
     assert claims == [not check_linearizable(h).ok for h in res.histories]
     assert claims == [not oracle(h) for h in res.histories]
+
+
+class TeffNoRelay(TeffAlgo):
+    """A process adopts and counts each WRITE but never re-broadcasts it, so
+    no process other than the writer vouches for a write, and no quorum of
+    holders ever forms."""
+
+    def _absorb_write(self, st, wsn, value, sender):
+        super()._absorb_write(st, wsn, value, sender)
+        return ()
+
+
+@pytest.mark.parametrize(
+    "variant,counts", [(BASE, (561, 5, 5)), (MODIFIED, (613, 7, 7))], ids=[BASE, MODIFIED]
+)
+def test_teff_without_relays_fails_termination(variant, counts, monkeypatch):
+    monkeypatch.setattr(
+        regsim.explore, "make_algorithm", lambda name, n, t: TeffNoRelay(n, t, variant)
+    )
+    ops = [Op(1, "write", b"v1", 0), Op(2, "read", None, 1)]
+    res = explore("teff", 3, 1, ops)
+    stuck = sum(not check_termination(h).ok for h in res.histories)
+    assert (res.states_visited, len(res.histories), stuck) == counts
+    assert all(check_claims(h).ok for h in res.histories)
