@@ -2,17 +2,16 @@
 
     regsim run CONFIG [--seed N] [--out trace.jsonl] [--report report.json]
     regsim sweep CONFIG --seeds N [--base-seed N]
-    regsim explore --n N --t T --ops SPEC [--algorithm A] [--crash-subsets]
-                   [--max-states N]
+    regsim explore CONFIG [--crash-subsets] [--max-states N]
     regsim check TRACE [--config CONFIG [--report report.json]]
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error
-(including a file that cannot be read or written, an `explore` model that
-`config.check_model` rejects, and a `--max-states` or REGSIM_EVENT_BUDGET
-below 1), 3 resource bound exceeded.
+(including a file that cannot be read or written, a scenario crash that
+`explore` cannot model, and a `--max-states` or REGSIM_EVENT_BUDGET below
+1), 3 resource bound exceeded.
 REGSIM_EVENT_BUDGET sets the per-run event budget.  All scenario
-semantics live in the config file; flags only control seeds, I/O paths, and
-budgets.
+semantics live in the config file; flags only control seeds, I/O paths,
+crash enumeration and budgets.
 """
 
 from __future__ import annotations
@@ -23,11 +22,10 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, check_model, load_scenario
+from .config import ConfigError, ScenarioConfig, load_scenario
 from .engine import DEFAULT_EVENT_BUDGET, BudgetExceededError, ScheduleError, run
 from .explore import DEFAULT_MAX_STATES, BroadcastCrash, ExploreLimitError, explore
 from .history import check_claims, check_linearizable, check_termination, extract_history
-from .messages import Op
 from .report import build_report, report_to_json
 from .trace import read_jsonl, write_jsonl
 
@@ -79,15 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--base-seed", type=int, default=0)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_exp = sub.add_parser("explore", help="exhaustively explore a small instance")
-    p_exp.add_argument("--n", type=int, required=True)
-    p_exp.add_argument("--t", type=int, required=True)
-    p_exp.add_argument(
-        "--ops",
-        required=True,
-        help="comma list like 'w:1,r:2,r:3' (w:P write by P, r:P read by P)",
-    )
-    p_exp.add_argument("--algorithm", default="teff")
+    p_exp = sub.add_parser("explore", help="exhaustively explore a small scenario")
+    p_exp.add_argument("config", type=Path)
     p_exp.add_argument(
         "--crash-subsets",
         action="store_true",
@@ -157,55 +148,49 @@ def cmd_sweep(args) -> int:
     return EXIT_PASS
 
 
-def _parse_ops_spec(spec: str) -> list[Op]:
-    ops = []
-    counter = 0
-    for i, item in enumerate(x.strip() for x in spec.split(",")):
-        if not item:
-            continue
-        try:
-            kind_code, proc = item.split(":")
-            process = int(proc)
-        except ValueError as exc:
-            raise ConfigError(f"bad ops entry {item!r}") from exc
-        if kind_code == "w":
-            counter += 1
-            ops.append(Op(process, "write", f"v{counter}".encode(), i))
-        elif kind_code == "r":
-            ops.append(Op(process, "read", None, i))
-        else:
-            raise ConfigError(f"bad ops entry {item!r}: want w:P or r:P")
-    return ops
+def _broadcast_crash(config: ScenarioConfig) -> BroadcastCrash | None:
+    """The scenario's crash as the one kind the explorer models: an op's
+    initiating broadcast cut at its invoke, the invoker halting there."""
+    if not config.crashes:
+        return None
+    if len(config.crashes) > 1:
+        raise ConfigError(f"explore models one crash, the scenario has {len(config.crashes)}")
+    (spec,) = config.crashes
+    if spec.op_index is None or spec.at is not None:
+        raise ConfigError("explore models a crash only as a during_broadcast cut without crash_at")
+    return BroadcastCrash(spec.op_index, spec.deliver_to)
 
 
 def cmd_explore(args) -> int:
-    check_model(args.n, args.t, args.algorithm)
-    ops = _parse_ops_spec(args.ops)
-    for op in ops:
-        if not 1 <= op.process <= args.n:
-            raise ConfigError(f"ops process {op.process} outside 1..{args.n}")
-        if op.kind == "write" and op.process != 1:
-            raise ConfigError("writes are issued by the designated writer (process 1)")
+    config = load_scenario(args.config)
     if args.max_states < 1:
         raise ConfigError(f"--max-states must be at least 1, got {args.max_states}")
-
-    crash_cases: list[BroadcastCrash | None] = [None]
+    ops = config.ops
+    crash = _broadcast_crash(config)
+    crash_cases = [crash]
     if args.crash_subsets:
-        first_write = next((i for i, op in enumerate(ops) if op.kind == "write"), None)
-        if first_write is None:
-            raise ConfigError("--crash-subsets needs at least one write in --ops")
-        others = [p for p in range(1, args.n + 1) if p != ops[first_write].process]
+        if crash is not None:
+            raise ConfigError("--crash-subsets needs a scenario without crashes")
+        writes = [i for i, op in enumerate(ops) if op.kind == "write"]
+        if not writes:
+            raise ConfigError("--crash-subsets needs a write in the scenario's ops")
+        # The writer's first write in invoke order: by time, ties in list order.
+        first_write = min(writes, key=lambda i: ops[i].time)
+        others = [p for p in range(1, config.n + 1) if p != ops[first_write].process]
         for mask in range(1 << len(others)):
             subset = frozenset(p for i, p in enumerate(others) if mask >> i & 1)
             crash_cases.append(BroadcastCrash(first_write, subset))
 
+    checks = (check_termination, check_claims, check_linearizable)
     total_histories = 0
     bad = 0
     for crash in crash_cases:
-        res = explore(args.algorithm, args.n, args.t, ops, crash=crash, max_states=args.max_states)
+        res = explore(
+            config.algorithm, config.n, config.t, ops, crash=crash, max_states=args.max_states
+        )
         total_histories += len(res.histories)
         for hist in res.histories:
-            if not check_claims(hist).ok or not check_linearizable(hist).ok:
+            if not all(check(hist).ok for check in checks):
                 bad += 1
         label = "no crash" if crash is None else f"crash subset {sorted(crash.deliver_to)}"
         print(

@@ -28,11 +28,14 @@ later send is `step` slower than the one before — "fixed" is `(delay,)`,
 "list" its tuple, "increasing" `(start,)` with `step`, round_sync
 `(delta,)`.
 
-The model check (0 <= t, 2t < n, a known algorithm) is `check_model`, which
-`regsim explore` shares.  Every object, nested ones included, admits only
-its own keys (a network only its kind's delta field, a schedule only its
-mode's keys, a read no value); an unknown key raises ConfigError, as does
-input of the wrong JSON type or any other malformed field.
+A scenario must satisfy the system model: the protocols' own (n >= 1,
+0 <= t, 2t < n) and a known algorithm.  Every object, nested ones
+included, admits only its own keys (a network only its kind's delta field,
+a schedule only its mode's keys, a read no value); an unknown key raises
+ConfigError, as does input of the wrong JSON type or any other malformed
+field.  Every command reads its instance from a scenario: `run`, `sweep`
+and `check --config` all of it, `explore` its n, t, algorithm, ops (in
+program order: time, then list order) and crashes.
 
 Crash triggers: "at" halts the process at a tick; "during_broadcast"
 cuts the named operation's initiating broadcast to `deliver_to` and halts
@@ -119,7 +122,12 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     n = _req_int(data, "n")
     t = _req_int(data, "t")
     algorithm = data.get("algorithm", "teff")
-    check_model(n, t, algorithm)
+    try:
+        messages.check_model(n, t)
+    except ProtocolError as exc:
+        raise ConfigError(f"model constraint violated: {exc}") from exc
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     network = _parse_network(data.get("network"))
     ops = _parse_ops(data.get("ops", []), n)
     crashes = _parse_crashes(data.get("crashes", []), n, t, ops, network, algorithm)
@@ -135,17 +143,6 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         seed=seed,
         digest=hashlib.sha256(canonical).hexdigest(),
     )
-
-
-def check_model(n: int, t: int, algorithm: str) -> None:
-    """The system model a scenario and `regsim explore` must satisfy: the
-    protocols' own (n >= 1, 0 <= t, 2t < n) and a known algorithm."""
-    try:
-        messages.check_model(n, t)
-    except ProtocolError as exc:
-        raise ConfigError(f"model constraint violated: {exc}") from exc
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
 
 
 def _int(value, what: str, minimum: int | None = None) -> int:

@@ -9,6 +9,8 @@ has invoked — never on how it was reached.  A depth-first pass visits each
 distinct configuration once and computes, bottom-up over the acyclic
 configuration graph, the set of operation-history suffixes reachable from it.  The root's
 set is then exactly the distinct complete histories, each discovered once.
+An op's time sets only its program order: each process invokes its ops by
+time, ties in list order, as the engine does.
 
 Each suffix becomes invoke/respond/crash trace events with the record index
 as logical time, preserving the invoke/respond precedence order, which is
@@ -96,9 +98,10 @@ class _Explorer:
         self.ops = ops
         self.crash = crash
         self.max_states = max_states
+        # Each process's op ids in program order (module docstring).
         self.per_proc: dict[int, tuple[int, ...]] = {p: () for p in range(1, n + 1)}
-        for op_id, op in enumerate(ops):
-            self.per_proc[op.process] += (op_id,)
+        for op_id in sorted(range(len(ops)), key=lambda i: ops[i].time):
+            self.per_proc[ops[op_id].process] += (op_id,)
         self.msgs = _Interner()
         self.snaps: dict = {}  # frozen state -> snapshot id
         # Local components (p, snap, inbox, ops invoked) -> id; `locals`

@@ -15,8 +15,8 @@ import regsim.cli
 import regsim.metrics
 import regsim.report
 from regsim.cli import main
+from regsim.config import load_scenario
 from regsim.explore import BroadcastCrash, explore
-from regsim.messages import Op
 from test_config import NEVER_RELAYED
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -267,60 +267,73 @@ def test_sweep_failure_prints_the_full_run_report(capsys):
     assert sum(int(m) for m in re.findall(r"messages=(\d+)", ran)) > 0
 
 
-def test_explore_cli_small_instance(capsys):
-    code = main(
-        ["explore", "--n", "3", "--t", "1", "--ops", "w:1,r:2", "--algorithm", "teff"]
-    )
-    assert code == 0
+def write_explore_config(tmp_path, ops, **over):
+    """A scenario of `ops`, each (kind, process) or (kind, process, time),
+    at time 0 unless given; writes get values a, b, ..."""
+    items = []
+    for kind, process, *time in ops:
+        item = {"time": time[0] if time else 0, "process": process, "op": kind}
+        if kind == "write":
+            item["value"] = "abcdefgh"[sum(i["op"] == "write" for i in items)]
+        items.append(item)
+    return write_config(tmp_path, ops=items, **over)
+
+
+WR = [("write", 1), ("read", 2)]
+
+
+def test_explore_cli_small_instance(tmp_path, capsys):
+    assert main(["explore", str(write_explore_config(tmp_path, WR))]) == 0
     out = capsys.readouterr().out
     assert "histories" in out and "checkers agree" in out
 
 
-def test_explore_cli_state_bound_exit_three(capsys):
-    code = main(
-        [
-            "explore",
-            "--n", "3",
-            "--t", "1",
-            "--ops", "w:1,r:2,r:3",
-            "--max-states", "300",
-        ]
-    )
-    assert code == 3
+def test_explore_cli_state_bound_exit_three(tmp_path, capsys):
+    cfg = write_explore_config(tmp_path, [*WR, ("read", 3)])
+    assert main(["explore", str(cfg), "--max-states", "300"]) == 3
     assert "resource bound" in capsys.readouterr().err
 
 
-def test_explore_cli_rejects_bad_ops(capsys):
-    assert main(["explore", "--n", "3", "--t", "1", "--ops", "w:2"]) == 2
-
-
-@pytest.mark.parametrize(
-    "model",
-    [
-        ["--n", "2", "--t", "1"],
-        ["--n", "3", "--t", "-1"],
-        ["--n", "0", "--t", "0"],
-        ["--n", "3", "--t", "1", "--algorithm", "bogus"],
-        ["--n", "3", "--t", "1", "--max-states", "0"],
-        ["--n", "3", "--t", "1", "--max-states", "-5"],
-    ],
-    ids=" ".join,
-)
-def test_explore_cli_checks_the_model(model, capsys):
-    assert main(["explore", *model, "--ops", "w:1,r:2"]) == 2
+def test_explore_cli_rejects_bad_ops(tmp_path, capsys):
+    assert main(["explore", str(write_explore_config(tmp_path, [("write", 2)]))]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
-def test_explore_cli_crash_subsets_are_the_other_processes_subsets(capsys):
+# (scenario fields, explore flags); an id spells each field as `--field value`.
+MODELS = [
+    ({"n": 2, "t": 1}, []),
+    ({"n": 3, "t": -1}, []),
+    ({"n": 0, "t": 0}, []),
+    ({"n": 3, "t": 1, "algorithm": "bogus"}, []),
+    ({"n": 3, "t": 1}, ["--max-states", "0"]),
+    ({"n": 3, "t": 1}, ["--max-states", "-5"]),
+]
+
+
+@pytest.mark.parametrize(
+    "fields,flags",
+    MODELS,
+    ids=[" ".join([*(f"--{k} {v}" for k, v in f.items()), *a]) for f, a in MODELS],
+)
+def test_explore_cli_checks_the_model(fields, flags, tmp_path, capsys):
+    cfg = write_explore_config(tmp_path, WR, **fields)
+    assert main(["explore", str(cfg), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_explore_cli_crash_subsets_are_the_other_processes_subsets(tmp_path, capsys):
     # The crashing writer p1 never hears its own broadcast, so only the
     # 2^(n-1) subsets of {2, 3} are explored, after the no-crash case.
-    assert main(["explore", "--n", "3", "--t", "1", "--ops", "w:1,r:2", "--crash-subsets"]) == 0
+    cfg = write_explore_config(tmp_path, WR)
+    assert main(["explore", str(cfg), "--crash-subsets"]) == 0
     *cases, summary = capsys.readouterr().out.splitlines()
+    ops = load_scenario(cfg).ops
     expected = []
     for subset in (None, set(), {2}, {3}, {2, 3}):
         crash = None if subset is None else BroadcastCrash(0, frozenset(subset))
-        res = explore("teff", 3, 1, [Op(1, "write", b"v1"), Op(2, "read")], crash=crash)
+        res = explore("teff", 3, 1, ops, crash=crash)
         label = "no crash" if subset is None else f"crash subset {sorted(subset)}"
         expected.append(
             f"{label}: {res.states_visited} configurations, {res.edges} edges, "
@@ -331,10 +344,72 @@ def test_explore_cli_crash_subsets_are_the_other_processes_subsets(capsys):
     assert summary == "explore: all 28 histories atomic; checkers agree"
 
 
-def test_explore_cli_crash_subsets_need_a_write(capsys):
-    assert main(["explore", "--n", "3", "--t", "1", "--ops", "r:2", "--crash-subsets"]) == 2
+def test_explore_cli_crash_subsets_need_a_write(tmp_path, capsys):
+    cfg = write_explore_config(tmp_path, [("read", 2)])
+    assert main(["explore", str(cfg), "--crash-subsets"]) == 2
     err = capsys.readouterr().err
-    assert err == "config error: --crash-subsets needs at least one write in --ops\n"
+    assert err == "config error: --crash-subsets needs a write in the scenario's ops\n"
+
+
+def test_explore_cli_crash_subsets_cut_the_first_write_invoked(tmp_path, capsys):
+    # The write at time 0 is invoked first although it is listed second.
+    cfg = write_explore_config(tmp_path, [("write", 1, 9), ("write", 1, 0)])
+    assert main(["explore", str(cfg), "--crash-subsets"]) == 0
+    *cases, _ = capsys.readouterr().out.splitlines()
+    ops = load_scenario(cfg).ops
+    for op_index, cut_first in [(1, True), (0, False)]:
+        res = explore("teff", 3, 1, ops, crash=BroadcastCrash(op_index, frozenset({2})))
+        line = f"crash subset [2]: {res.states_visited} configurations, "
+        assert cases[2].startswith(line) == cut_first
+
+
+def test_explore_cli_maps_a_broadcast_cut(capsys):
+    assert main(["explore", str(SCENARIOS / "round-crash-read.json")]) == 0
+    out = capsys.readouterr().out
+    assert out == (
+        "crash subset [3]: 365 configurations, 1209 edges, 103 transitions, "
+        "17 no-op pruned, 5 distinct histories\n"
+        "explore: all 5 histories atomic; checkers agree\n"
+    )
+
+
+CUT = {"op_index": 0, "deliver_to": [2]}
+UNMODELED_CRASHES = {
+    "at-tick": {"crashes": [{"process": 2, "at": 5}]},
+    "crash-at-window": {"crashes": [{"process": 1, "during_broadcast": {**CUT, "crash_at": 4}}]},
+    "during-forward": {
+        "crashes": [{"process": 2, "during_forward": {"wsn": 1, "deliver_to": [3]}}]
+    },
+    "two-crashes": {
+        "n": 5,
+        "t": 2,
+        "crashes": [{"process": 1, "during_broadcast": CUT}, {"process": 2, "at": 5}],
+    },
+}
+
+
+@pytest.mark.parametrize("over", UNMODELED_CRASHES.values(), ids=list(UNMODELED_CRASHES))
+def test_explore_cli_rejects_a_crash_it_cannot_model(over, tmp_path, capsys):
+    assert main(["explore", str(write_explore_config(tmp_path, WR, **over))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: explore models") and err.count("\n") == 1
+
+
+def test_explore_cli_crash_subsets_reject_a_scenario_crash(capsys):
+    assert main(["explore", str(SCENARIOS / "round-crash-read.json"), "--crash-subsets"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: --crash-subsets needs a scenario without crashes\n"
+
+
+def test_explore_orders_each_process_by_time(tmp_path):
+    # p2's ops are listed at times 5 then 1, so op 2 runs before op 1.
+    cfg = write_explore_config(tmp_path, [("write", 1, 0), ("read", 2, 5), ("read", 2, 1)])
+    config = load_scenario(cfg)
+    histories = explore(config.algorithm, config.n, config.t, config.ops).histories
+    assert histories
+    for history in histories:
+        invoke = {op.op_id: op.invoke for op in history.ops}
+        assert invoke[2] < invoke[1]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regsim.algos import ALGORITHMS
-from regsim.config import ConfigError, check_model, parse_scenario
+from regsim.config import ConfigError, parse_scenario
 
 
 def minimal(**over):
@@ -235,15 +235,14 @@ def test_unknown_nested_field_rejected(over, message):
 @pytest.mark.parametrize("n,t", [(0, 0), (3, -1), (2, 1), (4, 2)])
 def test_check_model_rejects_n_and_t(n, t):
     with pytest.raises(ConfigError, match="model constraint violated"):
-        check_model(n, t, "teff")
-    with pytest.raises(ConfigError, match="model constraint violated"):
         parse_scenario(minimal(n=n, t=t, ops=[]))
 
 
 def test_check_model_accepts_the_model():
     for algorithm in ALGORITHMS:
-        check_model(3, 1, algorithm)
-        check_model(1, 0, algorithm)
+        for n, t in [(3, 1), (1, 0)]:
+            cfg = parse_scenario(minimal(n=n, t=t, algorithm=algorithm, ops=[]))
+            assert (cfg.n, cfg.t, cfg.algorithm) == (n, t, algorithm)
 
 
 # Any JSON value: what a scenario file may hold in any field.

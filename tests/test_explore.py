@@ -2,12 +2,20 @@
 
 import hashlib
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from regsim.algos import Op, make_algorithm
+from regsim.cli import _broadcast_crash
+from regsim.config import NetworkSpec, load_scenario
+from regsim.engine import run
 from regsim.explore import BroadcastCrash, ExploreLimitError, _Explorer, explore
 from regsim.history import check_claims, check_linearizable, check_termination, checkers_agree
+from regsim.trace import CRASH, INVOKE, RESPOND
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 WRITE_A = Op(1, "write", b"a")
 READ2 = Op(2, "read")
@@ -302,3 +310,80 @@ def test_crash_falls_on_the_crashing_ops_invoke():
     for h in res.histories:
         second_write = next(o for o in h.ops if o.op_id == 1)
         assert h.crashed == {1: second_write.invoke}
+
+
+@pytest.mark.parametrize("alg", ["teff", "teff-modified", "abd"])
+def test_noop_predicate_agrees_with_the_handlers(alg, monkeypatch):
+    # A delivery the explorer prunes as a no-op must, delivered, leave the
+    # state as it is, send nothing and complete nothing; a wrong prune would
+    # silently drop histories.
+    pruned = []
+    noop = _Explorer.noop
+
+    def recorded(self, state, snap_id, mid, sender):
+        if noop(self, state, snap_id, mid, sender):
+            pruned.append((self.algo, state, self.msgs.items[mid], sender))
+            return True
+        return False
+
+    monkeypatch.setattr(_Explorer, "noop", recorded)
+    for mask in [None, *range(8)]:
+        explore(alg, 3, 1, [WRITE_A, READ2], crash=crash_of(mask))
+    explore(alg, 3, 1, [WRITE_A, READ2, READ2], crash=crash_of(2))
+    assert pruned
+    for algo, state, msg, sender in pruned:
+        out = algo.deliver(state, msg, sender)
+        assert out.state.freeze() == state.freeze(), (state, msg, sender)
+        assert not out.outgoing and out.completion is None, (state, msg, sender)
+
+
+def explored_records(history) -> tuple:
+    """An explored history's invoke/respond/crash sequence: its records in
+    index order, a crash right after the invoke it falls on."""
+    events = []
+    for op in history.ops:
+        events.append((op.invoke, 0, ("invoke", op.process, op.op_id)))
+        if not op.pending:
+            value = op.value if op.kind == "read" else None
+            events.append((op.respond, 0, ("respond", op.process, op.op_id, value, op.seqno)))
+    events += [(time, 1, ("crash", p)) for p, time in history.crashed.items()]
+    return tuple(record for *_, record in sorted(events))
+
+
+def run_records(trace) -> tuple:
+    """A run's invoke/respond/crash sequence in trace order.  The order, not
+    the ticks: ops at equal ticks would tie in the run's history."""
+    records = []
+    for ev in trace:
+        if ev.kind == INVOKE:
+            records.append(("invoke", ev.process, ev.op_id))
+        elif ev.kind == RESPOND:
+            value = ev.value if ev.op_kind == "read" else None
+            records.append(("respond", ev.process, ev.op_id, value, ev.seqno))
+        elif ev.kind == CRASH:
+            records.append(("crash", ev.process))
+    return tuple(records)
+
+
+# adversarial-async.json is left out: its 4 ops take the explorer past its
+# 5M configuration bound.
+@pytest.mark.parametrize("name", ["messages-teff-n3", "messages-abd-n3", "round-crash-read"])
+def test_every_run_history_is_an_explore_history(name):
+    # The scenario as bundled, then on an async network with its ops moved
+    # close enough together to overlap, over many seeds.
+    config = load_scenario(SCENARIOS / f"{name}.json")
+    res = explore(config.algorithm, config.n, config.t, config.ops, crash=_broadcast_crash(config))
+    explored = set(map(explored_records, res.histories))
+    racing = replace(
+        config,
+        network=NetworkSpec("async", 10),
+        ops=tuple(replace(op, time=min(op.time, 5)) for op in config.ops),
+    )
+    runs = [run(config, messages=False)]
+    runs += [run(racing, seed=seed, messages=False) for seed in range(300)]
+    reached = set()
+    for result in runs:
+        records = run_records(result.trace)
+        assert records in explored, (name, result.seed, records)
+        reached.add(records)
+    assert len(reached) > 1

@@ -4,16 +4,21 @@ which histories fail.  A mutant is a test-only subclass of a protocol
 object that overrides one method or constant; the explorer builds it in
 place of the real one."""
 
+from pathlib import Path
+
 import pytest
 
 import regsim.explore
 from regsim.abd import PHASE_WRITE_BACK, AbdAlgo
 from regsim.algos import Op
+from regsim.cli import main
 from regsim.explore import explore
 from regsim.history import check_claims, check_linearizable, check_termination
 from regsim.messages import HandlerOutput, OpResult
 from regsim.teff import BASE, MODIFIED, TeffAlgo
 from test_history import oracle
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class ReadsRegNotRes(TeffAlgo):
@@ -122,3 +127,13 @@ def test_teff_without_relays_fails_termination(variant, counts, monkeypatch):
     stuck = sum(not check_termination(h).ok for h in res.histories)
     assert (res.states_visited, len(res.histories), stuck) == counts
     assert all(check_claims(h).ok for h in res.histories)
+
+
+def test_explore_command_fails_a_history_that_never_terminates(monkeypatch, capsys):
+    # Every history of the relay-free mutant is atomic, and every one leaves
+    # the read pending at a correct process.
+    monkeypatch.setattr(
+        regsim.explore, "make_algorithm", lambda name, n, t: TeffNoRelay(n, t, BASE)
+    )
+    assert main(["explore", str(SCENARIOS / "messages-teff-n3.json")]) == 1
+    assert capsys.readouterr().out.endswith("explore: 5 violating histories out of 5\n")
