@@ -26,14 +26,17 @@ label records (None before any bytes).
 A configuration is one tuple of interned local components, one per
 process: (process, snapshot, inbox of the messages addressed to it, number
 of operations invoked), Holzmann's collapse compression ("State compression
-in SPIN", 1997).  Each local caches its enabled actions, so a
-configuration's actions are its locals' lists concatenated.  Handlers are
-pure and read no receiver, so each distinct (snapshot, input) calls its
-handler once per exploration.  A step memo maps (local, input) to the
-stepper's next local, its sends and the label records the step adds to the
-history, and an add memo maps (local, message) to a receiver's next local,
-so an edge swaps the locals it touches, however many messages are in
-flight.  Suffix-set unions and label prefixes are memoized as well.
+in SPIN", 1997).  Each local resolves its moves once, the first time a
+configuration holding it is expanded: per enabled action (its next
+invocation, then each distinct inbox entry), the stepper's next local, the
+messages it sends the others and the label records the step adds to the
+history.  Handlers are pure and read no receiver, so each distinct
+(snapshot, input) calls its handler once per exploration, and an add memo
+maps (local, message) to a receiver's next local.  Expanding a
+configuration walks its locals' moves in one pass: each child swaps only
+the locals its move touches, however many messages are in flight, and a
+child already explored resolves on the spot.  Suffix-set unions and label
+prefixes are memoized as well.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class BroadcastCrash:
 class ExploreResult:
     histories: list[History]  # in canonical order
     states_visited: int
-    edges: int  # transitions taken, one per configuration-graph edge
+    edges: int  # configuration-graph edges: the moves of each explored configuration
     transitions: int  # distinct local transitions: one handler call each
     noop_pruned: int  # distinct (snapshot, message, sender) judged forever-no-op
 
@@ -105,10 +108,12 @@ class _Explorer:
         self.msgs = _Interner()
         self.snaps: dict = {}  # frozen state -> snapshot id
         # Local components (p, snap, inbox, ops invoked) -> id; `locals`
-        # holds, per id, (p, snap, state, inbox, ops invoked, actions).  A
-        # halted process's local has snap and state None and no actions.
+        # holds, per id, (p, snap, state, inbox, ops invoked), and `moves`
+        # its moves (see step) once a configuration holding it is expanded.
+        # A halted process's local has snap and state None and no moves.
         self.local_ids: dict[tuple, int] = {}
         self.locals: list[tuple] = []
+        self.moves: list[list | None] = []
         self.suffixes = _Interner()  # tuple of history records -> id
         self.suffix_sets = _Interner()  # frozenset of suffix ids -> id
         self.empty_suffix = self.suffixes.get(())
@@ -117,9 +122,6 @@ class _Explorer:
         # Handler results, keyed (snap, mid, sender) or ("i", op_id, snap)
         # -> (new state, new snap, ((dest, mid), ...), completion).
         self.transitions: dict[tuple, tuple] = {}
-        # (local, "i", op_id) or (local, "d", entry) -> (new local of the
-        # stepping process, ((receiver, entry), ...) for the others, labels).
-        self.steps: dict[tuple, tuple] = {}
         self.adds: dict[tuple[int, int], int] = {}  # (local, entry) -> local
         self.noop_memo: dict[tuple[int, int, int], bool] = {}
         self.edges = 0
@@ -133,39 +135,25 @@ class _Explorer:
         key = (p, snap_id, inbox, invoked)
         ident = self.local_ids.setdefault(key, len(self.locals))
         if ident == len(self.locals):
-            # Enabled actions: the next invocation when idle with ops left,
-            # then each distinct inbox entry.
-            mine = self.per_proc[p]
-            idle = state is not None and not self.algo.has_pending(state)
-            actions = [(p, "i", mine[invoked])] if idle and invoked < len(mine) else []
-            actions += [(p, "d", e) for e in dict.fromkeys(inbox)]
-            self.locals.append((p, snap_id, state, inbox, invoked, actions))
+            self.locals.append((p, snap_id, state, inbox, invoked))
+            self.moves.append(None)
         return ident
 
-    def actions_of(self, node) -> list:
-        return [action for ident in node for action in self.locals[ident][5]]
-
-    def apply(self, node, action):
-        """One transition from a node.  Returns (label records, child node)."""
-        self.edges += 1
-        p, kind, arg = action
-        step = self.steps.get((node[p - 1], kind, arg))
-        if step is None:
-            step = self.step(node[p - 1], kind, arg)
-        new_local, sends, labels = step
-        new_ids = list(node)
-        new_ids[p - 1] = new_local
-        adds = self.adds
-        for q, entry in sends:
-            ident = new_ids[q - 1]
-            added = adds.get((ident, entry))
-            new_ids[q - 1] = self.add(ident, entry) if added is None else added
-        return labels, tuple(new_ids)
+    def actions(self, ident: int) -> list:
+        """A local's enabled actions, in the order its moves are built: the
+        next invocation when idle with ops left, then each distinct inbox
+        entry."""
+        p, _, state, inbox, invoked = self.locals[ident]
+        mine = self.per_proc[p]
+        idle = state is not None and not self.algo.has_pending(state)
+        actions = [("i", mine[invoked])] if idle and invoked < len(mine) else []
+        return actions + [("d", e) for e in dict.fromkeys(inbox)]
 
     def step(self, ident: int, kind: str, arg: int) -> tuple:
-        """The stepping process's side of a transition, memoized per local."""
+        """One move of a local: (its next local, ((receiver index, entry),
+        ...) for the others, the label records it adds to the history)."""
         n = self.n
-        p, snap_id, state, inbox, invoked, _ = self.locals[ident]
+        p, snap_id, state, inbox, invoked = self.locals[ident]
         if kind == "i":
             key = ("i", arg, snap_id)
         else:
@@ -192,30 +180,27 @@ class _Explorer:
         fanout = [
             (q, mid * n + p - 1)
             for dest, mid in sends
-            for q in (range(1, n + 1) if dest is None else (dest,))
+            for q in (range(n) if dest is None else (dest - 1,))
         ]
         if kind == "i" and self.crash is not None and self.crash.op_index == arg:
             # The invoker dies mid-broadcast: only `deliver_to` hears it,
             # and the invoker halts.
-            others = tuple(e for e in fanout if e[0] in self.crash.deliver_to)
-            step = (self.local(p, None, None, (), invoked), others, labels)
-        else:
-            inbox = list(inbox)
-            if kind == "d":
-                inbox.remove(arg)
-            inbox += [e for q, e in fanout if q == p]
-            # Drop messages whose delivery became a forever-no-op: they
-            # neither branch the behavior nor tell configurations apart.
-            kept = sorted(e for e in inbox if not self.noop(state, snap_id, e // n, e % n + 1))
-            others = tuple(e for e in fanout if e[0] != p)
-            step = (self.local(p, snap_id, state, tuple(kept), invoked), others, labels)
-        self.steps[ident, kind, arg] = step
-        return step
+            others = tuple(e for e in fanout if e[0] + 1 in self.crash.deliver_to)
+            return self.local(p, None, None, (), invoked), others, labels
+        inbox = list(inbox)
+        if kind == "d":
+            inbox.remove(arg)
+        inbox += [e for q, e in fanout if q == p - 1]
+        # Drop messages whose delivery became a forever-no-op: they
+        # neither branch the behavior nor tell configurations apart.
+        kept = sorted(e for e in inbox if not self.noop(state, snap_id, e // n, e % n + 1))
+        others = tuple(e for e in fanout if e[0] != p - 1)
+        return self.local(p, snap_id, state, tuple(kept), invoked), others, labels
 
     def add(self, ident: int, entry: int) -> int:
         """A process's local once `entry` arrives; unchanged if a no-op or
         if the process has halted."""
-        p, snap_id, state, inbox, invoked, _ = self.locals[ident]
+        p, snap_id, state, inbox, invoked = self.locals[ident]
         n = self.n
         if state is None or self.noop(state, snap_id, entry // n, entry % n + 1):
             added = ident
@@ -234,9 +219,8 @@ class _Explorer:
         return result
 
     def prepend(self, label: tuple, set_id: int) -> int:
-        """Suffix set for an edge: label followed by each suffix in the set."""
-        if not label:
-            return set_id
+        """Suffix set for an edge with a non-empty label: the label followed
+        by each suffix in the set."""
         key = (label, set_id)
         cached = self.label_memo.get(key)
         if cached is None:
@@ -249,9 +233,10 @@ class _Explorer:
         return cached
 
     def union(self, set_ids: list[int]) -> int:
-        key = tuple(sorted(set(set_ids)))
-        if len(key) == 1:
-            return key[0]
+        distinct = set(set_ids)
+        if len(distinct) == 1:
+            return set_ids[0]
+        key = tuple(sorted(distinct))
         cached = self.union_memo.get(key)
         if cached is None:
             members = frozenset().union(
@@ -261,6 +246,43 @@ class _Explorer:
             self.union_memo[key] = cached
         return cached
 
+    def expand(self, node: tuple, label: tuple) -> tuple:
+        """A frame for `node`, entered through an edge labelled `label`:
+        (node, label, (labels, child) of each child not yet memoized, the
+        suffix sets of the edges resolved so far).  A node without moves is
+        terminal."""
+        moves = self.moves
+        adds = self.adds
+        memo_get = self.memo.get
+        pending = []
+        sets = []
+        for i, ident in enumerate(node):
+            local_moves = moves[ident]
+            if local_moves is None:
+                local_moves = moves[ident] = [self.step(ident, *a) for a in self.actions(ident)]
+            head, tail = node[:i], node[i + 1 :]
+            for new_local, sends, labels in local_moves:
+                if sends:
+                    ids = list(node)
+                    ids[i] = new_local
+                    for q, entry in sends:
+                        ident_q = ids[q]
+                        added = adds.get((ident_q, entry))
+                        ids[q] = self.add(ident_q, entry) if added is None else added
+                    child = tuple(ids)
+                else:
+                    child = head + (new_local,) + tail
+                child_set = memo_get(child)
+                if child_set is None:
+                    pending.append((labels, child))
+                elif labels:
+                    sets.append(self.prepend(labels, child_set))
+                else:
+                    sets.append(child_set)
+        # Each move left one entry in pending or in sets.
+        self.edges += len(pending) + len(sets)
+        return node, label, pending, sets
+
     def run(self) -> int:
         """Returns the suffix-set id of the root configuration."""
         state = self.algo.init()
@@ -268,32 +290,28 @@ class _Explorer:
         root = tuple(self.local(p, snap_id, state, (), 0) for p in range(1, self.n + 1))
         # Iterative post-order DFS.  A frame finishes when every child edge
         # has a resolved suffix set; its own set then flows into its parent
-        # (via the edge label it was entered through).
-        frames = [[root, None, 0, [], None]]
-        #          node  acts  idx edges parent_label
+        # (via the edge label it was entered through).  A child still
+        # pending may have been memoized since its frame was expanded.
         memo = self.memo
+        frames = [self.expand(root, ())]
         while frames:
-            frame = frames[-1]
-            actions = frame[1]
-            if actions is None:
-                actions = frame[1] = self.actions_of(frame[0])
-            if frame[2] == len(actions):
-                set_id = self.terminal_set if not actions else self.union(frame[3])
-                memo[frame[0]] = set_id
+            node, label, pending, sets = frames[-1]
+            while pending:
+                labels, child = pending.pop()
+                child_set = memo.get(child)
+                if child_set is None:
+                    break
+                sets.append(self.prepend(labels, child_set) if labels else child_set)
+            else:
+                set_id = self.union(sets) if sets else self.terminal_set
+                memo[node] = set_id
                 frames.pop()
                 if frames:
-                    frames[-1][3].append(self.prepend(frame[4], set_id))
-                continue
-            action = actions[frame[2]]
-            frame[2] += 1
-            label, child = self.apply(frame[0], action)
-            child_set = memo.get(child)
-            if child_set is not None:
-                frame[3].append(self.prepend(label, child_set))
+                    frames[-1][3].append(self.prepend(label, set_id) if label else set_id)
                 continue
             if len(memo) + len(frames) > self.max_states:
                 raise ExploreLimitError(self.max_states, len(memo))
-            frames.append([child, None, 0, [], label])
+            frames.append(self.expand(child, labels))
         return memo[root]
 
 def explore(

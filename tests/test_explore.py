@@ -251,6 +251,27 @@ def test_pinned_two_ops_on_one_process(alg):
     assert history_list_digest(res.histories) == READ2_TWICE_ORDER
 
 
+# w:1,r:2,r:3 with the write's broadcast cut to p2 or to p2 and p3: the
+# instance of criterion 1's crash cases.  (configurations, edges,
+# transitions, history-set digest), taken from the explorer that memoized
+# each local step by (local, action); all four cases reach the same 82
+# histories.
+THREE_OPS_REACHED = "6672adaffed0178b01c97f8554c05c7e142abeb7bd4cc0388bbb9aa4ec3e867c"
+THREE_OPS = {
+    ("teff", 2): (18519, 94617, 218, THREE_OPS_REACHED),
+    ("teff", 6): (36908, 224607, 334, THREE_OPS_REACHED),
+    ("teff-modified", 2): (15978, 82081, 174, THREE_OPS_REACHED),
+    ("teff-modified", 6): (29755, 182047, 262, THREE_OPS_REACHED),
+}
+
+
+@pytest.mark.parametrize("alg,mask", list(THREE_OPS), ids=str)
+def test_pinned_write_and_two_readers(alg, mask):
+    res = explore(alg, 3, 1, [WRITE_A, READ2, READ3], crash=crash_of(mask))
+    digest = history_set_digest(res.histories)
+    assert (res.states_visited, res.edges, res.transitions, digest) == THREE_OPS[alg, mask]
+
+
 @pytest.mark.parametrize("alg", ["teff", "abd"])
 @pytest.mark.parametrize(
     "ops,mask", [([WRITE_A, READ2, READ3], 2), ([WRITE_A, READ2], None)], ids=["wrr-2", "wr"]
@@ -259,9 +280,16 @@ def test_results_do_not_depend_on_the_search_order(alg, ops, mask, monkeypatch):
     # A reduced search visits configurations in another order; its result
     # must then still compare equal to this one's.
     forward = explore(alg, 3, 1, ops, crash=crash_of(mask))
-    actions_of = _Explorer.actions_of
-    monkeypatch.setattr(_Explorer, "actions_of", lambda self, node: actions_of(self, node)[::-1])
+    actions = _Explorer.actions
+    reversed_locals = []
+
+    def reversed_actions(self, ident):
+        reversed_locals.append(ident)
+        return actions(self, ident)[::-1]
+
+    monkeypatch.setattr(_Explorer, "actions", reversed_actions)
     backward = explore(alg, 3, 1, ops, crash=crash_of(mask))
+    assert reversed_locals
     assert list(map(_canon, backward.histories)) == list(map(_canon, forward.histories))
     counts = lambda res: (res.states_visited, res.edges, res.transitions, res.noop_pruned)
     assert counts(backward) == counts(forward)
