@@ -3,6 +3,9 @@
 `teff.TeffAlgo` and `abd.AbdAlgo` hold their protocol's constants and
 handlers, and both offer the interface the simulator and the exhaustive
 explorer call: init / begin / deliver / has_pending / is_noop_delivery.
+Both callers skip the handler for a delivery that `is_noop_delivery`
+flags, so True must imply that delivering the message changes no state,
+sends nothing and completes nothing; False is always safe.
 `Op` is re-exported here for callers that schedule operations.
 """
 

@@ -5,10 +5,20 @@ runs entirely at the tick of the event that triggered it.  Simultaneous
 events are ordered by insertion sequence number, so a (config, seed) pair
 always produces the same trace byte-for-byte.
 
+One loop pops the event queue and runs each step: a delivery inline, an
+invocation or a crash through a method, as those are rare.  A delivery to a
+live process is traced (DELIVER) and then, when the algorithm's
+`is_noop_delivery` says it can change nothing, goes no further: no handler
+call, no state copy, no send or completion.  Such a delivery still counts
+against the event budget and still appears in the trace, so skipping it
+changes no output.
+
 Every send gets its delay from one rule, which config.py builds from the
 network: pinned delays in send order, each send after the last pinned one
 `step` slower than the one before, or, with nothing pinned, a draw from
-[1, delta] (Dmax or Delta).  "round_sync" pins every delay to delta and
+[1, delta] (Dmax or Delta).  A draw is `random.randint(1, delta)`'s
+rejection sampling over `getrandbits(delta.bit_length())`, so the seed's
+stream of delays is randint's.  "round_sync" pins every delay to delta and
 aligns operation invocations to round boundaries — which reproduces
 lock-step rounds where everything sent at a round's start arrives at its
 end.
@@ -42,12 +52,11 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, count
 
 from .algos import make_algorithm
 from .config import CrashSpec, NetworkSpec, ScenarioConfig
-from .messages import HandlerOutput, Message, Op
+from .messages import Message, Op, OpResult
 from .trace import (
     CRASH,
     DELIVER,
@@ -88,13 +97,25 @@ class RunResult:
 
 
 def _delay_rule(spec: NetworkSpec, rng: random.Random):
-    """The network's per-send delay, as a callable picked once per run.  A
-    pinned rule counts and a drawn one takes one randint per send, in send
-    order; each advances only when it is called."""
+    """The network's per-send delay, as an iterator's `__next__` picked once
+    per run; it advances only when it is called, in send order."""
     if spec.delays is None:
-        return partial(rng.randint, 1, spec.delta)
+        return _draws(rng, spec.delta).__next__
     *head, last = spec.delays
     return chain(head, count(last, spec.step)).__next__
+
+
+def _draws(rng: random.Random, delta: int):
+    """`rng.randint(1, delta)`, one per item, by randint's own rejection
+    sampling: the same `getrandbits` calls, so the same values and the same
+    generator state afterwards, without randint's call chain per draw."""
+    bits = delta.bit_length()
+    getrandbits = rng.getrandbits
+    while True:
+        r = getrandbits(bits)
+        while r >= delta:
+            r = getrandbits(bits)
+        yield r + 1
 
 
 class _Sim:
@@ -109,8 +130,10 @@ class _Sim:
         self.round = config.network.kind == "round_sync"
         self.delta = config.network.delta
         self.trace: list[TraceEvent] = []
+        # (time, kind, seq, process or op id, message, sender); `seq` is
+        # unique, so a comparison never reaches the fields after it.
         self.heap: list = []
-        self.insert_seq = 0
+        self.next_seq = count().__next__
         self.crashed: dict[int, int] = {}
         self.pending_op: dict[int, int] = {}  # process -> op id
         self.op_cuts: dict[int, CrashSpec] = {}  # op id -> cut
@@ -123,26 +146,25 @@ class _Sim:
             elif spec.relay is not None:
                 self.relay_cuts[(spec.process, spec.relay)] = spec
             else:
-                self._push(spec.at, (_CRASH, spec.process))
+                self._push(spec.at, _CRASH, spec.process)
 
         for op_id, op in enumerate(config.ops):
-            self._push(self._op_time(op), (_INV, op_id))
+            self._push(self._op_time(op), _INV, op_id)
 
     def _op_time(self, op: Op) -> int:
         if self.round:
             return ((op.time + self.delta - 1) // self.delta) * self.delta
         return op.time
 
-    def _push(self, time: int, item) -> None:
-        heapq.heappush(self.heap, (time, item[0], self.insert_seq, item))
-        self.insert_seq += 1
+    def _push(self, time: int, kind: int, target: int) -> None:
+        heapq.heappush(self.heap, (time, kind, self.next_seq(), target, None, None))
 
     def _emit(self, time: int, kind: str, process: int, *fields) -> None:
         """Append one event; `fields` follow TraceEvent's field order."""
         self.trace.append(TraceEvent(time, len(self.trace), kind, process, *fields))
 
     def _mark_round(self, time: int) -> None:
-        if not self.round or time % self.delta != 0:
+        if time % self.delta != 0:
             return
         rnd = time // self.delta
         if rnd not in self.rounds_marked:
@@ -150,96 +172,97 @@ class _Sim:
             self._emit(time, ROUND_START, 0, None, None, None, None, None, None, rnd)
 
     def run(self) -> RunResult:
+        # Bound here rather than at import, so that wrappers installed on the
+        # module's TraceEvent or on the algorithm's methods see every call.
+        event = TraceEvent
+        deliver = self.algo.deliver
+        is_noop = self.algo.is_noop_delivery
+        heap, trace, states, crashed = self.heap, self.trace, self.states, self.crashed
+        pop, push, append = heapq.heappop, heapq.heappush, trace.append
+        delay, next_seq, budget = self.delay, self.next_seq, self.budget
+        messages, rounds, relay_cuts = self.messages, self.round, self.relay_cuts
+        everyone = range(1, self.config.n + 1)
         processed = 0
-        while self.heap:
+        while heap:
             processed += 1
-            if processed > self.budget:
-                raise BudgetExceededError(self.budget, len(self.heap))
-            time, _, _, item = heapq.heappop(self.heap)
-            self._mark_round(time)
-            if item[0] == _INV:
-                self._handle_invoke(time, item[1])
-            elif item[0] == _DLV:
-                self._handle_deliver(time, item[1], item[2], item[3])
+            if processed > budget:
+                raise BudgetExceededError(budget, len(heap))
+            time, kind, _, proc, msg, sender = pop(heap)
+            if rounds:
+                self._mark_round(time)
+            if kind == _DLV:
+                if proc in crashed:
+                    continue  # dropped: no events at a crashed process
+                if messages:
+                    append(event(time, len(trace), DELIVER, proc, None, None, None, None,
+                                 sender, msg))
+                state = states[proc]
+                if is_noop(state, msg, sender):
+                    continue
+                state, outgoing, completion = deliver(state, msg, sender)
+                cut = None
+                if relay_cuts:
+                    for _, out_msg in outgoing:
+                        cut = relay_cuts.get((proc, out_msg))
+                        if cut is not None:
+                            break
+            elif kind == _INV:
+                step = self._invoke(time, proc)
+                if step is None:
+                    continue
+                proc, (state, outgoing, completion), cut = step
             else:
-                self._handle_crash(time, item[1])
+                if proc not in crashed:
+                    self._kill(time, proc)
+                continue
+            states[proc] = state
+            restrict = None if cut is None else cut.deliver_to
+            for dest, out_msg in outgoing:
+                for target in everyone if dest is None else (dest,):
+                    if restrict is not None and target not in restrict:
+                        continue
+                    if messages:
+                        append(event(time, len(trace), SEND, proc, None, None, None, None,
+                                     target, out_msg))
+                    push(heap, (time + delay(), _DLV, next_seq(), target, out_msg, proc))
+            if completion is not None or cut is not None:
+                self._finish(time, proc, completion, cut)
         return RunResult(self.trace, self.crashed, self.seed)
 
-    def _handle_invoke(self, time: int, op_id: int) -> None:
+    def _invoke(self, time: int, op_id: int):
+        """Begin op `op_id`: (process, handler output, the op's cut), or
+        None when its process has crashed."""
         op = self.config.ops[op_id]
         proc = op.process
         if proc in self.crashed:
-            return  # a crashed process invokes nothing
+            return None  # a crashed process invokes nothing
         if proc in self.pending_op:
             raise ScheduleError(
                 f"op {op_id} on p{proc} at t={time} while op "
                 f"{self.pending_op[proc]} is still pending"
             )
         out = self.algo.begin(self.states[proc], op)
-        self.states[proc] = out.state
         self._emit(time, INVOKE, proc, op_id, op.kind, op.value if op.kind == "write" else None)
         self.pending_op[proc] = op_id
-        self._finish(time, proc, out, self.op_cuts.get(op_id))
+        return proc, out, self.op_cuts.get(op_id)
 
-    def _handle_deliver(self, time: int, dest: int, msg: Message, sender: int) -> None:
-        if dest in self.crashed:
-            return  # dropped: no events at a crashed process
-        if self.messages:
-            self._emit(time, DELIVER, dest, None, None, None, None, sender, msg)
-        out = self.algo.deliver(self.states[dest], msg, sender)
-        self.states[dest] = out.state
-        cut = None
-        if self.relay_cuts:
-            for _, out_msg in out.outgoing:
-                cut = self.relay_cuts.get((dest, out_msg))
-                if cut is not None:
-                    break
-        self._finish(time, dest, out, cut)
-
-    def _finish(self, time: int, proc: int, out: HandlerOutput, cut: CrashSpec | None) -> None:
-        """Send a step's messages (a cut step's to `deliver_to` only) and its
-        response; a cut then halts the process now, or at `at` if later."""
-        restrict = None if cut is None else cut.deliver_to
-        self._dispatch_sends(time, proc, out.outgoing, restrict)
-        if out.completion is not None:
-            self._respond(time, proc, out.completion)
+    def _finish(self, time: int, proc: int, completion: OpResult | None,
+                cut: CrashSpec | None) -> None:
+        """After a step's sends: its response, then a cut halts the process
+        now, or at `at` if that is later."""
+        if completion is not None:
+            op_id = self.pending_op.pop(proc)
+            op = self.config.ops[op_id]
+            self._emit(time, RESPOND, proc, op_id, op.kind, completion.value, completion.seqno)
         if cut is not None:
             if cut.at is None or cut.at <= time:
                 self._kill(time, proc)
             else:
-                self._push(cut.at, (_CRASH, proc))
-
-    def _handle_crash(self, time: int, proc: int) -> None:
-        if proc not in self.crashed:
-            self._kill(time, proc)
+                self._push(cut.at, _CRASH, proc)
 
     def _kill(self, time: int, proc: int) -> None:
         self.crashed[proc] = time
         self._emit(time, CRASH, proc)
-
-    def _dispatch_sends(
-        self,
-        time: int,
-        sender: int,
-        outgoing,
-        restrict: frozenset[int] | None,
-    ) -> None:
-        for dest, msg in outgoing:
-            if dest is None:
-                targets = range(1, self.config.n + 1)
-            else:
-                targets = (dest,)
-            for target in targets:
-                if restrict is not None and target not in restrict:
-                    continue
-                if self.messages:
-                    self._emit(time, SEND, sender, None, None, None, None, target, msg)
-                self._push(time + self.delay(), (_DLV, target, msg, sender))
-
-    def _respond(self, time: int, proc: int, result) -> None:
-        op_id = self.pending_op.pop(proc)
-        op = self.config.ops[op_id]
-        self._emit(time, RESPOND, proc, op_id, op.kind, result.value, result.seqno)
 
 
 def run(

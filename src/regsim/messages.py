@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,9 @@ class OpResult:
     seqno: int
 
 
-@dataclass(frozen=True)
-class HandlerOutput:
-    """A handler's result; `state` is either protocol's replica state."""
+class HandlerOutput(NamedTuple):
+    """A handler's result; `state` is either protocol's replica state.  A
+    tuple, so the simulator unpacks it in one step."""
 
     state: Any
     outgoing: tuple[tuple[int | None, Message], ...] = ()

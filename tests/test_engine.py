@@ -1,16 +1,19 @@
 """Simulator behavior: determinism, delay conformance, crashes, rounds."""
 
+import random
 from collections import defaultdict, deque
 from pathlib import Path
 
 import pytest
 
-from regsim.config import load_scenario, parse_scenario
-from regsim.engine import BudgetExceededError, ScheduleError, run
+import regsim.engine
+from regsim.algos import make_algorithm
+from regsim.config import NetworkSpec, load_scenario, parse_scenario
+from regsim.engine import BudgetExceededError, ScheduleError, _delay_rule, run
 from regsim.history import check_termination, extract_history
 from regsim.messages import State, Write
 from regsim.report import build_report
-from regsim.trace import CRASH, DELIVER, ROUND_START, SEND, to_jsonl_bytes
+from regsim.trace import CRASH, DELIVER, ROUND_START, SEND, TraceEvent, to_jsonl_bytes
 
 
 def scenario(**over):
@@ -365,3 +368,92 @@ def _fits(cfg, budget, messages):
     except BudgetExceededError:
         return False
     return True
+
+
+@pytest.mark.parametrize("delta", range(1, 65))
+def test_drawn_delays_follow_randint(delta):
+    # The drawn rule must take randint(1, delta)'s values from the same
+    # generator calls: same stream, same generator state afterwards.
+    for seed in range(20):
+        expected, drawn = random.Random(seed), random.Random(seed)
+        delay = _delay_rule(NetworkSpec("async", delta), drawn)
+        assert [delay() for _ in range(100)] == [expected.randint(1, delta) for _ in range(100)]
+        assert drawn.getstate() == expected.getstate()
+
+
+def sweep_n15_shaped(algorithm, crashes):
+    """n=15, t=7, drawn delays up to Delta=10: writes at ticks 0 and 30 and
+    overlapping reads by p2-p5, each process's reads 55 ticks apart."""
+    ops = [
+        {"time": 0, "process": 1, "op": "write", "value": "a"},
+        {"time": 30, "process": 1, "op": "write", "value": "b"},
+    ]
+    for p, first in ((2, 3), (3, 12), (4, 26), (5, 34)):
+        ops.append({"time": first, "process": p, "op": "read"})
+        if p < 5:
+            ops.append({"time": first + 55, "process": p, "op": "read"})
+    return parse_scenario({
+        "n": 15,
+        "t": 7,
+        "algorithm": algorithm,
+        "network": {"kind": "bounded_delay", "Delta": 10},
+        "ops": ops,
+        "crashes": crashes,
+    })
+
+
+NOOP_CASES = [
+    *((name, load_scenario(SCENARIOS / name)) for name in
+      sorted(p.name for p in SCENARIOS.glob("*.json"))),
+    *((f"n15-{alg}-at", sweep_n15_shaped(alg, [{"process": 6, "at": 20}]))
+      for alg in ("teff", "teff-modified", "abd")),
+    *((f"n15-{alg}-cut", sweep_n15_shaped(alg, [
+        {"process": 1, "during_broadcast": {"op_index": 1, "deliver_to": [2], "crash_at": 36}}
+    ])) for alg in ("teff", "teff-modified", "abd")),
+    *((f"n15-{alg}-forward", sweep_n15_shaped(alg, [
+        {"process": 2, "during_forward": {"wsn": 1, "deliver_to": [3, 4]}}
+    ])) for alg in ("teff", "teff-modified")),
+]
+
+
+@pytest.mark.parametrize("name,cfg", NOOP_CASES, ids=[name for name, _ in NOOP_CASES])
+def test_skipped_deliveries_are_noops_and_traced(name, cfg, monkeypatch):
+    # The engine skips the handler for a delivery the algorithm's
+    # is_noop_delivery flags.  Each skipped delivery must, delivered, leave
+    # the state as it is, send nothing and complete nothing; and its DELIVER
+    # event, built just before the check, must be in the trace.
+    built, skipped = [], []
+
+    def recording_event(*fields):
+        built.append(TraceEvent(*fields))
+        return built[-1]
+
+    def recording_algorithm(*args):
+        algo = make_algorithm(*args)
+        predicate = algo.is_noop_delivery
+
+        def recorded(state, msg, sender):
+            noop = predicate(state, msg, sender)
+            if noop:
+                skipped.append((algo, state, msg, sender, built[-1]))
+            return noop
+
+        algo.is_noop_delivery = recorded
+        return algo
+
+    monkeypatch.setattr(regsim.engine, "make_algorithm", recording_algorithm)
+    monkeypatch.setattr(regsim.engine, "TraceEvent", recording_event)
+    total = 0
+    for seed in range(4):
+        skipped.clear()
+        trace = run(cfg, seed=seed).trace
+        total += len(skipped)
+        traced = {id(ev) for ev in trace}
+        for algo, state, msg, sender, event in skipped:
+            assert event.kind == DELIVER and (event.peer, event.message) == (sender, msg)
+            assert id(event) in traced
+            out = algo.deliver(state, msg, sender)
+            assert out.state.freeze() == state.freeze(), (seed, state, msg, sender)
+            assert not out.outgoing and out.completion is None, (seed, state, msg, sender)
+    if name.startswith("n15"):
+        assert total
