@@ -6,8 +6,10 @@ takes the pair with the largest sequence number from a quorum of replies,
 unconditionally writes that pair back, and returns after a quorum of acks.
 Every phase gets a fresh per-process phase id (opsn) so stale replies are
 discarded.  `AbdAlgo(n, t)` holds the quorum n - t and the handlers; a
-replica state holds only the protocol's variables.  Process 1 is the
-writer.
+replica state holds only the protocol's variables.  Handlers are pure: they
+never mutate the input state, and a handler that changes nothing (a query,
+an update no newer than the replica's pair) returns its input state itself,
+uncopied.  Process 1 is the writer.
 """
 
 from __future__ import annotations
@@ -87,18 +89,20 @@ class AbdAlgo:
         return HandlerOutput(st, ((BROADCAST, AbdUpdate(st.opsn, st.wsn, op.value)),))
 
     def deliver(self, state: AbdReplicaState, msg: Message, sender: int) -> HandlerOutput:
-        st = state.clone()
         if isinstance(msg, AbdUpdate):
-            if msg.wsn > st.wsn:
-                st.wsn = msg.wsn
-                st.reg = msg.value
-            return HandlerOutput(st, ((sender, AbdAck(msg.opsn)),))
+            ack = ((sender, AbdAck(msg.opsn)),)
+            if msg.wsn <= state.wsn:
+                return HandlerOutput(state, ack)
+            st = state.clone()
+            st.wsn = msg.wsn
+            st.reg = msg.value
+            return HandlerOutput(st, ack)
         if isinstance(msg, AbdQuery):
-            return HandlerOutput(st, ((sender, AbdReport(msg.opsn, st.wsn, st.reg)),))
+            return HandlerOutput(state, ((sender, AbdReport(msg.opsn, state.wsn, state.reg)),))
         if isinstance(msg, AbdAck):
-            return self._client_ack(st, msg, sender)
+            return self._client_ack(state.clone(), msg, sender)
         if isinstance(msg, AbdReport):
-            return self._client_report(st, msg, sender)
+            return self._client_report(state.clone(), msg, sender)
         raise ProtocolError(f"not an ABD message: {msg!r}")
 
     @staticmethod

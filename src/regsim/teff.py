@@ -26,7 +26,8 @@ and no handler takes a process id; the writer check reads the invoked
 (ints, bytes, frozensets, frozen records, and a `know` dict that handlers
 replace rather than change), so `clone` is a shallow copy.  Handlers are
 pure: they never mutate the input state, and identical (state, input) pairs
-produce identical outputs.  Process 1 is the writer.
+produce identical outputs.  A handler that changes nothing (a READ only
+answers) returns its input state itself, uncopied.  Process 1 is the writer.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ class TeffAlgo:
             reply = State(rsn, state.wsn, state.reg, carries_value=True)
         else:
             reply = State(rsn, state.wsn)
-        return HandlerOutput(state.clone(), ((sender, reply),))
+        return HandlerOutput(state, ((sender, reply),))
 
     def on_state(
         self,

@@ -6,28 +6,36 @@ encoding; `seq` is the global processing order and doubles as the tie-break
 for simultaneous events.  Process 0 stands for the system itself
 (round_start markers).
 
-Events are immutable NamedTuples.  A line is built from one template per
-kind, exactly as `json.dumps(obj, separators=(",", ":"))` would write the
-event's fields.  A send or deliver line of exactly that shape is parsed back
-by one compiled pattern, the inverse of those two templates.  Every other
-line (the other kinds, and any line the pattern declines: spaces, other key
-orders, escapes, floats, `-0` and the like) is parsed as JSON with every
-field's type checked.  Either way a line gives the same event or the same
-error.  Messages are frozen values, and a trace repeats few of them many
-times (a relayed WRITE is one message sent and delivered n^2 times), so each
-distinct message is encoded to hex, and each distinct hex string decoded,
-once per memo entry.  The regsim commands run with Python's cyclic garbage
-collector paused (`cli.main`), so a long trace is read without collector
-passes over its growing event list.
+Events are immutable NamedTuples.  Each direction is one loop per file.
+The writer (`_text`, behind `write_jsonl`, `to_jsonl_bytes` and
+`event_to_json`) unpacks each event once and builds its line from one
+template per kind, exactly as `json.dumps(obj, separators=(",", ":"))` would
+write the event's fields; it streams blocks of lines, never the whole file.
+The reader (`_events`, behind `read_jsonl` and `event_from_json`) strips
+each line of JSON whitespace (space, tab, CR, LF) only, skips blank lines,
+and parses a send or deliver line of exactly the written shape by one
+compiled pattern, the inverse of those two templates.  Every other line (the other
+kinds, and any line the pattern declines: spaces, other key orders, escapes,
+floats, `-0` and the like) is parsed as JSON with every field's type
+checked.  Either way a line gives the same event or the same error.
+
+A trace repeats few messages many times (a relayed WRITE is one message sent
+and delivered n^2 times), so within one file each distinct message is
+encoded to hex once, and each distinct hex string decoded once.  The
+writer's memo is keyed by the message object's id and holds the message, so
+no id is reused while the memo lives; only an object seen for the first time
+is looked up by value.  Decoded messages are frozen values, shared by the
+events that carry them.  The regsim commands run with Python's cyclic
+garbage collector paused (`cli.main`), so a long trace is read without
+collector passes over its growing event list.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .messages import Message, decode_message, encode_message
 
@@ -38,8 +46,11 @@ DELIVER = "deliver"
 CRASH = "crash"
 ROUND_START = "round_start"
 
-# Distinct messages remembered by each direction of the codec.
-_MESSAGE_MEMO = 4096
+# The whitespace JSON allows around a value: a line is stripped of it alone.
+_JSON_SPACE = " \t\n\r"
+
+# Lines the writer joins into one block of text: few writes, bounded memory.
+_BLOCK_LINES = 4096
 
 
 class TraceEvent(NamedTuple):
@@ -59,7 +70,7 @@ class TraceEvent(NamedTuple):
     round_no: int | None = None
 
 
-# The send and deliver templates of `event_to_json`, inverted: an integer as
+# The send and deliver templates of `_text`, inverted: an integer as
 # `str(int)` writes it (no `-0`, no leading zero), and the peer's key follows
 # the kind ("to" if group 3 matched "send", else "from").  Groups: t, seq,
 # "send" or None, p, peer, message hex.
@@ -71,16 +82,6 @@ _MESSAGE_LINE = re.compile(
 
 _string = json.JSONEncoder(separators=(",", ":")).encode
 _raw_decode = json.JSONDecoder().raw_decode
-
-
-@functools.lru_cache(maxsize=_MESSAGE_MEMO)
-def _message_hex(msg: Message) -> str:
-    return encode_message(msg).hex()
-
-
-@functools.lru_cache(maxsize=_MESSAGE_MEMO)
-def _message_from_hex(raw: str) -> Message:
-    return decode_message(bytes.fromhex(raw))
 
 
 def _value_out(value: bytes | None) -> str:
@@ -102,53 +103,105 @@ def _int(obj: dict, key: str) -> int:
     return value
 
 
+def _text(events: Iterable[TraceEvent]) -> Iterator[str]:
+    """The events' lines, each with its newline, from one template per kind,
+    in blocks of up to `_BLOCK_LINES` lines.  Integer fields hold ints."""
+    # id -> (message, the end of its lines: the "msg" field and the closing
+    # brace).  Holding the message keeps its id from being reused while the
+    # memo lives.  A new object equal to a known one (each relay builds its
+    # own WRITE) takes that value's end from `by_value`, so each distinct
+    # message is encoded once and compared by value only when its object is
+    # first seen.
+    tails: dict[int, tuple[Message, str]] = {}
+    by_value: dict[Message, str] = {}
+    encode = encode_message
+    lines: list[str] = []
+    add = lines.append
+    for time, seq, kind, p, op_id, op_kind, value, seqno, peer, message, round_no in events:
+        if kind == SEND or kind == DELIVER:
+            memo = tails.get(id(message))
+            if memo is None:
+                tail = by_value.get(message)
+                if tail is None:
+                    tail = by_value[message] = f'"msg":"{encode(message).hex()}"}}\n'
+                memo = tails[id(message)] = (message, tail)
+            if kind == SEND:
+                add(f'{{"t":{time},"seq":{seq},"kind":"send","p":{p},"to":{peer},{memo[1]}')
+            else:
+                add(f'{{"t":{time},"seq":{seq},"kind":"deliver","p":{p},"from":{peer},{memo[1]}')
+        elif kind == INVOKE:
+            head = (
+                f'{{"t":{time},"seq":{seq},"kind":"invoke","p":{p},"op":{op_id},'
+                f'"opkind":{_string(op_kind)}'
+            )
+            add(f'{head},"value":{_value_out(value)}}}\n' if op_kind == "write" else head + "}\n")
+        elif kind == RESPOND:
+            add(
+                f'{{"t":{time},"seq":{seq},"kind":"respond","p":{p},"op":{op_id},'
+                f'"opkind":{_string(op_kind)},"value":{_value_out(value)},"wsn":{seqno}}}\n'
+            )
+        elif kind == ROUND_START:
+            add(f'{{"t":{time},"seq":{seq},"kind":"round_start","p":{p},"round":{round_no}}}\n')
+        elif kind == CRASH:
+            add(f'{{"t":{time},"seq":{seq},"kind":"crash","p":{p}}}\n')
+        else:
+            raise ValueError(f"unknown event kind {kind!r}")
+        if len(lines) == _BLOCK_LINES:
+            yield "".join(lines)
+            lines.clear()
+    yield "".join(lines)
+
+
+def _events(lines: Iterable[str]) -> Iterator[TraceEvent]:
+    """The event of each non-blank line.  A send or deliver line in the
+    canonical shape is parsed by `_MESSAGE_LINE`, any other by `_json_event`.
+    Raises ValueError naming the line's number (from 1) and chained to the
+    line's own error."""
+    messages: dict[str, Message] = {}  # hex -> message
+    fullmatch, decode = _MESSAGE_LINE.fullmatch, decode_message
+    new = tuple.__new__  # TraceEvent's fields, without its Python-level __new__
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip(_JSON_SPACE)
+        if not line:
+            continue
+        match = fullmatch(line)
+        try:
+            if match is None:
+                event = _json_event(line, messages)
+            else:
+                time, seq, sent, process, peer, raw = match.groups()
+                message = messages.get(raw)
+                if message is None:
+                    message = messages[raw] = decode(bytes.fromhex(raw))
+                event = new(TraceEvent, (
+                    int(time), int(seq), SEND if sent else DELIVER, int(process),
+                    None, None, None, None, int(peer), message, None,
+                ))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+        yield event
+
+
 def event_to_json(ev: TraceEvent) -> str:
-    """The event's line, without the newline.  Integer fields hold ints."""
-    time, seq, kind, p, op_id, op_kind, value, seqno, peer, message, round_no = ev
-    if kind == SEND:
-        return (
-            f'{{"t":{time},"seq":{seq},"kind":"send","p":{p},"to":{peer},'
-            f'"msg":"{_message_hex(message)}"}}'
-        )
-    if kind == DELIVER:
-        return (
-            f'{{"t":{time},"seq":{seq},"kind":"deliver","p":{p},"from":{peer},'
-            f'"msg":"{_message_hex(message)}"}}'
-        )
-    if kind == INVOKE:
-        head = (
-            f'{{"t":{time},"seq":{seq},"kind":"invoke","p":{p},"op":{op_id},'
-            f'"opkind":{_string(op_kind)}'
-        )
-        return f'{head},"value":{_value_out(value)}}}' if op_kind == "write" else head + "}"
-    if kind == RESPOND:
-        return (
-            f'{{"t":{time},"seq":{seq},"kind":"respond","p":{p},"op":{op_id},'
-            f'"opkind":{_string(op_kind)},"value":{_value_out(value)},"wsn":{seqno}}}'
-        )
-    if kind == ROUND_START:
-        return f'{{"t":{time},"seq":{seq},"kind":"round_start","p":{p},"round":{round_no}}}'
-    if kind == CRASH:
-        return f'{{"t":{time},"seq":{seq},"kind":"crash","p":{p}}}'
-    raise ValueError(f"unknown event kind {kind!r}")
+    """The event's line, without the newline."""
+    return next(_text((ev,)))[:-1]
 
 
 def event_from_json(line: str) -> TraceEvent:
     """The event of one line.  Raises ValueError on a malformed line."""
-    match = _MESSAGE_LINE.fullmatch(line)
-    if match is None:
-        return _json_event(line)
-    time, seq, sent, process, peer, raw = match.groups()
-    return TraceEvent(
-        int(time), int(seq), SEND if sent else DELIVER, int(process),
-        None, None, None, None, int(peer), _message_from_hex(raw),
-    )
+    try:
+        for event in _events((line,)):
+            return event
+    except ValueError as exc:
+        raise exc.__cause__ from None  # the line's own error, without its number
+    return _json_event(line, {})  # blank: raises as JSON does
 
 
-def _json_event(line: str) -> TraceEvent:
+def _json_event(line: str, messages: dict[str, Message]) -> TraceEvent:
     """Any line, parsed as JSON with every field's type checked: the
-    reference that the send/deliver pattern must agree with."""
-    line = line.strip(" \t\n\r")  # the JSON whitespace json.loads skips, raw_decode not
+    reference that the send/deliver pattern must agree with.  `messages` is
+    the file's memo from hex to message."""
+    line = line.strip(_JSON_SPACE)  # json.loads skips it, raw_decode not
     try:
         obj, end = _raw_decode(line)
     except RecursionError:
@@ -165,7 +218,9 @@ def _json_event(line: str) -> TraceEvent:
             raw = obj["msg"]
             if type(raw) is not str:
                 raise ValueError(f"field 'msg' must be a string, got {raw!r}")
-            message = _message_from_hex(raw)
+            message = messages.get(raw)
+            if message is None:
+                message = messages[raw] = decode_message(bytes.fromhex(raw))
             return TraceEvent(time, seq, kind, process, None, None, None, None, peer, message)
         if kind == INVOKE or kind == RESPOND:
             op_kind = obj["opkind"]
@@ -185,21 +240,13 @@ def _json_event(line: str) -> TraceEvent:
 
 def write_jsonl(events: Iterable[TraceEvent], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(event_to_json(ev) + "\n" for ev in events)
+        fh.writelines(_text(events))
 
 
 def read_jsonl(path: str | Path) -> list[TraceEvent]:
-    events = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
-                    events.append(event_from_json(line))
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from exc
-    return events
+        return list(_events(fh))
 
 
 def to_jsonl_bytes(events: Iterable[TraceEvent]) -> bytes:
-    return "".join(event_to_json(ev) + "\n" for ev in events).encode("utf-8")
+    return "".join(_text(events)).encode("utf-8")

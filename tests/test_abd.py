@@ -64,6 +64,7 @@ def test_server_adopts_newer_only_but_always_acks():
     st = A3.init()
     st, outgoing, _ = feed(st, [(AbdUpdate(9, 3, b"c"), 1)])
     assert st.wsn == 3 and st.reg == b"c"
+    assert A3.deliver(st, AbdUpdate(10, 3, b"c"), 1).state is st  # not newer: no copy
     st, outgoing2, _ = feed(st, [(AbdUpdate(10, 1, b"a"), 1)])
     assert st.wsn == 3 and st.reg == b"c"  # no adopt
     assert outgoing == [(1, AbdAck(9))]
@@ -72,8 +73,9 @@ def test_server_adopts_newer_only_but_always_acks():
 
 def test_server_reports_current_pair():
     st = A3.init()
-    st, outgoing, _ = feed(st, [(AbdQuery(4), 2)])
-    assert outgoing == [(2, AbdReport(4, 0, None))]
+    out = A3.deliver(st, AbdQuery(4), 2)
+    assert out.outgoing == ((2, AbdReport(4, 0, None)),)
+    assert out.state is st  # a query changes nothing, so nothing is copied
 
 
 def test_read_on_fresh_system_returns_initial_value():

@@ -527,6 +527,25 @@ def test_check_trace_outside_the_model_exit_two(tmp_path, capsys, lines, reason)
     assert err.startswith("trace error:") and reason in err and err.count("\n") == 1
 
 
+# A line is stripped of JSON whitespace (space, tab, CR, LF) only, as
+# `event_from_json` strips it; any other padding makes the line malformed.
+@pytest.mark.parametrize(
+    "pad", ["\u00a0", "\x0b", "\x0c", "\u2028"], ids=["nbsp", "vt", "ff", "line-separator"]
+)
+def test_check_line_padded_with_other_whitespace_exit_two(tmp_path, capsys, pad):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(f"\n{pad}{INVOKE}\n{RESPOND}\n", encoding="utf-8")
+    assert main(["check", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"trace error: {trace}: line 2: ") and err.count("\n") == 1
+
+
+def test_check_skips_blank_lines_and_json_whitespace(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(f"\n \t\n \t{INVOKE}\r\n\n{RESPOND} \t\n\n", encoding="utf-8")
+    assert main(["check", str(trace)]) == 0
+
+
 # The scenario has n=3, so p9 and p4 name no process of it.
 @pytest.mark.parametrize(
     "lines,reason",

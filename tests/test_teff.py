@@ -160,6 +160,7 @@ def test_on_read_replies_current_wsn():
     st.reg = b"e"
     out = B3.on_read(st, 2, 2)
     assert out.outgoing == ((2, State(2, 5)),)
+    assert out.state is st  # a READ changes nothing, so nothing is copied
 
     fresh = B3.init()
     assert B3.on_read(fresh, 1, 2).outgoing == ((2, State(1, 0)),)
@@ -171,6 +172,7 @@ def test_on_read_modified_carries_value():
     st.reg = b"e"
     out = M3.on_read(st, 2, 2)
     assert out.outgoing == ((2, State(2, 5, b"e", carries_value=True)),)
+    assert out.state is st
 
 
 # --- on_state / check_read_complete --------------------------------------

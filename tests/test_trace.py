@@ -1,14 +1,18 @@
 """Trace events: the JSONL codec writes what `json.dumps` would, round trips
 every event, and rejects malformed input with ValueError.  The send/deliver
-pattern agrees with the JSON path on every line, canonical or not."""
+pattern agrees with the JSON path on every line, canonical or not, and the
+file-level writer and reader agree with the per-line codec."""
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from regsim.config import load_scenario
+from regsim.engine import run
 from regsim.messages import (
     AbdAck,
     AbdQuery,
@@ -27,11 +31,17 @@ from regsim.trace import (
     ROUND_START,
     SEND,
     TraceEvent,
+    _BLOCK_LINES,
     _json_event,
     _MESSAGE_LINE,
     event_from_json,
     event_to_json,
+    read_jsonl,
+    to_jsonl_bytes,
+    write_jsonl,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # One valid event of each kind, as `write_jsonl` writes it.
 VALID = [
@@ -158,7 +168,7 @@ def test_codec_matches_json_dumps_and_round_trips(ev):
     assert line == dumps_event(ev)
     # Every send/deliver line takes the pattern, and the JSON path agrees.
     assert (_MESSAGE_LINE.fullmatch(line) is not None) == (ev.kind in (SEND, DELIVER))
-    assert event_from_json(line) == _json_event(line) == ev
+    assert event_from_json(line) == _json_event(line, {}) == ev
 
 
 def _outcome(decode, line):
@@ -233,7 +243,7 @@ DELIVERED = TraceEvent(3, 4, DELIVER, 2, peer=1, message=State(0xBEEF, 1))
 @given(MESSAGE_EVENTS, st.sampled_from(sorted(PERTURBATIONS)))
 def test_perturbed_message_lines_decode_as_json_does(ev, perturbation):
     line = PERTURBATIONS[perturbation](event_to_json(ev))
-    assert _outcome(event_from_json, line) == _outcome(_json_event, line)
+    assert _outcome(event_from_json, line) == _outcome(lambda raw: _json_event(raw, {}), line)
 
 
 @pytest.mark.parametrize("msg", ["zz", "09", "0101"], ids=["not-hex", "unknown-tag", "truncated"])
@@ -243,3 +253,125 @@ def test_bad_message_raises_on_every_call(msg):
         with pytest.raises(ValueError):
             event_from_json(line)
     assert event_from_json(VALID[2]).message == Read(1)
+
+
+# --- the file layer: one loop per file, against the per-line codec ----------
+
+
+def _traces():
+    """The full trace of every bundled scenario at its own seed, and of the
+    drawn-delays scenario at seeds 0-3."""
+    for path in sorted(SCENARIOS.glob("*.json")):
+        yield path.name, run(load_scenario(path)).trace
+    drawn = load_scenario(SCENARIOS / "drawn-delays.json")
+    for seed in range(4):
+        yield f"drawn-delays.json@{seed}", run(drawn, seed=seed).trace
+
+
+def test_file_writers_match_the_per_line_encoding(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    for name, trace in _traces():
+        expected = [(event_to_json(ev) + "\n").encode("utf-8") for ev in trace]
+        assert expected == [(dumps_event(ev) + "\n").encode("utf-8") for ev in trace]
+        write_jsonl(trace, path)
+        assert path.read_bytes().splitlines(keepends=True) == expected, name
+        assert to_jsonl_bytes(trace).splitlines(keepends=True) == expected, name
+        assert read_jsonl(path) == trace, name
+
+
+def _fresh_messages(count):
+    # Each event's message is built when the event is drawn and dropped with
+    # it, so CPython hands the freed memory, and its id, to a later message.
+    # Each value comes twice, as two objects: a memo keyed by value keeps the
+    # first alive, and only the id memo can keep the second.
+    for i in range(count):
+        message = Write(i // 2, b"%d" % (i // 2))
+        yield TraceEvent(i, i, SEND if i % 2 else DELIVER, 1, peer=2, message=message)
+
+
+@pytest.mark.parametrize("count", [1, _BLOCK_LINES, 2 * _BLOCK_LINES + 1])
+def test_writer_memo_survives_reused_message_ids(tmp_path, count):
+    # Compared as lists of lines, which pytest reports by the first
+    # difference rather than by a diff of the whole text.
+    expected = [(event_to_json(ev) + "\n").encode("utf-8") for ev in _fresh_messages(count)]
+    path = tmp_path / "trace.jsonl"
+    write_jsonl(_fresh_messages(count), path)
+    assert path.read_bytes().splitlines(keepends=True) == expected
+    assert to_jsonl_bytes(_fresh_messages(count)).splitlines(keepends=True) == expected
+
+
+def _message_lines():
+    """Canonical lines of a real trace, and the send/deliver lines above
+    whose hex holds letters."""
+    trace = run(load_scenario(SCENARIOS / "drawn-delays.json"), seed=0).trace
+    return [event_to_json(ev) for ev in [*trace, SENT, DELIVERED]]
+
+
+# The perturbations whose lines still decode; the others' lines are malformed.
+DECODABLE = {
+    "default-separators", "reordered-keys", "duplicated-key", "minus-zero", "uppercase-hex",
+    "escaped-kind",
+}
+
+
+def _perturbed(lines, decodable):
+    """Every perturbation in or out of DECODABLE, each applied to five of the
+    message lines."""
+    messages = [line for line in lines if '"msg":' in line]
+    names = sorted(name for name in PERTURBATIONS if (name in DECODABLE) == decodable)
+    perturbed = [PERTURBATIONS[names[i % len(names)]](line)
+                 for i, line in enumerate(messages[: 5 * len(names)])]
+    assert len(perturbed) == 5 * len(names)
+    for line in perturbed:
+        assert isinstance(_outcome(event_from_json, line), str) != decodable, line
+    return perturbed
+
+
+def test_reader_matches_the_per_line_decoding(tmp_path):
+    # Canonical lines mixed with every decodable perturbation, JSON
+    # whitespace around some lines, and blank lines.
+    canonical = _message_lines()
+    perturbed = _perturbed(canonical, decodable=True)
+    lines = []
+    for i, line in enumerate(canonical):
+        lines.append(line if i % 7 else f" \t{line}\r")
+        if perturbed:
+            lines.append(perturbed.pop())
+        if i % 11 == 0:
+            lines.append(" \t")
+    assert not perturbed
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = [event_from_json(line) for line in lines if line.strip(" \t\r")]
+    assert read_jsonl(path) == expected
+    assert expected == [_json_event(line, {}) for line in lines if line.strip(" \t\r")]
+
+
+MALFORMED = {
+    "bad-hex": VALID[2].replace("020100000000000000", "zz"),
+    "unknown-tag": VALID[2].replace("020100000000000000", "09"),
+    "truncated-message": VALID[2].replace("020100000000000000", "0101"),
+    "unknown-kind": VALID[4].replace("crash", "halt"),
+    "not-json": "{",
+    "vertical-tab": "\x0b" + VALID[0],
+    "no-break-space": VALID[3] + "\u00a0",
+}
+
+
+@pytest.mark.parametrize("position", [1, 2, 40])
+def test_reader_names_the_malformed_line(tmp_path, position):
+    # The reader's error is the line's own, as the JSON reference and
+    # `event_from_json` give it, behind the line's number.
+    canonical = _message_lines()
+    path = tmp_path / "trace.jsonl"
+    for line in [*MALFORMED.values(), *_perturbed(canonical, decodable=False)]:
+        lines = canonical[: position - 1] + [line] + canonical[position - 1 :]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_jsonl(path)
+        with pytest.raises(ValueError) as reference:
+            _json_event(line, {})
+        with pytest.raises(ValueError) as own:
+            event_from_json(line)
+        assert str(info.value) == f"line {position}: {reference.value}"
+        assert str(reference.value) == str(own.value)
