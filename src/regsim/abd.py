@@ -14,7 +14,7 @@ uncopied.  Process 1 is the writer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .messages import (
     BROADCAST,
@@ -125,7 +125,7 @@ class AbdAlgo:
             return HandlerOutput(st)
         responders = pd.responders | {sender}
         if len(responders) < self.quorum:
-            st.pending = replace(pd, responders=responders)
+            st.pending = AbdPending(pd.phase, pd.opsn, responders, pd.best_wsn, pd.best_value)
             return HandlerOutput(st)
         st.pending = None
         if pd.phase == PHASE_WRITE:
@@ -145,9 +145,7 @@ class AbdAlgo:
         if msg.wsn > best_wsn:
             best_wsn, best_value = msg.wsn, msg.value
         if len(responders) < self.quorum:
-            st.pending = replace(
-                pd, responders=responders, best_wsn=best_wsn, best_value=best_value
-            )
+            st.pending = AbdPending(pd.phase, pd.opsn, responders, best_wsn, best_value)
             return HandlerOutput(st)
         # Quorum of reports: write the freshest pair back, even if all replies
         # agree, then wait for acks.

@@ -2,16 +2,25 @@
 
 Time is integer ticks.  Local processing takes zero time: an event handler
 runs entirely at the tick of the event that triggered it.  Simultaneous
-events are ordered by insertion sequence number, so a (config, seed) pair
-always produces the same trace byte-for-byte.
+events settle in a fixed order, crashes, then deliveries, then invocations,
+each kind in the order queued, so a (config, seed) pair always produces the
+same trace byte-for-byte.  Deliveries-before-invocations is what makes a
+round boundary behave like "receive everything from round r, then start
+round r+1"; crashes-first keeps a crash tick free of any activity by the
+crashed process.
 
-One loop pops the event queue and runs each step: a delivery inline, an
-invocation or a crash through a method, as those are rare.  A delivery to a
-live process is traced (DELIVER) and then, when the algorithm's
+The queue is a calendar queue: a heap holds each tick with something queued
+once, and that tick's bucket holds its crashes, deliveries and invocations
+in three lists.  One loop pops a tick and runs the lists in turn: a
+delivery inline, an invocation or a crash through a method, as those are
+rare.  Nothing is ever queued for the tick in hand (every delay is at least
+1, a cut's later crash goes to its later tick, and every invocation is
+queued before the run), so a bucket keeps its order.  A delivery to a live
+process is traced (DELIVER) and then, when the algorithm's
 `is_noop_delivery` says it can change nothing, goes no further: no handler
 call, no state copy, no send or completion.  Such a delivery still counts
-against the event budget and still appears in the trace, so skipping it
-changes no output.
+against the event budget, one count per queued item, and still appears in
+the trace, so skipping it changes no output.
 
 Every send gets its delay from one rule, which config.py builds from the
 network: pinned delays in send order, each send after the last pinned one
@@ -22,12 +31,6 @@ stream of delays is randint's.  "round_sync" pins every delay to delta and
 aligns operation invocations to round boundaries — which reproduces
 lock-step rounds where everything sent at a round's start arrives at its
 end.
-
-Simultaneous events settle in a fixed order: crashes, then deliveries, then
-invocations (ties within a kind by insertion).  Deliveries-before-invocations
-is what makes a round boundary behave like "receive everything from round r,
-then start round r+1"; crashes-first keeps a crash tick free of any activity
-by the crashed process.
 
 Crashes: a crashed process sends, receives, and executes nothing from its
 crash tick on.  Messages it sent earlier are still delivered (the crash
@@ -69,7 +72,7 @@ from .trace import (
 
 DEFAULT_EVENT_BUDGET = 1_000_000
 
-# Heap priority at equal times; also the event kind discriminator.
+# A tick's lists, in the order they settle.
 _CRASH, _DLV, _INV = 0, 1, 2
 
 
@@ -130,15 +133,15 @@ class _Sim:
         self.round = config.network.kind == "round_sync"
         self.delta = config.network.delta
         self.trace: list[TraceEvent] = []
-        # (time, kind, seq, process or op id, message, sender); `seq` is
-        # unique, so a comparison never reaches the fields after it.
-        self.heap: list = []
-        self.next_seq = count().__next__
+        # tick -> (crashes, deliveries, invocations): lists of (process,
+        # message, sender) in the order queued; a crash has neither, an
+        # invocation its op id for a message.  `ticks` is a heap of its keys.
+        self.queue: dict[int, tuple[list, list, list]] = {}
+        self.ticks: list[int] = []
         self.crashed: dict[int, int] = {}
         self.pending_op: dict[int, int] = {}  # process -> op id
         self.op_cuts: dict[int, CrashSpec] = {}  # op id -> cut
         self.relay_cuts: dict[tuple[int, Message], CrashSpec] = {}  # (proc, msg) -> cut
-        self.rounds_marked: set[int] = set()
 
         for spec in config.crashes:
             if spec.op_index is not None:
@@ -146,30 +149,27 @@ class _Sim:
             elif spec.relay is not None:
                 self.relay_cuts[(spec.process, spec.relay)] = spec
             else:
-                self._push(spec.at, _CRASH, spec.process)
+                self._bucket(spec.at)[_CRASH].append((spec.process, None, None))
 
         for op_id, op in enumerate(config.ops):
-            self._push(self._op_time(op), _INV, op_id)
+            self._bucket(self._op_time(op))[_INV].append((op.process, op_id, None))
 
     def _op_time(self, op: Op) -> int:
         if self.round:
             return ((op.time + self.delta - 1) // self.delta) * self.delta
         return op.time
 
-    def _push(self, time: int, kind: int, target: int) -> None:
-        heapq.heappush(self.heap, (time, kind, self.next_seq(), target, None, None))
+    def _bucket(self, time: int) -> tuple[list, list, list]:
+        """The bucket of `time`, opened on first use."""
+        bucket = self.queue.get(time)
+        if bucket is None:
+            bucket = self.queue[time] = ([], [], [])
+            heapq.heappush(self.ticks, time)
+        return bucket
 
     def _emit(self, time: int, kind: str, process: int, *fields) -> None:
         """Append one event; `fields` follow TraceEvent's field order."""
         self.trace.append(TraceEvent(time, len(self.trace), kind, process, *fields))
-
-    def _mark_round(self, time: int) -> None:
-        if time % self.delta != 0:
-            return
-        rnd = time // self.delta
-        if rnd not in self.rounds_marked:
-            self.rounds_marked.add(rnd)
-            self._emit(time, ROUND_START, 0, None, None, None, None, None, None, rnd)
 
     def run(self) -> RunResult:
         # Bound here rather than at import, so that wrappers installed on the
@@ -177,65 +177,65 @@ class _Sim:
         event = TraceEvent
         deliver = self.algo.deliver
         is_noop = self.algo.is_noop_delivery
-        heap, trace, states, crashed = self.heap, self.trace, self.states, self.crashed
-        pop, push, append = heapq.heappop, heapq.heappush, trace.append
-        delay, next_seq, budget = self.delay, self.next_seq, self.budget
-        messages, rounds, relay_cuts = self.messages, self.round, self.relay_cuts
+        queue, trace, states, crashed = self.queue, self.trace, self.states, self.crashed
+        ticks, pop, append = self.ticks, heapq.heappop, trace.append
+        delay, budget, relay_cuts = self.delay, self.budget, self.relay_cuts
+        messages, rounds, delta = self.messages, self.round, self.delta
         everyone = range(1, self.config.n + 1)
         processed = 0
-        while heap:
-            processed += 1
-            if processed > budget:
-                raise BudgetExceededError(budget, len(heap))
-            time, kind, _, proc, msg, sender = pop(heap)
-            if rounds:
-                self._mark_round(time)
-            if kind == _DLV:
+        while ticks:
+            time = pop(ticks)
+            start = processed
+            if rounds and time % delta == 0:  # each tick is popped once
+                self._emit(time, ROUND_START, 0, None, None, None, None, None, None, time // delta)
+            for proc, msg, sender in chain(*queue[time]):
+                processed += 1
+                if processed > budget:  # queued: this item and all after it
+                    queued = sum(map(len, chain.from_iterable(queue.values())))
+                    raise BudgetExceededError(budget, queued - (processed - 1 - start))
                 if proc in crashed:
-                    continue  # dropped: no events at a crashed process
-                if messages:
-                    append(event(time, len(trace), DELIVER, proc, None, None, None, None,
-                                 sender, msg))
-                state = states[proc]
-                if is_noop(state, msg, sender):
-                    continue
-                state, outgoing, completion = deliver(state, msg, sender)
-                cut = None
-                if relay_cuts:
-                    for _, out_msg in outgoing:
-                        cut = relay_cuts.get((proc, out_msg))
-                        if cut is not None:
-                            break
-            elif kind == _INV:
-                step = self._invoke(time, proc)
-                if step is None:
-                    continue
-                proc, (state, outgoing, completion), cut = step
-            else:
-                if proc not in crashed:
-                    self._kill(time, proc)
-                continue
-            states[proc] = state
-            restrict = None if cut is None else cut.deliver_to
-            for dest, out_msg in outgoing:
-                for target in everyone if dest is None else (dest,):
-                    if restrict is not None and target not in restrict:
+                    continue  # a crashed process receives, invokes, crashes nothing
+                if sender is None:
+                    if msg is None:
+                        self._kill(time, proc)
                         continue
+                    (state, outgoing, completion), cut = self._invoke(time, msg)
+                else:
                     if messages:
-                        append(event(time, len(trace), SEND, proc, None, None, None, None,
-                                     target, out_msg))
-                    push(heap, (time + delay(), _DLV, next_seq(), target, out_msg, proc))
-            if completion is not None or cut is not None:
-                self._finish(time, proc, completion, cut)
+                        append(event(time, len(trace), DELIVER, proc, None, None, None, None,
+                                     sender, msg))
+                    state = states[proc]
+                    if is_noop(state, msg, sender):
+                        continue
+                    state, outgoing, completion = deliver(state, msg, sender)
+                    cut = None
+                    if relay_cuts:
+                        for _, out_msg in outgoing:
+                            cut = relay_cuts.get((proc, out_msg))
+                            if cut is not None:
+                                break
+                states[proc] = state
+                restrict = None if cut is None else cut.deliver_to
+                for dest, out_msg in outgoing:
+                    for target in everyone if dest is None else (dest,):
+                        if restrict is not None and target not in restrict:
+                            continue
+                        if messages:
+                            append(event(time, len(trace), SEND, proc, None, None, None, None,
+                                         target, out_msg))
+                        at = time + delay()
+                        bucket = queue.get(at) or self._bucket(at)
+                        bucket[_DLV].append((target, out_msg, proc))
+                if completion is not None or cut is not None:
+                    self._finish(time, proc, completion, cut)
+            del queue[time]
         return RunResult(self.trace, self.crashed, self.seed)
 
     def _invoke(self, time: int, op_id: int):
-        """Begin op `op_id`: (process, handler output, the op's cut), or
-        None when its process has crashed."""
+        """Begin op `op_id` at its live process: (handler output, the op's
+        cut)."""
         op = self.config.ops[op_id]
         proc = op.process
-        if proc in self.crashed:
-            return None  # a crashed process invokes nothing
         if proc in self.pending_op:
             raise ScheduleError(
                 f"op {op_id} on p{proc} at t={time} while op "
@@ -244,7 +244,7 @@ class _Sim:
         out = self.algo.begin(self.states[proc], op)
         self._emit(time, INVOKE, proc, op_id, op.kind, op.value if op.kind == "write" else None)
         self.pending_op[proc] = op_id
-        return proc, out, self.op_cuts.get(op_id)
+        return out, self.op_cuts.get(op_id)
 
     def _finish(self, time: int, proc: int, completion: OpResult | None,
                 cut: CrashSpec | None) -> None:
@@ -258,7 +258,7 @@ class _Sim:
             if cut.at is None or cut.at <= time:
                 self._kill(time, proc)
             else:
-                self._push(cut.at, _CRASH, proc)
+                self._bucket(cut.at)[_CRASH].append((proc, None, None))
 
     def _kill(self, time: int, proc: int) -> None:
         self.crashed[proc] = time

@@ -135,7 +135,7 @@ class TeffAlgo:
 
     def deliver(self, state: ReplicaState, msg: Message, sender: int) -> HandlerOutput:
         if isinstance(msg, Write):
-            return self.on_write(state, msg.wsn, msg.value, sender)
+            return self.on_write(state, msg, sender)
         if isinstance(msg, Read):
             return self.on_read(state, msg.rsn, sender)
         if isinstance(msg, State):
@@ -163,11 +163,12 @@ class TeffAlgo:
             return msg.wsn in state.forwarded and msg.wsn <= state.swsn
         return False
 
-    def on_write(
-        self, state: ReplicaState, wsn: int, value: bytes | None, sender: int
-    ) -> HandlerOutput:
+    def on_write(self, state: ReplicaState, msg: Write, sender: int) -> HandlerOutput:
+        """The first copy of `msg` is relayed as is: every relay of one write
+        sends the writer's own message object."""
         st = state.clone()
-        outgoing = self._absorb_write(st, wsn, value, sender)
+        wsn = msg.wsn
+        outgoing = ((BROADCAST, msg),) if self._absorb_write(st, wsn, msg.value, sender) else ()
         completion = _write_done(st, wsn) or self._read_done(st)
         return HandlerOutput(st, outgoing, completion)
 
@@ -188,11 +189,11 @@ class TeffAlgo:
     ) -> HandlerOutput:
         st = state.clone()
         outgoing: tuple[tuple[int | None, Message], ...] = ()
-        if self.variant == MODIFIED and wsn >= 1:
-            # The modified variant treats the reply like a WRITE first, its
-            # sender counted as a holder.  wsn 0 is the initial value: no
-            # WRITE(0) exists, so there is nothing to forward or count for it.
-            outgoing = self._absorb_write(st, wsn, value, sender)
+        # The modified variant treats the reply like a WRITE first, its
+        # sender counted as a holder.  wsn 0 is the initial value: no
+        # WRITE(0) exists, so there is nothing to forward or count for it.
+        if self.variant == MODIFIED and wsn >= 1 and self._absorb_write(st, wsn, value, sender):
+            outgoing = ((BROADCAST, Write(wsn, value)),)
         pr = st.pending_read
         if pr is not None and pr.rsn == rsn:
             st.pending_read = PendingRead(
@@ -217,19 +218,19 @@ class TeffAlgo:
         wsn: int,
         value: bytes | None,
         sender: int,
-    ) -> tuple[tuple[int | None, Message], ...]:
+    ) -> bool:
         """Lines shared by WRITE receipt (both variants) and STATE receipt
-        (modified variant): adopt newer value, forward once, count knowledge,
-        advance swsn on quorum."""
-        outgoing: tuple[tuple[int | None, Message], ...] = ()
+        (modified variant): adopt newer value, count knowledge, advance swsn
+        on quorum.  True when this is the first copy of the write, which the
+        caller forwards."""
         if wsn > st.wsn:
             st.reg = value
             st.wsn = wsn
-        if wsn not in st.forwarded:
+        forward = wsn not in st.forwarded
+        if forward:
             # Fires even when wsn < st.wsn: the first copy seen for this wsn is
             # still re-broadcast, acknowledging the writer.
             st.forwarded = st.forwarded | {wsn}
-            outgoing = ((BROADCAST, Write(wsn, value)),)
         if wsn > st.swsn:
             holders = st.know.get(wsn, frozenset())
             if sender not in holders:
@@ -239,7 +240,7 @@ class TeffAlgo:
                 st.swsn = wsn
                 st.res = value
                 st.know = {s: p for s, p in st.know.items() if s > wsn}
-        return outgoing
+        return forward
 
     def _read_done(self, st: ReplicaState) -> OpResult | None:
         if st.pending_read is None:

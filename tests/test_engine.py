@@ -1,5 +1,6 @@
 """Simulator behavior: determinism, delay conformance, crashes, rounds."""
 
+import hashlib
 import random
 from collections import defaultdict, deque
 from pathlib import Path
@@ -13,7 +14,7 @@ from regsim.engine import BudgetExceededError, ScheduleError, _delay_rule, run
 from regsim.history import check_termination, extract_history
 from regsim.messages import State, Write
 from regsim.report import build_report
-from regsim.trace import CRASH, DELIVER, ROUND_START, SEND, TraceEvent, to_jsonl_bytes
+from regsim.trace import CRASH, DELIVER, INVOKE, ROUND_START, SEND, TraceEvent, to_jsonl_bytes
 
 
 def scenario(**over):
@@ -355,7 +356,7 @@ def test_lean_run_keeps_the_operation_events_and_verdicts(name):
 
 
 def test_lean_run_spends_the_same_event_budget():
-    # The budget counts heap items, which a lean run processes all of.
+    # The budget counts queued items, which a lean run processes all of.
     cfg = scenario()
     needed = next(b for b in range(1, 1000) if _fits(cfg, b, messages=True))
     assert _fits(cfg, needed, messages=False)
@@ -457,3 +458,92 @@ def test_skipped_deliveries_are_noops_and_traced(name, cfg, monkeypatch):
             assert not out.outgoing and out.completion is None, (seed, state, msg, sender)
     if name.startswith("n15"):
         assert total
+
+
+# Queue order: crashes, then deliveries, then invocations at one tick, each
+# kind in the order queued.  The pinned values below were taken from the
+# engine as it stood before its queue became per-tick buckets.
+
+QUEUE_ORDER = {
+    # An `at` crash (p5 at tick 4), a cut write whose `crash_at` (tick 12) is
+    # queued mid-run, and reads invoked at ticks that also carry deliveries.
+    "budget": {
+        "n": 5, "t": 2, "algorithm": "teff",
+        "network": {"kind": "bounded_delay", "Delta": 6},
+        "ops": [
+            {"time": 0, "process": 1, "op": "write", "value": "a"},
+            {"time": 3, "process": 2, "op": "read"},
+            {"time": 4, "process": 3, "op": "read"},
+            {"time": 9, "process": 1, "op": "write", "value": "b"},
+            {"time": 12, "process": 4, "op": "read"},
+        ],
+        "crashes": [
+            {"process": 5, "at": 4},
+            {"process": 1,
+             "during_broadcast": {"op_index": 3, "deliver_to": [2, 3], "crash_at": 12}},
+        ],
+        "seed": 4,
+    },
+    # Tick 4: p3's crash, the write's deliveries and p2's read; tick 13: the
+    # cut writer's `crash_at` and a delivery.
+    "pinned": {
+        "n": 5, "t": 2, "algorithm": "teff-modified",
+        "network": {"kind": "bounded_delay", "Delta": 10,
+                    "schedule": {"mode": "fixed", "delay": 4}},
+        "ops": [
+            {"time": 0, "process": 1, "op": "write", "value": "a"},
+            {"time": 4, "process": 2, "op": "read"},
+            {"time": 9, "process": 1, "op": "write", "value": "b"},
+        ],
+        "crashes": [
+            {"process": 3, "at": 4},
+            {"process": 1,
+             "during_broadcast": {"op_index": 2, "deliver_to": [4], "crash_at": 13}},
+        ],
+    },
+    # Tick 3: a round start, p4's crash, the write's deliveries and p2's read
+    # (invoked at 2, aligned to the round boundary).
+    "round": {
+        "n": 5, "t": 2, "algorithm": "abd",
+        "network": {"kind": "round_sync", "delta": 3},
+        "ops": [
+            {"time": 0, "process": 1, "op": "write", "value": "a"},
+            {"time": 2, "process": 2, "op": "read"},
+            {"time": 7, "process": 1, "op": "write", "value": "b"},
+        ],
+        "crashes": [{"process": 4, "at": 3}],
+    },
+}
+
+BUDGET_QUEUED = [
+    10, 14, 13, 12, 16, 20, 24, 23, 22, 26, 25, 24, 23, 22, 21, 20, 24, 23, 22, 21,
+    20, 19, 19, 19, 18, 17, 16, 15, 15, 15, 14, 13, 12, 11, 11, 11, 10, 9, 8, 10,
+    10, 10, 9, 8, 12, 16, 15, 14, 13, 12, 16, 20, 19, 18, 17, 16, 15, 14, 14, 14,
+    13, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1,
+]
+
+
+@pytest.mark.parametrize("messages", [True, False], ids=["full", "lean"])
+def test_budget_error_counts_the_items_still_queued(messages):
+    # Every budget short of the run's 75 items stops at a different item; the
+    # error counts that item and everything still queued behind it.
+    cfg = parse_scenario(QUEUE_ORDER["budget"])
+    queued = []
+    for budget in range(1, len(BUDGET_QUEUED) + 1):
+        with pytest.raises(BudgetExceededError) as err:
+            run(cfg, budget=budget, messages=messages)
+        assert err.value.budget == budget
+        queued.append(err.value.queued)
+    assert queued == BUDGET_QUEUED
+    assert _fits(cfg, len(BUDGET_QUEUED) + 1, messages)
+
+
+@pytest.mark.parametrize("name,tick,digest", [
+    ("pinned", 4, "704d61c12b50075c15ef16afadf0b93b6572aacc982739ab230a441310a3ed55"),
+    ("round", 3, "7b295ed181ec1e2608fd8d970033052ca04d7b39234d92d80c99c4868c337269"),
+], ids=["pinned", "round"])
+def test_one_tick_settles_crash_deliveries_then_invocation(name, tick, digest):
+    trace = run(parse_scenario(QUEUE_ORDER[name])).trace
+    kinds = [ev.kind for ev in trace if ev.time == tick and ev.kind not in (SEND, ROUND_START)]
+    assert kinds[0] == CRASH and kinds[-1] == INVOKE and kinds.count(DELIVER) >= 3
+    assert hashlib.sha256(to_jsonl_bytes(trace)).hexdigest() == digest

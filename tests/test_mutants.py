@@ -112,7 +112,7 @@ class TeffNoRelay(TeffAlgo):
 
     def _absorb_write(self, st, wsn, value, sender):
         super()._absorb_write(st, wsn, value, sender)
-        return ()
+        return False
 
 
 @pytest.mark.parametrize(

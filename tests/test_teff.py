@@ -1,12 +1,16 @@
 """Unit and property tests for the register protocol handlers."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from regsim import teff
+from regsim.config import load_scenario
+from regsim.engine import run
 from regsim.messages import Op, Read, State, Write
 from regsim.teff import BASE, BROADCAST, MODIFIED, ProtocolError, TeffAlgo
+from regsim.trace import SEND
 
 B3 = TeffAlgo(3, 1, BASE)
 M3 = TeffAlgo(3, 1, MODIFIED)
@@ -89,7 +93,7 @@ def test_second_write_while_pending_rejected():
 
 def test_fresh_value_adopted_and_forwarded():
     st = B3.init()
-    out = B3.on_write(st, 1, b"a", 1)
+    out = B3.on_write(st, Write(1, b"a"), 1)
     assert out.state.reg == b"a" and out.state.wsn == 1
     assert out.outgoing == ((BROADCAST, Write(1, b"a")),)
 
@@ -100,19 +104,19 @@ def test_stale_value_still_forwarded_once():
     st = B3.init()
     st.wsn = 2
     st.reg = b"b"
-    out = B3.on_write(st, 1, b"a", 2)
+    out = B3.on_write(st, Write(1, b"a"), 2)
     assert out.state.reg == b"b" and out.state.wsn == 2
     assert out.outgoing == ((BROADCAST, Write(1, b"a")),)
-    again = B3.on_write(out.state, 1, b"a", 3)
+    again = B3.on_write(out.state, Write(1, b"a"), 3)
     assert again.outgoing == ()
 
 
 def test_writer_completes_at_quorum():
     # n=3, t=1: two distinct senders are enough.
     st = B3.begin(B3.init(), write(b"a")).state
-    st, completions = drive(st, [(B3.on_write, 1, b"a", 1)])
+    st, completions = drive(st, [(B3.on_write, Write(1, b"a"), 1)])
     assert completions == []
-    st, completions = drive(st, [(B3.on_write, 1, b"a", 2)])
+    st, completions = drive(st, [(B3.on_write, Write(1, b"a"), 2)])
     assert completions == [teff.OpResult("write", None, 1)]
     assert st.pending_write is None
     assert st.swsn == 1 and st.res == b"a"
@@ -120,17 +124,17 @@ def test_writer_completes_at_quorum():
 
 def test_quorum_update_fires_once_per_wsn():
     st = B3.init()
-    st, _ = drive(st, [(B3.on_write, 1, b"a", 1), (B3.on_write, 1, b"a", 3)])
+    st, _ = drive(st, [(B3.on_write, Write(1, b"a"), 1), (B3.on_write, Write(1, b"a"), 3)])
     assert st.swsn == 1 and st.res == b"a"
     assert st.know == {}  # collected knowledge at or below swsn is dropped
-    after = B3.on_write(st, 1, b"a", 2)
+    after = B3.on_write(st, Write(1, b"a"), 2)
     assert after.state.swsn == 1 and after.outgoing == ()
 
 
 def test_duplicate_senders_do_not_reach_quorum():
     b5 = TeffAlgo(5, 2, BASE)
     st = b5.init()
-    st, _ = drive(st, [(b5.on_write, 1, b"a", 1), (b5.on_write, 1, b"a", 1)])
+    st, _ = drive(st, [(b5.on_write, Write(1, b"a"), 1), (b5.on_write, Write(1, b"a"), 1)])
     assert st.swsn == 0
     assert st.know[1] == {1}
 
@@ -192,7 +196,9 @@ def test_read_waits_for_swsn_to_catch_up():
     assert completions == []
     assert B3.check_read_complete(st) is None
     # Knowledge of wsn 1 from a quorum unblocks it.
-    st, completions = drive(st, [(B3.on_write, 1, b"a", 1), (B3.on_write, 1, b"a", 3)])
+    st, completions = drive(
+        st, [(B3.on_write, Write(1, b"a"), 1), (B3.on_write, Write(1, b"a"), 3)]
+    )
     assert completions == [teff.OpResult("read", b"a", 1)]
 
 
@@ -204,8 +210,8 @@ def test_read_returns_newer_value_after_write_quorum():
         st,
         [
             (B3.on_state, 1, 0, None, 3),
-            (B3.on_write, 1, b"a", 1),
-            (B3.on_write, 1, b"a", 2),
+            (B3.on_write, Write(1, b"a"), 1),
+            (B3.on_write, Write(1, b"a"), 2),
         ],
     )
     assert completions == []
@@ -235,7 +241,7 @@ def test_modified_state_feeds_write_path():
 
 def test_modified_state_counts_toward_quorum_by_default():
     st = M3.init()
-    st, _ = drive(st, [(M3.on_state, 1, 1, b"v", 3), (M3.on_write, 1, b"v", 1)])
+    st, _ = drive(st, [(M3.on_state, 1, 1, b"v", 3), (M3.on_write, Write(1, b"v"), 1)])
     assert st.swsn == 1 and st.res == b"v"
 
 
@@ -263,7 +269,7 @@ def walk(seed, variant, steps=300):
         kind = rng.random()
         before = st.freeze()
         if kind < 0.55:
-            out = algo.on_write(st, wsn, value, sender)
+            out = algo.on_write(st, Write(wsn, value), sender)
         elif kind < 0.8:
             carried = (value if variant == MODIFIED else None)
             out = algo.on_state(st, rng.randint(1, 3), wsn, carried, sender)
@@ -306,7 +312,7 @@ def test_forward_at_most_once_per_wsn(seed, variant):
     forwarded = []
     for _ in range(400):
         wsn = rng.randint(1, 4)
-        out = algo.on_write(st, wsn, bytes([96 + wsn]), rng.randint(1, 5))
+        out = algo.on_write(st, Write(wsn, bytes([96 + wsn])), rng.randint(1, 5))
         st = out.state
         for dest, msg in out.outgoing:
             assert dest is BROADCAST
@@ -325,7 +331,7 @@ def test_handlers_leave_input_state_unchanged(seed, variant):
 
 def test_handlers_are_pure():
     st = M3.init()
-    st, _ = drive(st, [(M3.on_write, 1, b"a", 1)])
+    st, _ = drive(st, [(M3.on_write, Write(1, b"a"), 1)])
     first = M3.on_state(st, 1, 2, b"b", 3)
     second = M3.on_state(st, 1, 2, b"b", 3)
     assert first.state.freeze() == second.state.freeze()
@@ -340,3 +346,23 @@ def test_replay_reproduces_states(variant):
     a = random_walk(17, variant)
     b = random_walk(17, variant)
     assert [s.freeze() for s in a] == [s.freeze() for s in b]
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize(
+    "name", ["messages-teff-n5.json", "read-concurrent-write.json", "round-write.json"]
+)
+def test_relays_forward_the_received_write(name):
+    # A relay re-broadcasts the WRITE it received, so in a base-variant run
+    # every SEND of one wsn's WRITE carries the writer's own message object.
+    cfg = load_scenario(SCENARIOS / name)
+    assert cfg.algorithm == "teff"
+    sends, objects = 0, {}
+    for ev in run(cfg).trace:
+        if ev.kind == SEND and isinstance(ev.message, Write):
+            sends += 1
+            objects.setdefault(ev.message.wsn, set()).add(id(ev.message))
+    assert sends > cfg.n * len(objects)  # relays, not only the writer's sends
+    assert all(len(ids) == 1 for ids in objects.values())
