@@ -6,15 +6,17 @@ takes the pair with the largest sequence number from a quorum of replies,
 unconditionally writes that pair back, and returns after a quorum of acks.
 Every phase gets a fresh per-process phase id (opsn) so stale replies are
 discarded.  `AbdAlgo(n, t)` holds the quorum n - t and the handlers; a
-replica state holds only the protocol's variables.  Handlers are pure: they
-never mutate the input state, and a handler that changes nothing (a query,
-an update no newer than the replica's pair) returns its input state itself,
-uncopied.  Process 1 is the writer.
+replica state holds only the protocol's variables, as an immutable, hashable
+NamedTuple, its pending phase one too.  Handlers are pure and build each new
+state, and their `HandlerOutput`, in one positional `tuple.__new__` call; a
+handler that changes nothing (a query, an update no newer than the
+replica's pair, a reply to a finished phase) returns its input state itself.
+Process 1 is the writer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .messages import (
     BROADCAST,
@@ -35,9 +37,11 @@ PHASE_WRITE = "write"
 PHASE_QUERY = "query"
 PHASE_WRITE_BACK = "write_back"
 
+# Builds a NamedTuple from its fields without its Python-level __new__.
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class AbdPending:
+
+class AbdPending(NamedTuple):
     phase: str
     opsn: int
     responders: frozenset[int]
@@ -45,20 +49,19 @@ class AbdPending:
     best_value: bytes | None
 
 
-@dataclass
-class AbdReplicaState:
+class AbdReplicaState(NamedTuple):
     reg: bytes | None = None
     wsn: int = 0
     opsn: int = 0
     pending: AbdPending | None = None
 
+    # A state is its own copy and its own snapshot.  Nothing in regsim calls
+    # these; perfbench/tracer.py still wraps them by name.
     def clone(self) -> "AbdReplicaState":
-        new = object.__new__(AbdReplicaState)
-        new.__dict__.update(self.__dict__)
-        return new
+        return self
 
-    def freeze(self) -> tuple:
-        return (self.reg, self.wsn, self.opsn, self.pending)
+    def freeze(self) -> "AbdReplicaState":
+        return self
 
 
 class AbdAlgo:
@@ -78,31 +81,30 @@ class AbdAlgo:
             raise ProtocolError("operation already pending (processes are sequential)")
         if op.kind == "write" and op.value is None:
             raise ProtocolError("cannot write the reserved initial value")
-        st = state.clone()
-        st.opsn += 1
+        reg, wsn, opsn, _ = state
+        opsn += 1
         if op.kind == "read":
-            st.pending = AbdPending(PHASE_QUERY, st.opsn, frozenset(), 0, None)
-            return HandlerOutput(st, ((BROADCAST, AbdQuery(st.opsn)),))
-        st.wsn += 1
-        st.reg = op.value
-        st.pending = AbdPending(PHASE_WRITE, st.opsn, frozenset(), st.wsn, op.value)
-        return HandlerOutput(st, ((BROADCAST, AbdUpdate(st.opsn, st.wsn, op.value)),))
+            pd = _new(AbdPending, (PHASE_QUERY, opsn, frozenset(), 0, None))
+            st = _new(AbdReplicaState, (reg, wsn, opsn, pd))
+            return _new(HandlerOutput, (st, ((BROADCAST, AbdQuery(opsn)),), None))
+        wsn += 1
+        pd = _new(AbdPending, (PHASE_WRITE, opsn, frozenset(), wsn, op.value))
+        st = _new(AbdReplicaState, (op.value, wsn, opsn, pd))
+        return _new(HandlerOutput, (st, ((BROADCAST, AbdUpdate(opsn, wsn, op.value)),), None))
 
     def deliver(self, state: AbdReplicaState, msg: Message, sender: int) -> HandlerOutput:
-        if isinstance(msg, AbdUpdate):
-            ack = ((sender, AbdAck(msg.opsn)),)
-            if msg.wsn <= state.wsn:
-                return HandlerOutput(state, ack)
-            st = state.clone()
-            st.wsn = msg.wsn
-            st.reg = msg.value
-            return HandlerOutput(st, ack)
-        if isinstance(msg, AbdQuery):
-            return HandlerOutput(state, ((sender, AbdReport(msg.opsn, state.wsn, state.reg)),))
-        if isinstance(msg, AbdAck):
-            return self._client_ack(state.clone(), msg, sender)
-        if isinstance(msg, AbdReport):
-            return self._client_report(state.clone(), msg, sender)
+        kind = type(msg)
+        if kind is AbdUpdate:
+            if msg.wsn > state.wsn:
+                state = _new(AbdReplicaState, (msg.value, msg.wsn, state.opsn, state.pending))
+            return _new(HandlerOutput, (state, ((sender, AbdAck(msg.opsn)),), None))
+        if kind is AbdQuery:
+            reply = AbdReport(msg.opsn, state.wsn, state.reg)
+            return _new(HandlerOutput, (state, ((sender, reply),), None))
+        if kind is AbdAck:
+            return self._client_ack(state, msg, sender)
+        if kind is AbdReport:
+            return self._client_report(state, msg, sender)
         raise ProtocolError(f"not an ABD message: {msg!r}")
 
     @staticmethod
@@ -113,46 +115,42 @@ class AbdAlgo:
     def is_noop_delivery(state: AbdReplicaState, msg: Message, sender: int) -> bool:
         """Replies to an already-finished phase are discarded forever (phase
         ids never repeat); updates and queries always produce a reply."""
-        if isinstance(msg, (AbdAck, AbdReport)):
+        kind = type(msg)
+        if kind is AbdAck or kind is AbdReport:
             return state.pending is None or state.pending.opsn != msg.opsn
         return False
 
-    def _client_ack(self, st: AbdReplicaState, msg: AbdAck, sender: int) -> HandlerOutput:
-        pd = st.pending
-        if pd is None or pd.opsn != msg.opsn:
-            return HandlerOutput(st)  # stale phase, discard
-        if pd.phase not in (PHASE_WRITE, PHASE_WRITE_BACK):
-            return HandlerOutput(st)
-        responders = pd.responders | {sender}
+    def _client_ack(self, state: AbdReplicaState, msg: AbdAck, sender: int) -> HandlerOutput:
+        reg, wsn, opsn, pd = state
+        if pd is None or pd.opsn != msg.opsn or pd.phase == PHASE_QUERY:
+            return _new(HandlerOutput, (state, (), None))  # stale phase, discard
+        phase, _, responders, best_wsn, best_value = pd
+        responders = responders | {sender}
         if len(responders) < self.quorum:
-            st.pending = AbdPending(pd.phase, pd.opsn, responders, pd.best_wsn, pd.best_value)
-            return HandlerOutput(st)
-        st.pending = None
-        if pd.phase == PHASE_WRITE:
-            return HandlerOutput(st, completion=OpResult("write", None, pd.best_wsn))
-        return HandlerOutput(
-            st, completion=OpResult("read", pd.best_value, pd.best_wsn)
-        )
+            pd = _new(AbdPending, (phase, pd.opsn, responders, best_wsn, best_value))
+            return _new(HandlerOutput, (_new(AbdReplicaState, (reg, wsn, opsn, pd)), (), None))
+        st = _new(AbdReplicaState, (reg, wsn, opsn, None))
+        if phase == PHASE_WRITE:
+            return _new(HandlerOutput, (st, (), OpResult("write", None, best_wsn)))
+        return _new(HandlerOutput, (st, (), OpResult("read", best_value, best_wsn)))
 
     def _client_report(
-        self, st: AbdReplicaState, msg: AbdReport, sender: int
+        self, state: AbdReplicaState, msg: AbdReport, sender: int
     ) -> HandlerOutput:
-        pd = st.pending
+        reg, wsn, opsn, pd = state
         if pd is None or pd.opsn != msg.opsn or pd.phase != PHASE_QUERY:
-            return HandlerOutput(st)
+            return _new(HandlerOutput, (state, (), None))
         responders = pd.responders | {sender}
         best_wsn, best_value = pd.best_wsn, pd.best_value
         if msg.wsn > best_wsn:
             best_wsn, best_value = msg.wsn, msg.value
         if len(responders) < self.quorum:
-            st.pending = AbdPending(pd.phase, pd.opsn, responders, best_wsn, best_value)
-            return HandlerOutput(st)
+            pd = _new(AbdPending, (PHASE_QUERY, opsn, responders, best_wsn, best_value))
+            return _new(HandlerOutput, (_new(AbdReplicaState, (reg, wsn, opsn, pd)), (), None))
         # Quorum of reports: write the freshest pair back, even if all replies
         # agree, then wait for acks.
-        st.opsn += 1
-        st.pending = AbdPending(
-            PHASE_WRITE_BACK, st.opsn, frozenset(), best_wsn, best_value
-        )
-        return HandlerOutput(
-            st, ((BROADCAST, AbdUpdate(st.opsn, best_wsn, best_value)),)
-        )
+        opsn += 1
+        pd = _new(AbdPending, (PHASE_WRITE_BACK, opsn, frozenset(), best_wsn, best_value))
+        st = _new(AbdReplicaState, (reg, wsn, opsn, pd))
+        update = AbdUpdate(opsn, best_wsn, best_value)
+        return _new(HandlerOutput, (st, ((BROADCAST, update),), None))

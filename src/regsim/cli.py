@@ -174,7 +174,7 @@ def cmd_explore(args) -> int:
         writes = [i for i, op in enumerate(ops) if op.kind == "write"]
         if not writes:
             raise ConfigError("--crash-subsets needs a write in the scenario's ops")
-        # The writer's first write in invoke order: by time, ties in list order.
+        # The writer's first write in invoke order: its earliest.
         first_write = min(writes, key=lambda i: ops[i].time)
         others = [p for p in range(1, config.n + 1) if p != ops[first_write].process]
         for mask in range(1 << len(others)):

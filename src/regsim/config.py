@@ -33,9 +33,10 @@ A scenario must satisfy the system model: the protocols' own (n >= 1,
 included, admits only its own keys (a network only its kind's delta field,
 a schedule only its mode's keys, a read no value); an unknown key raises
 ConfigError, as does input of the wrong JSON type or any other malformed
-field.  Every command reads its instance from a scenario: `run`, `sweep`
-and `check --config` all of it, `explore` its n, t, algorithm, ops (in
-program order: time, then list order) and crashes.
+field.  One process's ops must have distinct times: two at one time
+would always overlap in `run`.  Every command reads its instance from a
+scenario: `run`, `sweep` and `check --config` all of it, `explore` its n,
+t, algorithm, ops (in program order: by time) and crashes.
 
 Crash triggers: "at" halts the process at a tick; "during_broadcast"
 cuts the named operation's initiating broadcast to `deliver_to` and halts
@@ -224,6 +225,7 @@ def _parse_ops(items, n: int) -> tuple[Op, ...]:
     if not isinstance(items, list):
         raise ConfigError("ops must be an array")
     ops = []
+    due = set()  # (process, time) of each op so far
     for i, item in enumerate(items):
         where = f"ops[{i}]"
         kind = _object(item, where).get("op")
@@ -232,6 +234,9 @@ def _parse_ops(items, n: int) -> tuple[Op, ...]:
         _object(item, where, _OP_FIELDS if kind == "read" else (*_OP_FIELDS, "value"))
         time = _req_int(item, "time", minimum=0)
         process = _pid(item, "process", n, where)
+        if (process, time) in due:
+            raise ConfigError(f"{where}: process {process} already has an op at time {time}")
+        due.add((process, time))
         if kind == "read":
             ops.append(Op(process, "read", None, time))
             continue
@@ -240,7 +245,11 @@ def _parse_ops(items, n: int) -> tuple[Op, ...]:
         value = item.get("value")
         if not isinstance(value, str) or value == "":
             raise ConfigError(f"{where}: write needs a non-empty string value")
-        ops.append(Op(process, "write", value.encode("utf-8"), time))
+        try:
+            data = value.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate, as JSON's "\ud800"
+            raise ConfigError(f"{where}: value is not valid Unicode: {exc.reason}") from exc
+        ops.append(Op(process, "write", data, time))
     return tuple(ops)
 
 
@@ -302,7 +311,7 @@ def _parse_crashes(
             if process == WRITER:
                 raise ConfigError(f"crashes[{i}]: the writer relays no write")
             # The writer numbers its writes as it invokes them: in time
-            # order, ties in list order.
+            # order.
             writes = sorted((op for op in ops if op.kind == "write"), key=lambda op: op.time)
             if wsn > len(writes):
                 raise ConfigError(f"crashes[{i}]: no write gets wsn {wsn} ({len(writes)} in ops)")

@@ -18,7 +18,7 @@ rare.  Nothing is ever queued for the tick in hand (every delay is at least
 queued before the run), so a bucket keeps its order.  A delivery to a live
 process is traced (DELIVER) and then, when the algorithm's
 `is_noop_delivery` says it can change nothing, goes no further: no handler
-call, no state copy, no send or completion.  Such a delivery still counts
+call, no new state, no send or completion.  Such a delivery still counts
 against the event budget, one count per queued item, and still appears in
 the trace, so skipping it changes no output.
 

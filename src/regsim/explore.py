@@ -24,14 +24,16 @@ instance alone, not on the search order: the histories come sorted by their
 label records (None before any bytes).
 
 A configuration is one tuple of interned local components, one per
-process: (process, snapshot, inbox of the messages addressed to it, number
-of operations invoked), Holzmann's collapse compression ("State compression
-in SPIN", 1997).  Each local resolves its moves once, the first time a
-configuration holding it is expanded: per enabled action (its next
-invocation, then each distinct inbox entry), the stepper's next local, the
-messages it sends the others and the label records the step adds to the
-history.  Handlers are pure and read no receiver, so each distinct
-(snapshot, input) calls its handler once per exploration, and an add memo
+process: (process, replica state, inbox of the messages addressed to it,
+number of operations invoked), Holzmann's collapse compression ("State
+compression in SPIN", 1997).  A replica state is an immutable, hashable
+value, so it is its own snapshot: the explorer interns it, one object per
+distinct state, and keys its memos by it.  Each local resolves its moves
+once, the first time a configuration holding it is expanded: per enabled
+action (its next invocation, then each distinct inbox entry), the
+stepper's next local, the messages it sends the others and the label
+records the step adds to the history.  Handlers are pure and read no receiver, so each distinct
+(state, input) calls its handler once per exploration, and an add memo
 maps (local, message) to a receiver's next local.  Expanding a
 configuration walks its locals' moves in one pass: each child swaps only
 the locals its move touches, however many messages are in flight, and a
@@ -75,7 +77,7 @@ class ExploreResult:
     states_visited: int
     edges: int  # configuration-graph edges: the moves of each explored configuration
     transitions: int  # distinct local transitions: one handler call each
-    noop_pruned: int  # distinct (snapshot, message, sender) judged forever-no-op
+    noop_pruned: int  # distinct (state, message, sender) judged forever-no-op
 
 
 class _Interner:
@@ -106,11 +108,11 @@ class _Explorer:
         for op_id in sorted(range(len(ops)), key=lambda i: ops[i].time):
             self.per_proc[ops[op_id].process] += (op_id,)
         self.msgs = _Interner()
-        self.snaps: dict = {}  # frozen state -> snapshot id
-        # Local components (p, snap, inbox, ops invoked) -> id; `locals`
-        # holds, per id, (p, snap, state, inbox, ops invoked), and `moves`
-        # its moves (see step) once a configuration holding it is expanded.
-        # A halted process's local has snap and state None and no moves.
+        self.states: dict = {}  # replica state -> the one object equal to it
+        # Local components (p, state, inbox, ops invoked) -> id; `locals`
+        # holds, per id, its components, and `moves` its moves (see step)
+        # once a configuration holding it is expanded.  A halted process's
+        # local has state None and no moves.
         self.local_ids: dict[tuple, int] = {}
         self.locals: list[tuple] = []
         self.moves: list[list | None] = []
@@ -119,8 +121,8 @@ class _Explorer:
         self.empty_suffix = self.suffixes.get(())
         self.terminal_set = self.suffix_sets.get(frozenset({self.empty_suffix}))
         self.memo: dict[tuple, int] = {}  # configuration -> suffix set id
-        # Handler results, keyed (snap, mid, sender) or ("i", op_id, snap)
-        # -> (new state, new snap, ((dest, mid), ...), completion).
+        # Handler results, keyed (state, mid, sender) or ("i", op_id, state)
+        # -> (new state, ((dest, mid), ...), completion).
         self.transitions: dict[tuple, tuple] = {}
         self.adds: dict[tuple[int, int], int] = {}  # (local, entry) -> local
         self.noop_memo: dict[tuple[int, int, int], bool] = {}
@@ -131,11 +133,11 @@ class _Explorer:
     # A configuration is the tuple of local ids, one per process.  An inbox
     # entry is mid * n + sender - 1.
 
-    def local(self, p: int, snap_id, state, inbox: tuple[int, ...], invoked: int) -> int:
-        key = (p, snap_id, inbox, invoked)
+    def local(self, p: int, state, inbox: tuple[int, ...], invoked: int) -> int:
+        key = (p, state, inbox, invoked)
         ident = self.local_ids.setdefault(key, len(self.locals))
         if ident == len(self.locals):
-            self.locals.append((p, snap_id, state, inbox, invoked))
+            self.locals.append(key)
             self.moves.append(None)
         return ident
 
@@ -143,7 +145,7 @@ class _Explorer:
         """A local's enabled actions, in the order its moves are built: the
         next invocation when idle with ops left, then each distinct inbox
         entry."""
-        p, _, state, inbox, invoked = self.locals[ident]
+        p, state, inbox, invoked = self.locals[ident]
         mine = self.per_proc[p]
         idle = state is not None and not self.algo.has_pending(state)
         actions = [("i", mine[invoked])] if idle and invoked < len(mine) else []
@@ -153,12 +155,12 @@ class _Explorer:
         """One move of a local: (its next local, ((receiver index, entry),
         ...) for the others, the label records it adds to the history)."""
         n = self.n
-        p, snap_id, state, inbox, invoked = self.locals[ident]
+        p, state, inbox, invoked = self.locals[ident]
         if kind == "i":
-            key = ("i", arg, snap_id)
+            key = ("i", arg, state)
         else:
             mid, sender = arg // n, arg % n + 1
-            key = (snap_id, mid, sender)
+            key = (state, mid, sender)
         trans = self.transitions.get(key)
         if trans is None:
             if kind == "i":
@@ -166,10 +168,9 @@ class _Explorer:
             else:
                 out = self.algo.deliver(state, self.msgs.items[mid], sender)
             sends = tuple((dest, self.msgs.get(msg)) for dest, msg in out.outgoing)
-            snap_id = self.snaps.setdefault(out.state.freeze(), len(self.snaps))
-            trans = (out.state, snap_id, sends, out.completion)
+            trans = (self.states.setdefault(out.state, out.state), sends, out.completion)
             self.transitions[key] = trans
-        state, snap_id, sends, completion = trans
+        state, sends, completion = trans
         labels = ()
         if kind == "i":
             invoked += 1
@@ -186,32 +187,32 @@ class _Explorer:
             # The invoker dies mid-broadcast: only `deliver_to` hears it,
             # and the invoker halts.
             others = tuple(e for e in fanout if e[0] + 1 in self.crash.deliver_to)
-            return self.local(p, None, None, (), invoked), others, labels
+            return self.local(p, None, (), invoked), others, labels
         inbox = list(inbox)
         if kind == "d":
             inbox.remove(arg)
         inbox += [e for q, e in fanout if q == p - 1]
         # Drop messages whose delivery became a forever-no-op: they
         # neither branch the behavior nor tell configurations apart.
-        kept = sorted(e for e in inbox if not self.noop(state, snap_id, e // n, e % n + 1))
+        kept = sorted(e for e in inbox if not self.noop(state, e // n, e % n + 1))
         others = tuple(e for e in fanout if e[0] != p - 1)
-        return self.local(p, snap_id, state, tuple(kept), invoked), others, labels
+        return self.local(p, state, tuple(kept), invoked), others, labels
 
     def add(self, ident: int, entry: int) -> int:
         """A process's local once `entry` arrives; unchanged if a no-op or
         if the process has halted."""
-        p, snap_id, state, inbox, invoked = self.locals[ident]
+        p, state, inbox, invoked = self.locals[ident]
         n = self.n
-        if state is None or self.noop(state, snap_id, entry // n, entry % n + 1):
+        if state is None or self.noop(state, entry // n, entry % n + 1):
             added = ident
         else:
-            added = self.local(p, snap_id, state, tuple(sorted(inbox + (entry,))), invoked)
+            added = self.local(p, state, tuple(sorted(inbox + (entry,))), invoked)
         self.adds[ident, entry] = added
         return added
 
-    def noop(self, state, snap_id: int, mid: int, sender: int) -> bool:
-        """Memoized is_noop_delivery; `snap_id` is the snapshot of `state`."""
-        key = (snap_id, mid, sender)
+    def noop(self, state, mid: int, sender: int) -> bool:
+        """Memoized is_noop_delivery."""
+        key = (state, mid, sender)
         result = self.noop_memo.get(key)
         if result is None:
             result = self.algo.is_noop_delivery(state, self.msgs.items[mid], sender)
@@ -286,8 +287,8 @@ class _Explorer:
     def run(self) -> int:
         """Returns the suffix-set id of the root configuration."""
         state = self.algo.init()
-        snap_id = self.snaps.setdefault(state.freeze(), len(self.snaps))
-        root = tuple(self.local(p, snap_id, state, (), 0) for p in range(1, self.n + 1))
+        self.states[state] = state
+        root = tuple(self.local(p, state, (), 0) for p in range(1, self.n + 1))
         # Iterative post-order DFS.  A frame finishes when every child edge
         # has a resolved suffix set; its own set then flows into its parent
         # (via the edge label it was entered through).  A child still

@@ -22,17 +22,20 @@ Two variants:
 (the quorum n - t and the variant) and the handlers.  A replica state holds
 only the protocol's variables, so every process starts from the same state
 and no handler takes a process id; the writer check reads the invoked
-`Op`'s process.  Every field of a replica state holds an immutable value
-(ints, bytes, frozensets, frozen records, and a `know` dict that handlers
-replace rather than change), so `clone` is a shallow copy.  Handlers are
-pure: they never mutate the input state, and identical (state, input) pairs
-produce identical outputs.  A handler that changes nothing (a READ only
-answers) returns its input state itself, uncopied.  Process 1 is the writer.
+`Op`'s process.  A replica state is an immutable, hashable NamedTuple of
+immutable fields (ints, bytes, frozensets, the pending read's NamedTuple and
+`know` as an ascending tuple of (wsn, holders) pairs), so it is its own
+snapshot: the explorer keys its memos by it.  Handlers are pure: identical
+(state, input) pairs produce identical outputs.  Each builds its new state
+in one positional `tuple.__new__` call, as it does its `HandlerOutput`; a
+handler that changes nothing (a READ only answers) returns its input state
+itself.  Process 1 is the writer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from typing import NamedTuple
 
 from .messages import (
     BROADCAST,
@@ -51,21 +54,17 @@ from .messages import (
 BASE = "base"
 MODIFIED = "modified"
 
-
-@dataclass(frozen=True)
-class PendingWrite:
-    wsn: int
+# Builds a NamedTuple from its fields without its Python-level __new__.
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class PendingRead:
+class PendingRead(NamedTuple):
     rsn: int
     responders: frozenset[int]
     maxwsn: int
 
 
-@dataclass
-class ReplicaState:
+class ReplicaState(NamedTuple):
     reg: bytes | None = None
     wsn: int = 0
     rsn: int = 0
@@ -74,31 +73,20 @@ class ReplicaState:
     # wsns this process already broadcast (the "not yet done" gate); the
     # writer's own initiating broadcast counts.
     forwarded: frozenset[int] = frozenset()
-    # wsn -> distinct processes known to hold that write; entries at or
-    # below swsn are dropped, their predicates can never fire again.  Clones
-    # share the dict, so handlers bind a new one instead of changing it.
-    know: dict[int, frozenset[int]] = field(default_factory=dict)
-    pending_write: PendingWrite | None = None
+    # (wsn, distinct processes known to hold that write) pairs, ascending
+    # by wsn; entries at or below swsn are dropped, their predicates can
+    # never fire again.
+    know: tuple[tuple[int, frozenset[int]], ...] = ()
+    pending_write: int | None = None  # the pending write's wsn
     pending_read: PendingRead | None = None
 
+    # A state is its own copy and its own snapshot.  Nothing in regsim calls
+    # these; perfbench/tracer.py still wraps them by name.
     def clone(self) -> "ReplicaState":
-        new = object.__new__(ReplicaState)
-        new.__dict__.update(self.__dict__)
-        return new
+        return self
 
-    def freeze(self) -> tuple:
-        """Canonical hashable snapshot (used by the exhaustive explorer)."""
-        return (
-            self.reg,
-            self.wsn,
-            self.rsn,
-            self.swsn,
-            self.res,
-            self.forwarded,
-            tuple(sorted(self.know.items())),
-            self.pending_write,
-            self.pending_read,
-        )
+    def freeze(self) -> "ReplicaState":
+        return self
 
 
 class TeffAlgo:
@@ -117,28 +105,28 @@ class TeffAlgo:
         """Invoke `op` at its process, whose state is `state`."""
         if self.has_pending(state):
             raise ProtocolError("operation already pending (processes are sequential)")
+        reg, wsn, rsn, swsn, res, forwarded, know, _, _ = state
         if op.kind == "write":
             if op.process != WRITER:
                 raise ProtocolError(f"p{op.process} is not the writer")
             if op.value is None:
                 raise ProtocolError("cannot write the reserved initial value")
-            st = state.clone()
-            st.wsn += 1
-            st.reg = op.value
-            st.forwarded = st.forwarded | {st.wsn}  # the initiating broadcast is its forward
-            st.pending_write = PendingWrite(st.wsn)
-            return HandlerOutput(st, ((BROADCAST, Write(st.wsn, op.value)),))
-        st = state.clone()
-        st.rsn += 1
-        st.pending_read = PendingRead(st.rsn, frozenset(), 0)
-        return HandlerOutput(st, ((BROADCAST, Read(st.rsn)),))
+            wsn += 1
+            forwarded = forwarded | {wsn}  # the initiating broadcast is its forward
+            st = _new(ReplicaState, (op.value, wsn, rsn, swsn, res, forwarded, know, wsn, None))
+            return _new(HandlerOutput, (st, ((BROADCAST, Write(wsn, op.value)),), None))
+        rsn += 1
+        pr = _new(PendingRead, (rsn, frozenset(), 0))
+        st = _new(ReplicaState, (reg, wsn, rsn, swsn, res, forwarded, know, None, pr))
+        return _new(HandlerOutput, (st, ((BROADCAST, Read(rsn)),), None))
 
     def deliver(self, state: ReplicaState, msg: Message, sender: int) -> HandlerOutput:
-        if isinstance(msg, Write):
+        kind = type(msg)
+        if kind is Write:
             return self.on_write(state, msg, sender)
-        if isinstance(msg, Read):
+        if kind is Read:
             return self.on_read(state, msg.rsn, sender)
-        if isinstance(msg, State):
+        if kind is State:
             return self.on_state(state, msg.rsn, msg.wsn, msg.value, sender)
         raise ProtocolError(f"unexpected message for register protocol: {msg!r}")
 
@@ -151,9 +139,10 @@ class TeffAlgo:
         or complete an operation — now or after any future transitions.  The
         conditions below are monotone (forwarded/swsn/rsn only grow), so the
         explorer may discard such messages.  Conservative: False when unsure."""
-        if isinstance(msg, Write):
+        kind = type(msg)
+        if kind is Write:
             return msg.wsn in state.forwarded and msg.wsn <= state.swsn
-        if isinstance(msg, State):
+        if kind is State:
             pr = state.pending_read
             stale = pr is None or pr.rsn != msg.rsn
             if not stale:
@@ -166,45 +155,38 @@ class TeffAlgo:
     def on_write(self, state: ReplicaState, msg: Write, sender: int) -> HandlerOutput:
         """The first copy of `msg` is relayed as is: every relay of one write
         sends the writer's own message object."""
-        st = state.clone()
         wsn = msg.wsn
-        outgoing = ((BROADCAST, msg),) if self._absorb_write(st, wsn, msg.value, sender) else ()
-        completion = _write_done(st, wsn) or self._read_done(st)
-        return HandlerOutput(st, outgoing, completion)
+        fields, forward = self._absorb_write(state, wsn, msg.value, sender)
+        outgoing = ((BROADCAST, msg),) if forward else ()
+        return self._settle(state, fields, state.pending_read, wsn, outgoing)
 
     def on_read(self, state: ReplicaState, rsn: int, sender: int) -> HandlerOutput:
         if self.variant == MODIFIED:
             reply = State(rsn, state.wsn, state.reg, carries_value=True)
         else:
             reply = State(rsn, state.wsn)
-        return HandlerOutput(state, ((sender, reply),))
+        return _new(HandlerOutput, (state, ((sender, reply),), None))
 
     def on_state(
-        self,
-        state: ReplicaState,
-        rsn: int,
-        wsn: int,
-        value: bytes | None,
-        sender: int,
+        self, state: ReplicaState, rsn: int, wsn: int, value: bytes | None, sender: int
     ) -> HandlerOutput:
-        st = state.clone()
-        outgoing: tuple[tuple[int | None, Message], ...] = ()
         # The modified variant treats the reply like a WRITE first, its
         # sender counted as a holder.  wsn 0 is the initial value: no
         # WRITE(0) exists, so there is nothing to forward or count for it.
-        if self.variant == MODIFIED and wsn >= 1 and self._absorb_write(st, wsn, value, sender):
-            outgoing = ((BROADCAST, Write(wsn, value)),)
-        pr = st.pending_read
+        if self.variant == MODIFIED and wsn >= 1:
+            fields, forward = self._absorb_write(state, wsn, value, sender)
+            outgoing = ((BROADCAST, Write(wsn, value)),) if forward else ()
+        else:
+            reg, cur, _, swsn, res, forwarded, know, _, _ = state
+            fields, outgoing = (reg, cur, swsn, res, forwarded, know), ()
+        pr = state.pending_read
         if pr is not None and pr.rsn == rsn:
-            st.pending_read = PendingRead(
-                pr.rsn, pr.responders | {sender}, max(pr.maxwsn, wsn)
-            )
-        completion = _write_done(st, wsn) or self._read_done(st)
-        return HandlerOutput(st, outgoing, completion)
+            pr = _new(PendingRead, (rsn, pr.responders | {sender}, max(pr.maxwsn, wsn)))
+        return self._settle(state, fields, pr, wsn, outgoing)
 
     def check_read_complete(self, state: ReplicaState) -> tuple[bytes | None, int] | None:
         """Read predicate: a quorum of replies and swsn caught up with the
-        largest advertised wsn.  Returns (value, seqno) without mutating."""
+        largest advertised wsn.  Returns (value, seqno)."""
         pr = state.pending_read
         if pr is None:
             raise ProtocolError("no read pending")
@@ -213,50 +195,49 @@ class TeffAlgo:
         return None
 
     def _absorb_write(
-        self,
-        st: ReplicaState,
-        wsn: int,
-        value: bytes | None,
-        sender: int,
-    ) -> bool:
+        self, state: ReplicaState, wsn: int, value: bytes | None, sender: int
+    ) -> tuple[tuple, bool]:
         """Lines shared by WRITE receipt (both variants) and STATE receipt
         (modified variant): adopt newer value, count knowledge, advance swsn
-        on quorum.  True when this is the first copy of the write, which the
-        caller forwards."""
-        if wsn > st.wsn:
-            st.reg = value
-            st.wsn = wsn
-        forward = wsn not in st.forwarded
+        on quorum.  Returns the new (reg, wsn, swsn, res, forwarded, know),
+        and True when this is the first copy of the write, which the caller
+        forwards."""
+        reg, cur, _, swsn, res, forwarded, know, _, _ = state
+        if wsn > cur:
+            reg, cur = value, wsn
+        forward = wsn not in forwarded
         if forward:
-            # Fires even when wsn < st.wsn: the first copy seen for this wsn is
+            # Fires even when wsn < cur: the first copy seen for this wsn is
             # still re-broadcast, acknowledging the writer.
-            st.forwarded = st.forwarded | {wsn}
-        if wsn > st.swsn:
-            holders = st.know.get(wsn, frozenset())
+            forwarded = forwarded | {wsn}
+        if wsn > swsn:
+            i = bisect_left(know, (wsn,))  # wsn's entry, or where it goes
+            held = i < len(know) and know[i][0] == wsn
+            holders = know[i][1] if held else frozenset()
             if sender not in holders:
                 holders = holders | {sender}
-                st.know = {**st.know, wsn: holders}
+                know = (*know[:i], (wsn, holders), *know[i + held :])
             if len(holders) >= self.quorum:
-                st.swsn = wsn
-                st.res = value
-                st.know = {s: p for s, p in st.know.items() if s > wsn}
-        return forward
+                swsn, res, know = wsn, value, know[i + 1 :]
+        return (reg, cur, swsn, res, forwarded, know), forward
 
-    def _read_done(self, st: ReplicaState) -> OpResult | None:
-        if st.pending_read is None:
-            return None
-        done = self.check_read_complete(st)
-        if done is None:
-            return None
-        st.pending_read = None
-        return OpResult("read", done[0], done[1])
-
-
-def _write_done(st: ReplicaState, wsn: int) -> OpResult | None:
-    pw = st.pending_write
-    if pw is None or pw.wsn != wsn:
-        return None
-    if wsn <= st.swsn:  # the quorum update for this wsn fired
-        st.pending_write = None
-        return OpResult("write", None, wsn)
-    return None
+    def _settle(
+        self, state: ReplicaState, fields, pr: PendingRead | None, wsn: int, outgoing: tuple
+    ) -> HandlerOutput:
+        """The handler output of a WRITE or STATE step: `fields` are the new
+        (reg, wsn, swsn, res, forwarded, know), `pr` the new pending read,
+        `wsn` the received write's; completes the pending write once its
+        quorum update fired, or the pending read once its predicate holds."""
+        reg, cur, swsn, res, forwarded, know = fields
+        pw = state.pending_write
+        if pw == wsn and wsn <= swsn:
+            st = _new(ReplicaState, (reg, cur, state.rsn, swsn, res, forwarded, know, None, pr))
+            return _new(HandlerOutput, (st, outgoing, OpResult("write", None, wsn)))
+        st = _new(ReplicaState, (reg, cur, state.rsn, swsn, res, forwarded, know, pw, pr))
+        if pr is not None:
+            done = self.check_read_complete(st)
+            if done is not None:
+                # The completing step: the read is no longer pending.
+                st = _new(ReplicaState, (*st[:8], None))
+                return _new(HandlerOutput, (st, outgoing, OpResult("read", *done)))
+        return _new(HandlerOutput, (st, outgoing, None))

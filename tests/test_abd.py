@@ -1,10 +1,11 @@
 """Unit tests for the two-phase quorum register baseline."""
 
+import copy
 import random
 
 import pytest
 
-from regsim.abd import AbdAlgo
+from regsim.abd import AbdAlgo, AbdReplicaState
 from regsim.messages import (
     BROADCAST,
     AbdAck,
@@ -64,7 +65,7 @@ def test_server_adopts_newer_only_but_always_acks():
     st = A3.init()
     st, outgoing, _ = feed(st, [(AbdUpdate(9, 3, b"c"), 1)])
     assert st.wsn == 3 and st.reg == b"c"
-    assert A3.deliver(st, AbdUpdate(10, 3, b"c"), 1).state is st  # not newer: no copy
+    assert A3.deliver(st, AbdUpdate(10, 3, b"c"), 1).state is st  # not newer: no new state
     st, outgoing2, _ = feed(st, [(AbdUpdate(10, 1, b"a"), 1)])
     assert st.wsn == 3 and st.reg == b"c"  # no adopt
     assert outgoing == [(1, AbdAck(9))]
@@ -75,7 +76,7 @@ def test_server_reports_current_pair():
     st = A3.init()
     out = A3.deliver(st, AbdQuery(4), 2)
     assert out.outgoing == ((2, AbdReport(4, 0, None)),)
-    assert out.state is st  # a query changes nothing, so nothing is copied
+    assert out.state is st  # a query changes nothing, so no state is built
 
 
 def test_read_on_fresh_system_returns_initial_value():
@@ -127,10 +128,13 @@ def test_duplicate_ack_senders_not_counted_twice():
 def test_handlers_leave_input_state_unchanged(seed):
     # A short random walk of the writer: its own operations, and replies and
     # requests for the current or the previous phase from random senders.
+    # A state is a hashable tuple, so none of its fields can change in place;
+    # a handler that changed one anyway would show as a change from the deep
+    # copy of its input.
     rng = random.Random(seed)
     st = A3.init()
     for _ in range(150):
-        before = st.freeze()
+        before = copy.deepcopy(st)
         if st.pending is None:
             out = A3.begin(st, write(b"v") if rng.random() < 0.5 else read(1))
         else:
@@ -140,5 +144,6 @@ def test_handlers_leave_input_state_unchanged(seed):
                 [AbdUpdate(opsn, wsn, b"u"), AbdAck(opsn), AbdQuery(opsn), AbdReport(opsn, wsn, b"r")]
             )
             out = A3.deliver(st, msg, rng.randint(1, 3))
-        assert st.freeze() == before
+        assert type(st) is AbdReplicaState and hash(st) == hash(before)
+        assert st == before
         st = out.state

@@ -401,6 +401,36 @@ def test_explore_cli_crash_subsets_reject_a_scenario_crash(capsys):
     assert err == "config error: --crash-subsets needs a scenario without crashes\n"
 
 
+SAME_TIME = [("write", 1, 0), ("read", 2, 0), ("read", 2, 0)]
+
+
+@pytest.mark.parametrize("command", ["run", "explore"])
+def test_ops_of_one_process_at_one_time_exit_two(command, tmp_path, capsys):
+    # `run` would invoke both reads at tick 0, `explore` one after the
+    # other: the scenario is rejected before either command runs.
+    assert main([command, str(write_explore_config(tmp_path, SAME_TIME))]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: ops[2]: process 2 already has an op at time 0\n"
+
+
+def test_ops_overlapping_through_delays_fail_only_the_run(tmp_path, capsys):
+    # p2's second read falls due at tick 1, before its first can respond
+    # (every delay is at least 1 tick, and a read needs a round trip).
+    cfg = write_explore_config(tmp_path, [("write", 1, 0), ("read", 2, 0), ("read", 2, 1)])
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("schedule error: op 2 on p2 at t=1 ")
+    assert main(["explore", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "explore"])
+def test_write_value_with_a_lone_surrogate_exit_two(command, tmp_path, capsys):
+    cfg = write_config(tmp_path, ops=[{"time": 0, "process": 1, "op": "write", "value": "\ud800"}])
+    assert "\\ud800" in cfg.read_text()  # the JSON escape, as a user would write it
+    assert main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: ops[0]: value is not valid Unicode: surrogates not allowed\n"
+
+
 def test_explore_orders_each_process_by_time(tmp_path):
     # p2's ops are listed at times 5 then 1, so op 2 runs before op 1.
     cfg = write_explore_config(tmp_path, [("write", 1, 0), ("read", 2, 5), ("read", 2, 1)])

@@ -48,6 +48,25 @@ def test_write_by_non_writer_rejected():
         parse_scenario(minimal(ops=ops))
 
 
+def test_two_ops_of_one_process_at_one_time_rejected():
+    ops = [
+        {"time": 0, "process": 1, "op": "write", "value": "a"},
+        {"time": 0, "process": 2, "op": "read"},
+        {"time": 3, "process": 2, "op": "read"},
+        {"time": 0, "process": 2, "op": "read"},
+    ]
+    with pytest.raises(ConfigError, match=r"^ops\[3\]: process 2 already has an op at time 0$"):
+        parse_scenario(minimal(ops=ops))
+    # One time for two processes, or two times for one, is fine.
+    assert len(parse_scenario(minimal(ops=ops[:3])).ops) == 3
+
+
+def test_write_value_with_a_lone_surrogate_rejected():
+    ops = json.loads('[{"time": 0, "process": 1, "op": "write", "value": "a\\ud800"}]')
+    with pytest.raises(ConfigError, match=r"^ops\[0\]: value is not valid Unicode"):
+        parse_scenario(minimal(ops=ops))
+
+
 def test_too_many_crashes_rejected():
     crashes = [{"process": 2, "at": 5}, {"process": 3, "at": 5}]
     with pytest.raises(ConfigError, match="t=1"):

@@ -348,8 +348,8 @@ def test_noop_predicate_agrees_with_the_handlers(alg, monkeypatch):
     pruned = []
     noop = _Explorer.noop
 
-    def recorded(self, state, snap_id, mid, sender):
-        if noop(self, state, snap_id, mid, sender):
+    def recorded(self, state, mid, sender):
+        if noop(self, state, mid, sender):
             pruned.append((self.algo, state, self.msgs.items[mid], sender))
             return True
         return False

@@ -86,13 +86,13 @@ class AbdNoWriteBack(AbdAlgo):
     without writing the pair back first, so a later read may find only
     processes that still hold an older pair."""
 
-    def _client_report(self, st, msg, sender):
-        out = super()._client_report(st, msg, sender)
+    def _client_report(self, state, msg, sender):
+        out = super()._client_report(state, msg, sender)
         pd = out.state.pending
         if pd is None or pd.phase != PHASE_WRITE_BACK:
             return out
-        out.state.pending = None
-        return HandlerOutput(out.state, completion=OpResult("read", pd.best_value, pd.best_wsn))
+        st = out.state._replace(pending=None)
+        return HandlerOutput(st, completion=OpResult("read", pd.best_value, pd.best_wsn))
 
 
 def test_abd_read_without_write_back_fails_every_checker(monkeypatch):
@@ -110,9 +110,9 @@ class TeffNoRelay(TeffAlgo):
     no process other than the writer vouches for a write, and no quorum of
     holders ever forms."""
 
-    def _absorb_write(self, st, wsn, value, sender):
-        super()._absorb_write(st, wsn, value, sender)
-        return False
+    def _absorb_write(self, state, wsn, value, sender):
+        fields, _ = super()._absorb_write(state, wsn, value, sender)
+        return fields, False
 
 
 @pytest.mark.parametrize(

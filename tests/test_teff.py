@@ -1,5 +1,6 @@
 """Unit and property tests for the register protocol handlers."""
 
+import copy
 import random
 from pathlib import Path
 
@@ -43,7 +44,7 @@ def test_init_fresh_state():
     st = B3.init()
     assert (st.wsn, st.swsn, st.rsn) == (0, 0, 0)
     assert st.reg is None and st.res is None
-    assert st.forwarded == set() and st.know == {}
+    assert st.forwarded == frozenset() and st.know == ()
 
 
 def test_init_rejects_too_many_faults():
@@ -65,14 +66,13 @@ def test_first_write_broadcasts_wsn_one():
     out = B3.begin(B3.init(), write(b"a"))
     assert out.outgoing == ((BROADCAST, Write(1, b"a")),)
     assert out.state.wsn == 1 and out.state.reg == b"a"
-    assert out.state.pending_write.wsn == 1
+    assert out.state.pending_write == 1
     assert 1 in out.state.forwarded
     assert out.completion is None
 
 
 def test_write_increments_existing_wsn():
-    st = B3.init()
-    st.wsn = 4
+    st = B3.init()._replace(wsn=4)
     out = B3.begin(st, write(b"e"))
     assert out.outgoing == ((BROADCAST, Write(5, b"e")),)
 
@@ -101,9 +101,7 @@ def test_fresh_value_adopted_and_forwarded():
 def test_stale_value_still_forwarded_once():
     # A process can see its first copy of an old sequence number after
     # already holding a newer one; the relay still happens.
-    st = B3.init()
-    st.wsn = 2
-    st.reg = b"b"
+    st = B3.init()._replace(wsn=2, reg=b"b")
     out = B3.on_write(st, Write(1, b"a"), 2)
     assert out.state.reg == b"b" and out.state.wsn == 2
     assert out.outgoing == ((BROADCAST, Write(1, b"a")),)
@@ -126,7 +124,7 @@ def test_quorum_update_fires_once_per_wsn():
     st = B3.init()
     st, _ = drive(st, [(B3.on_write, Write(1, b"a"), 1), (B3.on_write, Write(1, b"a"), 3)])
     assert st.swsn == 1 and st.res == b"a"
-    assert st.know == {}  # collected knowledge at or below swsn is dropped
+    assert st.know == ()  # collected knowledge at or below swsn is dropped
     after = B3.on_write(st, Write(1, b"a"), 2)
     assert after.state.swsn == 1 and after.outgoing == ()
 
@@ -136,7 +134,7 @@ def test_duplicate_senders_do_not_reach_quorum():
     st = b5.init()
     st, _ = drive(st, [(b5.on_write, Write(1, b"a"), 1), (b5.on_write, Write(1, b"a"), 1)])
     assert st.swsn == 0
-    assert st.know[1] == {1}
+    assert dict(st.know)[1] == {1}
 
 
 # --- begin: read / on_read -----------------------------------------------
@@ -147,8 +145,7 @@ def test_begin_read_broadcasts_next_rsn():
     assert out.outgoing == ((BROADCAST, Read(1)),)
     assert out.state.pending_read.rsn == 1
 
-    st = B3.init()
-    st.rsn = 7
+    st = B3.init()._replace(rsn=7)
     assert B3.begin(st, read()).outgoing == ((BROADCAST, Read(8)),)
 
 
@@ -159,21 +156,17 @@ def test_begin_read_while_pending_rejected():
 
 
 def test_on_read_replies_current_wsn():
-    st = B3.init()
-    st.wsn = 5
-    st.reg = b"e"
+    st = B3.init()._replace(wsn=5, reg=b"e")
     out = B3.on_read(st, 2, 2)
     assert out.outgoing == ((2, State(2, 5)),)
-    assert out.state is st  # a READ changes nothing, so nothing is copied
+    assert out.state is st  # a READ changes nothing, so no state is built
 
     fresh = B3.init()
     assert B3.on_read(fresh, 1, 2).outgoing == ((2, State(1, 0)),)
 
 
 def test_on_read_modified_carries_value():
-    st = M3.init()
-    st.wsn = 5
-    st.reg = b"e"
+    st = M3.init()._replace(wsn=5, reg=b"e")
     out = M3.on_read(st, 2, 2)
     assert out.outgoing == ((2, State(2, 5, b"e", carries_value=True)),)
     assert out.state is st
@@ -221,9 +214,7 @@ def test_read_returns_newer_value_after_write_quorum():
 
 
 def test_stale_state_replies_ignored():
-    st = B3.init()
-    st.rsn = 3
-    st.pending_read = teff.PendingRead(3, frozenset(), 0)
+    st = B3.init()._replace(rsn=3, pending_read=teff.PendingRead(3, frozenset(), 0))
     out = B3.on_state(st, 2, 9, None, 3)
     assert out.state.pending_read == teff.PendingRead(3, frozenset(), 0)
     assert out.completion is None
@@ -249,7 +240,7 @@ def test_modified_state_wsn_zero_is_inert_on_write_path():
     st = M3.init()
     out = M3.on_state(st, 1, 0, None, 3)
     assert out.outgoing == ()  # nothing to relay for the initial value
-    assert out.state.know == {}
+    assert out.state.know == ()
 
 
 # --- properties over random event sequences ------------------------------
@@ -257,7 +248,7 @@ def test_modified_state_wsn_zero_is_inert_on_write_path():
 
 def walk(seed, variant, steps=300):
     """Drive one replica with a random but protocol-shaped event stream.
-    Yields (input state, its snapshot taken before the call, output)."""
+    Yields (input state, its deep copy taken before the call, output)."""
     rng = random.Random(seed)
     n, t = 5, 2
     algo = TeffAlgo(n, t, variant)
@@ -267,7 +258,7 @@ def walk(seed, variant, steps=300):
         value = bytes([96 + wsn])
         sender = rng.randint(1, n)
         kind = rng.random()
-        before = st.freeze()
+        before = copy.deepcopy(st)
         if kind < 0.55:
             out = algo.on_write(st, Write(wsn, value), sender)
         elif kind < 0.8:
@@ -298,7 +289,8 @@ def test_monotonicity_and_coupling(seed, variant):
         assert cur.swsn >= prev.swsn
         assert cur.swsn <= cur.wsn
         assert cur.res == values_by_wsn[cur.swsn]
-        for s, holders in cur.know.items():
+        assert [s for s, _ in cur.know] == sorted({s for s, _ in cur.know})
+        for s, holders in cur.know:
             assert s > cur.swsn
             assert len(holders) <= 5  # n
 
@@ -323,10 +315,12 @@ def test_forward_at_most_once_per_wsn(seed, variant):
 @pytest.mark.parametrize("variant", [BASE, MODIFIED])
 @pytest.mark.parametrize("seed", range(8))
 def test_handlers_leave_input_state_unchanged(seed, variant):
-    # Clones share every field, so a handler that changed one in place
-    # would show here as a changed snapshot of its input.
+    # A state is a hashable tuple, so none of its fields can change in
+    # place; a handler that changed one anyway would show here as a change
+    # from the deep copy of its input.
     for st, before, _ in walk(seed, variant):
-        assert st.freeze() == before
+        assert type(st) is teff.ReplicaState and hash(st) == hash(before)
+        assert st == before
 
 
 def test_handlers_are_pure():
@@ -334,7 +328,7 @@ def test_handlers_are_pure():
     st, _ = drive(st, [(M3.on_write, Write(1, b"a"), 1)])
     first = M3.on_state(st, 1, 2, b"b", 3)
     second = M3.on_state(st, 1, 2, b"b", 3)
-    assert first.state.freeze() == second.state.freeze()
+    assert first.state == second.state
     assert first.outgoing == second.outgoing
     assert first.completion == second.completion
     # and the input state was left alone
@@ -345,7 +339,7 @@ def test_handlers_are_pure():
 def test_replay_reproduces_states(variant):
     a = random_walk(17, variant)
     b = random_walk(17, variant)
-    assert [s.freeze() for s in a] == [s.freeze() for s in b]
+    assert a == b
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
