@@ -120,6 +120,16 @@ class AbdAlgo:
             return state.pending is None or state.pending.opsn != msg.opsn
         return False
 
+    @staticmethod
+    def relabel(state: AbdReplicaState, perm) -> AbdReplicaState:
+        """`state` with each process id q among the pending phase's
+        responders renamed to perm[q]."""
+        pd = state.pending
+        if pd is None:
+            return state
+        responders = frozenset(perm[q] for q in pd.responders)
+        return _new(AbdReplicaState, (*state[:3], _new(AbdPending, (*pd[:2], responders, *pd[3:]))))
+
     def _client_ack(self, state: AbdReplicaState, msg: AbdAck, sender: int) -> HandlerOutput:
         reg, wsn, opsn, pd = state
         if pd is None or pd.opsn != msg.opsn or pd.phase == PHASE_QUERY:

@@ -5,11 +5,11 @@ deliveries (time-free: asynchrony means any delivery order).  Rather than
 walking every interleaving separately, the search exploits that a
 configuration's future behavior depends only on the configuration — replica
 states, in-flight message multiset, and how many operations each process
-has invoked — never on how it was reached.  A depth-first pass visits each
-distinct configuration once and computes, bottom-up over the acyclic
-configuration graph, the set of operation-history suffixes reachable from it.  The root's
-set is then exactly the distinct complete histories, each discovered once.
-An op's time sets only its program order: each process invokes its ops by
+has invoked — never on how it was reached.  One recursive, memoized visit
+per configuration computes, bottom-up over the acyclic configuration graph,
+the set of operation-history suffixes reachable from it.  The root's set is
+then exactly the distinct complete histories, each discovered once.  An
+op's time sets only its program order: each process invokes its ops by
 time, ties in list order, as the engine does.
 
 Each suffix becomes invoke/respond/crash trace events with the record index
@@ -19,9 +19,7 @@ turns them into a history.  An optional crash cuts one operation's
 initiating broadcast down to a chosen subset of receivers and halts the
 invoker there, at that operation's invoke, mirroring a sender dying
 mid-broadcast.  The halted invoker takes no step and absorbs every message,
-so whether the subset holds it changes nothing.  The result depends on the
-instance alone, not on the search order: the histories come sorted by their
-label records (None before any bytes).
+so whether the subset holds it changes nothing.
 
 A configuration is one tuple of interned local components, one per
 process: (process, replica state, inbox of the messages addressed to it,
@@ -36,28 +34,65 @@ records the step adds to the history.  Handlers are pure and read no receiver, s
 (state, input) calls its handler once per exploration, and an add memo
 maps (local, message) to a receiver's next local.  Expanding a
 configuration walks its locals' moves in one pass: each child swaps only
-the locals its move touches, however many messages are in flight, and a
-child already explored resolves on the spot.  Suffix-set unions and label
+the locals its move touches, however many messages are in flight, and is
+looked up in the configuration memo once.  Suffix-set unions and label
 prefixes are memoized as well.
+
+Process symmetry (Ip & Dill, "Better verification through symmetry", FMSD
+1996).  No handler reads its receiver, and senders only enter sets of
+process ids, so processes with equal op lists are interchangeable: a
+permutation of them that fixes the writer p1, the crashing op and the
+crash's receivers maps each run onto a run, and each history onto the
+history with the permuted processes' op ids swapped.  `explore()` builds the
+group of such permutations once (`_symmetries`).  Where a child misses the
+memo, each non-identity image of it is looked up before the child is
+expanded: the image permutes the locals and relabels each (its process, the
+process ids in its state, via the protocol's `relabel`, and its inbox's
+senders), memoized per (permutation, local).  An image's suffix set, its op
+ids renamed back, is the child's, memoized per (permutation, suffix set).
+So one configuration per orbit (the configurations the group maps onto
+each other) is expanded and counted.  An instance without a symmetry runs
+no mirror code.
+
+Nothing is cached across `explore()` calls: tests swap
+`regsim.explore.make_algorithm` for a mutant protocol, which must not be
+handed the real protocol's results.  The visit is a method rather than a
+closure that refers to itself, which would be a reference cycle keeping
+each call's memos alive until a collector pass.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from itertools import permutations, product
+from math import factorial, prod
 
 from .algos import make_algorithm
 from .history import History, extract_history
-from .messages import Op
+from .messages import WRITER, Op
 from .trace import CRASH, INVOKE, RESPOND, TraceEvent
 
 DEFAULT_MAX_STATES = 5_000_000
+# The most process permutations tried per missed configuration; a larger
+# symmetry group is cut to a subgroup (see _symmetries).
+MAX_SYMMETRIES = 120
 
 
 class ExploreLimitError(Exception):
-    def __init__(self, max_states: int, visited: int):
-        super().__init__(
-            f"configuration bound {max_states} exceeded after {visited} configurations"
-        )
+    """The search outgrew a bound: more than `max_states` configurations
+    finished or on the search path, or, when `recursion_limit` is given, a
+    search path deeper than the interpreter's recursion limit."""
+
+    def __init__(self, max_states: int, visited: int, recursion_limit: int | None = None):
+        if recursion_limit is None:
+            message = f"configuration bound {max_states} exceeded after {visited} configurations"
+        else:
+            message = (
+                f"search path deeper than the recursion limit {recursion_limit} "
+                f"after {visited} configurations"
+            )
+        super().__init__(message)
         self.max_states = max_states
         self.visited = visited
 
@@ -74,7 +109,7 @@ class BroadcastCrash:
 @dataclass
 class ExploreResult:
     histories: list[History]  # in canonical order
-    states_visited: int
+    states_visited: int  # configurations expanded: one per orbit
     edges: int  # configuration-graph edges: the moves of each explored configuration
     transitions: int  # distinct local transitions: one handler call each
     noop_pruned: int  # distinct (state, message, sender) judged forever-no-op
@@ -96,17 +131,59 @@ class _Interner:
         return ident
 
 
+def _program_order(n: int, ops: tuple[Op, ...]) -> dict[int, tuple[int, ...]]:
+    """Each process's op ids in program order (module docstring)."""
+    per_proc: dict[int, tuple[int, ...]] = {p: () for p in range(1, n + 1)}
+    for op_id in sorted(range(len(ops)), key=lambda i: ops[i].time):
+        per_proc[ops[op_id].process] += (op_id,)
+    return per_proc
+
+
+def _symmetries(n: int, ops: tuple[Op, ...], crash: BroadcastCrash | None) -> list[tuple]:
+    """The instance's process symmetries other than the identity, each as a
+    tuple `perm` with perm[p] the image of process p (perm[0] unused).  A
+    symmetry fixes p1, whose ops `begin` checks against WRITER, and the
+    crashing op's invoker; maps each process's op list (kinds and values in
+    program order) onto its image's; and maps the crash's receivers other
+    than the invoker onto themselves.  The group is the product of the
+    symmetric groups of these interchangeable classes; while it has more
+    than MAX_SYMMETRIES elements, the largest class leaves its highest
+    process fixed, which keeps a subgroup and so a sound reduction."""
+    per_proc = _program_order(n, ops)
+    fixed = {WRITER}
+    cut = frozenset()
+    if crash is not None:
+        invoker = ops[crash.op_index].process
+        fixed.add(invoker)
+        cut = crash.deliver_to - {invoker}
+    classes: dict[tuple, list[int]] = {}
+    for p in range(1, n + 1):
+        if p not in fixed:
+            kinds = tuple((ops[i].kind, ops[i].value) for i in per_proc[p])
+            classes.setdefault((kinds, p in cut), []).append(p)
+    groups = [c for c in classes.values() if len(c) > 1]
+    while prod(factorial(len(c)) for c in groups) > MAX_SYMMETRIES:
+        max(groups, key=len).pop()
+    identity = tuple(range(n + 1))
+    perms = []
+    for images in product(*(permutations(c) for c in groups)):
+        perm = list(identity)
+        for members, image in zip(groups, images):
+            for p, q in zip(members, image):
+                perm[p] = q
+        if tuple(perm) != identity:
+            perms.append(tuple(perm))
+    return perms
+
+
 class _Explorer:
-    def __init__(self, algorithm, n, t, ops, crash, max_states):
+    def __init__(self, algorithm, n, t, ops, crash, max_states, symmetries):
         self.algo = make_algorithm(algorithm, n, t)
         self.n = n
         self.ops = ops
         self.crash = crash
         self.max_states = max_states
-        # Each process's op ids in program order (module docstring).
-        self.per_proc: dict[int, tuple[int, ...]] = {p: () for p in range(1, n + 1)}
-        for op_id in sorted(range(len(ops)), key=lambda i: ops[i].time):
-            self.per_proc[ops[op_id].process] += (op_id,)
+        self.per_proc = _program_order(n, ops)
         self.msgs = _Interner()
         self.states: dict = {}  # replica state -> the one object equal to it
         # Local components (p, state, inbox, ops invoked) -> id; `locals`
@@ -129,6 +206,16 @@ class _Explorer:
         self.edges = 0
         self.label_memo: dict[tuple[tuple, int], int] = {}
         self.union_memo: dict[tuple[int, ...], int] = {}
+        # Per symmetry: (perm, the configuration index each image slot takes
+        # its local from, local -> image local, image op id -> op id).
+        self.mirrors: list[tuple] = []
+        for perm in symmetries:
+            source = tuple(sorted(range(n), key=lambda k: perm[k + 1]))
+            back = {}
+            for p, mine in self.per_proc.items():
+                back.update(zip(self.per_proc[perm[p]], mine))
+            self.mirrors.append((perm, source, {}, back))
+        self.rename_memo: dict[tuple[int, int], int] = {}  # (symmetry, set) -> set
 
     # A configuration is the tuple of local ids, one per process.  An inbox
     # entry is mid * n + sender - 1.
@@ -247,15 +334,13 @@ class _Explorer:
             self.union_memo[key] = cached
         return cached
 
-    def expand(self, node: tuple, label: tuple) -> tuple:
-        """A frame for `node`, entered through an edge labelled `label`:
-        (node, label, (labels, child) of each child not yet memoized, the
-        suffix sets of the edges resolved so far).  A node without moves is
+    def visit(self, node: tuple, depth: int) -> int:
+        """The suffix-set id of `node`, the `depth`-th configuration on the
+        search path, which no memo holds yet.  A node without moves is
         terminal."""
         moves = self.moves
         adds = self.adds
-        memo_get = self.memo.get
-        pending = []
+        memo = self.memo
         sets = []
         for i, ident in enumerate(node):
             local_moves = moves[ident]
@@ -273,47 +358,74 @@ class _Explorer:
                     child = tuple(ids)
                 else:
                     child = head + (new_local,) + tail
-                child_set = memo_get(child)
+                child_set = memo.get(child)
                 if child_set is None:
-                    pending.append((labels, child))
-                elif labels:
-                    sets.append(self.prepend(labels, child_set))
-                else:
-                    sets.append(child_set)
-        # Each move left one entry in pending or in sets.
-        self.edges += len(pending) + len(sets)
-        return node, label, pending, sets
+                    # The one miss site: an explored image, else a visit.
+                    if self.mirrors:
+                        child_set = self.mirror(child)
+                    if child_set is None:
+                        if len(memo) + depth > self.max_states:
+                            raise ExploreLimitError(self.max_states, len(memo))
+                        child_set = self.visit(child, depth + 1)
+                sets.append(self.prepend(labels, child_set) if labels else child_set)
+        self.edges += len(sets)
+        set_id = self.union(sets) if sets else self.terminal_set
+        memo[node] = set_id
+        return set_id
+
+    def mirror(self, node: tuple) -> int | None:
+        """The suffix-set id of `node` from an explored image of it under a
+        symmetry, or None when no image is explored."""
+        memo = self.memo
+        for g, (_, source, images, _) in enumerate(self.mirrors):
+            try:
+                image = tuple([images[node[k]] for k in source])
+            except KeyError:
+                image = tuple([self.image(g, node[k]) for k in source])
+            set_id = memo.get(image)
+            if set_id is not None:
+                return self.rename(g, set_id)
+        return None
+
+    def image(self, g: int, ident: int) -> int:
+        """The local `ident` under symmetry g: its process, the process ids
+        in its state and its inbox's senders relabelled."""
+        perm, _, images, _ = self.mirrors[g]
+        found = images.get(ident)
+        if found is None:
+            n = self.n
+            p, state, inbox, invoked = self.locals[ident]
+            if state is not None:
+                state = self.algo.relabel(state, perm)
+                state = self.states.setdefault(state, state)
+            inbox = tuple(sorted(e - e % n + perm[e % n + 1] - 1 for e in inbox))
+            found = images[ident] = self.local(perm[p], state, inbox, invoked)
+        return found
+
+    def rename(self, g: int, set_id: int) -> int:
+        """An image's suffix set with its op ids renamed back under
+        symmetry g: the suffix set of the configuration it is the image of."""
+        key = (g, set_id)
+        cached = self.rename_memo.get(key)
+        if cached is None:
+            back = self.mirrors[g][3]
+            members = frozenset(
+                self.suffixes.get(
+                    tuple((label, back[op_id], *r) for label, op_id, *r in self.suffixes.items[s])
+                )
+                for s in self.suffix_sets.items[set_id]
+            )
+            cached = self.suffix_sets.get(members)
+            self.rename_memo[key] = cached
+        return cached
 
     def run(self) -> int:
         """Returns the suffix-set id of the root configuration."""
         state = self.algo.init()
         self.states[state] = state
         root = tuple(self.local(p, state, (), 0) for p in range(1, self.n + 1))
-        # Iterative post-order DFS.  A frame finishes when every child edge
-        # has a resolved suffix set; its own set then flows into its parent
-        # (via the edge label it was entered through).  A child still
-        # pending may have been memoized since its frame was expanded.
-        memo = self.memo
-        frames = [self.expand(root, ())]
-        while frames:
-            node, label, pending, sets = frames[-1]
-            while pending:
-                labels, child = pending.pop()
-                child_set = memo.get(child)
-                if child_set is None:
-                    break
-                sets.append(self.prepend(labels, child_set) if labels else child_set)
-            else:
-                set_id = self.union(sets) if sets else self.terminal_set
-                memo[node] = set_id
-                frames.pop()
-                if frames:
-                    frames[-1][3].append(self.prepend(label, set_id) if label else set_id)
-                continue
-            if len(memo) + len(frames) > self.max_states:
-                raise ExploreLimitError(self.max_states, len(memo))
-            frames.append(self.expand(child, labels))
-        return memo[root]
+        return self.visit(root, 1)
+
 
 def explore(
     algorithm: str,
@@ -324,11 +436,37 @@ def explore(
     crash: BroadcastCrash | None = None,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> ExploreResult:
+    """Every distinct history of `ops` on `algorithm` with n processes, t of
+    them allowed to crash, and at most the one broadcast cut `crash`.
+
+    The histories come sorted by their label records (None before any
+    bytes), so the list depends on the instance alone.  Without a process
+    symmetry so do all four counts.  Under one (module docstring), the
+    configurations are counted per orbit and the edges per expanded
+    configuration, so they are still free of the search order; the
+    transitions and no-op prunes depend on which member of each orbit is
+    expanded.  Raises ExploreLimitError past `max_states` configurations
+    (finished plus on the search path) or past the recursion limit, whose
+    depth is the longest path, and ValueError on an op process, crash op or
+    crash receiver out of range.
+    """
     ops = tuple(ops)
-    if crash is not None and not 0 <= crash.op_index < len(ops):
-        raise ValueError(f"crash op_index {crash.op_index} out of range")
-    explorer = _Explorer(algorithm, n, t, ops, crash, max_states)
-    root_set = explorer.run()
+    for i, op in enumerate(ops):
+        if not 1 <= op.process <= n:
+            raise ValueError(f"op {i}'s process {op.process} outside 1..{n}")
+    if crash is not None:
+        if not 0 <= crash.op_index < len(ops):
+            raise ValueError(f"crash op_index {crash.op_index} out of range")
+        outside = sorted(p for p in crash.deliver_to if not 1 <= p <= n)
+        if outside:
+            raise ValueError(f"crash deliver_to {outside} outside 1..{n}")
+    explorer = _Explorer(algorithm, n, t, ops, crash, max_states, _symmetries(n, ops, crash))
+    try:
+        root_set = explorer.run()
+    except RecursionError:
+        raise ExploreLimitError(
+            max_states, len(explorer.memo), sys.getrecursionlimit()
+        ) from None
     suffixes = [explorer.suffixes.items[s] for s in explorer.suffix_sets.items[root_set]]
     crash_op = -1 if crash is None else crash.op_index
     return ExploreResult(

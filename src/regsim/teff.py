@@ -152,6 +152,16 @@ class TeffAlgo:
             return msg.wsn in state.forwarded and msg.wsn <= state.swsn
         return False
 
+    @staticmethod
+    def relabel(state: ReplicaState, perm) -> ReplicaState:
+        """`state` with each process id q it holds (the `know` holders and
+        the pending read's responders) renamed to perm[q]."""
+        know = tuple((wsn, frozenset(perm[q] for q in holders)) for wsn, holders in state.know)
+        pr = state.pending_read
+        if pr is not None:
+            pr = _new(PendingRead, (pr.rsn, frozenset(perm[q] for q in pr.responders), pr.maxwsn))
+        return _new(ReplicaState, (*state[:6], know, state.pending_write, pr))
+
     def on_write(self, state: ReplicaState, msg: Write, sender: int) -> HandlerOutput:
         """The first copy of `msg` is relayed as is: every relay of one write
         sends the writer's own message object."""

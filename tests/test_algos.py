@@ -1,15 +1,18 @@
 """The uniform driver interface over both protocols."""
 
+from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import regsim.engine
 from regsim.abd import AbdReplicaState
 from regsim.algos import make_algorithm
 from regsim.config import load_scenario
 from regsim.engine import run
-from regsim.messages import AbdAck, ProtocolError, Write
+from regsim.messages import WRITER, AbdAck, Op, ProtocolError, Write
 from regsim.teff import ReplicaState
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -56,3 +59,60 @@ def test_every_handler_returns_a_hashable_state_value(name, monkeypatch):
     first = algo.init()
     assert type(first) is cls and hash(first) == hash(algo.init())
     assert all(algo.init() == first for _ in range(3))
+
+
+def relabelled(algo, out, perm) -> tuple:
+    """A handler output with every process id in it renamed by `perm`: its
+    state's, via the protocol's relabel, and its destinations."""
+    outgoing = tuple((dest if dest is None else perm[dest], msg) for dest, msg in out.outgoing)
+    return algo.relabel(out.state, perm), outgoing, out.completion
+
+
+@pytest.mark.parametrize("name", ["teff", "teff-modified", "abd"])
+@pytest.mark.parametrize("n", [3, 5])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_relabel_commutes_with_the_handlers(name, n, data):
+    # The explorer's symmetry reduction rests on this: for every permutation
+    # of the processes that fixes the writer, stepping a relabelled state,
+    # with the sender or invoker renamed, gives the step's own output
+    # relabelled.  The states come from a random run of n processes without
+    # crashes, each step checked before it is taken.
+    algo = make_algorithm(name, n, (n - 1) // 2)
+    perms = [(0, WRITER, *image) for image in permutations(range(2, n + 1))]
+    states = dict.fromkeys(range(1, n + 1), algo.init())
+    in_flight = []  # (receiver, message, sender)
+    writes = 0
+    for _ in range(data.draw(st.integers(1, 60), label="steps")):
+        idle = [p for p, state in states.items() if not algo.has_pending(state)]
+        if not idle and not in_flight:
+            break
+        choice = data.draw(st.integers(0, len(idle) + len(in_flight) - 1), label="step")
+        if choice < len(idle):
+            p = idle[choice]
+            if p == WRITER and data.draw(st.booleans(), label="write"):
+                writes += 1
+                kind, value = "write", b"v%d" % writes
+            else:
+                kind, value = "read", None
+            state = states[p]
+            out = algo.begin(state, Op(p, kind, value))
+            for perm in perms:
+                image = algo.begin(algo.relabel(state, perm), Op(perm[p], kind, value))
+                assert tuple(image) == relabelled(algo, out, perm), (state, perm, kind)
+        else:
+            p, msg, sender = in_flight.pop(choice - len(idle))
+            state = states[p]
+            noop = algo.is_noop_delivery(state, msg, sender)
+            out = algo.deliver(state, msg, sender)
+            for perm in perms:
+                image = algo.relabel(state, perm)
+                assert algo.is_noop_delivery(image, msg, perm[sender]) == noop
+                stepped = algo.deliver(image, msg, perm[sender])
+                assert tuple(stepped) == relabelled(algo, out, perm), (state, perm, msg, sender)
+        assert algo.relabel(out.state, tuple(range(n + 1))) == out.state
+        for perm in perms:
+            assert algo.has_pending(algo.relabel(out.state, perm)) == algo.has_pending(out.state)
+        states[p] = out.state
+        for dest, msg in out.outgoing:
+            in_flight += [(q, msg, p) for q in (states if dest is None else (dest,))]

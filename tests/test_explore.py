@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import regsim.explore
 from regsim.algos import Op, make_algorithm
-from regsim.cli import _broadcast_crash
+from regsim.cli import _broadcast_crash, main
 from regsim.config import NetworkSpec, load_scenario
 from regsim.engine import run
 from regsim.explore import BroadcastCrash, ExploreLimitError, _Explorer, explore
@@ -265,20 +267,102 @@ THREE_OPS = {
 }
 
 
+def unreduced(monkeypatch):
+    """Explore without process symmetry from here on: the group builder
+    finds none."""
+    monkeypatch.setattr(regsim.explore, "_symmetries", lambda n, ops, crash: [])
+
+
 @pytest.mark.parametrize("alg,mask", list(THREE_OPS), ids=str)
-def test_pinned_write_and_two_readers(alg, mask):
+def test_pinned_write_and_two_readers(alg, mask, monkeypatch):
+    # The pins count every configuration: mask 6 reaches p2 and p3 alike,
+    # so the reduced search would count each mirror pair once.
+    unreduced(monkeypatch)
     res = explore(alg, 3, 1, [WRITE_A, READ2, READ3], crash=crash_of(mask))
     digest = history_set_digest(res.histories)
     assert (res.states_visited, res.edges, res.transitions, digest) == THREE_OPS[alg, mask]
 
 
+# The same instances under process symmetry: (configurations, edges).  Mask
+# 2 has none (only p2 hears the write); at mask 6, p2 and p3 swap.
+THREE_OPS_REDUCED = {
+    ("teff", 2): THREE_OPS["teff", 2][:2],
+    ("teff", 6): (18538, 112774),
+    ("teff-modified", 2): THREE_OPS["teff-modified", 2][:2],
+    ("teff-modified", 6): (14952, 91433),
+}
+
+
+@pytest.mark.parametrize("alg,mask", list(THREE_OPS_REDUCED), ids=str)
+def test_pinned_write_and_two_readers_reduced(alg, mask):
+    res = explore(alg, 3, 1, [WRITE_A, READ2, READ3], crash=crash_of(mask))
+    assert (res.states_visited, res.edges) == THREE_OPS_REDUCED[alg, mask]
+    assert history_set_digest(res.histories) == THREE_OPS_REACHED
+
+
+# Every pinned instance and criterion 1's 18 (w:1,r:2,r:3 on both teff
+# variants, without a crash and with each of the 8 cuts).  PINNED holds
+# the ORDERED instances, and criterion 1's the THREE_OPS ones.
+REDUCTION_CASES = (
+    [(alg, "wr", mask) for alg, mask in PINNED]
+    + [(alg, "wr2r2", 2) for alg in READ2_TWICE]
+    + [(alg, "wrr", mask) for alg in ("teff", "teff-modified") for mask in [None, *range(8)]]
+)
+REDUCTION_OPS = {
+    "wr": [WRITE_A, READ2],
+    "wr2r2": [WRITE_A, READ2, READ2],
+    "wrr": [WRITE_A, READ2, READ3],
+}
+
+
+@pytest.mark.parametrize("alg,ops,mask", REDUCTION_CASES, ids=str)
+def test_symmetry_reduction_keeps_the_histories(alg, ops, mask, monkeypatch):
+    reduced = explore(alg, 3, 1, REDUCTION_OPS[ops], crash=crash_of(mask))
+    unreduced(monkeypatch)
+    full = explore(alg, 3, 1, REDUCTION_OPS[ops], crash=crash_of(mask))
+    assert list(map(_canon, reduced.histories)) == list(map(_canon, full.histories))
+    assert reduced.states_visited <= full.states_visited
+    assert reduced.edges <= full.edges
+
+
+def test_symmetries_of_criterion_1():
+    # p2 and p3 read once each: they swap unless the cut tells them apart.
+    swap = (0, 1, 3, 2)
+    ops = (WRITE_A, READ2, READ3)
+    assert regsim.explore._symmetries(3, ops, None) == [swap]
+    for mask in range(8):
+        expected = [swap] if mask >> 1 & 1 == mask >> 2 & 1 else []
+        assert regsim.explore._symmetries(3, ops, crash_of(mask)) == expected
+    # A second read, a different value or the crashing op pins a process.
+    assert regsim.explore._symmetries(3, (WRITE_A, READ2, READ2), None) == []
+    assert regsim.explore._symmetries(3, (WRITE_A, READ2), None) == []
+    assert regsim.explore._symmetries(3, ops, BroadcastCrash(1, frozenset({3}))) == []
+    # n=4, w:1,r:2: the idle p3 and p4 swap.
+    assert regsim.explore._symmetries(4, (WRITE_A, READ2), None) == [(0, 1, 2, 4, 3)]
+
+
+def test_a_large_symmetry_group_is_cut_to_a_subgroup():
+    # p2..p15 are idle: 14! permutations, cut to at most MAX_SYMMETRIES.
+    perms = regsim.explore._symmetries(15, (WRITE_A,), None)
+    assert 1 < len(perms) + 1 <= regsim.explore.MAX_SYMMETRIES
+    assert len(set(perms)) == len(perms)
+    assert explore("teff", 15, 7, []).states_visited == 1
+
+
 @pytest.mark.parametrize("alg", ["teff", "abd"])
 @pytest.mark.parametrize(
-    "ops,mask", [([WRITE_A, READ2, READ3], 2), ([WRITE_A, READ2], None)], ids=["wrr-2", "wr"]
+    "ops,mask",
+    [([WRITE_A, READ2, READ3], 2), ([WRITE_A, READ2], None), ([WRITE_A, READ2, READ3], 6)],
+    ids=["wrr-2", "wr", "wrr-6"],
 )
 def test_results_do_not_depend_on_the_search_order(alg, ops, mask, monkeypatch):
     # A reduced search visits configurations in another order; its result
-    # must then still compare equal to this one's.
+    # must then still compare equal to this one's.  Under a symmetry (wrr-6:
+    # p2 and p3 swap) the handler calls and no-op prunes depend on which
+    # member of an orbit is expanded, so only the histories, configurations
+    # and edges must match.
+    symmetric = bool(regsim.explore._symmetries(3, tuple(ops), crash_of(mask)))
+    assert symmetric == (mask == 6)
     forward = explore(alg, 3, 1, ops, crash=crash_of(mask))
     actions = _Explorer.actions
     reversed_locals = []
@@ -292,7 +376,54 @@ def test_results_do_not_depend_on_the_search_order(alg, ops, mask, monkeypatch):
     assert reversed_locals
     assert list(map(_canon, backward.histories)) == list(map(_canon, forward.histories))
     counts = lambda res: (res.states_visited, res.edges, res.transitions, res.noop_pruned)
-    assert counts(backward) == counts(forward)
+    width = 2 if symmetric else 4
+    assert counts(backward)[:width] == counts(forward)[:width]
+
+
+@pytest.mark.parametrize(
+    "ops,crash,reason",
+    [
+        ([WRITE_A, Op(9, "read")], None, "op 1's process 9 outside 1..3"),
+        ([WRITE_A, Op(0, "read")], None, "op 1's process 0 outside 1..3"),
+        ([WRITE_A, READ2], BroadcastCrash(0, frozenset({7})), "crash deliver_to [7] outside 1..3"),
+        ([WRITE_A], BroadcastCrash(0, frozenset({0, 2})), "crash deliver_to [0] outside 1..3"),
+        ([WRITE_A], BroadcastCrash(1, frozenset()), "crash op_index 1 out of range"),
+    ],
+    ids=["process-9", "process-0", "deliver-to-7", "deliver-to-0", "op-index"],
+)
+def test_process_ids_out_of_range_are_rejected(ops, crash, reason):
+    with pytest.raises(ValueError) as err:
+        explore("teff", 3, 1, ops, crash=crash)
+    assert str(err.value) == reason
+
+
+def frames_in_use() -> int:
+    frame, count = sys._getframe(), 0
+    while frame is not None:
+        frame, count = frame.f_back, count + 1
+    return count
+
+
+def test_a_search_deeper_than_the_recursion_limit_exits_three(monkeypatch, capsys):
+    # The search nests one visit per configuration on its longest path: 20
+    # for teff w:1,r:2,r:3, 29 for ABD.  Here it gets about 12 frames.
+    run = regsim.explore._Explorer.run
+
+    def shallow_run(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frames_in_use() + 12)
+        try:
+            return run(self)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    monkeypatch.setattr(regsim.explore._Explorer, "run", shallow_run)
+    with pytest.raises(ExploreLimitError, match="^search path deeper than the recursion limit"):
+        explore("teff", 3, 1, [WRITE_A, READ2])
+    assert main(["explore", str(SCENARIOS / "messages-teff-n3.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource bound: search path deeper than the recursion limit")
+    assert err.count("\n") == 1
 
 
 def test_noop_pruned_counts_are_positive_and_repeat():
