@@ -5,12 +5,14 @@ A write is one broadcast/ack round trip.  A read queries all processes,
 takes the pair with the largest sequence number from a quorum of replies,
 unconditionally writes that pair back, and returns after a quorum of acks.
 Every phase gets a fresh per-process phase id (opsn) so stale replies are
-discarded.  `AbdAlgo(n, t)` holds the quorum n - t and the handlers; a
-replica state holds only the protocol's variables, as an immutable, hashable
-NamedTuple, its pending phase one too.  Handlers are pure and build each new
-state, and their `HandlerOutput`, in one positional `tuple.__new__` call; a
-handler that changes nothing (a query, an update no newer than the
-replica's pair, a reply to a finished phase) returns its input state itself.
+discarded.  `AbdAlgo(n, t)` holds the quorum n - t and the handlers, one
+per message class: `on_update`, `on_query`, `on_ack` and `on_report`; a
+reply to a finished phase is a no-op, for which the handler returns None.
+A replica state holds only the protocol's variables, as an immutable,
+hashable NamedTuple, its pending phase one too.  Handlers are pure and
+build each new state, and their `HandlerOutput` and messages, in one
+positional `tuple.__new__` call; a handler that changes no state (a query,
+an update no newer than the replica's pair) returns its input state itself.
 Process 1 is the writer.
 """
 
@@ -65,6 +67,11 @@ class AbdReplicaState(NamedTuple):
 
 
 class AbdAlgo:
+    # Each message class's handler, by name, so that a subclass's override
+    # is the one called; None from a handler is a no-op (algos.py).
+    HANDLERS = {AbdUpdate: "on_update", AbdQuery: "on_query",
+                AbdAck: "on_ack", AbdReport: "on_report"}
+
     def __init__(self, n: int, t: int):
         check_model(n, t)
         self.quorum = n - t
@@ -86,26 +93,18 @@ class AbdAlgo:
         if op.kind == "read":
             pd = _new(AbdPending, (PHASE_QUERY, opsn, frozenset(), 0, None))
             st = _new(AbdReplicaState, (reg, wsn, opsn, pd))
-            return _new(HandlerOutput, (st, ((BROADCAST, AbdQuery(opsn)),), None))
+            return _new(HandlerOutput, (st, ((BROADCAST, _new(AbdQuery, (opsn,))),), None))
         wsn += 1
         pd = _new(AbdPending, (PHASE_WRITE, opsn, frozenset(), wsn, op.value))
         st = _new(AbdReplicaState, (op.value, wsn, opsn, pd))
-        return _new(HandlerOutput, (st, ((BROADCAST, AbdUpdate(opsn, wsn, op.value)),), None))
+        update = _new(AbdUpdate, (opsn, wsn, op.value))
+        return _new(HandlerOutput, (st, ((BROADCAST, update),), None))
 
     def deliver(self, state: AbdReplicaState, msg: Message, sender: int) -> HandlerOutput:
-        kind = type(msg)
-        if kind is AbdUpdate:
-            if msg.wsn > state.wsn:
-                state = _new(AbdReplicaState, (msg.value, msg.wsn, state.opsn, state.pending))
-            return _new(HandlerOutput, (state, ((sender, AbdAck(msg.opsn)),), None))
-        if kind is AbdQuery:
-            reply = AbdReport(msg.opsn, state.wsn, state.reg)
-            return _new(HandlerOutput, (state, ((sender, reply),), None))
-        if kind is AbdAck:
-            return self._client_ack(state, msg, sender)
-        if kind is AbdReport:
-            return self._client_report(state, msg, sender)
-        raise ProtocolError(f"not an ABD message: {msg!r}")
+        name = self.HANDLERS.get(type(msg))
+        if name is None:
+            raise ProtocolError(f"not an ABD message: {msg!r}")
+        return getattr(self, name)(state, msg, sender) or _new(HandlerOutput, (state, (), None))
 
     @staticmethod
     def has_pending(state: AbdReplicaState) -> bool:
@@ -130,26 +129,44 @@ class AbdAlgo:
         responders = frozenset(perm[q] for q in pd.responders)
         return _new(AbdReplicaState, (*state[:3], _new(AbdPending, (*pd[:2], responders, *pd[3:]))))
 
-    def _client_ack(self, state: AbdReplicaState, msg: AbdAck, sender: int) -> HandlerOutput:
+    @staticmethod
+    def on_update(state: AbdReplicaState, msg: AbdUpdate, sender: int) -> HandlerOutput:
+        """Adopt a newer pair and acknowledge the phase."""
+        opsn, wsn, value = msg
+        if wsn > state.wsn:
+            state = _new(AbdReplicaState, (value, wsn, state.opsn, state.pending))
+        return _new(HandlerOutput, (state, ((sender, _new(AbdAck, (opsn,))),), None))
+
+    @staticmethod
+    def on_query(state: AbdReplicaState, msg: AbdQuery, sender: int) -> HandlerOutput:
+        """Report this replica's pair to the querying phase."""
+        reply = _new(AbdReport, (msg.opsn, state.wsn, state.reg))
+        return _new(HandlerOutput, (state, ((sender, reply),), None))
+
+    def on_ack(self, state: AbdReplicaState, msg: AbdAck, sender: int) -> HandlerOutput | None:
+        """An ack to the pending write or write-back phase; its quorum
+        completes the operation."""
         reg, wsn, opsn, pd = state
         if pd is None or pd.opsn != msg.opsn or pd.phase == PHASE_QUERY:
-            return _new(HandlerOutput, (state, (), None))  # stale phase, discard
+            return None  # a reply to a finished phase
         phase, _, responders, best_wsn, best_value = pd
         responders = responders | {sender}
         if len(responders) < self.quorum:
-            pd = _new(AbdPending, (phase, pd.opsn, responders, best_wsn, best_value))
+            pd = _new(AbdPending, (phase, opsn, responders, best_wsn, best_value))
             return _new(HandlerOutput, (_new(AbdReplicaState, (reg, wsn, opsn, pd)), (), None))
         st = _new(AbdReplicaState, (reg, wsn, opsn, None))
         if phase == PHASE_WRITE:
             return _new(HandlerOutput, (st, (), OpResult("write", None, best_wsn)))
         return _new(HandlerOutput, (st, (), OpResult("read", best_value, best_wsn)))
 
-    def _client_report(
+    def on_report(
         self, state: AbdReplicaState, msg: AbdReport, sender: int
-    ) -> HandlerOutput:
+    ) -> HandlerOutput | None:
+        """A report to the pending query phase; its quorum starts the
+        write-back of the freshest pair."""
         reg, wsn, opsn, pd = state
         if pd is None or pd.opsn != msg.opsn or pd.phase != PHASE_QUERY:
-            return _new(HandlerOutput, (state, (), None))
+            return None  # a reply to a finished phase
         responders = pd.responders | {sender}
         best_wsn, best_value = pd.best_wsn, pd.best_value
         if msg.wsn > best_wsn:
@@ -162,5 +179,5 @@ class AbdAlgo:
         opsn += 1
         pd = _new(AbdPending, (PHASE_WRITE_BACK, opsn, frozenset(), best_wsn, best_value))
         st = _new(AbdReplicaState, (reg, wsn, opsn, pd))
-        update = AbdUpdate(opsn, best_wsn, best_value)
+        update = _new(AbdUpdate, (opsn, best_wsn, best_value))
         return _new(HandlerOutput, (st, ((BROADCAST, update),), None))

@@ -3,13 +3,20 @@
 `teff.TeffAlgo` and `abd.AbdAlgo` hold their protocol's constants and
 handlers, and both offer the interface the simulator and the exhaustive
 explorer call: init / begin / deliver / has_pending / is_noop_delivery /
-relabel.
+relabel, and `HANDLERS`, the table naming each message class's handler.
+A class handler `(state, msg, sender)` returns a `HandlerOutput`, or None
+for a delivery that changes no state, sends nothing and completes nothing.
+The simulator makes one handler call per delivery through that table, built
+once per run, and goes no further on None.  `deliver` is the same call
+through the table, with None as `HandlerOutput(state)` and a ProtocolError
+for a foreign class; the explorer and the tests call it.
 A replica state is an immutable, hashable NamedTuple: handlers return a
 new one (or their input, when nothing changes) inside a `HandlerOutput`,
 the simulator keeps it as is, and the explorer keys its memos by it.
-Both callers skip the handler for a delivery that `is_noop_delivery`
-flags, so True must imply that delivering the message changes no state,
-sends nothing and completes nothing; False is always safe.
+`is_noop_delivery` is the explorer's: True must imply that delivering the
+message changes no state, sends nothing and completes nothing, now and in
+every later state, so the explorer drops such messages; False is always
+safe.  Each class handler returns None wherever it says True.
 `relabel(state, perm)` renames each process id q the state holds to
 perm[q].  The explorer's symmetry reduction relies on the handlers being
 equivariant under relabelling every process except p1, the writer: for

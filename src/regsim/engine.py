@@ -16,11 +16,11 @@ delivery inline, an invocation or a crash through a method, as those are
 rare.  Nothing is ever queued for the tick in hand (every delay is at least
 1, a cut's later crash goes to its later tick, and every invocation is
 queued before the run), so a bucket keeps its order.  A delivery to a live
-process is traced (DELIVER) and then, when the algorithm's
-`is_noop_delivery` says it can change nothing, goes no further: no handler
-call, no new state, no send or completion.  Such a delivery still counts
-against the event budget, one count per queued item, and still appears in
-the trace, so skipping it changes no output.
+process is traced (DELIVER) and then makes one call, to the handler the
+algorithm's `HANDLERS` table names for the message's class; when the
+handler returns None the delivery goes no further: no new state, no send
+or completion.  Such a delivery still counts against the event budget, one
+count per queued item, and still appears in the trace.
 
 Every send gets its delay from one rule, which config.py builds from the
 network: pinned delays in send order, each send after the last pinned one
@@ -174,9 +174,11 @@ class _Sim:
     def run(self) -> RunResult:
         # Bound here rather than at import, so that wrappers installed on the
         # module's TraceEvent or on the algorithm's methods see every call.
+        # The handler table is a local: held by the algorithm, its bound
+        # methods would make a reference cycle per run.
         event = TraceEvent
-        deliver = self.algo.deliver
-        is_noop = self.algo.is_noop_delivery
+        algo = self.algo
+        handlers = {cls: getattr(algo, name) for cls, name in algo.HANDLERS.items()}
         queue, trace, states, crashed = self.queue, self.trace, self.states, self.crashed
         ticks, pop, append = self.ticks, heapq.heappop, trace.append
         delay, budget, relay_cuts = self.delay, self.budget, self.relay_cuts
@@ -204,10 +206,10 @@ class _Sim:
                     if messages:
                         append(event(time, len(trace), DELIVER, proc, None, None, None, None,
                                      sender, msg))
-                    state = states[proc]
-                    if is_noop(state, msg, sender):
+                    out = handlers[type(msg)](states[proc], msg, sender)
+                    if out is None:
                         continue
-                    state, outgoing, completion = deliver(state, msg, sender)
+                    state, outgoing, completion = out
                     cut = None
                     if relay_cuts:
                         for _, out_msg in outgoing:

@@ -80,9 +80,10 @@ MAX_SYMMETRIES = 120
 
 
 class ExploreLimitError(Exception):
-    """The search outgrew a bound: more than `max_states` configurations
-    finished or on the search path, or, when `recursion_limit` is given, a
-    search path deeper than the interpreter's recursion limit."""
+    """The search outgrew a bound: the instance has more than `max_states`
+    configurations (`visited` were finished when the next one would pass
+    the bound), or, when `recursion_limit` is given, a search path deeper
+    than the interpreter's recursion limit."""
 
     def __init__(self, max_states: int, visited: int, recursion_limit: int | None = None):
         if recursion_limit is None:
@@ -364,7 +365,7 @@ class _Explorer:
                     if self.mirrors:
                         child_set = self.mirror(child)
                     if child_set is None:
-                        if len(memo) + depth > self.max_states:
+                        if len(memo) + depth >= self.max_states:  # counting the child
                             raise ExploreLimitError(self.max_states, len(memo))
                         child_set = self.visit(child, depth + 1)
                 sets.append(self.prepend(labels, child_set) if labels else child_set)
@@ -421,6 +422,8 @@ class _Explorer:
 
     def run(self) -> int:
         """Returns the suffix-set id of the root configuration."""
+        if self.max_states < 1:
+            raise ExploreLimitError(self.max_states, 0)
         state = self.algo.init()
         self.states[state] = state
         root = tuple(self.local(p, state, (), 0) for p in range(1, self.n + 1))
@@ -445,10 +448,11 @@ def explore(
     configurations are counted per orbit and the edges per expanded
     configuration, so they are still free of the search order; the
     transitions and no-op prunes depend on which member of each orbit is
-    expanded.  Raises ExploreLimitError past `max_states` configurations
-    (finished plus on the search path) or past the recursion limit, whose
-    depth is the longest path, and ValueError on an op process, crash op or
-    crash receiver out of range.
+    expanded.  Raises ExploreLimitError when the instance has more than
+    `max_states` configurations (the bound counts finished ones, those on
+    the search path and the one about to be visited) or a path deeper than
+    the recursion limit, and ValueError on an op process, crash op or crash
+    receiver out of range.
     """
     ops = tuple(ops)
     for i, op in enumerate(ops):

@@ -9,6 +9,13 @@ followed, when present, by a little-endian 32-bit length and the raw bytes.
 
 STATE messages carry a value block only in the modified register variant;
 the two shapes share a tag and are distinguished by length on decode.
+
+Each message class is a `typing.NamedTuple`, which handlers build
+positionally with `tuple.__new__`.  The classes share one `__eq__`, `__ne__`
+and `__hash__` that compare the class first, so messages of different
+classes with equal fields stay apart (`AbdAck(1) != AbdQuery(1)`) wherever
+messages are keys: the trace writer's memo, the explorer's interner and the
+engine's relay cuts.
 """
 
 from __future__ import annotations
@@ -18,19 +25,16 @@ from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 
-@dataclass(frozen=True)
-class Write:
+class Write(NamedTuple):
     wsn: int
     value: bytes | None
 
 
-@dataclass(frozen=True)
-class Read:
+class Read(NamedTuple):
     rsn: int
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """Reply to a READ.  `carries_value` marks the modified-variant shape;
     the base shape never has a value, and a modified reply may legitimately
     carry the initial value (None)."""
@@ -41,29 +45,41 @@ class State:
     carries_value: bool = False
 
 
-@dataclass(frozen=True)
-class AbdUpdate:
+class AbdUpdate(NamedTuple):
     opsn: int
     wsn: int
     value: bytes | None
 
 
-@dataclass(frozen=True)
-class AbdAck:
+class AbdAck(NamedTuple):
     opsn: int
 
 
-@dataclass(frozen=True)
-class AbdQuery:
+class AbdQuery(NamedTuple):
     opsn: int
 
 
-@dataclass(frozen=True)
-class AbdReport:
+class AbdReport(NamedTuple):
     opsn: int
     wsn: int
     value: bytes | None
 
+
+def _eq(self, other) -> bool:
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _ne(self, other) -> bool:
+    return type(self) is not type(other) or tuple.__ne__(self, other)
+
+
+def _hash(self) -> int:
+    return hash((type(self), tuple.__hash__(self)))
+
+
+# Messages of different classes never compare equal, whatever their fields.
+for _cls in (Write, Read, State, AbdUpdate, AbdAck, AbdQuery, AbdReport):
+    _cls.__eq__, _cls.__ne__, _cls.__hash__ = _eq, _ne, _hash
 
 Message = Write | Read | State | AbdUpdate | AbdAck | AbdQuery | AbdReport
 

@@ -19,17 +19,20 @@ Two variants:
               surviving process holds the value.
 
 `TeffAlgo(n, t, variant)` is the protocol: it holds the system constants
-(the quorum n - t and the variant) and the handlers.  A replica state holds
-only the protocol's variables, so every process starts from the same state
-and no handler takes a process id; the writer check reads the invoked
-`Op`'s process.  A replica state is an immutable, hashable NamedTuple of
-immutable fields (ints, bytes, frozensets, the pending read's NamedTuple and
-`know` as an ascending tuple of (wsn, holders) pairs), so it is its own
-snapshot: the explorer keys its memos by it.  Handlers are pure: identical
+(the quorum n - t and the variant) and the handlers, one per message class:
+`on_write`, `on_read` and `on_state`, each opening with its own no-op test
+(None: nothing changes, nothing is sent, nothing completes).  The modified
+variant's `on_state` calls `on_write` with the reply's pair.  A replica
+state holds only the protocol's variables, so every process starts from
+the same state and no handler takes a process id; the writer check reads
+the invoked `Op`'s process.  A replica state is an immutable, hashable
+NamedTuple of immutable fields (ints, bytes, frozensets, the pending read's
+NamedTuple and `know` as an ascending tuple of (wsn, holders) pairs), so it
+is its own snapshot: the explorer keys its memos by it.  Handlers are pure: identical
 (state, input) pairs produce identical outputs.  Each builds its new state
-in one positional `tuple.__new__` call, as it does its `HandlerOutput`; a
-handler that changes nothing (a READ only answers) returns its input state
-itself.  Process 1 is the writer.
+in one positional `tuple.__new__` call, as it does its `HandlerOutput` and
+its messages; a handler that changes no state (a READ only answers) returns
+its input state itself.  Process 1 is the writer.
 """
 
 from __future__ import annotations
@@ -90,6 +93,10 @@ class ReplicaState(NamedTuple):
 
 
 class TeffAlgo:
+    # Each message class's handler, by name, so that a subclass's override
+    # is the one called; None from a handler is a no-op (algos.py).
+    HANDLERS = {Write: "on_write", Read: "on_read", State: "on_state"}
+
     def __init__(self, n: int, t: int, variant: str):
         check_model(n, t)
         if variant not in (BASE, MODIFIED):
@@ -114,21 +121,17 @@ class TeffAlgo:
             wsn += 1
             forwarded = forwarded | {wsn}  # the initiating broadcast is its forward
             st = _new(ReplicaState, (op.value, wsn, rsn, swsn, res, forwarded, know, wsn, None))
-            return _new(HandlerOutput, (st, ((BROADCAST, Write(wsn, op.value)),), None))
+            return _new(HandlerOutput, (st, ((BROADCAST, _new(Write, (wsn, op.value))),), None))
         rsn += 1
         pr = _new(PendingRead, (rsn, frozenset(), 0))
         st = _new(ReplicaState, (reg, wsn, rsn, swsn, res, forwarded, know, None, pr))
-        return _new(HandlerOutput, (st, ((BROADCAST, Read(rsn)),), None))
+        return _new(HandlerOutput, (st, ((BROADCAST, _new(Read, (rsn,))),), None))
 
     def deliver(self, state: ReplicaState, msg: Message, sender: int) -> HandlerOutput:
-        kind = type(msg)
-        if kind is Write:
-            return self.on_write(state, msg, sender)
-        if kind is Read:
-            return self.on_read(state, msg.rsn, sender)
-        if kind is State:
-            return self.on_state(state, msg.rsn, msg.wsn, msg.value, sender)
-        raise ProtocolError(f"unexpected message for register protocol: {msg!r}")
+        name = self.HANDLERS.get(type(msg))
+        if name is None:
+            raise ProtocolError(f"unexpected message for register protocol: {msg!r}")
+        return getattr(self, name)(state, msg, sender) or _new(HandlerOutput, (state, (), None))
 
     @staticmethod
     def has_pending(state: ReplicaState) -> bool:
@@ -162,37 +165,68 @@ class TeffAlgo:
             pr = _new(PendingRead, (pr.rsn, frozenset(perm[q] for q in pr.responders), pr.maxwsn))
         return _new(ReplicaState, (*state[:6], know, state.pending_write, pr))
 
-    def on_write(self, state: ReplicaState, msg: Write, sender: int) -> HandlerOutput:
-        """The first copy of `msg` is relayed as is: every relay of one write
-        sends the writer's own message object."""
-        wsn = msg.wsn
-        fields, forward = self._absorb_write(state, wsn, msg.value, sender)
-        outgoing = ((BROADCAST, msg),) if forward else ()
-        return self._settle(state, fields, state.pending_read, wsn, outgoing)
-
-    def on_read(self, state: ReplicaState, rsn: int, sender: int) -> HandlerOutput:
-        if self.variant == MODIFIED:
-            reply = State(rsn, state.wsn, state.reg, carries_value=True)
+    def on_write(self, state: ReplicaState, msg: Write, sender: int) -> HandlerOutput | None:
+        """WRITE receipt: adopt a newer value, relay the first copy of each
+        write, count its sender as a holder and advance swsn on a quorum.
+        The relay is `msg` itself, so every relay of one write sends the
+        writer's own message object."""
+        wsn, value = msg
+        reg, cur, rsn, swsn, res, forwarded, know, pw, pr = state
+        if wsn <= swsn and wsn in forwarded:
+            return None
+        if wsn > cur:
+            reg, cur = value, wsn
+        if wsn in forwarded:
+            outgoing = ()
         else:
-            reply = State(rsn, state.wsn)
+            # Fires even when wsn < cur: the first copy seen for this wsn is
+            # still re-broadcast, acknowledging the writer.
+            forwarded = forwarded | {wsn}
+            outgoing = ((BROADCAST, msg),)
+        if wsn > swsn:
+            i = bisect_left(know, (wsn,))  # wsn's entry, or where it goes
+            held = i < len(know) and know[i][0] == wsn
+            holders = know[i][1] if held else frozenset()
+            if sender not in holders:
+                holders = holders | {sender}
+                know = know[:i] + ((wsn, holders),) + know[i + held :]
+            if len(holders) >= self.quorum:
+                swsn, res, know = wsn, value, know[i + 1 :]
+                if pw == wsn:  # the pending write's quorum update fired
+                    st = _new(ReplicaState, (reg, cur, rsn, swsn, res, forwarded, know, None, pr))
+                    return _new(HandlerOutput, (st, outgoing, OpResult("write", None, wsn)))
+        st = _new(ReplicaState, (reg, cur, rsn, swsn, res, forwarded, know, pw, pr))
+        if pr is None:
+            return _new(HandlerOutput, (st, outgoing, None))
+        return self._read_step(st, outgoing)
+
+    def on_read(self, state: ReplicaState, msg: Read, sender: int) -> HandlerOutput:
+        """READ receipt: reply with this process's wsn (and, in the modified
+        variant, its value); the state is unchanged."""
+        if self.variant == MODIFIED:
+            reply = _new(State, (msg.rsn, state.wsn, state.reg, True))
+        else:
+            reply = _new(State, (msg.rsn, state.wsn, None, False))
         return _new(HandlerOutput, (state, ((sender, reply),), None))
 
-    def on_state(
-        self, state: ReplicaState, rsn: int, wsn: int, value: bytes | None, sender: int
-    ) -> HandlerOutput:
-        # The modified variant treats the reply like a WRITE first, its
-        # sender counted as a holder.  wsn 0 is the initial value: no
-        # WRITE(0) exists, so there is nothing to forward or count for it.
-        if self.variant == MODIFIED and wsn >= 1:
-            fields, forward = self._absorb_write(state, wsn, value, sender)
-            outgoing = ((BROADCAST, Write(wsn, value)),) if forward else ()
-        else:
-            reg, cur, _, swsn, res, forwarded, know, _, _ = state
-            fields, outgoing = (reg, cur, swsn, res, forwarded, know), ()
+    def on_state(self, state: ReplicaState, msg: State, sender: int) -> HandlerOutput | None:
+        """STATE receipt: a reply to the pending read counts its sender and
+        raises the largest advertised wsn.  The modified variant first
+        treats every reply like a WRITE of its pair by its sender.  wsn 0 is
+        the initial value: no WRITE(0) exists, so there is nothing to relay
+        or count for it."""
+        rsn, wsn, value, _ = msg
+        absorb = self.variant == MODIFIED and wsn >= 1
         pr = state.pending_read
-        if pr is not None and pr.rsn == rsn:
-            pr = _new(PendingRead, (rsn, pr.responders | {sender}, max(pr.maxwsn, wsn)))
-        return self._settle(state, fields, pr, wsn, outgoing)
+        if pr is None or pr.rsn != rsn:  # a reply to a finished read
+            return self.on_write(state, _new(Write, (wsn, value)), sender) if absorb else None
+        pr = _new(PendingRead, (rsn, pr.responders | {sender}, max(pr.maxwsn, wsn)))
+        state = _new(ReplicaState, (*state[:8], pr))
+        if absorb:
+            out = self.on_write(state, _new(Write, (wsn, value)), sender)
+            if out is not None:
+                return out
+        return self._read_step(state, ())
 
     def check_read_complete(self, state: ReplicaState) -> tuple[bytes | None, int] | None:
         """Read predicate: a quorum of replies and swsn caught up with the
@@ -204,50 +238,11 @@ class TeffAlgo:
             return (state.res, state.swsn)
         return None
 
-    def _absorb_write(
-        self, state: ReplicaState, wsn: int, value: bytes | None, sender: int
-    ) -> tuple[tuple, bool]:
-        """Lines shared by WRITE receipt (both variants) and STATE receipt
-        (modified variant): adopt newer value, count knowledge, advance swsn
-        on quorum.  Returns the new (reg, wsn, swsn, res, forwarded, know),
-        and True when this is the first copy of the write, which the caller
-        forwards."""
-        reg, cur, _, swsn, res, forwarded, know, _, _ = state
-        if wsn > cur:
-            reg, cur = value, wsn
-        forward = wsn not in forwarded
-        if forward:
-            # Fires even when wsn < cur: the first copy seen for this wsn is
-            # still re-broadcast, acknowledging the writer.
-            forwarded = forwarded | {wsn}
-        if wsn > swsn:
-            i = bisect_left(know, (wsn,))  # wsn's entry, or where it goes
-            held = i < len(know) and know[i][0] == wsn
-            holders = know[i][1] if held else frozenset()
-            if sender not in holders:
-                holders = holders | {sender}
-                know = (*know[:i], (wsn, holders), *know[i + held :])
-            if len(holders) >= self.quorum:
-                swsn, res, know = wsn, value, know[i + 1 :]
-        return (reg, cur, swsn, res, forwarded, know), forward
-
-    def _settle(
-        self, state: ReplicaState, fields, pr: PendingRead | None, wsn: int, outgoing: tuple
-    ) -> HandlerOutput:
-        """The handler output of a WRITE or STATE step: `fields` are the new
-        (reg, wsn, swsn, res, forwarded, know), `pr` the new pending read,
-        `wsn` the received write's; completes the pending write once its
-        quorum update fired, or the pending read once its predicate holds."""
-        reg, cur, swsn, res, forwarded, know = fields
-        pw = state.pending_write
-        if pw == wsn and wsn <= swsn:
-            st = _new(ReplicaState, (reg, cur, state.rsn, swsn, res, forwarded, know, None, pr))
-            return _new(HandlerOutput, (st, outgoing, OpResult("write", None, wsn)))
-        st = _new(ReplicaState, (reg, cur, state.rsn, swsn, res, forwarded, know, pw, pr))
-        if pr is not None:
-            done = self.check_read_complete(st)
-            if done is not None:
-                # The completing step: the read is no longer pending.
-                st = _new(ReplicaState, (*st[:8], None))
-                return _new(HandlerOutput, (st, outgoing, OpResult("read", *done)))
-        return _new(HandlerOutput, (st, outgoing, None))
+    def _read_step(self, state: ReplicaState, outgoing: tuple) -> HandlerOutput:
+        """The output of a step that leaves a read pending in `state`:
+        completes the read once its predicate holds."""
+        done = self.check_read_complete(state)
+        if done is None:
+            return _new(HandlerOutput, (state, outgoing, None))
+        st = _new(ReplicaState, (*state[:8], None))  # the read is no longer pending
+        return _new(HandlerOutput, (st, outgoing, OpResult("read", *done)))

@@ -114,6 +114,21 @@ def test_state_bound_raises_with_partial_count():
     assert err.value.visited > 0
 
 
+def test_state_bound_admits_exactly_max_states_configurations():
+    # w:1,r:2 has 4,803 configurations (PINNED): explore() succeeds iff its
+    # configuration count is at most max_states, the root counting too.
+    assert explore("teff", 3, 1, [WRITE_A, READ2], max_states=4803).states_visited == 4803
+    with pytest.raises(ExploreLimitError, match="^configuration bound 4802 exceeded"):
+        explore("teff", 3, 1, [WRITE_A, READ2], max_states=4802)
+    assert explore("teff", 3, 1, [], max_states=1).states_visited == 1
+    with pytest.raises(ExploreLimitError):
+        explore("teff", 3, 1, [], max_states=0)
+    # The command line takes the same bound; messages-teff-n3.json is w:1,r:2.
+    config = str(SCENARIOS / "messages-teff-n3.json")
+    assert main(["explore", config, "--max-states", "4802"]) == 3
+    assert main(["explore", config, "--max-states", "4803"]) == 0
+
+
 def test_edge_and_transition_counts_are_deterministic():
     first = explore("teff", 3, 1, [WRITE_A, READ2])
     second = explore("teff", 3, 1, [WRITE_A, READ2])

@@ -60,6 +60,20 @@ def test_wire_layout_is_stable():
         assert decode_message(bytes.fromhex(wire)) == msg
 
 
+@pytest.mark.parametrize(
+    "one,other",
+    [(AbdAck(1), AbdQuery(1)), (AbdUpdate(1, 1, b"a"), AbdReport(1, 1, b"a"))],
+    ids=["ack-query", "update-report"],
+)
+def test_message_classes_stay_apart(one, other):
+    # Equal fields, different classes: never equal, two dict keys.
+    assert tuple(one) == tuple(other)
+    assert one != other and not one == other
+    assert one == type(one)(*one) and not one != type(one)(*one)
+    assert len({one: 0, other: 1}) == 2 and {one: 0}.get(other) is None
+    assert one != tuple(one) and tuple(one) != one
+
+
 def test_state_shapes_differ_between_variants():
     bare = encode_message(State(1, 5))
     carrying = encode_message(State(1, 5, None, carries_value=True))
@@ -111,7 +125,7 @@ VALUES = st.none() | st.binary(max_size=12)
 MESSAGES = st.one_of(
     st.builds(Write, U64, VALUES),
     st.builds(Read, U64),
-    st.builds(State, U64, U64),
+    st.builds(State, U64, U64, st.none(), st.just(False)),
     st.builds(State, U64, U64, VALUES, st.just(True)),
     st.builds(AbdUpdate, U64, U64, VALUES),
     st.builds(AbdAck, U64),

@@ -86,9 +86,9 @@ class AbdNoWriteBack(AbdAlgo):
     without writing the pair back first, so a later read may find only
     processes that still hold an older pair."""
 
-    def _client_report(self, state, msg, sender):
-        out = super()._client_report(state, msg, sender)
-        pd = out.state.pending
+    def on_report(self, state, msg, sender):
+        out = super().on_report(state, msg, sender)
+        pd = None if out is None else out.state.pending
         if pd is None or pd.phase != PHASE_WRITE_BACK:
             return out
         st = out.state._replace(pending=None)
@@ -106,13 +106,14 @@ def test_abd_read_without_write_back_fails_every_checker(monkeypatch):
 
 
 class TeffNoRelay(TeffAlgo):
-    """A process adopts and counts each WRITE but never re-broadcasts it, so
-    no process other than the writer vouches for a write, and no quorum of
-    holders ever forms."""
+    """A process adopts and counts each WRITE (in the modified variant, each
+    STATE's pair too, which goes through the WRITE handler) but never
+    re-broadcasts it, so no process other than the writer vouches for a
+    write, and no quorum of holders ever forms."""
 
-    def _absorb_write(self, state, wsn, value, sender):
-        fields, _ = super()._absorb_write(state, wsn, value, sender)
-        return fields, False
+    def on_write(self, state, msg, sender):
+        out = super().on_write(state, msg, sender)
+        return None if out is None else out._replace(outgoing=())
 
 
 @pytest.mark.parametrize(

@@ -26,11 +26,14 @@ def read(process=2):
 
 
 def drive(state, events):
-    """Feed a list of (handler, args) into successive states; returns the
-    final state and all completions seen."""
+    """Feed a list of (handler, message, sender) into successive states; a
+    handler's None leaves the state as it is.  Returns the final state and
+    all completions seen."""
     completions = []
-    for handler, *args in events:
-        out = handler(state, *args)
+    for handler, msg, sender in events:
+        out = handler(state, msg, sender)
+        if out is None:
+            continue
         state = out.state
         if out.completion is not None:
             completions.append(out.completion)
@@ -125,8 +128,9 @@ def test_quorum_update_fires_once_per_wsn():
     st, _ = drive(st, [(B3.on_write, Write(1, b"a"), 1), (B3.on_write, Write(1, b"a"), 3)])
     assert st.swsn == 1 and st.res == b"a"
     assert st.know == ()  # collected knowledge at or below swsn is dropped
-    after = B3.on_write(st, Write(1, b"a"), 2)
-    assert after.state.swsn == 1 and after.outgoing == ()
+    # A later copy is a no-op: forwarded already and at or below swsn.
+    assert B3.on_write(st, Write(1, b"a"), 2) is None
+    assert B3.deliver(st, Write(1, b"a"), 2) == (st, (), None)
 
 
 def test_duplicate_senders_do_not_reach_quorum():
@@ -157,17 +161,17 @@ def test_begin_read_while_pending_rejected():
 
 def test_on_read_replies_current_wsn():
     st = B3.init()._replace(wsn=5, reg=b"e")
-    out = B3.on_read(st, 2, 2)
+    out = B3.on_read(st, Read(2), 2)
     assert out.outgoing == ((2, State(2, 5)),)
     assert out.state is st  # a READ changes nothing, so no state is built
 
     fresh = B3.init()
-    assert B3.on_read(fresh, 1, 2).outgoing == ((2, State(1, 0)),)
+    assert B3.on_read(fresh, Read(1), 2).outgoing == ((2, State(1, 0)),)
 
 
 def test_on_read_modified_carries_value():
     st = M3.init()._replace(wsn=5, reg=b"e")
-    out = M3.on_read(st, 2, 2)
+    out = M3.on_read(st, Read(2), 2)
     assert out.outgoing == ((2, State(2, 5, b"e", carries_value=True)),)
     assert out.state is st
 
@@ -177,14 +181,14 @@ def test_on_read_modified_carries_value():
 
 def test_read_completes_on_fresh_system():
     st = B3.begin(B3.init(), read()).state
-    st, completions = drive(st, [(B3.on_state, 1, 0, None, 2), (B3.on_state, 1, 0, None, 3)])
+    st, completions = drive(st, [(B3.on_state, State(1, 0), 2), (B3.on_state, State(1, 0), 3)])
     assert completions == [teff.OpResult("read", None, 0)]
     assert st.pending_read is None
 
 
 def test_read_waits_for_swsn_to_catch_up():
     st = B3.begin(B3.init(), read()).state
-    st, completions = drive(st, [(B3.on_state, 1, 0, None, 3), (B3.on_state, 1, 1, None, 1)])
+    st, completions = drive(st, [(B3.on_state, State(1, 0), 3), (B3.on_state, State(1, 1), 1)])
     # Quorum of replies but swsn (0) < maxwsn (1): keep waiting.
     assert completions == []
     assert B3.check_read_complete(st) is None
@@ -202,45 +206,49 @@ def test_read_returns_newer_value_after_write_quorum():
     st, completions = drive(
         st,
         [
-            (B3.on_state, 1, 0, None, 3),
+            (B3.on_state, State(1, 0), 3),
             (B3.on_write, Write(1, b"a"), 1),
             (B3.on_write, Write(1, b"a"), 2),
         ],
     )
     assert completions == []
     assert st.swsn == 1
-    st, completions = drive(st, [(B3.on_state, 1, 1, None, 2)])
+    st, completions = drive(st, [(B3.on_state, State(1, 1), 2)])
     assert completions == [teff.OpResult("read", b"a", 1)]
 
 
 def test_stale_state_replies_ignored():
     st = B3.init()._replace(rsn=3, pending_read=teff.PendingRead(3, frozenset(), 0))
-    out = B3.on_state(st, 2, 9, None, 3)
-    assert out.state.pending_read == teff.PendingRead(3, frozenset(), 0)
-    assert out.completion is None
+    assert B3.on_state(st, State(2, 9), 3) is None
+    assert B3.deliver(st, State(2, 9), 3) == (st, (), None)
 
 
 def test_modified_state_feeds_write_path():
     st = M3.init()
-    out = M3.on_state(st, 1, 1, b"v", 3)
+    out = M3.on_state(st, State(1, 1, b"v", True), 3)
     assert out.state.reg == b"v" and out.state.wsn == 1
     assert out.outgoing == ((BROADCAST, Write(1, b"v")),)
     # Stale replies keep feeding it too.
-    st2 = M3.on_state(out.state, 1, 2, b"w", 1).state
+    st2 = M3.on_state(out.state, State(1, 2, b"w", True), 1).state
     assert st2.wsn == 2 and st2.reg == b"w"
 
 
 def test_modified_state_counts_toward_quorum_by_default():
     st = M3.init()
-    st, _ = drive(st, [(M3.on_state, 1, 1, b"v", 3), (M3.on_write, Write(1, b"v"), 1)])
+    st, _ = drive(
+        st, [(M3.on_state, State(1, 1, b"v", True), 3), (M3.on_write, Write(1, b"v"), 1)]
+    )
     assert st.swsn == 1 and st.res == b"v"
 
 
 def test_modified_state_wsn_zero_is_inert_on_write_path():
     st = M3.init()
-    out = M3.on_state(st, 1, 0, None, 3)
+    assert M3.on_state(st, State(1, 0, None, True), 3) is None  # no read pending
+    st = M3.begin(st, read()).state
+    out = M3.on_state(st, State(1, 0, None, True), 3)
     assert out.outgoing == ()  # nothing to relay for the initial value
     assert out.state.know == ()
+    assert out.state.pending_read.responders == {3}
 
 
 # --- properties over random event sequences ------------------------------
@@ -260,14 +268,17 @@ def walk(seed, variant, steps=300):
         kind = rng.random()
         before = copy.deepcopy(st)
         if kind < 0.55:
-            out = algo.on_write(st, Write(wsn, value), sender)
+            out = algo.deliver(st, Write(wsn, value), sender)
         elif kind < 0.8:
-            carried = (value if variant == MODIFIED else None)
-            out = algo.on_state(st, rng.randint(1, 3), wsn, carried, sender)
+            if variant == MODIFIED:
+                reply = State(rng.randint(1, 3), wsn, value, True)
+            else:
+                reply = State(rng.randint(1, 3), wsn)
+            out = algo.deliver(st, reply, sender)
         elif st.pending_read is None:
             out = algo.begin(st, read())
         else:
-            out = algo.on_read(st, rng.randint(1, 3), sender)
+            out = algo.deliver(st, Read(rng.randint(1, 3)), sender)
         yield st, before, out
         st = out.state
 
@@ -304,7 +315,7 @@ def test_forward_at_most_once_per_wsn(seed, variant):
     forwarded = []
     for _ in range(400):
         wsn = rng.randint(1, 4)
-        out = algo.on_write(st, Write(wsn, bytes([96 + wsn])), rng.randint(1, 5))
+        out = algo.deliver(st, Write(wsn, bytes([96 + wsn])), rng.randint(1, 5))
         st = out.state
         for dest, msg in out.outgoing:
             assert dest is BROADCAST
@@ -326,8 +337,8 @@ def test_handlers_leave_input_state_unchanged(seed, variant):
 def test_handlers_are_pure():
     st = M3.init()
     st, _ = drive(st, [(M3.on_write, Write(1, b"a"), 1)])
-    first = M3.on_state(st, 1, 2, b"b", 3)
-    second = M3.on_state(st, 1, 2, b"b", 3)
+    first = M3.on_state(st, State(1, 2, b"b", True), 3)
+    second = M3.on_state(st, State(1, 2, b"b", True), 3)
     assert first.state == second.state
     assert first.outgoing == second.outgoing
     assert first.completion == second.completion

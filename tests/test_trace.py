@@ -125,7 +125,7 @@ BLOCK = st.none() | st.binary(max_size=8)
 MESSAGES = st.one_of(
     st.builds(Write, U64, BLOCK),
     st.builds(Read, U64),
-    st.builds(State, U64, U64),
+    st.builds(State, U64, U64, st.none(), st.just(False)),
     st.builds(State, U64, U64, BLOCK, st.just(True)),
     st.builds(AbdUpdate, U64, U64, BLOCK),
     st.builds(AbdAck, U64),
@@ -375,3 +375,22 @@ def test_reader_names_the_malformed_line(tmp_path, position):
             event_from_json(line)
         assert str(info.value) == f"line {position}: {reference.value}"
         assert str(reference.value) == str(own.value)
+
+
+def test_equal_fields_keep_their_class_through_a_trace(tmp_path):
+    # AbdAck(1) and AbdQuery(1) have equal fields; the writer's by-value memo
+    # must not hand one the other's hex, nor the reader one the other's class.
+    events = [
+        TraceEvent(0, 0, SEND, 1, None, None, None, None, 2, AbdAck(1)),
+        TraceEvent(0, 1, SEND, 1, None, None, None, None, 2, AbdQuery(1)),
+        TraceEvent(1, 2, DELIVER, 2, None, None, None, None, 1, AbdAck(1)),
+        TraceEvent(1, 3, DELIVER, 2, None, None, None, None, 1, AbdQuery(1)),
+    ]
+    path = tmp_path / "trace.jsonl"
+    write_jsonl(events, path)
+    hexes = [json.loads(line)["msg"] for line in path.read_text().splitlines()]
+    ack, query = encode_message(AbdAck(1)).hex(), encode_message(AbdQuery(1)).hex()
+    assert ack != query and hexes == [ack, query, ack, query]
+    back = read_jsonl(path)
+    assert back == events
+    assert [type(ev.message) for ev in back] == [AbdAck, AbdQuery, AbdAck, AbdQuery]
