@@ -19,15 +19,22 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import stat
 import sys
+from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
+from typing import IO, Iterator
 
 from .config import ConfigError, ScenarioConfig, load_scenario
-from .engine import DEFAULT_EVENT_BUDGET, BudgetExceededError, ScheduleError, run
+from .engine import DEFAULT_EVENT_BUDGET, BudgetExceededError, ScheduleError, chunks, run
 from .explore import DEFAULT_MAX_STATES, BroadcastCrash, ExploreLimitError, explore
 from .history import check_claims, check_linearizable, check_termination, extract_history
 from .report import build_report, report_to_json
-from .trace import read_jsonl, write_jsonl
+from .trace import DELIVER, SEND, read_events, tee_jsonl
+# Not called here; perfbench/tracer.py wraps regsim.cli.read_jsonl and
+# regsim.cli.write_jsonl by name.
+from .trace import read_jsonl, write_jsonl  # noqa: F401
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -39,9 +46,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     # A command makes no reference cycles worth a pass of Python's cyclic
-    # collector, but a long trace makes each pass traverse every event it
-    # holds.  So the collector pauses while the command runs, and afterwards
-    # is back in the state the caller left it in, also on error.
+    # collector, but it allocates containers by the hundred thousand (a
+    # run's events, the explorer's configurations), and each pass traverses
+    # every one still alive: a chunk of events, the explorer's whole memo.
+    # So the collector pauses while the command runs, and afterwards is
+    # back in the state the caller left it in, also on error.
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -111,13 +120,48 @@ def _event_budget() -> int:
 
 def cmd_run(args) -> int:
     config = load_scenario(args.config)
-    result = run(config, seed=args.seed, budget=_event_budget())
-    if args.out is not None:
+    seed = config.seed if args.seed is None else args.seed
+    events = chunks(config, seed, _event_budget())
+    if args.out is None:
+        report = build_report(config, chain.from_iterable(events), seed)
+    else:
+        with _trace_file(args.out) as fh:
+            report = build_report(config, tee_jsonl(events, fh), seed)
+    return _emit_report(report, args.report)
+
+
+@contextmanager
+def _trace_file(path: Path) -> Iterator[IO[str]]:
+    """The file to write the trace to.  A regular file, or a new one, is
+    written beside itself (through any symlink) and renamed into place with
+    its old permission bits when the block ends, so on any error it is left
+    as it was.  Anything else, such as a pipe or a device, is written in
+    place."""
+    made = False
+    try:
         try:
-            write_jsonl(result.trace, args.out)
-        except OSError as exc:
-            raise ConfigError(f"cannot write trace: {exc}") from exc
-    return _emit_report(build_report(config, result.trace, result.seed), args.report)
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "w", encoding="utf-8") as fh:
+                yield fh
+            return
+        target = Path(os.path.realpath(path))
+        temp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+        with open(temp, "x", encoding="utf-8") as fh:
+            made = True
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
+            yield fh
+        os.replace(temp, target)
+    except OSError as exc:
+        # Named by `path`, as if `path` itself had been opened.
+        error = OSError(exc.errno, exc.strerror, str(path))
+        raise ConfigError(f"cannot write trace: {error}") from exc
+    finally:
+        if made:
+            temp.unlink(missing_ok=True)
 
 
 def cmd_sweep(args) -> int:
@@ -210,11 +254,15 @@ def cmd_check(args) -> int:
         raise ConfigError("check --report needs --config")
     config = None if args.config is None else load_scenario(args.config)
     try:
-        trace = read_jsonl(args.trace)
-        if config is not None:
-            report = build_report(config, trace, config.seed)
-        else:
-            history = extract_history(trace, max((ev.process for ev in trace), default=1))
+        with open(args.trace, encoding="utf-8") as fh:
+            events = read_events(fh)
+            if config is not None:
+                report = build_report(config, events, config.seed)
+            else:
+                ops = [ev for ev in events if ev.kind != SEND and ev.kind != DELIVER]
+                # No scenario names n: take the largest process id, so that
+                # no op event's process exceeds it.
+                history = extract_history(ops, max((ev.process for ev in ops), default=1))
     except (ValueError, OSError) as exc:
         print(f"trace error: {args.trace}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

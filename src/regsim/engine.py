@@ -43,6 +43,13 @@ later.  A later `at` keeps the process responsive until that tick, which
 models a writer that fails during an operation yet still answers requests
 before dying.  The engine matches a relay as a message it never reads.
 
+The loop hands its events out in chunks, each cut at a tick boundary once
+it holds at least a given number of events, and each made only when the
+consumer asks for it; `seq` is a running count over the whole run.
+`chunks()` streams a run this way, so `regsim run` holds one chunk at a
+time, however long the run.  `run()` is the same loop with one unbounded
+chunk: the whole trace as a list.
+
 `run(..., messages=False)` leaves SEND and DELIVER events out of the trace
 and keeps invoke, respond, crash and round_start: the schedule, every delay
 draw and every handler call stay the same, so the operation events (and any
@@ -54,8 +61,10 @@ from __future__ import annotations
 
 import heapq
 import random
+import sys
 from dataclasses import dataclass
 from itertools import chain, count
+from typing import Iterator
 
 from .algos import make_algorithm
 from .config import CrashSpec, NetworkSpec, ScenarioConfig
@@ -71,6 +80,10 @@ from .trace import (
 )
 
 DEFAULT_EVENT_BUDGET = 1_000_000
+
+# The fewest events of a streamed chunk but its last: a chunk is cut at the
+# first tick boundary once it holds this many.
+CHUNK_EVENTS = 4096
 
 # A tick's lists, in the order they settle.
 _CRASH, _DLV, _INV = 0, 1, 2
@@ -124,7 +137,6 @@ def _draws(rng: random.Random, delta: int):
 class _Sim:
     def __init__(self, config: ScenarioConfig, seed: int, budget: int, messages: bool):
         self.config = config
-        self.seed = seed
         self.budget = budget
         self.messages = messages
         self.algo = make_algorithm(config.algorithm, config.n, config.t)
@@ -132,7 +144,8 @@ class _Sim:
         self.delay = _delay_rule(config.network, random.Random(seed))
         self.round = config.network.kind == "round_sync"
         self.delta = config.network.delta
-        self.trace: list[TraceEvent] = []
+        self.chunk: list[TraceEvent] = []  # the events not yet handed out
+        self.seq = count()
         # tick -> (crashes, deliveries, invocations): lists of (process,
         # message, sender) in the order queued; a crash has neither, an
         # invocation its op id for a message.  `ticks` is a heap of its keys.
@@ -169,9 +182,11 @@ class _Sim:
 
     def _emit(self, time: int, kind: str, process: int, *fields) -> None:
         """Append one event; `fields` follow TraceEvent's field order."""
-        self.trace.append(TraceEvent(time, len(self.trace), kind, process, *fields))
+        self.chunk.append(TraceEvent(time, next(self.seq), kind, process, *fields))
 
-    def run(self) -> RunResult:
+    def chunks(self, size: int) -> Iterator[list[TraceEvent]]:
+        """The run's events, in chunks cut at the first tick boundary once
+        they hold `size` events, and a last chunk (maybe empty) at the end."""
         # Bound here rather than at import, so that wrappers installed on the
         # module's TraceEvent or on the algorithm's methods see every call.
         # The handler table is a local: held by the algorithm, its bound
@@ -179,8 +194,8 @@ class _Sim:
         event = TraceEvent
         algo = self.algo
         handlers = {cls: getattr(algo, name) for cls, name in algo.HANDLERS.items()}
-        queue, trace, states, crashed = self.queue, self.trace, self.states, self.crashed
-        ticks, pop, append = self.ticks, heapq.heappop, trace.append
+        queue, chunk, states, crashed = self.queue, self.chunk, self.states, self.crashed
+        ticks, pop, append, seq = self.ticks, heapq.heappop, chunk.append, self.seq.__next__
         delay, budget, relay_cuts = self.delay, self.budget, self.relay_cuts
         messages, rounds, delta = self.messages, self.round, self.delta
         everyone = range(1, self.config.n + 1)
@@ -204,7 +219,7 @@ class _Sim:
                     (state, outgoing, completion), cut = self._invoke(time, msg)
                 else:
                     if messages:
-                        append(event(time, len(trace), DELIVER, proc, None, None, None, None,
+                        append(event(time, seq(), DELIVER, proc, None, None, None, None,
                                      sender, msg))
                     out = handlers[type(msg)](states[proc], msg, sender)
                     if out is None:
@@ -223,7 +238,7 @@ class _Sim:
                         if restrict is not None and target not in restrict:
                             continue
                         if messages:
-                            append(event(time, len(trace), SEND, proc, None, None, None, None,
+                            append(event(time, seq(), SEND, proc, None, None, None, None,
                                          target, out_msg))
                         at = time + delay()
                         bucket = queue.get(at) or self._bucket(at)
@@ -231,7 +246,11 @@ class _Sim:
                 if completion is not None or cut is not None:
                     self._finish(time, proc, completion, cut)
             del queue[time]
-        return RunResult(self.trace, self.crashed, self.seed)
+            if len(chunk) >= size:
+                yield chunk
+                chunk = self.chunk = []
+                append = chunk.append
+        yield chunk
 
     def _invoke(self, time: int, op_id: int):
         """Begin op `op_id` at its live process: (handler output, the op's
@@ -276,5 +295,18 @@ def run(
     """Execute a scenario.  `seed`, if given, replaces the config's seed; with
     `messages=False` the trace holds no SEND/DELIVER events."""
     effective_seed = config.seed if seed is None else seed
-    return _Sim(config, effective_seed, budget, messages).run()
+    sim = _Sim(config, effective_seed, budget, messages)
+    (trace,) = sim.chunks(sys.maxsize)
+    return RunResult(trace, sim.crashed, effective_seed)
+
+
+def chunks(
+    config: ScenarioConfig,
+    seed: int | None = None,
+    budget: int = DEFAULT_EVENT_BUDGET,
+    size: int = CHUNK_EVENTS,
+) -> Iterator[list[TraceEvent]]:
+    """The full trace of `run(config, seed, budget)`, made as it is consumed,
+    in chunks cut at tick boundaries once they hold `size` events."""
+    return _Sim(config, config.seed if seed is None else seed, budget, True).chunks(size)
 

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from .config import ScenarioConfig
 from .history import History, OpRecord
 # Not called here; perfbench/tracer.py wraps regsim.metrics.extract_history by name.
 from .history import extract_history  # noqa: F401
 from .messages import WRITER, AbdAck, AbdQuery, AbdReport, AbdUpdate, Read, State, Write
-from .trace import INVOKE, SEND, TraceEvent
+from .trace import DELIVER, INVOKE, SEND, TraceEvent
 
 WLF = "wlf"
 INTERFERING = "interfering_no_crash"
@@ -215,9 +216,14 @@ def assert_bounds(
 ) -> BoundReport:
     """Check every operation's measured duration (`history` is the trace's
     history) against the bound table and attach per-operation message counts."""
+    return check_bounds(history, config, count_messages(trace, history))
+
+
+def check_bounds(history: History, config: ScenarioConfig, counts: dict[int, int]) -> BoundReport:
+    """`assert_bounds` with the per-operation message counts given, as
+    `count_messages` or `sends_per_op` counts them."""
     model = config.network.kind
     unit = config.network.delta
-    counts = count_messages(trace, history)
     writes = WriteIndex(history)
     report = BoundReport(
         algorithm=config.algorithm, model=model, informational=model == "async"
@@ -266,7 +272,7 @@ def assert_bounds(
     return report
 
 
-# count_messages' dispatch on the message class: the field a send is charged
+# tally_sends' dispatch on the message class: the field a send is charged
 # by, and whether as a write's wsn, as a request from its sender or as a reply
 # to its destination.  A run uses one protocol, so READ and ABD numbers never
 # share a key.
@@ -282,7 +288,7 @@ _CHARGE = {
 }
 
 
-def count_messages(trace: list[TraceEvent], history: History) -> dict[int, int]:
+def count_messages(trace: Iterable[TraceEvent], history: History) -> dict[int, int]:
     """Attribute every point-to-point send to an operation, in one pass
     over the trace.
 
@@ -293,26 +299,54 @@ def count_messages(trace: list[TraceEvent], history: History) -> dict[int, int]:
     ACK or REPORT(opsn)) are charged through the number at their
     destination.  So both phases of an ABD read charge the read.
     """
-    write_op = {w.seqno: w.op_id for w in history.writes()}
+    by_op, by_wsn, _ = tally_sends(trace, lambda ev: None)
+    return sends_per_op(by_op, by_wsn, history)
+
+
+def tally_sends(
+    events: Iterable[TraceEvent], keep: Callable[[TraceEvent], object]
+) -> tuple[dict[int, int], dict[int, int], int]:
+    """One pass over `events`, as `count_messages` makes it: the sends
+    charged to each op as a request or a reply, the WRITE sends per wsn,
+    and the number of events.  Every event other than a send or a deliver
+    goes to `keep`, in trace order."""
     latest: dict[int, int] = {}  # process -> the op it last invoked
     owner: dict[tuple[int, int], int | None] = {}  # (process, rsn/opsn) -> op
-    counts: dict[int, int] = {}
-    for ev in trace:
+    by_op: dict[int, int] = {}
+    by_wsn: dict[int, int] = {}
+    total = 0
+    for total, ev in enumerate(events, 1):
         kind = ev.kind
         if kind == SEND:
             msg = ev.message
             name, role = _CHARGE[type(msg)]
             number = getattr(msg, name)
             if role == _BY_WSN:
-                op_id = write_op.get(number)
-            elif role == _REQUEST:
+                by_wsn[number] = by_wsn.get(number, 0) + 1
+                continue
+            if role == _REQUEST:
                 op_id = owner.setdefault((ev.process, number), latest.get(ev.process))
             else:
                 op_id = owner.get((ev.peer, number))
             if op_id is not None:
-                counts[op_id] = counts.get(op_id, 0) + 1
-        elif kind == INVOKE:
-            latest[ev.process] = ev.op_id
+                by_op[op_id] = by_op.get(op_id, 0) + 1
+        elif kind != DELIVER:
+            keep(ev)
+            if kind == INVOKE:
+                latest[ev.process] = ev.op_id
+    return by_op, by_wsn, total
+
+
+def sends_per_op(
+    by_op: dict[int, int], by_wsn: dict[int, int], history: History
+) -> dict[int, int]:
+    """`tally_sends`' counts per op, with each wsn's WRITE sends charged to
+    the write of `history` that produced it."""
+    counts = dict(by_op)
+    for wsn, op_id in {w.seqno: w.op_id for w in history.writes()}.items():
+        sent = by_wsn.get(wsn)
+        if sent:
+            counts[op_id] = counts.get(op_id, 0) + sent
     return counts
 
 

@@ -7,11 +7,14 @@ for simultaneous events.  Process 0 stands for the system itself
 (round_start markers).
 
 Events are immutable NamedTuples.  Each direction is one loop per file.
-The writer (`_text`, behind `write_jsonl`, `to_jsonl_bytes` and
-`event_to_json`) unpacks each event once and builds its line from one
+The writer (`_lines`, behind `write_jsonl`, `tee_jsonl`, `to_jsonl_bytes`
+and `event_to_json`) unpacks each event once and builds its line from one
 template per kind, exactly as `json.dumps(obj, separators=(",", ":"))` would
-write the event's fields; it streams blocks of lines, never the whole file.
-The reader (`_events`, behind `read_jsonl` and `event_from_json`) strips
+write the event's fields; it writes blocks of lines, never the whole file.
+`tee_jsonl` writes a run's chunks as the engine makes them and passes their
+events on, so `regsim run --out` holds one chunk, not the trace.  The reader
+(`read_events`, behind `read_jsonl` and `event_from_json`) yields events as
+it reads lines, so `regsim check` holds no event list either.  It strips
 each line of JSON whitespace (space, tab, CR, LF) only, skips blank lines,
 and parses a send or deliver line of exactly the written shape by one
 compiled pattern, the inverse of those two templates.  Every other line (the other
@@ -21,21 +24,21 @@ checked.  Either way a line gives the same event or the same error.
 
 A trace repeats few messages many times (a relayed WRITE is one message sent
 and delivered n^2 times), so within one file each distinct message is
-encoded to hex once, and each distinct hex string decoded once.  The
-writer's memo is keyed by the message object's id and holds the message, so
-no id is reused while the memo lives; only an object seen for the first time
-is looked up by value.  Decoded messages are frozen values, shared by the
-events that carry them.  The regsim commands run with Python's cyclic
-garbage collector paused (`cli.main`), so a long trace is read without
-collector passes over its growing event list.
+encoded to hex once, and each distinct hex string decoded once.  Within a
+block or a chunk, the writer also keys each message object by its id, so
+only an object seen there for the first time is looked up by value.
+Decoded messages are frozen values, shared by the events that carry them.
+The file's memos hold one entry per distinct message value, so they grow
+with a run's operations but not with its events.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .messages import Message, decode_message, encode_message
 
@@ -103,17 +106,15 @@ def _int(obj: dict, key: str) -> int:
     return value
 
 
-def _text(events: Iterable[TraceEvent]) -> Iterator[str]:
-    """The events' lines, each with its newline, from one template per kind,
-    in blocks of up to `_BLOCK_LINES` lines.  Integer fields hold ints."""
-    # id -> (message, the end of its lines: the "msg" field and the closing
-    # brace).  Holding the message keeps its id from being reused while the
-    # memo lives.  A new object equal to a known one (each relay builds its
-    # own WRITE) takes that value's end from `by_value`, so each distinct
-    # message is encoded once and compared by value only when its object is
-    # first seen.
+def _lines(events: Iterable[TraceEvent], by_value: dict[Message, str]) -> str:
+    """The events' lines, each with its newline, from one template per kind.
+    Integer fields hold ints.  `by_value` is the file's memo from each
+    message to the end of its lines: the "msg" field and the closing brace."""
+    # id -> (message, its end), for these events only: an object is looked
+    # up by value only when first seen here, and holding the message keeps
+    # its id from being reused meanwhile.  Each relay builds its own WRITE,
+    # so a memo by id kept for the whole file would grow with the run.
     tails: dict[int, tuple[Message, str]] = {}
-    by_value: dict[Message, str] = {}
     encode = encode_message
     lines: list[str] = []
     add = lines.append
@@ -146,13 +147,19 @@ def _text(events: Iterable[TraceEvent]) -> Iterator[str]:
             add(f'{{"t":{time},"seq":{seq},"kind":"crash","p":{p}}}\n')
         else:
             raise ValueError(f"unknown event kind {kind!r}")
-        if len(lines) == _BLOCK_LINES:
-            yield "".join(lines)
-            lines.clear()
-    yield "".join(lines)
+    return "".join(lines)
 
 
-def _events(lines: Iterable[str]) -> Iterator[TraceEvent]:
+def _text(events: Iterable[TraceEvent]) -> Iterator[str]:
+    """The events' lines in blocks of up to `_BLOCK_LINES` lines, with one
+    message memo."""
+    by_value: dict[Message, str] = {}
+    events = iter(events)
+    while block := _lines(islice(events, _BLOCK_LINES), by_value):
+        yield block
+
+
+def read_events(lines: Iterable[str]) -> Iterator[TraceEvent]:
     """The event of each non-blank line.  A send or deliver line in the
     canonical shape is parsed by `_MESSAGE_LINE`, any other by `_json_event`.
     Raises ValueError naming the line's number (from 1) and chained to the
@@ -184,13 +191,13 @@ def _events(lines: Iterable[str]) -> Iterator[TraceEvent]:
 
 def event_to_json(ev: TraceEvent) -> str:
     """The event's line, without the newline."""
-    return next(_text((ev,)))[:-1]
+    return _lines((ev,), {})[:-1]
 
 
 def event_from_json(line: str) -> TraceEvent:
     """The event of one line.  Raises ValueError on a malformed line."""
     try:
-        for event in _events((line,)):
+        for event in read_events((line,)):
             return event
     except ValueError as exc:
         raise exc.__cause__ from None  # the line's own error, without its number
@@ -243,9 +250,21 @@ def write_jsonl(events: Iterable[TraceEvent], path: str | Path) -> None:
         fh.writelines(_text(events))
 
 
+def tee_jsonl(chunks: Iterable[list[TraceEvent]], fh: IO[str]) -> Iterator[TraceEvent]:
+    """The events of `chunks`, each chunk's lines written to `fh` (as one
+    file, with one message memo) before its events are yielded."""
+    by_value: dict[Message, str] = {}
+
+    def written(chunk: list[TraceEvent]) -> list[TraceEvent]:
+        fh.write(_lines(chunk, by_value))
+        return chunk
+
+    return chain.from_iterable(map(written, chunks))
+
+
 def read_jsonl(path: str | Path) -> list[TraceEvent]:
     with open(path, "r", encoding="utf-8") as fh:
-        return list(_events(fh))
+        return list(read_events(fh))
 
 
 def to_jsonl_bytes(events: Iterable[TraceEvent]) -> bytes:

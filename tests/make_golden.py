@@ -6,8 +6,9 @@ change:
     python tests/make_golden.py
 
 and commit the updated tests/golden_digests.json (one trace per scenario at
-its own seed) and tests/golden_reports.json (one report per scenario and
-seed in REPORT_SEEDS).
+its own seed), tests/golden_reports.json (one report per scenario and seed
+in REPORT_SEEDS) and tests/golden_message_counts.json (`count_messages` of
+the same runs).
 """
 
 import hashlib
@@ -16,12 +17,15 @@ from pathlib import Path
 
 from regsim.config import load_scenario
 from regsim.engine import run
+from regsim.history import extract_history
+from regsim.metrics import count_messages
 from regsim.report import build_report, report_to_json
 from regsim.trace import to_jsonl_bytes
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
 GOLDEN_REPORTS = Path(__file__).resolve().parent / "golden_reports.json"
+GOLDEN_COUNTS = Path(__file__).resolve().parent / "golden_message_counts.json"
 REPORT_SEEDS = range(4)
 
 
@@ -50,7 +54,25 @@ def report_digests() -> dict[str, str]:
     return digests
 
 
+def message_count_digests() -> dict[str, str]:
+    """sha256 of each run's `count_messages` as a JSON list of (op, sends)
+    pairs in op order, keyed "<scenario>@<seed>"."""
+    digests = {}
+    for path in _scenarios():
+        cfg = load_scenario(path)
+        for seed in REPORT_SEEDS:
+            trace = run(cfg, seed=seed).trace
+            counts = count_messages(trace, extract_history(trace, cfg.n))
+            text = json.dumps(sorted(counts.items())).encode("utf-8")
+            digests[f"{path.name}@{seed}"] = hashlib.sha256(text).hexdigest()
+    return digests
+
+
 if __name__ == "__main__":
-    for target, digests in ((GOLDEN, scenario_digests()), (GOLDEN_REPORTS, report_digests())):
+    for target, digests in (
+        (GOLDEN, scenario_digests()),
+        (GOLDEN_REPORTS, report_digests()),
+        (GOLDEN_COUNTS, message_count_digests()),
+    ):
         target.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {target} ({len(digests)} entries)")

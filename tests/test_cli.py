@@ -4,8 +4,11 @@ import gc
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -16,7 +19,9 @@ import regsim.metrics
 import regsim.report
 from regsim.cli import main
 from regsim.config import load_scenario
+from regsim.engine import run
 from regsim.explore import BroadcastCrash, explore
+from regsim.trace import to_jsonl_bytes
 from test_config import NEVER_RELAYED
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -655,3 +660,149 @@ def test_unreadable_or_unwritable_file_exit_two(tmp_path, capsys, argv, prefix):
     assert main([arg.format(**names) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def write_long_config(tmp_path, count, extra_ops=()):
+    """A generated n=7 `teff-modified` bounded-delay scenario of `count` ops
+    10 ticks apart: every 4th a write by p1, the others reads by p2-p7."""
+    ops = [
+        {"time": 10 * i, "process": 1, "op": "write", "value": f"v{i}"} if i % 4 == 0
+        else {"time": 10 * i, "process": 2 + i % 6, "op": "read"}
+        for i in range(count)
+    ]
+    data = {
+        "n": 7,
+        "t": 3,
+        "algorithm": "teff-modified",
+        "network": {"kind": "bounded_delay", "Delta": 10},
+        "ops": ops + list(extra_ops),
+        "seed": 3,
+    }
+    path = tmp_path / f"long-{count}.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_run_memory_does_not_grow_with_the_run(tmp_path, capsys):
+    # `run --out --report` holds one chunk of events at a time, so four
+    # times the ops (4,750 -> 19,000 events) leave peak memory nearly flat;
+    # holding the trace made it 2.1 times as high.
+    peaks = []
+    for count in (100, 400):
+        cfg = write_long_config(tmp_path, count)
+        argv = ["run", str(cfg), "--out", str(tmp_path / "t.jsonl"),
+                "--report", str(tmp_path / "r.json")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_run_out_writes_every_chunk(tmp_path, capsys):
+    # 4,750 events: more than one chunk.  The file is the run's trace, and
+    # `check --config` rebuilds the report from it.
+    cfg = write_long_config(tmp_path, 100)
+    out, ran, checked = tmp_path / "t.jsonl", tmp_path / "run.json", tmp_path / "check.json"
+    assert main(["run", str(cfg), "--out", str(out), "--report", str(ran)]) == 0
+    assert out.read_bytes() == to_jsonl_bytes(run(load_scenario(cfg)).trace)
+    assert main(["check", str(out), "--config", str(cfg), "--report", str(checked)]) == 0
+    assert ran.read_bytes() == checked.read_bytes()
+    assert json.loads(ran.read_text())["events"] == 4750
+    capsys.readouterr()
+
+
+# A read by p2 at tick 901 while its read of tick 900 is pending: the run
+# raises ScheduleError only after its first chunk of events (4,102 of the
+# 4,302 before tick 900).  A budget of 2,300 runs out 33 items short of the
+# end, also after that chunk.
+LATE_OVERLAP = [{"time": 901, "process": 2, "op": "read"}]
+
+
+@pytest.mark.parametrize("existing", [None, b"an earlier trace\n"], ids=["new", "existing"])
+@pytest.mark.parametrize(
+    "budget,extra,code,prefix",
+    [("2300", [], 3, "resource bound:"), (None, LATE_OVERLAP, 2, "schedule error:")],
+    ids=["budget", "schedule"],
+)
+def test_failed_run_leaves_out_as_it_was(
+    tmp_path, capsys, monkeypatch, existing, budget, extra, code, prefix
+):
+    # Both failures come after the first chunk was written: the trace goes
+    # to a file beside --out that only a finished run renames onto it.
+    if budget is not None:
+        monkeypatch.setenv("REGSIM_EVENT_BUDGET", budget)
+    cfg = write_long_config(tmp_path, 100, extra)
+    out = tmp_path / "out" / "trace.jsonl"
+    out.parent.mkdir()
+    if existing is not None:
+        out.write_bytes(existing)
+    assert main(["run", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert list(out.parent.iterdir()) == ([] if existing is None else [out])
+    if existing is not None:
+        assert out.read_bytes() == existing
+
+
+@pytest.mark.parametrize("budget", [None, "2"], ids=["run-passes", "budget-overrun"])
+def test_run_out_in_a_missing_directory_exit_two(tmp_path, capsys, monkeypatch, budget):
+    # The trace file is opened before the run starts, so it is reported
+    # first, also when the run would overrun its budget.
+    if budget is not None:
+        monkeypatch.setenv("REGSIM_EVENT_BUDGET", budget)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "no" / "trace.jsonl"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write trace: [Errno 2] No such file or directory: '{out}'\n"
+    )
+    assert not out.parent.exists()
+
+
+def test_run_out_onto_a_directory_exit_two(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "trace.jsonl"
+    out.mkdir()
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write trace: [Errno 21] Is a directory: '{out}'\n"
+    )
+    assert sorted(tmp_path.iterdir()) == [cfg, out] and not any(out.iterdir())
+
+
+def test_run_out_through_a_symlink_replaces_its_target(tmp_path, capsys):
+    # The link stays a link; the file it names gets the trace and keeps its
+    # permission bits.
+    cfg = write_config(tmp_path)
+    target = tmp_path / "target.jsonl"
+    target.write_text("an earlier trace\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    assert main(["run", str(cfg), "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == to_jsonl_bytes(run(load_scenario(cfg)).trace)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(tmp_path.iterdir()) == [link, cfg, target]
+    capsys.readouterr()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_run_out_into_a_pipe_writes_in_place(tmp_path, capsys):
+    # A pipe cannot be replaced by a renamed file: the trace goes into it.
+    cfg = write_config(tmp_path)
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["run", str(cfg), "--out", str(pipe)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [to_jsonl_bytes(run(load_scenario(cfg)).trace)]
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+    capsys.readouterr()

@@ -10,7 +10,7 @@ import pytest
 import regsim.engine
 from regsim.algos import make_algorithm
 from regsim.config import NetworkSpec, load_scenario, parse_scenario
-from regsim.engine import BudgetExceededError, ScheduleError, _delay_rule, run
+from regsim.engine import BudgetExceededError, ScheduleError, _delay_rule, chunks, run
 from regsim.history import check_termination, extract_history
 from regsim.messages import State, Write
 from regsim.report import build_report
@@ -361,6 +361,32 @@ def test_lean_run_spends_the_same_event_budget():
     needed = next(b for b in range(1, 1000) if _fits(cfg, b, messages=True))
     assert _fits(cfg, needed, messages=False)
     assert not _fits(cfg, needed - 1, messages=False)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_chunks_are_the_trace_cut_at_tick_boundaries(name):
+    # Every chunk but the last holds at least `size` events and ends at a
+    # tick before the next chunk's first event; together they are run()'s
+    # trace, seq included.
+    cfg = load_scenario(SCENARIOS / name)
+    trace = run(cfg).trace
+    for size in (1, 5, 64):
+        parts = list(chunks(cfg, size=size))
+        assert [ev for part in parts for ev in part] == trace
+        for part, after in zip(parts, parts[1:]):
+            assert len(part) >= size
+            assert not after or part[-1].time < after[0].time
+
+
+def test_chunks_run_as_they_are_consumed():
+    # The first chunk comes before the run has spent its budget; the
+    # overrun is raised only when a later chunk is asked for.
+    cfg = scenario()
+    needed = next(b for b in range(1, 1000) if _fits(cfg, b, messages=True))
+    parts = chunks(cfg, budget=needed - 1, size=1)
+    assert next(parts)[0].kind == INVOKE
+    with pytest.raises(BudgetExceededError):
+        list(parts)
 
 
 def _fits(cfg, budget, messages):

@@ -36,7 +36,9 @@ from regsim.trace import (
     _MESSAGE_LINE,
     event_from_json,
     event_to_json,
+    read_events,
     read_jsonl,
+    tee_jsonl,
     to_jsonl_bytes,
     write_jsonl,
 )
@@ -277,6 +279,24 @@ def test_file_writers_match_the_per_line_encoding(tmp_path):
         assert path.read_bytes().splitlines(keepends=True) == expected, name
         assert to_jsonl_bytes(trace).splitlines(keepends=True) == expected, name
         assert read_jsonl(path) == trace, name
+
+
+def test_tee_writes_each_chunk_before_passing_its_events_on(tmp_path):
+    # Chunks of 5 events: the file is write_jsonl's, written chunk by chunk
+    # as the events are consumed, and read back lazily it is the trace.
+    path = tmp_path / "trace.jsonl"
+    for name, trace in _traces():
+        parts = [trace[i:i + 5] for i in range(0, len(trace), 5)]
+        with open(path, "w", encoding="utf-8") as fh:
+            passed = []
+            for ev in tee_jsonl(parts, fh):
+                fh.flush()
+                assert len(path.read_bytes().splitlines()) >= len(passed) + 1
+                passed.append(ev)
+        assert passed == trace, name
+        assert path.read_bytes() == to_jsonl_bytes(trace), name
+        with open(path, encoding="utf-8") as fh:
+            assert list(read_events(fh)) == trace, name
 
 
 def _fresh_messages(count):
