@@ -21,6 +21,7 @@ import gc
 import os
 import stat
 import sys
+import tempfile
 from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
@@ -30,8 +31,9 @@ from .config import ConfigError, ScenarioConfig, load_scenario
 from .engine import DEFAULT_EVENT_BUDGET, BudgetExceededError, ScheduleError, chunks, run
 from .explore import DEFAULT_MAX_STATES, BroadcastCrash, ExploreLimitError, explore
 from .history import check_claims, check_linearizable, check_termination, extract_history
+from .metrics import tally_sends
 from .report import build_report, report_to_json
-from .trace import DELIVER, SEND, read_events, tee_jsonl
+from .trace import read_events, tee_jsonl
 # Not called here; perfbench/tracer.py wraps regsim.cli.read_jsonl and
 # regsim.cli.write_jsonl by name.
 from .trace import read_jsonl, write_jsonl  # noqa: F401
@@ -133,11 +135,12 @@ def cmd_run(args) -> int:
 @contextmanager
 def _trace_file(path: Path) -> Iterator[IO[str]]:
     """The file to write the trace to.  A regular file, or a new one, is
-    written beside itself (through any symlink) and renamed into place with
-    its old permission bits when the block ends, so on any error it is left
-    as it was.  Anything else, such as a pipe or a device, is written in
-    place."""
-    made = False
+    written to a fresh file beside itself (through any symlink) and renamed
+    into place with its old permission bits when the block ends, so on any
+    error it is left as it was.  An existing file must be writable, as
+    opening it would need.  Anything else, such as a pipe or a device, is
+    written in place."""
+    temp = None
     try:
         try:
             mode = os.stat(path).st_mode
@@ -148,20 +151,25 @@ def _trace_file(path: Path) -> Iterator[IO[str]]:
                 yield fh
             return
         target = Path(os.path.realpath(path))
-        temp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-        with open(temp, "x", encoding="utf-8") as fh:
-            made = True
-            if mode is not None:
-                os.chmod(temp, stat.S_IMODE(mode))
+        if mode is None:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        else:
+            os.close(os.open(target, os.O_WRONLY))  # opens it without truncating
+        fd, temp = tempfile.mkstemp(prefix=f"{target.name}.", suffix=".tmp", dir=target.parent)
+        with open(fd, "w", encoding="utf-8") as fh:
+            os.chmod(temp, stat.S_IMODE(mode))
             yield fh
         os.replace(temp, target)
+        temp = None
     except OSError as exc:
         # Named by `path`, as if `path` itself had been opened.
         error = OSError(exc.errno, exc.strerror, str(path))
         raise ConfigError(f"cannot write trace: {error}") from exc
     finally:
-        if made:
-            temp.unlink(missing_ok=True)
+        if temp is not None:
+            Path(temp).unlink(missing_ok=True)
 
 
 def cmd_sweep(args) -> int:
@@ -259,7 +267,9 @@ def cmd_check(args) -> int:
             if config is not None:
                 report = build_report(config, events, config.seed)
             else:
-                ops = [ev for ev in events if ev.kind != SEND and ev.kind != DELIVER]
+                # The op events, split off as build_report's fold splits them.
+                ops = []
+                tally_sends(events, ops.append)
                 # No scenario names n: take the largest process id, so that
                 # no op event's process exceeds it.
                 history = extract_history(ops, max((ev.process for ev in ops), default=1))

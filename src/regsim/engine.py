@@ -301,12 +301,9 @@ def run(
 
 
 def chunks(
-    config: ScenarioConfig,
-    seed: int | None = None,
-    budget: int = DEFAULT_EVENT_BUDGET,
-    size: int = CHUNK_EVENTS,
+    config: ScenarioConfig, seed: int | None = None, budget: int = DEFAULT_EVENT_BUDGET
 ) -> Iterator[list[TraceEvent]]:
     """The full trace of `run(config, seed, budget)`, made as it is consumed,
-    in chunks cut at tick boundaries once they hold `size` events."""
-    return _Sim(config, config.seed if seed is None else seed, budget, True).chunks(size)
+    in chunks cut at tick boundaries once they hold `CHUNK_EVENTS` events."""
+    return _Sim(config, config.seed if seed is None else seed, budget, True).chunks(CHUNK_EVENTS)
 

@@ -791,6 +791,53 @@ def test_run_out_through_a_symlink_replaces_its_target(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0, reason="root writes any file")
+@pytest.mark.parametrize("budget", [None, "2"], ids=["run-passes", "budget-overrun"])
+def test_run_out_onto_a_read_only_file_exit_two(tmp_path, capsys, monkeypatch, budget):
+    # A file locked with `chmod a-w` is not replaced, though its directory
+    # is writable; as with a missing directory, this is reported first.
+    if budget is not None:
+        monkeypatch.setenv("REGSIM_EVENT_BUDGET", budget)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "trace.jsonl"
+    out.write_text("an earlier trace\n")
+    out.chmod(0o444)
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write trace: [Errno 13] Permission denied: '{out}'\n"
+    )
+    assert out.read_bytes() == b"an earlier trace\n"
+    assert stat.S_IMODE(out.stat().st_mode) == 0o444
+    assert sorted(tmp_path.iterdir()) == [cfg, out]
+
+
+def test_run_out_new_file_takes_the_umask(tmp_path, capsys):
+    # As a file opened for writing would: 0666 less the umask.
+    cfg = write_config(tmp_path)
+    out = tmp_path / "trace.jsonl"
+    old = os.umask(0o027)
+    try:
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    capsys.readouterr()
+
+
+def test_run_out_beside_a_leftover_temporary_file(tmp_path, capsys):
+    # A killed run cannot remove its temporary file; a later run, even one
+    # with the same process id, picks another name and leaves it alone.
+    cfg = write_config(tmp_path)
+    out = tmp_path / "trace.jsonl"
+    stale = tmp_path / f"trace.jsonl.{os.getpid()}.tmp"
+    stale.write_text("part of a trace\n")
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert out.read_bytes() == to_jsonl_bytes(run(load_scenario(cfg)).trace)
+    assert stale.read_text() == "part of a trace\n"
+    assert sorted(tmp_path.iterdir()) == [cfg, out, stale]
+    capsys.readouterr()
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_run_out_into_a_pipe_writes_in_place(tmp_path, capsys):
     # A pipe cannot be replaced by a renamed file: the trace goes into it.

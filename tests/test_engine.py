@@ -10,7 +10,15 @@ import pytest
 import regsim.engine
 from regsim.algos import make_algorithm
 from regsim.config import NetworkSpec, load_scenario, parse_scenario
-from regsim.engine import BudgetExceededError, ScheduleError, _delay_rule, chunks, run
+from regsim.engine import (
+    DEFAULT_EVENT_BUDGET,
+    BudgetExceededError,
+    ScheduleError,
+    _delay_rule,
+    _Sim,
+    chunks,
+    run,
+)
 from regsim.history import check_termination, extract_history
 from regsim.messages import State, Write
 from regsim.report import build_report
@@ -370,8 +378,9 @@ def test_chunks_are_the_trace_cut_at_tick_boundaries(name):
     # trace, seq included.
     cfg = load_scenario(SCENARIOS / name)
     trace = run(cfg).trace
+    assert [ev for part in chunks(cfg) for ev in part] == trace
     for size in (1, 5, 64):
-        parts = list(chunks(cfg, size=size))
+        parts = list(_Sim(cfg, cfg.seed, DEFAULT_EVENT_BUDGET, True).chunks(size))
         assert [ev for part in parts for ev in part] == trace
         for part, after in zip(parts, parts[1:]):
             assert len(part) >= size
@@ -383,7 +392,7 @@ def test_chunks_run_as_they_are_consumed():
     # overrun is raised only when a later chunk is asked for.
     cfg = scenario()
     needed = next(b for b in range(1, 1000) if _fits(cfg, b, messages=True))
-    parts = chunks(cfg, budget=needed - 1, size=1)
+    parts = _Sim(cfg, cfg.seed, needed - 1, True).chunks(1)
     assert next(parts)[0].kind == INVOKE
     with pytest.raises(BudgetExceededError):
         list(parts)

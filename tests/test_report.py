@@ -11,7 +11,7 @@ import pytest
 
 from regsim.cli import main
 from regsim.config import load_scenario
-from regsim.engine import chunks, run
+from regsim.engine import DEFAULT_EVENT_BUDGET, _Sim, run
 from regsim.history import extract_history
 from regsim.metrics import count_messages
 from regsim.report import build_report, report_to_json
@@ -52,7 +52,7 @@ def test_one_pass_report_matches_the_list_report(name):
         trace = run(cfg, seed=seed).trace
         report = build_report(cfg, trace, seed)
         assert build_report(cfg, iter(trace), seed) == report
-        streamed = chain.from_iterable(chunks(cfg, seed, size=7))
+        streamed = chain.from_iterable(_Sim(cfg, seed, DEFAULT_EVENT_BUDGET, True).chunks(7))
         assert build_report(cfg, streamed, seed) == report
         counts = count_messages(iter(trace), extract_history(trace, cfg.n))
         text = json.dumps(sorted(counts.items())).encode("utf-8")
