@@ -10,10 +10,10 @@ per message class: `on_update`, `on_query`, `on_ack` and `on_report`; a
 reply to a finished phase is a no-op, for which the handler returns None.
 A replica state holds only the protocol's variables, as an immutable,
 hashable NamedTuple, its pending phase one too.  Handlers are pure and
-build each new state, and their `HandlerOutput` and messages, in one
-positional `tuple.__new__` call; a handler that changes no state (a query,
-an update no newer than the replica's pair) returns its input state itself.
-Process 1 is the writer.
+return a plain (state, outgoing, completion) tuple; each new state and
+message is one positional `tuple.__new__` call, and a handler that changes
+no state (a query, an update no newer than the replica's pair) returns its
+input state itself.  Process 1 is the writer.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .messages import (
     AbdQuery,
     AbdReport,
     AbdUpdate,
-    HandlerOutput,
     Message,
     Op,
     OpResult,
@@ -80,7 +79,7 @@ class AbdAlgo:
     def init() -> AbdReplicaState:
         return AbdReplicaState()
 
-    def begin(self, state: AbdReplicaState, op: Op) -> HandlerOutput:
+    def begin(self, state: AbdReplicaState, op: Op) -> tuple:
         """Invoke `op` at its process, whose state is `state`."""
         if op.kind == "write" and op.process != WRITER:
             raise ProtocolError(f"p{op.process} is not the writer")
@@ -93,18 +92,18 @@ class AbdAlgo:
         if op.kind == "read":
             pd = _new(AbdPending, (PHASE_QUERY, opsn, frozenset(), 0, None))
             st = _new(AbdReplicaState, (reg, wsn, opsn, pd))
-            return _new(HandlerOutput, (st, ((BROADCAST, _new(AbdQuery, (opsn,))),), None))
+            return st, ((BROADCAST, _new(AbdQuery, (opsn,))),), None
         wsn += 1
         pd = _new(AbdPending, (PHASE_WRITE, opsn, frozenset(), wsn, op.value))
         st = _new(AbdReplicaState, (op.value, wsn, opsn, pd))
         update = _new(AbdUpdate, (opsn, wsn, op.value))
-        return _new(HandlerOutput, (st, ((BROADCAST, update),), None))
+        return st, ((BROADCAST, update),), None
 
-    def deliver(self, state: AbdReplicaState, msg: Message, sender: int) -> HandlerOutput:
+    def deliver(self, state: AbdReplicaState, msg: Message, sender: int) -> tuple:
         name = self.HANDLERS.get(type(msg))
         if name is None:
             raise ProtocolError(f"not an ABD message: {msg!r}")
-        return getattr(self, name)(state, msg, sender) or _new(HandlerOutput, (state, (), None))
+        return getattr(self, name)(state, msg, sender) or (state, (), None)
 
     @staticmethod
     def has_pending(state: AbdReplicaState) -> bool:
@@ -130,20 +129,20 @@ class AbdAlgo:
         return _new(AbdReplicaState, (*state[:3], _new(AbdPending, (*pd[:2], responders, *pd[3:]))))
 
     @staticmethod
-    def on_update(state: AbdReplicaState, msg: AbdUpdate, sender: int) -> HandlerOutput:
+    def on_update(state: AbdReplicaState, msg: AbdUpdate, sender: int) -> tuple:
         """Adopt a newer pair and acknowledge the phase."""
         opsn, wsn, value = msg
         if wsn > state.wsn:
             state = _new(AbdReplicaState, (value, wsn, state.opsn, state.pending))
-        return _new(HandlerOutput, (state, ((sender, _new(AbdAck, (opsn,))),), None))
+        return state, ((sender, _new(AbdAck, (opsn,))),), None
 
     @staticmethod
-    def on_query(state: AbdReplicaState, msg: AbdQuery, sender: int) -> HandlerOutput:
+    def on_query(state: AbdReplicaState, msg: AbdQuery, sender: int) -> tuple:
         """Report this replica's pair to the querying phase."""
         reply = _new(AbdReport, (msg.opsn, state.wsn, state.reg))
-        return _new(HandlerOutput, (state, ((sender, reply),), None))
+        return state, ((sender, reply),), None
 
-    def on_ack(self, state: AbdReplicaState, msg: AbdAck, sender: int) -> HandlerOutput | None:
+    def on_ack(self, state: AbdReplicaState, msg: AbdAck, sender: int) -> tuple | None:
         """An ack to the pending write or write-back phase; its quorum
         completes the operation."""
         reg, wsn, opsn, pd = state
@@ -153,15 +152,13 @@ class AbdAlgo:
         responders = responders | {sender}
         if len(responders) < self.quorum:
             pd = _new(AbdPending, (phase, opsn, responders, best_wsn, best_value))
-            return _new(HandlerOutput, (_new(AbdReplicaState, (reg, wsn, opsn, pd)), (), None))
+            return _new(AbdReplicaState, (reg, wsn, opsn, pd)), (), None
         st = _new(AbdReplicaState, (reg, wsn, opsn, None))
         if phase == PHASE_WRITE:
-            return _new(HandlerOutput, (st, (), OpResult("write", None, best_wsn)))
-        return _new(HandlerOutput, (st, (), OpResult("read", best_value, best_wsn)))
+            return st, (), OpResult("write", None, best_wsn)
+        return st, (), OpResult("read", best_value, best_wsn)
 
-    def on_report(
-        self, state: AbdReplicaState, msg: AbdReport, sender: int
-    ) -> HandlerOutput | None:
+    def on_report(self, state: AbdReplicaState, msg: AbdReport, sender: int) -> tuple | None:
         """A report to the pending query phase; its quorum starts the
         write-back of the freshest pair."""
         reg, wsn, opsn, pd = state
@@ -173,11 +170,11 @@ class AbdAlgo:
             best_wsn, best_value = msg.wsn, msg.value
         if len(responders) < self.quorum:
             pd = _new(AbdPending, (PHASE_QUERY, opsn, responders, best_wsn, best_value))
-            return _new(HandlerOutput, (_new(AbdReplicaState, (reg, wsn, opsn, pd)), (), None))
+            return _new(AbdReplicaState, (reg, wsn, opsn, pd)), (), None
         # Quorum of reports: write the freshest pair back, even if all replies
         # agree, then wait for acks.
         opsn += 1
         pd = _new(AbdPending, (PHASE_WRITE_BACK, opsn, frozenset(), best_wsn, best_value))
         st = _new(AbdReplicaState, (reg, wsn, opsn, pd))
         update = _new(AbdUpdate, (opsn, best_wsn, best_value))
-        return _new(HandlerOutput, (st, ((BROADCAST, update),), None))
+        return st, ((BROADCAST, update),), None

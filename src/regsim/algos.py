@@ -4,15 +4,18 @@
 handlers, and both offer the interface the simulator and the exhaustive
 explorer call: init / begin / deliver / has_pending / is_noop_delivery /
 relabel, and `HANDLERS`, the table naming each message class's handler.
-A class handler `(state, msg, sender)` returns a `HandlerOutput`, or None
-for a delivery that changes no state, sends nothing and completes nothing.
+`begin` and each class handler `(state, msg, sender)` return a plain
+`(state, outgoing, completion)` tuple: the new state, the `(destination,
+message)` sends (None: everyone) and an `OpResult` or None.  A class
+handler returns None instead when the delivery changes no state, sends
+nothing and completes nothing.
 The simulator makes one handler call per delivery through that table, built
 once per run, and goes no further on None.  `deliver` is the same call
-through the table, with None as `HandlerOutput(state)` and a ProtocolError
+through the table, with None as `(state, (), None)` and a ProtocolError
 for a foreign class; the explorer and the tests call it.
 A replica state is an immutable, hashable NamedTuple: handlers return a
-new one (or their input, when nothing changes) inside a `HandlerOutput`,
-the simulator keeps it as is, and the explorer keys its memos by it.
+new one (or their input, when nothing changes), the simulator keeps it as
+is, and the explorer keys its memos by it.
 `is_noop_delivery` is the explorer's: True must imply that delivering the
 message changes no state, sends nothing and completes nothing, now and in
 every later state, so the explorer drops such messages; False is always

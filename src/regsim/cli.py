@@ -32,7 +32,7 @@ from .engine import DEFAULT_EVENT_BUDGET, BudgetExceededError, ScheduleError, ch
 from .explore import DEFAULT_MAX_STATES, BroadcastCrash, ExploreLimitError, explore
 from .history import check_claims, check_linearizable, check_termination, extract_history
 from .metrics import tally_sends
-from .report import build_report, report_to_json
+from .report import build_report, judge, report_to_json
 from .trace import read_events, tee_jsonl
 # Not called here; perfbench/tracer.py wraps regsim.cli.read_jsonl and
 # regsim.cli.write_jsonl by name.
@@ -182,17 +182,16 @@ def cmd_sweep(args) -> int:
         # Verdicts and durations need only the operation events; a failing
         # seed is re-run in full (runs are deterministic) for its report.
         result = run(config, seed=seed, budget=budget, messages=False)
-        report = build_report(config, result.trace, seed)
-        if not report["pass"]:
+        passed, _, bounds = judge(config, extract_history(result.trace, config.n), {})
+        if not passed:
             print(f"seed {seed}: FAILED — reproduce with --seed {seed}")
             result = run(config, seed=seed, budget=budget)
             _print_report_summary(build_report(config, result.trace, seed))
             return EXIT_CHECK_FAILED
-        for entry in report["bounds"]["entries"]:
-            if entry["duration"] is None:
-                continue
-            key = (entry["kind"], entry["class"])
-            worst[key] = max(worst.get(key, 0), entry["duration"])
+        for entry in bounds.entries:
+            if entry.duration is not None:
+                key = (entry.kind, entry.read_class)
+                worst[key] = max(worst.get(key, 0), entry.duration)
     print(f"sweep: {args.seeds} seeds, 0 failures")
     for (kind, cls), duration in sorted(worst.items(), key=lambda kv: str(kv[0])):
         label = f"{kind}" + (f"/{cls}" if cls else "")

@@ -66,6 +66,7 @@ from dataclasses import dataclass
 from itertools import chain, count
 from typing import Iterator
 
+from . import trace
 from .algos import make_algorithm
 from .config import CrashSpec, NetworkSpec, ScenarioConfig
 from .messages import Message, Op, OpResult
@@ -187,11 +188,12 @@ class _Sim:
     def chunks(self, size: int) -> Iterator[list[TraceEvent]]:
         """The run's events, in chunks cut at the first tick boundary once
         they hold `size` events, and a last chunk (maybe empty) at the end."""
-        # Bound here rather than at import, so that wrappers installed on the
-        # module's TraceEvent or on the algorithm's methods see every call.
-        # The handler table is a local: held by the algorithm, its bound
-        # methods would make a reference cycle per run.
-        event = TraceEvent
+        # SEND and DELIVER events are built from regsim.trace's class, so a
+        # wrapper on this module's TraceEvent sees only `_emit`'s op events.
+        # Handlers are bound here, not at import, so that wrappers on the
+        # algorithm's methods see every call.  The handler table is a local:
+        # held by the algorithm, its bound methods would make a cycle per run.
+        new, event = tuple.__new__, trace.TraceEvent
         algo = self.algo
         handlers = {cls: getattr(algo, name) for cls, name in algo.HANDLERS.items()}
         queue, chunk, states, crashed = self.queue, self.chunk, self.states, self.crashed
@@ -219,8 +221,8 @@ class _Sim:
                     (state, outgoing, completion), cut = self._invoke(time, msg)
                 else:
                     if messages:
-                        append(event(time, seq(), DELIVER, proc, None, None, None, None,
-                                     sender, msg))
+                        append(new(event, (time, seq(), DELIVER, proc, None, None, None,
+                                           None, sender, msg, None)))
                     out = handlers[type(msg)](states[proc], msg, sender)
                     if out is None:
                         continue
@@ -238,8 +240,8 @@ class _Sim:
                         if restrict is not None and target not in restrict:
                             continue
                         if messages:
-                            append(event(time, seq(), SEND, proc, None, None, None, None,
-                                         target, out_msg))
+                            append(new(event, (time, seq(), SEND, proc, None, None, None,
+                                               None, target, out_msg, None)))
                         at = time + delay()
                         bucket = queue.get(at) or self._bucket(at)
                         bucket[_DLV].append((target, out_msg, proc))
@@ -296,8 +298,8 @@ def run(
     `messages=False` the trace holds no SEND/DELIVER events."""
     effective_seed = config.seed if seed is None else seed
     sim = _Sim(config, effective_seed, budget, messages)
-    (trace,) = sim.chunks(sys.maxsize)
-    return RunResult(trace, sim.crashed, effective_seed)
+    (events,) = sim.chunks(sys.maxsize)
+    return RunResult(events, sim.crashed, effective_seed)
 
 
 def chunks(

@@ -255,8 +255,9 @@ class _Explorer:
                 out = self.algo.begin(state, self.ops[arg])
             else:
                 out = self.algo.deliver(state, self.msgs.items[mid], sender)
-            sends = tuple((dest, self.msgs.get(msg)) for dest, msg in out.outgoing)
-            trans = (self.states.setdefault(out.state, out.state), sends, out.completion)
+            state, outgoing, completion = out
+            sends = tuple((dest, self.msgs.get(msg)) for dest, msg in outgoing)
+            trans = (self.states.setdefault(state, state), sends, completion)
             self.transitions[key] = trans
         state, sends, completion = trans
         labels = ()

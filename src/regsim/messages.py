@@ -1,6 +1,6 @@
-"""Protocol messages, their canonical binary encoding, and the types both
-register protocols share: the operation they are invoked with, the model
-check and the handler result.
+"""Protocol messages, their canonical binary encoding, and what both
+register protocols share: the operation they are invoked with, its result
+and the model check.
 
 The wire form is what trace files store (hex), so it must be bit-exact and
 stable: one tag byte, little-endian 64-bit sequence numbers, then a value
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 
 class Write(NamedTuple):
@@ -122,15 +122,6 @@ class OpResult:
     kind: str  # "write" | "read"
     value: bytes | None
     seqno: int
-
-
-class HandlerOutput(NamedTuple):
-    """A handler's result; `state` is either protocol's replica state.  A
-    tuple, so the simulator unpacks it in one step."""
-
-    state: Any
-    outgoing: tuple[tuple[int | None, Message], ...] = ()
-    completion: OpResult | None = None
 
 
 def _row(cls: type, tag: int, fields: tuple[str, ...], value: bool | str) -> tuple:

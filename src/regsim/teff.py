@@ -28,11 +28,12 @@ the same state and no handler takes a process id; the writer check reads
 the invoked `Op`'s process.  A replica state is an immutable, hashable
 NamedTuple of immutable fields (ints, bytes, frozensets, the pending read's
 NamedTuple and `know` as an ascending tuple of (wsn, holders) pairs), so it
-is its own snapshot: the explorer keys its memos by it.  Handlers are pure: identical
-(state, input) pairs produce identical outputs.  Each builds its new state
-in one positional `tuple.__new__` call, as it does its `HandlerOutput` and
-its messages; a handler that changes no state (a READ only answers) returns
-its input state itself.  Process 1 is the writer.
+is its own snapshot: the explorer keys its memos by it.  Handlers are
+pure: identical (state, input) pairs produce identical outputs.  Each
+returns a plain (state, outgoing, completion) tuple and builds its new
+state and its messages in one positional `tuple.__new__` call each; a
+handler that changes no state (a READ only answers) returns its input state
+itself.  Process 1 is the writer.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from typing import NamedTuple
 from .messages import (
     BROADCAST,
     WRITER,
-    HandlerOutput,
     Message,
     Op,
     OpResult,
@@ -108,7 +108,7 @@ class TeffAlgo:
     def init() -> ReplicaState:
         return ReplicaState()
 
-    def begin(self, state: ReplicaState, op: Op) -> HandlerOutput:
+    def begin(self, state: ReplicaState, op: Op) -> tuple:
         """Invoke `op` at its process, whose state is `state`."""
         if self.has_pending(state):
             raise ProtocolError("operation already pending (processes are sequential)")
@@ -121,17 +121,17 @@ class TeffAlgo:
             wsn += 1
             forwarded = forwarded | {wsn}  # the initiating broadcast is its forward
             st = _new(ReplicaState, (op.value, wsn, rsn, swsn, res, forwarded, know, wsn, None))
-            return _new(HandlerOutput, (st, ((BROADCAST, _new(Write, (wsn, op.value))),), None))
+            return st, ((BROADCAST, _new(Write, (wsn, op.value))),), None
         rsn += 1
         pr = _new(PendingRead, (rsn, frozenset(), 0))
         st = _new(ReplicaState, (reg, wsn, rsn, swsn, res, forwarded, know, None, pr))
-        return _new(HandlerOutput, (st, ((BROADCAST, _new(Read, (rsn,))),), None))
+        return st, ((BROADCAST, _new(Read, (rsn,))),), None
 
-    def deliver(self, state: ReplicaState, msg: Message, sender: int) -> HandlerOutput:
+    def deliver(self, state: ReplicaState, msg: Message, sender: int) -> tuple:
         name = self.HANDLERS.get(type(msg))
         if name is None:
             raise ProtocolError(f"unexpected message for register protocol: {msg!r}")
-        return getattr(self, name)(state, msg, sender) or _new(HandlerOutput, (state, (), None))
+        return getattr(self, name)(state, msg, sender) or (state, (), None)
 
     @staticmethod
     def has_pending(state: ReplicaState) -> bool:
@@ -165,7 +165,7 @@ class TeffAlgo:
             pr = _new(PendingRead, (pr.rsn, frozenset(perm[q] for q in pr.responders), pr.maxwsn))
         return _new(ReplicaState, (*state[:6], know, state.pending_write, pr))
 
-    def on_write(self, state: ReplicaState, msg: Write, sender: int) -> HandlerOutput | None:
+    def on_write(self, state: ReplicaState, msg: Write, sender: int) -> tuple | None:
         """WRITE receipt: adopt a newer value, relay the first copy of each
         write, count its sender as a holder and advance swsn on a quorum.
         The relay is `msg` itself, so every relay of one write sends the
@@ -194,22 +194,22 @@ class TeffAlgo:
                 swsn, res, know = wsn, value, know[i + 1 :]
                 if pw == wsn:  # the pending write's quorum update fired
                     st = _new(ReplicaState, (reg, cur, rsn, swsn, res, forwarded, know, None, pr))
-                    return _new(HandlerOutput, (st, outgoing, OpResult("write", None, wsn)))
+                    return st, outgoing, OpResult("write", None, wsn)
         st = _new(ReplicaState, (reg, cur, rsn, swsn, res, forwarded, know, pw, pr))
         if pr is None:
-            return _new(HandlerOutput, (st, outgoing, None))
+            return st, outgoing, None
         return self._read_step(st, outgoing)
 
-    def on_read(self, state: ReplicaState, msg: Read, sender: int) -> HandlerOutput:
+    def on_read(self, state: ReplicaState, msg: Read, sender: int) -> tuple:
         """READ receipt: reply with this process's wsn (and, in the modified
         variant, its value); the state is unchanged."""
         if self.variant == MODIFIED:
             reply = _new(State, (msg.rsn, state.wsn, state.reg, True))
         else:
             reply = _new(State, (msg.rsn, state.wsn, None, False))
-        return _new(HandlerOutput, (state, ((sender, reply),), None))
+        return state, ((sender, reply),), None
 
-    def on_state(self, state: ReplicaState, msg: State, sender: int) -> HandlerOutput | None:
+    def on_state(self, state: ReplicaState, msg: State, sender: int) -> tuple | None:
         """STATE receipt: a reply to the pending read counts its sender and
         raises the largest advertised wsn.  The modified variant first
         treats every reply like a WRITE of its pair by its sender.  wsn 0 is
@@ -238,11 +238,11 @@ class TeffAlgo:
             return (state.res, state.swsn)
         return None
 
-    def _read_step(self, state: ReplicaState, outgoing: tuple) -> HandlerOutput:
+    def _read_step(self, state: ReplicaState, outgoing: tuple) -> tuple:
         """The output of a step that leaves a read pending in `state`:
         completes the read once its predicate holds."""
         done = self.check_read_complete(state)
         if done is None:
-            return _new(HandlerOutput, (state, outgoing, None))
+            return state, outgoing, None
         st = _new(ReplicaState, (*state[:8], None))  # the read is no longer pending
-        return _new(HandlerOutput, (st, outgoing, OpResult("read", *done)))
+        return st, outgoing, OpResult("read", *done)

@@ -32,18 +32,17 @@ def feed(state, messages, algo=A3):
     completions = []
     outgoing = []
     for msg, sender in messages:
-        out = algo.deliver(state, msg, sender)
-        state = out.state
-        outgoing.extend(out.outgoing)
-        if out.completion is not None:
-            completions.append(out.completion)
+        state, sent, completion = algo.deliver(state, msg, sender)
+        outgoing.extend(sent)
+        if completion is not None:
+            completions.append(completion)
     return state, outgoing, completions
 
 
 def test_write_broadcasts_update_and_completes_on_quorum():
-    out = A3.begin(A3.init(), write(b"a"))
-    assert out.outgoing == ((BROADCAST, AbdUpdate(1, 1, b"a")),)
-    st, _, completions = feed(out.state, [(AbdAck(1), 1)])
+    st, outgoing, _ = A3.begin(A3.init(), write(b"a"))
+    assert outgoing == ((BROADCAST, AbdUpdate(1, 1, b"a")),)
+    st, _, completions = feed(st, [(AbdAck(1), 1)])
     assert completions == []
     st, _, completions = feed(st, [(AbdAck(1), 2)])
     assert completions == [OpResult("write", None, 1)]
@@ -56,7 +55,7 @@ def test_non_writer_rejected():
 
 
 def test_op_while_pending_rejected():
-    st = A3.begin(A3.init(), write(b"a")).state
+    st, _, _ = A3.begin(A3.init(), write(b"a"))
     with pytest.raises(ProtocolError):
         A3.begin(st, read(1))
 
@@ -65,7 +64,8 @@ def test_server_adopts_newer_only_but_always_acks():
     st = A3.init()
     st, outgoing, _ = feed(st, [(AbdUpdate(9, 3, b"c"), 1)])
     assert st.wsn == 3 and st.reg == b"c"
-    assert A3.deliver(st, AbdUpdate(10, 3, b"c"), 1).state is st  # not newer: no new state
+    after, _, _ = A3.deliver(st, AbdUpdate(10, 3, b"c"), 1)
+    assert after is st  # not newer: no new state
     st, outgoing2, _ = feed(st, [(AbdUpdate(10, 1, b"a"), 1)])
     assert st.wsn == 3 and st.reg == b"c"  # no adopt
     assert outgoing == [(1, AbdAck(9))]
@@ -74,16 +74,16 @@ def test_server_adopts_newer_only_but_always_acks():
 
 def test_server_reports_current_pair():
     st = A3.init()
-    out = A3.deliver(st, AbdQuery(4), 2)
-    assert out.outgoing == ((2, AbdReport(4, 0, None)),)
-    assert out.state is st  # a query changes nothing, so no state is built
+    after, outgoing, _ = A3.deliver(st, AbdQuery(4), 2)
+    assert outgoing == ((2, AbdReport(4, 0, None)),)
+    assert after is st  # a query changes nothing, so no state is built
 
 
 def test_read_on_fresh_system_returns_initial_value():
-    out = A3.begin(A3.init(), read())
-    assert out.outgoing == ((BROADCAST, AbdQuery(1)),)
+    st, outgoing, _ = A3.begin(A3.init(), read())
+    assert outgoing == ((BROADCAST, AbdQuery(1)),)
     st, outgoing, completions = feed(
-        out.state, [(AbdReport(1, 0, None), 1), (AbdReport(1, 0, None), 2)]
+        st, [(AbdReport(1, 0, None), 1), (AbdReport(1, 0, None), 2)]
     )
     # Quorum of reports triggers the unconditional write-back phase.
     assert outgoing == [(BROADCAST, AbdUpdate(2, 0, None))]
@@ -93,7 +93,7 @@ def test_read_on_fresh_system_returns_initial_value():
 
 
 def test_read_selects_max_pair_for_write_back():
-    st = A3.begin(A3.init(), read()).state
+    st, _, _ = A3.begin(A3.init(), read())
     st, outgoing, _ = feed(st, [(AbdReport(1, 1, b"a"), 1), (AbdReport(1, 2, b"b"), 3)])
     assert outgoing == [(BROADCAST, AbdUpdate(2, 2, b"b"))]
     st, _, completions = feed(st, [(AbdAck(2), 2), (AbdAck(2), 3)])
@@ -101,7 +101,7 @@ def test_read_selects_max_pair_for_write_back():
 
 
 def test_stale_phase_replies_discarded():
-    st = A3.begin(A3.init(), read()).state
+    st, _, _ = A3.begin(A3.init(), read())
     st, outgoing, completions = feed(
         st,
         [
@@ -118,7 +118,7 @@ def test_stale_phase_replies_discarded():
 
 def test_duplicate_ack_senders_not_counted_twice():
     a5 = AbdAlgo(5, 2)
-    st = a5.begin(a5.init(), write(b"a")).state
+    st, _, _ = a5.begin(a5.init(), write(b"a"))
     st, _, completions = feed(st, [(AbdAck(1), 2), (AbdAck(1), 2)], a5)
     assert completions == []
     assert st.pending.responders == frozenset({2})
@@ -146,4 +146,4 @@ def test_handlers_leave_input_state_unchanged(seed):
             out = A3.deliver(st, msg, rng.randint(1, 3))
         assert type(st) is AbdReplicaState and hash(st) == hash(before)
         assert st == before
-        st = out.state
+        st, _, _ = out

@@ -39,34 +39,45 @@ def test_deliver_rejects_the_other_protocols_message(name, foreign):
     assert str(err.value) == FOREIGN_TEXT[name]
 
 
-@pytest.mark.parametrize("name", [p.name for p in sorted(SCENARIOS.glob("*.json"))])
+SCENARIO_NAMES = [p.name for p in sorted(SCENARIOS.glob("*.json"))]
+
+
+def engine_calls(monkeypatch, cfg) -> list:
+    """(method name, arguments, result) of every call the engine makes of
+    `begin` and each message class's handler, over runs of `cfg` at seeds
+    0-3.  The recorders sit on the instance, so a handler's nested call of
+    another (the modified STATE through the WRITE handler) is recorded too."""
+    calls = []
+
+    def recording(name, handler):
+        def recorded(*args):
+            out = handler(*args)
+            calls.append((name, args, out))
+            return out
+
+        return recorded
+
+    def recording_algorithm(*args):
+        algo = make_algorithm(*args)
+        for name in ("begin", *algo.HANDLERS.values()):
+            setattr(algo, name, recording(name, getattr(algo, name)))
+        return algo
+
+    monkeypatch.setattr(regsim.engine, "make_algorithm", recording_algorithm)
+    for seed in range(4):
+        run(cfg, seed=seed)
+    return calls
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_every_handler_returns_a_hashable_state_value(name, monkeypatch):
     # Replica states are values: every state a handler returns is the
     # protocol's own immutable class and hashes, so it can key a memo as it
     # is, and init() builds equal states every time.
     cfg = load_scenario(SCENARIOS / name)
     cls = STATE_CLASS[cfg.algorithm]
-    returned = []
-
-    def recording(handler):
-        def recorded(*args):
-            out = handler(*args)
-            if out is not None:  # a class handler's no-op
-                returned.append(out.state)
-            return out
-
-        return recorded
-
-    def recording_algorithm(*args):
-        # The engine calls begin and each message class's handler.
-        algo = make_algorithm(*args)
-        for name in ("begin", *algo.HANDLERS.values()):
-            setattr(algo, name, recording(getattr(algo, name)))
-        return algo
-
-    monkeypatch.setattr(regsim.engine, "make_algorithm", recording_algorithm)
-    for seed in range(4):
-        run(cfg, seed=seed)
+    # None is a class handler's no-op.
+    returned = [out[0] for _, _, out in engine_calls(monkeypatch, cfg) if out is not None]
     assert returned
     for state in returned:
         assert type(state) is cls
@@ -77,11 +88,34 @@ def test_every_handler_returns_a_hashable_state_value(name, monkeypatch):
     assert all(algo.init() == first for _ in range(3))
 
 
+def triple(out) -> bool:
+    return type(out) is tuple and len(out) == 3
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_every_handler_result_is_none_or_a_plain_triple(name, monkeypatch):
+    # A handler result is a plain (state, outgoing, completion) tuple, not a
+    # tuple subclass such as a NamedTuple, whose build costs several times
+    # as much on every delivery.  A class handler may return None; begin
+    # and deliver never do.
+    cfg = load_scenario(SCENARIOS / name)
+    algo = make_algorithm(cfg.algorithm, cfg.n, cfg.t)
+    calls = engine_calls(monkeypatch, cfg)
+    assert calls
+    for method, args, out in calls:
+        if method == "begin":
+            assert triple(out), (method, args, out)
+        else:
+            assert out is None or triple(out), (method, args, out)
+            assert triple(algo.deliver(*args)), (method, args)
+
+
 def relabelled(algo, out, perm) -> tuple:
     """A handler output with every process id in it renamed by `perm`: its
     state's, via the protocol's relabel, and its destinations."""
-    outgoing = tuple((dest if dest is None else perm[dest], msg) for dest, msg in out.outgoing)
-    return algo.relabel(out.state, perm), outgoing, out.completion
+    state, outgoing, completion = out
+    outgoing = tuple((dest if dest is None else perm[dest], msg) for dest, msg in outgoing)
+    return algo.relabel(state, perm), outgoing, completion
 
 
 @pytest.mark.parametrize("name", ["teff", "teff-modified", "abd"])
@@ -115,7 +149,7 @@ def test_relabel_commutes_with_the_handlers(name, n, data):
             out = algo.begin(state, Op(p, kind, value))
             for perm in perms:
                 image = algo.begin(algo.relabel(state, perm), Op(perm[p], kind, value))
-                assert tuple(image) == relabelled(algo, out, perm), (state, perm, kind)
+                assert image == relabelled(algo, out, perm), (state, perm, kind)
         else:
             p, msg, sender = in_flight.pop(choice - len(idle))
             state = states[p]
@@ -125,10 +159,11 @@ def test_relabel_commutes_with_the_handlers(name, n, data):
                 image = algo.relabel(state, perm)
                 assert algo.is_noop_delivery(image, msg, perm[sender]) == noop
                 stepped = algo.deliver(image, msg, perm[sender])
-                assert tuple(stepped) == relabelled(algo, out, perm), (state, perm, msg, sender)
-        assert algo.relabel(out.state, tuple(range(n + 1))) == out.state
+                assert stepped == relabelled(algo, out, perm), (state, perm, msg, sender)
+        state, outgoing, _ = out
+        assert algo.relabel(state, tuple(range(n + 1))) == state
         for perm in perms:
-            assert algo.has_pending(algo.relabel(out.state, perm)) == algo.has_pending(out.state)
-        states[p] = out.state
-        for dest, msg in out.outgoing:
+            assert algo.has_pending(algo.relabel(state, perm)) == algo.has_pending(state)
+        states[p] = state
+        for dest, msg in outgoing:
             in_flight += [(q, msg, p) for q in (states if dest is None else (dest,))]

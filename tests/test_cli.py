@@ -272,6 +272,23 @@ def test_sweep_failure_prints_the_full_run_report(capsys):
     assert sum(int(m) for m in re.findall(r"messages=(\d+)", ran)) > 0
 
 
+GOLDEN_SWEEPS = json.loads((ROOT / "tests" / "golden_sweeps.json").read_text())
+
+
+def test_every_scenario_has_a_golden_sweep():
+    assert sorted(GOLDEN_SWEEPS) == sorted(p.name for p in SCENARIOS.glob("*.json"))
+    # The failure path is pinned too: its output is the full run report.
+    assert GOLDEN_SWEEPS["base-gap-base.json"]["exit"] == 1
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+def test_sweep_output_matches_golden(name, capsys):
+    # tests/make_golden.py pinned `regsim sweep SCENARIO --seeds 30`: its exit
+    # code and every line it prints, the worst duration per class included.
+    code = main(["sweep", str(SCENARIOS / name), "--seeds", "30"])
+    assert {"exit": code, "stdout": capsys.readouterr().out} == GOLDEN_SWEEPS[name]
+
+
 def write_explore_config(tmp_path, ops, **over):
     """A scenario of `ops`, each (kind, process) or (kind, process, time),
     at time 0 unless given; writes get values a, b, ..."""

@@ -22,7 +22,7 @@ from regsim.engine import (
 from regsim.history import check_termination, extract_history
 from regsim.messages import State, Write
 from regsim.report import build_report
-from regsim.trace import CRASH, DELIVER, INVOKE, ROUND_START, SEND, TraceEvent, to_jsonl_bytes
+from regsim.trace import CRASH, DELIVER, INVOKE, ROUND_START, SEND, to_jsonl_bytes
 
 
 def scenario(**over):
@@ -454,21 +454,17 @@ NOOP_CASES = [
 
 def record_handler_calls(monkeypatch):
     """Record, per engine delivery, (state, message, sender, handler
-    output, the last event built before the call).  The engine looks each
+    output), in the order the engine makes them.  The engine looks each
     handler up by the name in the algorithm's HANDLERS table, so the
     recorders are installed under their own names: a handler's nested call
     of another (the modified STATE through the WRITE handler) is not
     recorded."""
-    built, calls = [], []
-
-    def recording_event(*fields):
-        built.append(TraceEvent(*fields))
-        return built[-1]
+    calls = []
 
     def recording(handler):
         def recorded(state, msg, sender):
             out = handler(state, msg, sender)
-            calls.append((state, msg, sender, out, built[-1]))
+            calls.append((state, msg, sender, out))
             return out
 
         return recorded
@@ -483,7 +479,6 @@ def record_handler_calls(monkeypatch):
         return algo
 
     monkeypatch.setattr(regsim.engine, "make_algorithm", recording_algorithm)
-    monkeypatch.setattr(regsim.engine, "TraceEvent", recording_event)
     return calls
 
 
@@ -491,21 +486,22 @@ def record_handler_calls(monkeypatch):
 def test_skipped_deliveries_are_noops_and_traced(name, cfg, monkeypatch):
     # The engine goes no further with a delivery whose class handler returns
     # None.  Each such delivery must be a no-op by `deliver`: the state as it
-    # is, nothing sent, nothing completed; and its DELIVER event, built just
-    # before the handler call, must be in the trace.
+    # is, nothing sent, nothing completed; and its DELIVER event must be in
+    # the trace.  The engine traces each delivery to a live process just
+    # before its one handler call, so the calls pair in order with the
+    # trace's DELIVER events.
     calls = record_handler_calls(monkeypatch)
     algo = make_algorithm(cfg.algorithm, cfg.n, cfg.t)
     total = 0
     for seed in range(4):
         calls.clear()
-        trace = run(cfg, seed=seed).trace
-        traced = {id(ev) for ev in trace}
-        for state, msg, sender, out, event in calls:
+        delivers = [ev for ev in run(cfg, seed=seed).trace if ev.kind == DELIVER]
+        assert len(delivers) == len(calls)
+        for (state, msg, sender, out), event in zip(calls, delivers):
+            assert (event.peer, event.message) == (sender, msg)
             if out is not None:
                 continue
             total += 1
-            assert event.kind == DELIVER and (event.peer, event.message) == (sender, msg)
-            assert id(event) in traced
             assert algo.deliver(state, msg, sender) == (state, (), None), (seed, state, msg)
     if name.startswith("n15"):
         assert total
@@ -521,7 +517,7 @@ def test_handlers_skip_every_forever_noop_delivery(name, monkeypatch):
     for seed in range(4):
         run(cfg, seed=seed)
     assert calls
-    for state, msg, sender, out, _ in calls:
+    for state, msg, sender, out in calls:
         if algo.is_noop_delivery(state, msg, sender):
             assert out is None, (state, msg, sender)
 

@@ -506,9 +506,9 @@ def test_noop_predicate_agrees_with_the_handlers(alg, monkeypatch):
     explore(alg, 3, 1, [WRITE_A, READ2, READ2], crash=crash_of(2))
     assert pruned
     for algo, state, msg, sender in pruned:
-        out = algo.deliver(state, msg, sender)
-        assert out.state.freeze() == state.freeze(), (state, msg, sender)
-        assert not out.outgoing and out.completion is None, (state, msg, sender)
+        after, outgoing, completion = algo.deliver(state, msg, sender)
+        assert after == state, (state, msg, sender)
+        assert not outgoing and completion is None, (state, msg, sender)
 
 
 def explored_records(history) -> tuple:

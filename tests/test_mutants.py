@@ -14,7 +14,7 @@ from regsim.algos import Op
 from regsim.cli import main
 from regsim.explore import explore
 from regsim.history import check_claims, check_linearizable, check_termination
-from regsim.messages import HandlerOutput, OpResult
+from regsim.messages import OpResult
 from regsim.teff import BASE, MODIFIED, TeffAlgo
 from test_history import oracle
 
@@ -88,11 +88,11 @@ class AbdNoWriteBack(AbdAlgo):
 
     def on_report(self, state, msg, sender):
         out = super().on_report(state, msg, sender)
-        pd = None if out is None else out.state.pending
+        pd = None if out is None else out[0].pending
         if pd is None or pd.phase != PHASE_WRITE_BACK:
             return out
-        st = out.state._replace(pending=None)
-        return HandlerOutput(st, completion=OpResult("read", pd.best_value, pd.best_wsn))
+        st, _, _ = out
+        return st._replace(pending=None), (), OpResult("read", pd.best_value, pd.best_wsn)
 
 
 def test_abd_read_without_write_back_fails_every_checker(monkeypatch):
@@ -113,7 +113,10 @@ class TeffNoRelay(TeffAlgo):
 
     def on_write(self, state, msg, sender):
         out = super().on_write(state, msg, sender)
-        return None if out is None else out._replace(outgoing=())
+        if out is None:
+            return None
+        state, _, completion = out
+        return state, (), completion
 
 
 @pytest.mark.parametrize(

@@ -34,9 +34,9 @@ def drive(state, events):
         out = handler(state, msg, sender)
         if out is None:
             continue
-        state = out.state
-        if out.completion is not None:
-            completions.append(out.completion)
+        state, _, completion = out
+        if completion is not None:
+            completions.append(completion)
     return state, completions
 
 
@@ -59,25 +59,26 @@ def test_init_rejects_too_many_faults():
 
 def test_init_non_writer_is_valid():
     algo = TeffAlgo(5, 2, MODIFIED)
-    assert algo.begin(algo.init(), read(2)).state.pending_read.rsn == 1
+    st, _, _ = algo.begin(algo.init(), read(2))
+    assert st.pending_read.rsn == 1
 
 
 # --- begin: write -------------------------------------------------------
 
 
 def test_first_write_broadcasts_wsn_one():
-    out = B3.begin(B3.init(), write(b"a"))
-    assert out.outgoing == ((BROADCAST, Write(1, b"a")),)
-    assert out.state.wsn == 1 and out.state.reg == b"a"
-    assert out.state.pending_write == 1
-    assert 1 in out.state.forwarded
-    assert out.completion is None
+    st, outgoing, completion = B3.begin(B3.init(), write(b"a"))
+    assert outgoing == ((BROADCAST, Write(1, b"a")),)
+    assert st.wsn == 1 and st.reg == b"a"
+    assert st.pending_write == 1
+    assert 1 in st.forwarded
+    assert completion is None
 
 
 def test_write_increments_existing_wsn():
     st = B3.init()._replace(wsn=4)
-    out = B3.begin(st, write(b"e"))
-    assert out.outgoing == ((BROADCAST, Write(5, b"e")),)
+    _, outgoing, _ = B3.begin(st, write(b"e"))
+    assert outgoing == ((BROADCAST, Write(5, b"e")),)
 
 
 def test_non_writer_cannot_write():
@@ -86,9 +87,9 @@ def test_non_writer_cannot_write():
 
 
 def test_second_write_while_pending_rejected():
-    out = B3.begin(B3.init(), write(b"a"))
+    st, _, _ = B3.begin(B3.init(), write(b"a"))
     with pytest.raises(ProtocolError):
-        B3.begin(out.state, write(b"b"))
+        B3.begin(st, write(b"b"))
 
 
 # --- on_write -----------------------------------------------------------
@@ -96,25 +97,25 @@ def test_second_write_while_pending_rejected():
 
 def test_fresh_value_adopted_and_forwarded():
     st = B3.init()
-    out = B3.on_write(st, Write(1, b"a"), 1)
-    assert out.state.reg == b"a" and out.state.wsn == 1
-    assert out.outgoing == ((BROADCAST, Write(1, b"a")),)
+    st, outgoing, _ = B3.on_write(st, Write(1, b"a"), 1)
+    assert st.reg == b"a" and st.wsn == 1
+    assert outgoing == ((BROADCAST, Write(1, b"a")),)
 
 
 def test_stale_value_still_forwarded_once():
     # A process can see its first copy of an old sequence number after
     # already holding a newer one; the relay still happens.
     st = B3.init()._replace(wsn=2, reg=b"b")
-    out = B3.on_write(st, Write(1, b"a"), 2)
-    assert out.state.reg == b"b" and out.state.wsn == 2
-    assert out.outgoing == ((BROADCAST, Write(1, b"a")),)
-    again = B3.on_write(out.state, Write(1, b"a"), 3)
-    assert again.outgoing == ()
+    st, outgoing, _ = B3.on_write(st, Write(1, b"a"), 2)
+    assert st.reg == b"b" and st.wsn == 2
+    assert outgoing == ((BROADCAST, Write(1, b"a")),)
+    _, again, _ = B3.on_write(st, Write(1, b"a"), 3)
+    assert again == ()
 
 
 def test_writer_completes_at_quorum():
     # n=3, t=1: two distinct senders are enough.
-    st = B3.begin(B3.init(), write(b"a")).state
+    st, _, _ = B3.begin(B3.init(), write(b"a"))
     st, completions = drive(st, [(B3.on_write, Write(1, b"a"), 1)])
     assert completions == []
     st, completions = drive(st, [(B3.on_write, Write(1, b"a"), 2)])
@@ -145,49 +146,51 @@ def test_duplicate_senders_do_not_reach_quorum():
 
 
 def test_begin_read_broadcasts_next_rsn():
-    out = B3.begin(B3.init(), read())
-    assert out.outgoing == ((BROADCAST, Read(1)),)
-    assert out.state.pending_read.rsn == 1
+    st, outgoing, _ = B3.begin(B3.init(), read())
+    assert outgoing == ((BROADCAST, Read(1)),)
+    assert st.pending_read.rsn == 1
 
     st = B3.init()._replace(rsn=7)
-    assert B3.begin(st, read()).outgoing == ((BROADCAST, Read(8)),)
+    _, outgoing, _ = B3.begin(st, read())
+    assert outgoing == ((BROADCAST, Read(8)),)
 
 
 def test_begin_read_while_pending_rejected():
-    out = B3.begin(B3.init(), read())
+    st, _, _ = B3.begin(B3.init(), read())
     with pytest.raises(ProtocolError):
-        B3.begin(out.state, read())
+        B3.begin(st, read())
 
 
 def test_on_read_replies_current_wsn():
     st = B3.init()._replace(wsn=5, reg=b"e")
-    out = B3.on_read(st, Read(2), 2)
-    assert out.outgoing == ((2, State(2, 5)),)
-    assert out.state is st  # a READ changes nothing, so no state is built
+    after, outgoing, _ = B3.on_read(st, Read(2), 2)
+    assert outgoing == ((2, State(2, 5)),)
+    assert after is st  # a READ changes nothing, so no state is built
 
     fresh = B3.init()
-    assert B3.on_read(fresh, Read(1), 2).outgoing == ((2, State(1, 0)),)
+    _, outgoing, _ = B3.on_read(fresh, Read(1), 2)
+    assert outgoing == ((2, State(1, 0)),)
 
 
 def test_on_read_modified_carries_value():
     st = M3.init()._replace(wsn=5, reg=b"e")
-    out = M3.on_read(st, Read(2), 2)
-    assert out.outgoing == ((2, State(2, 5, b"e", carries_value=True)),)
-    assert out.state is st
+    after, outgoing, _ = M3.on_read(st, Read(2), 2)
+    assert outgoing == ((2, State(2, 5, b"e", carries_value=True)),)
+    assert after is st
 
 
 # --- on_state / check_read_complete --------------------------------------
 
 
 def test_read_completes_on_fresh_system():
-    st = B3.begin(B3.init(), read()).state
+    st, _, _ = B3.begin(B3.init(), read())
     st, completions = drive(st, [(B3.on_state, State(1, 0), 2), (B3.on_state, State(1, 0), 3)])
     assert completions == [teff.OpResult("read", None, 0)]
     assert st.pending_read is None
 
 
 def test_read_waits_for_swsn_to_catch_up():
-    st = B3.begin(B3.init(), read()).state
+    st, _, _ = B3.begin(B3.init(), read())
     st, completions = drive(st, [(B3.on_state, State(1, 0), 3), (B3.on_state, State(1, 1), 1)])
     # Quorum of replies but swsn (0) < maxwsn (1): keep waiting.
     assert completions == []
@@ -202,7 +205,7 @@ def test_read_waits_for_swsn_to_catch_up():
 def test_read_returns_newer_value_after_write_quorum():
     # swsn advances through WRITE deliveries before the second reply arrives;
     # the read then returns the newer value.
-    st = B3.begin(B3.init(), read()).state
+    st, _, _ = B3.begin(B3.init(), read())
     st, completions = drive(
         st,
         [
@@ -225,11 +228,11 @@ def test_stale_state_replies_ignored():
 
 def test_modified_state_feeds_write_path():
     st = M3.init()
-    out = M3.on_state(st, State(1, 1, b"v", True), 3)
-    assert out.state.reg == b"v" and out.state.wsn == 1
-    assert out.outgoing == ((BROADCAST, Write(1, b"v")),)
+    st, outgoing, _ = M3.on_state(st, State(1, 1, b"v", True), 3)
+    assert st.reg == b"v" and st.wsn == 1
+    assert outgoing == ((BROADCAST, Write(1, b"v")),)
     # Stale replies keep feeding it too.
-    st2 = M3.on_state(out.state, State(1, 2, b"w", True), 1).state
+    st2, _, _ = M3.on_state(st, State(1, 2, b"w", True), 1)
     assert st2.wsn == 2 and st2.reg == b"w"
 
 
@@ -244,11 +247,11 @@ def test_modified_state_counts_toward_quorum_by_default():
 def test_modified_state_wsn_zero_is_inert_on_write_path():
     st = M3.init()
     assert M3.on_state(st, State(1, 0, None, True), 3) is None  # no read pending
-    st = M3.begin(st, read()).state
-    out = M3.on_state(st, State(1, 0, None, True), 3)
-    assert out.outgoing == ()  # nothing to relay for the initial value
-    assert out.state.know == ()
-    assert out.state.pending_read.responders == {3}
+    st, _, _ = M3.begin(st, read())
+    st, outgoing, _ = M3.on_state(st, State(1, 0, None, True), 3)
+    assert outgoing == ()  # nothing to relay for the initial value
+    assert st.know == ()
+    assert st.pending_read.responders == {3}
 
 
 # --- properties over random event sequences ------------------------------
@@ -280,13 +283,13 @@ def walk(seed, variant, steps=300):
         else:
             out = algo.deliver(st, Read(rng.randint(1, 3)), sender)
         yield st, before, out
-        st = out.state
+        st, _, _ = out
 
 
 def random_walk(seed, variant, steps=300):
     """The states `walk` passes through, the initial one first."""
     trail = [TeffAlgo(5, 2, variant).init()]
-    trail.extend(out.state for _, _, out in walk(seed, variant, steps))
+    trail.extend(state for _, _, (state, _, _) in walk(seed, variant, steps))
     return trail
 
 
@@ -315,9 +318,8 @@ def test_forward_at_most_once_per_wsn(seed, variant):
     forwarded = []
     for _ in range(400):
         wsn = rng.randint(1, 4)
-        out = algo.deliver(st, Write(wsn, bytes([96 + wsn])), rng.randint(1, 5))
-        st = out.state
-        for dest, msg in out.outgoing:
+        st, outgoing, _ = algo.deliver(st, Write(wsn, bytes([96 + wsn])), rng.randint(1, 5))
+        for dest, msg in outgoing:
             assert dest is BROADCAST
             forwarded.append(msg.wsn)
     assert len(forwarded) == len(set(forwarded))
@@ -339,9 +341,7 @@ def test_handlers_are_pure():
     st, _ = drive(st, [(M3.on_write, Write(1, b"a"), 1)])
     first = M3.on_state(st, State(1, 2, b"b", True), 3)
     second = M3.on_state(st, State(1, 2, b"b", True), 3)
-    assert first.state == second.state
-    assert first.outgoing == second.outgoing
-    assert first.completion == second.completion
+    assert first == second  # the state, the sends and the completion
     # and the input state was left alone
     assert st.wsn == 1 and st.reg == b"a"
 
