@@ -7,7 +7,8 @@ unconditionally writes that pair back, and returns after a quorum of acks.
 Every phase gets a fresh per-process phase id (opsn) so stale replies are
 discarded.  `AbdAlgo(n, t)` holds the quorum n - t and the handlers, one
 per message class: `on_update`, `on_query`, `on_ack` and `on_report`; a
-reply to a finished phase is a no-op, for which the handler returns None.
+reply to a finished phase is a no-op forever (phase ids never repeat), for
+which the handler returns None (algos.py).
 A replica state holds only the protocol's variables, as an immutable,
 hashable NamedTuple, its pending phase one too.  Handlers are pure and
 return a plain (state, outgoing, completion) tuple; each new state and
@@ -22,16 +23,17 @@ from typing import NamedTuple
 
 from .messages import (
     BROADCAST,
-    WRITER,
     AbdAck,
     AbdQuery,
     AbdReport,
     AbdUpdate,
-    Message,
     Op,
     OpResult,
-    ProtocolError,
+    check_invoke,
     check_model,
+    deliver,
+    is_noop_delivery,
+    itself,
 )
 
 PHASE_WRITE = "write"
@@ -56,13 +58,7 @@ class AbdReplicaState(NamedTuple):
     opsn: int = 0
     pending: AbdPending | None = None
 
-    # A state is its own copy and its own snapshot.  Nothing in regsim calls
-    # these; perfbench/tracer.py still wraps them by name.
-    def clone(self) -> "AbdReplicaState":
-        return self
-
-    def freeze(self) -> "AbdReplicaState":
-        return self
+    clone = freeze = itself
 
 
 class AbdAlgo:
@@ -70,6 +66,7 @@ class AbdAlgo:
     # is the one called; None from a handler is a no-op (algos.py).
     HANDLERS = {AbdUpdate: "on_update", AbdQuery: "on_query",
                 AbdAck: "on_ack", AbdReport: "on_report"}
+    check_invoke, deliver, is_noop_delivery = check_invoke, deliver, is_noop_delivery
 
     def __init__(self, n: int, t: int):
         check_model(n, t)
@@ -81,12 +78,7 @@ class AbdAlgo:
 
     def begin(self, state: AbdReplicaState, op: Op) -> tuple:
         """Invoke `op` at its process, whose state is `state`."""
-        if op.kind == "write" and op.process != WRITER:
-            raise ProtocolError(f"p{op.process} is not the writer")
-        if state.pending is not None:
-            raise ProtocolError("operation already pending (processes are sequential)")
-        if op.kind == "write" and op.value is None:
-            raise ProtocolError("cannot write the reserved initial value")
+        self.check_invoke(state, op)
         reg, wsn, opsn, _ = state
         opsn += 1
         if op.kind == "read":
@@ -99,24 +91,9 @@ class AbdAlgo:
         update = _new(AbdUpdate, (opsn, wsn, op.value))
         return st, ((BROADCAST, update),), None
 
-    def deliver(self, state: AbdReplicaState, msg: Message, sender: int) -> tuple:
-        name = self.HANDLERS.get(type(msg))
-        if name is None:
-            raise ProtocolError(f"not an ABD message: {msg!r}")
-        return getattr(self, name)(state, msg, sender) or (state, (), None)
-
     @staticmethod
     def has_pending(state: AbdReplicaState) -> bool:
         return state.pending is not None
-
-    @staticmethod
-    def is_noop_delivery(state: AbdReplicaState, msg: Message, sender: int) -> bool:
-        """Replies to an already-finished phase are discarded forever (phase
-        ids never repeat); updates and queries always produce a reply."""
-        kind = type(msg)
-        if kind is AbdAck or kind is AbdReport:
-            return state.pending is None or state.pending.opsn != msg.opsn
-        return False
 
     @staticmethod
     def relabel(state: AbdReplicaState, perm) -> AbdReplicaState:

@@ -4,22 +4,23 @@
 handlers, and both offer the interface the simulator and the exhaustive
 explorer call: init / begin / deliver / has_pending / is_noop_delivery /
 relabel, and `HANDLERS`, the table naming each message class's handler.
+A protocol is that table: `deliver`, `is_noop_delivery`, the invoke check
+`begin` opens with and the states' `clone`/`freeze` are written once in
+messages.py and bound in each class body.
 `begin` and each class handler `(state, msg, sender)` return a plain
 `(state, outgoing, completion)` tuple: the new state, the `(destination,
 message)` sends (None: everyone) and an `OpResult` or None.  A class
-handler returns None instead when the delivery changes no state, sends
-nothing and completes nothing.
-The simulator makes one handler call per delivery through that table, built
-once per run, and goes no further on None.  `deliver` is the same call
-through the table, with None as `(state, (), None)` and a ProtocolError
-for a foreign class; the explorer and the tests call it.
+handler returns None instead only when the delivery changes no state,
+sends nothing and completes nothing, now and in every later state of its
+process; a triple is always safe.  This is the one no-op rule.  The
+simulator makes one handler call per delivery through the table, built
+once per run, and goes no further on None.  The explorer drops a message
+from an inbox once `is_noop_delivery`, the handler's None, says so.
+`deliver` is the handler call with None as `(state, (), None)` and a
+ProtocolError for a foreign class; the explorer and the tests call it.
 A replica state is an immutable, hashable NamedTuple: handlers return a
 new one (or their input, when nothing changes), the simulator keeps it as
 is, and the explorer keys its memos by it.
-`is_noop_delivery` is the explorer's: True must imply that delivering the
-message changes no state, sends nothing and completes nothing, now and in
-every later state, so the explorer drops such messages; False is always
-safe.  Each class handler returns None wherever it says True.
 `relabel(state, perm)` renames each process id q the state holds to
 perm[q].  The explorer's symmetry reduction relies on the handlers being
 equivariant under relabelling every process except p1, the writer: for

@@ -113,7 +113,7 @@ class ExploreResult:
     states_visited: int  # configurations expanded: one per orbit
     edges: int  # configuration-graph edges: the moves of each explored configuration
     transitions: int  # distinct local transitions: one handler call each
-    noop_pruned: int  # distinct (state, message, sender) judged forever-no-op
+    noop_pruned: int  # distinct (state, message, sender) whose handler returns None
 
 
 class _Interner:
@@ -300,7 +300,7 @@ class _Explorer:
         return added
 
     def noop(self, state, mid: int, sender: int) -> bool:
-        """Memoized is_noop_delivery."""
+        """Memoized is_noop_delivery: the handler's None, a no-op forever."""
         key = (state, mid, sender)
         result = self.noop_memo.get(key)
         if result is None:

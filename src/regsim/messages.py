@@ -1,6 +1,6 @@
 """Protocol messages, their canonical binary encoding, and what both
-register protocols share: the operation they are invoked with, its result
-and the model check.
+register protocols share: the operation they are invoked with, its result,
+the model check, the invoke check and the dispatch through a handler table.
 
 The wire form is what trace files store (hex), so it must be bit-exact and
 stable: one tag byte, little-endian 64-bit sequence numbers, then a value
@@ -122,6 +122,41 @@ class OpResult:
     kind: str  # "write" | "read"
     value: bytes | None
     seqno: int
+
+
+def check_invoke(self, state, op: Op) -> None:
+    """Raise ProtocolError unless `op` may begin at its process, whose state
+    is `state`: nothing pending, a read or a write, and a write only by the
+    writer and never of the initial value."""
+    if self.has_pending(state):
+        raise ProtocolError("operation already pending (processes are sequential)")
+    if op.kind == "write":
+        if op.process != WRITER:
+            raise ProtocolError(f"p{op.process} is not the writer")
+        if op.value is None:
+            raise ProtocolError("cannot write the reserved initial value")
+    elif op.kind != "read":
+        raise ProtocolError(f"unknown op kind {op.kind!r}")
+
+
+def deliver(self, state, msg: Message, sender: int) -> tuple:
+    """The handler's `(state, outgoing, completion)` for `msg` from `sender`,
+    a no-op as `(state, (), None)`."""
+    name = self.HANDLERS.get(type(msg))
+    if name is None:
+        raise ProtocolError(f"unexpected message for register protocol: {msg!r}")
+    return getattr(self, name)(state, msg, sender) or (state, (), None)
+
+
+def is_noop_delivery(self, state, msg: Message, sender: int) -> bool:
+    """True when the handler's None marks `msg` a no-op now and forever."""
+    return getattr(self, self.HANDLERS[type(msg)])(state, msg, sender) is None
+
+
+def itself(state):
+    """A replica state's `clone` and `freeze`: it is its own copy and snapshot.
+    Nothing in regsim calls them; perfbench/tracer.py wraps them by name."""
+    return state
 
 
 def _row(cls: type, tag: int, fields: tuple[str, ...], value: bool | str) -> tuple:

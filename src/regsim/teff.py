@@ -20,20 +20,21 @@ Two variants:
 
 `TeffAlgo(n, t, variant)` is the protocol: it holds the system constants
 (the quorum n - t and the variant) and the handlers, one per message class:
-`on_write`, `on_read` and `on_state`, each opening with its own no-op test
-(None: nothing changes, nothing is sent, nothing completes).  The modified
-variant's `on_state` calls `on_write` with the reply's pair.  A replica
-state holds only the protocol's variables, so every process starts from
-the same state and no handler takes a process id; the writer check reads
-the invoked `Op`'s process.  A replica state is an immutable, hashable
-NamedTuple of immutable fields (ints, bytes, frozensets, the pending read's
-NamedTuple and `know` as an ascending tuple of (wsn, holders) pairs), so it
-is its own snapshot: the explorer keys its memos by it.  Handlers are
-pure: identical (state, input) pairs produce identical outputs.  Each
-returns a plain (state, outgoing, completion) tuple and builds its new
-state and its messages in one positional `tuple.__new__` call each; a
-handler that changes no state (a READ only answers) returns its input state
-itself.  Process 1 is the writer.
+`on_write`, `on_read` and `on_state`.  A handler's None (algos.py) holds
+forever, as what it tests only grows: a WRITE is a no-op once relayed and at
+or below swsn, a STATE once its read is over and the write its pair may
+carry (modified variant, wsn >= 1) is such a WRITE, through which `on_state`
+passes it.  A replica state holds only the protocol's variables, so every
+process starts from the same state and no handler takes a process id; the
+writer check reads the invoked `Op`'s process.  A replica state is an
+immutable, hashable NamedTuple of immutable fields (ints, bytes, frozensets,
+the pending read's NamedTuple and `know` as an ascending tuple of (wsn,
+holders) pairs), so it is its own snapshot: the explorer keys its memos by
+it.  Handlers are pure: identical (state, input) pairs produce identical
+outputs.  Each returns a plain (state, outgoing, completion) tuple and
+builds its new state and its messages in one positional `tuple.__new__` call
+each; a handler that changes no state (a READ only answers) returns its
+input state itself.  Process 1 is the writer.
 """
 
 from __future__ import annotations
@@ -43,15 +44,17 @@ from typing import NamedTuple
 
 from .messages import (
     BROADCAST,
-    WRITER,
-    Message,
     Op,
     OpResult,
     ProtocolError,
     Read,
     State,
     Write,
+    check_invoke,
     check_model,
+    deliver,
+    is_noop_delivery,
+    itself,
 )
 
 BASE = "base"
@@ -83,19 +86,14 @@ class ReplicaState(NamedTuple):
     pending_write: int | None = None  # the pending write's wsn
     pending_read: PendingRead | None = None
 
-    # A state is its own copy and its own snapshot.  Nothing in regsim calls
-    # these; perfbench/tracer.py still wraps them by name.
-    def clone(self) -> "ReplicaState":
-        return self
-
-    def freeze(self) -> "ReplicaState":
-        return self
+    clone = freeze = itself
 
 
 class TeffAlgo:
     # Each message class's handler, by name, so that a subclass's override
     # is the one called; None from a handler is a no-op (algos.py).
     HANDLERS = {Write: "on_write", Read: "on_read", State: "on_state"}
+    check_invoke, deliver, is_noop_delivery = check_invoke, deliver, is_noop_delivery
 
     def __init__(self, n: int, t: int, variant: str):
         check_model(n, t)
@@ -110,14 +108,9 @@ class TeffAlgo:
 
     def begin(self, state: ReplicaState, op: Op) -> tuple:
         """Invoke `op` at its process, whose state is `state`."""
-        if self.has_pending(state):
-            raise ProtocolError("operation already pending (processes are sequential)")
+        self.check_invoke(state, op)
         reg, wsn, rsn, swsn, res, forwarded, know, _, _ = state
         if op.kind == "write":
-            if op.process != WRITER:
-                raise ProtocolError(f"p{op.process} is not the writer")
-            if op.value is None:
-                raise ProtocolError("cannot write the reserved initial value")
             wsn += 1
             forwarded = forwarded | {wsn}  # the initiating broadcast is its forward
             st = _new(ReplicaState, (op.value, wsn, rsn, swsn, res, forwarded, know, wsn, None))
@@ -127,33 +120,9 @@ class TeffAlgo:
         st = _new(ReplicaState, (reg, wsn, rsn, swsn, res, forwarded, know, None, pr))
         return st, ((BROADCAST, _new(Read, (rsn,))),), None
 
-    def deliver(self, state: ReplicaState, msg: Message, sender: int) -> tuple:
-        name = self.HANDLERS.get(type(msg))
-        if name is None:
-            raise ProtocolError(f"unexpected message for register protocol: {msg!r}")
-        return getattr(self, name)(state, msg, sender) or (state, (), None)
-
     @staticmethod
     def has_pending(state: ReplicaState) -> bool:
         return state.pending_write is not None or state.pending_read is not None
-
-    def is_noop_delivery(self, state: ReplicaState, msg: Message, sender: int) -> bool:
-        """True when delivering `msg` can never change `state`, emit anything,
-        or complete an operation — now or after any future transitions.  The
-        conditions below are monotone (forwarded/swsn/rsn only grow), so the
-        explorer may discard such messages.  Conservative: False when unsure."""
-        kind = type(msg)
-        if kind is Write:
-            return msg.wsn in state.forwarded and msg.wsn <= state.swsn
-        if kind is State:
-            pr = state.pending_read
-            stale = pr is None or pr.rsn != msg.rsn
-            if not stale:
-                return False
-            if self.variant == BASE or msg.wsn == 0:
-                return True
-            return msg.wsn in state.forwarded and msg.wsn <= state.swsn
-        return False
 
     @staticmethod
     def relabel(state: ReplicaState, perm) -> ReplicaState:

@@ -12,18 +12,12 @@ from regsim.abd import AbdReplicaState
 from regsim.algos import make_algorithm
 from regsim.config import load_scenario
 from regsim.engine import run
+from regsim.explore import explore
 from regsim.messages import WRITER, AbdAck, Op, ProtocolError, Write
 from regsim.teff import ReplicaState
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 STATE_CLASS = {"teff": ReplicaState, "teff-modified": ReplicaState, "abd": AbdReplicaState}
-
-
-FOREIGN_TEXT = {
-    "teff": "unexpected message for register protocol: AbdAck(opsn=1)",
-    "teff-modified": "unexpected message for register protocol: AbdAck(opsn=1)",
-    "abd": "not an ABD message: Write(wsn=1, value=b'a')",
-}
 
 
 @pytest.mark.parametrize(
@@ -36,7 +30,30 @@ def test_deliver_rejects_the_other_protocols_message(name, foreign):
     algo = make_algorithm(name, 3, 1)
     with pytest.raises(ProtocolError) as err:
         algo.deliver(algo.init(), foreign, 1)
-    assert str(err.value) == FOREIGN_TEXT[name]
+    assert str(err.value) == f"unexpected message for register protocol: {foreign!r}"
+
+
+@pytest.mark.parametrize("name", ["teff", "teff-modified", "abd"])
+def test_begin_checks_every_precondition(name):
+    # One invoke check serves every protocol: a process with an op pending,
+    # a write by a process other than the writer, a write of the initial
+    # value and an op of any kind but read and write are all refused.
+    algo = make_algorithm(name, 3, 1)
+    fresh = algo.init()
+    pending, _, _ = algo.begin(fresh, Op(2, "read"))
+    refused = [
+        (pending, Op(2, "read"), "operation already pending (processes are sequential)"),
+        (fresh, Op(2, "write", b"x"), "p2 is not the writer"),
+        (fresh, Op(WRITER, "write", None), "cannot write the reserved initial value"),
+        (fresh, Op(2, "foo", b"x"), "unknown op kind 'foo'"),
+        (fresh, Op(WRITER, "foo"), "unknown op kind 'foo'"),
+    ]
+    for state, op, text in refused:
+        with pytest.raises(ProtocolError) as err:
+            algo.begin(state, op)
+        assert str(err.value) == text, op
+    with pytest.raises(ProtocolError, match="unknown op kind 'foo'"):
+        explore(name, 3, 1, [Op(2, "foo", b"x")])
 
 
 SCENARIO_NAMES = [p.name for p in sorted(SCENARIOS.glob("*.json"))]

@@ -509,17 +509,33 @@ def test_skipped_deliveries_are_noops_and_traced(name, cfg, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
 def test_handlers_skip_every_forever_noop_delivery(name, monkeypatch):
-    # Whatever is_noop_delivery flags, the handler returns None for, so the
-    # engine skips at least the deliveries the predicate would skip.
+    # A handler's None is the one no-op rule: the engine skips the delivery,
+    # and the explorer drops the message for good, so None must hold in
+    # every later state of the receiver too.  Each process's states are the
+    # inputs and outputs of its handler calls, in order (a begin's output is
+    # the next call's input).  Every (message, sender) whose handler returned
+    # None is tried again at each later state of its process.
     cfg = load_scenario(SCENARIOS / name)
     calls = record_handler_calls(monkeypatch)
     algo = make_algorithm(cfg.algorithm, cfg.n, cfg.t)
     for seed in range(4):
-        run(cfg, seed=seed)
-    assert calls
-    for state, msg, sender, out in calls:
-        if algo.is_noop_delivery(state, msg, sender):
-            assert out is None, (state, msg, sender)
+        calls.clear()
+        delivers = [ev for ev in run(cfg, seed=seed).trace if ev.kind == DELIVER]
+        assert delivers
+        states = {p: [] for p in range(1, cfg.n + 1)}
+        nones = {p: {} for p in range(1, cfg.n + 1)}  # (msg, sender) -> state index
+        for (state, msg, sender, out), event in zip(calls, delivers, strict=True):
+            seen = states[event.process]
+            if not seen or seen[-1] != state:
+                seen.append(state)
+            if out is None:
+                nones[event.process].setdefault((msg, sender), len(seen) - 1)
+            elif out[0] != state:
+                seen.append(out[0])
+        for p, first in nones.items():
+            for (msg, sender), i in first.items():
+                for later in states[p][i + 1:]:
+                    assert algo.is_noop_delivery(later, msg, sender), (seed, p, msg, sender)
 
 
 # Queue order: crashes, then deliveries, then invocations at one tick, each
