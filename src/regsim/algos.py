@@ -18,9 +18,9 @@ once per run, and goes no further on None.  The explorer drops a message
 from an inbox once `is_noop_delivery`, the handler's None, says so.
 `deliver` is the handler call with None as `(state, (), None)` and a
 ProtocolError for a foreign class; the explorer and the tests call it.
-A replica state is an immutable, hashable NamedTuple: handlers return a
-new one (or their input, when nothing changes), the simulator keeps it as
-is, and the explorer keys its memos by it.
+A replica state is a plain tuple of immutable fields that a NamedTuple
+only lays out: handlers return a new one (or their input, when nothing
+changes), the simulator keeps it as is, the explorer keys memos by it.
 `relabel(state, perm)` renames each process id q the state holds to
 perm[q].  The explorer's symmetry reduction relies on the handlers being
 equivariant under relabelling every process except p1, the writer: for

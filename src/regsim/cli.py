@@ -6,9 +6,10 @@
     regsim check TRACE [--config CONFIG [--report report.json]]
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error
-(including a file that cannot be read or written, a scenario crash that
-`explore` cannot model, and a `--max-states` or REGSIM_EVENT_BUDGET below
-1), 3 resource bound exceeded.
+(including a file or stdout that cannot be read or written, a trace line
+naming a process outside the run, a scenario crash that `explore` cannot
+model, and a `--max-states` or REGSIM_EVENT_BUDGET below 1), 3 resource
+bound exceeded.
 REGSIM_EVENT_BUDGET sets the per-run event budget.  All scenario
 semantics live in the config file; flags only control seeds, I/O paths,
 crash enumeration and budgets.
@@ -56,7 +57,9 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -66,6 +69,12 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceededError, ExploreLimitError) as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_BOUND
+    except BrokenPipeError as exc:
+        # Whoever read stdout is gone.  What is still buffered for it goes
+        # to the null device, so the interpreter's flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"output error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     finally:
         if collecting:
             gc.enable()
@@ -266,9 +275,11 @@ def cmd_check(args) -> int:
             if config is not None:
                 report = build_report(config, events, config.seed)
             else:
-                # The op events, split off as build_report's fold splits them.
+                # The op events, split off as build_report's fold splits them;
+                # with no n, a message event's ids need only start at p1, as
+                # processes without ops relay and reply too.
                 ops = []
-                tally_sends(events, ops.append)
+                tally_sends(events, ops.append, None)
                 # No scenario names n: take the largest process id, so that
                 # no op event's process exceeds it.
                 history = extract_history(ops, max((ev.process for ev in ops), default=1))

@@ -24,9 +24,9 @@ so whether the subset holds it changes nothing.
 A configuration is one tuple of interned local components, one per
 process: (process, replica state, inbox of the messages addressed to it,
 number of operations invoked), Holzmann's collapse compression ("State
-compression in SPIN", 1997).  A replica state is an immutable, hashable
-value, so it is its own snapshot: the explorer interns it, one object per
-distinct state, and keys its memos by it.  Each local resolves its moves
+compression in SPIN", 1997).  A replica state is a plain tuple of
+immutable fields, its own snapshot: the explorer interns it, one object
+per distinct state, and keys its memos by it.  Each local resolves its moves
 once, the first time a configuration holding it is expanded: per enabled
 action (its next invocation, then each distinct inbox entry), the
 stepper's next local, the messages it sends the others and the label

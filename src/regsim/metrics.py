@@ -26,6 +26,7 @@ concurrency.  Async runs get no bounds; reports are informational.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -272,19 +273,19 @@ def check_bounds(history: History, config: ScenarioConfig, counts: dict[int, int
     return report
 
 
-# tally_sends' dispatch on the message class: the field a send is charged
-# by, and whether as a write's wsn, as a request from its sender or as a reply
-# to its destination.  A run uses one protocol, so READ and ABD numbers never
-# share a key.
+# tally_sends' dispatch on the message class: whether a send is charged by
+# its first field (wsn, rsn or opsn) as a write's wsn, as a request from its
+# sender or as a reply to its destination.  A run uses one protocol, so READ
+# and ABD numbers never share a key.
 _BY_WSN, _REQUEST, _REPLY = range(3)
 _CHARGE = {
-    Write: ("wsn", _BY_WSN),
-    Read: ("rsn", _REQUEST),
-    State: ("rsn", _REPLY),
-    AbdQuery: ("opsn", _REQUEST),
-    AbdUpdate: ("opsn", _REQUEST),
-    AbdAck: ("opsn", _REPLY),
-    AbdReport: ("opsn", _REPLY),
+    Write: _BY_WSN,
+    Read: _REQUEST,
+    State: _REPLY,
+    AbdQuery: _REQUEST,
+    AbdUpdate: _REQUEST,
+    AbdAck: _REPLY,
+    AbdReport: _REPLY,
 }
 
 
@@ -299,17 +300,19 @@ def count_messages(trace: Iterable[TraceEvent], history: History) -> dict[int, i
     ACK or REPORT(opsn)) are charged through the number at their
     destination.  So both phases of an ABD read charge the read.
     """
-    by_op, by_wsn, _ = tally_sends(trace, lambda ev: None)
+    by_op, by_wsn, _ = tally_sends(trace, lambda ev: None, history.n)
     return sends_per_op(by_op, by_wsn, history)
 
 
 def tally_sends(
-    events: Iterable[TraceEvent], keep: Callable[[TraceEvent], object]
+    events: Iterable[TraceEvent], keep: Callable[[TraceEvent], object], n: int | None
 ) -> tuple[dict[int, int], dict[int, int], int]:
     """One pass over `events`, as `count_messages` makes it: the sends
     charged to each op as a request or a reply, the WRITE sends per wsn,
     and the number of events.  Every event other than a send or a deliver
-    goes to `keep`, in trace order."""
+    goes to `keep`, in trace order.  Raises ValueError on a send or deliver
+    whose process or peer lies outside p1..pn, or below p1 if n is None."""
+    top = sys.maxsize if n is None else n
     latest: dict[int, int] = {}  # process -> the op it last invoked
     owner: dict[tuple[int, int], int | None] = {}  # (process, rsn/opsn) -> op
     by_op: dict[int, int] = {}
@@ -317,24 +320,41 @@ def tally_sends(
     total = 0
     for total, ev in enumerate(events, 1):
         kind = ev.kind
+        if kind == DELIVER:
+            if 0 < ev.process <= top and 0 < ev.peer <= top:
+                continue
+            raise _foreign(ev, top)
         if kind == SEND:
+            p = ev.process
+            peer = ev.peer
+            if not (0 < p <= top and 0 < peer <= top):
+                raise _foreign(ev, top)
             msg = ev.message
-            name, role = _CHARGE[type(msg)]
-            number = getattr(msg, name)
+            role = _CHARGE[type(msg)]
+            number = msg[0]
             if role == _BY_WSN:
                 by_wsn[number] = by_wsn.get(number, 0) + 1
                 continue
             if role == _REQUEST:
-                op_id = owner.setdefault((ev.process, number), latest.get(ev.process))
+                op_id = owner.setdefault((p, number), latest.get(p))
             else:
-                op_id = owner.get((ev.peer, number))
+                op_id = owner.get((peer, number))
             if op_id is not None:
                 by_op[op_id] = by_op.get(op_id, 0) + 1
-        elif kind != DELIVER:
+        else:
             keep(ev)
             if kind == INVOKE:
                 latest[ev.process] = ev.op_id
     return by_op, by_wsn, total
+
+
+def _foreign(ev: TraceEvent, top: int) -> ValueError:
+    """The error for a send or deliver event with a process or peer outside
+    p1..p`top`."""
+    edge = "start at p1" if min(ev.process, ev.peer) < 1 else f"end at p{top}"
+    way = "to" if ev.kind == SEND else "from"
+    where = f"at p{ev.process} {way} p{ev.peer}"
+    return ValueError(f"{ev.kind} event {ev.seq} {where}; processes {edge}")
 
 
 def sends_per_op(

@@ -40,7 +40,7 @@ def judge(config: ScenarioConfig, history: History, counts: dict[int, int]) -> t
 
 def build_report(config: ScenarioConfig, events: Iterable[TraceEvent], seed: int) -> dict:
     ops: list[TraceEvent] = []
-    by_op, by_wsn, count = tally_sends(events, ops.append)
+    by_op, by_wsn, count = tally_sends(events, ops.append, config.n)
     history = extract_history(ops, config.n)
     passed, checks, bounds = judge(config, history, sends_per_op(by_op, by_wsn, history))
     message_totals: dict[str, int] = {}

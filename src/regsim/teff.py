@@ -26,15 +26,15 @@ or below swsn, a STATE once its read is over and the write its pair may
 carry (modified variant, wsn >= 1) is such a WRITE, through which `on_state`
 passes it.  A replica state holds only the protocol's variables, so every
 process starts from the same state and no handler takes a process id; the
-writer check reads the invoked `Op`'s process.  A replica state is an
-immutable, hashable NamedTuple of immutable fields (ints, bytes, frozensets,
-the pending read's NamedTuple and `know` as an ascending tuple of (wsn,
-holders) pairs), so it is its own snapshot: the explorer keys its memos by
-it.  Handlers are pure: identical (state, input) pairs produce identical
-outputs.  Each returns a plain (state, outgoing, completion) tuple and
-builds its new state and its messages in one positional `tuple.__new__` call
-each; a handler that changes no state (a READ only answers) returns its
-input state itself.  Process 1 is the writer.
+writer check reads the invoked `Op`'s process.  A replica state is a plain
+tuple laid out as `ReplicaState` (its pending read as `PendingRead`) of
+immutable fields (ints, bytes, frozensets and `know` as an ascending tuple
+of (wsn, holders) pairs), so it is its own snapshot: the explorer keys its
+memos by it.  Handlers are pure: identical (state, input) pairs produce
+identical outputs.  Each returns a plain (state, outgoing, completion)
+tuple, builds its new state as a tuple literal and each message with one
+positional `tuple.__new__` call; a handler that changes no state (a READ
+only answers) returns its input state itself.  Process 1 is the writer.
 """
 
 from __future__ import annotations
@@ -60,10 +60,11 @@ from .messages import (
 BASE = "base"
 MODIFIED = "modified"
 
-# Builds a NamedTuple from its fields without its Python-level __new__.
+# Builds a message from its fields without its Python-level __new__.
 _new = tuple.__new__
 
 
+# Layouts only: handlers build and read both as plain tuples, by position.
 class PendingRead(NamedTuple):
     rsn: int
     responders: frozenset[int]
@@ -94,6 +95,7 @@ class TeffAlgo:
     # is the one called; None from a handler is a no-op (algos.py).
     HANDLERS = {Write: "on_write", Read: "on_read", State: "on_state"}
     check_invoke, deliver, is_noop_delivery = check_invoke, deliver, is_noop_delivery
+    INITIAL = tuple(ReplicaState())  # every process's first state
 
     def __init__(self, n: int, t: int, variant: str):
         check_model(n, t)
@@ -102,39 +104,37 @@ class TeffAlgo:
         self.quorum = n - t
         self.variant = variant
 
-    @staticmethod
-    def init() -> ReplicaState:
-        return ReplicaState()
+    def init(self) -> tuple:
+        return self.INITIAL
 
-    def begin(self, state: ReplicaState, op: Op) -> tuple:
+    def begin(self, state: tuple, op: Op) -> tuple:
         """Invoke `op` at its process, whose state is `state`."""
         self.check_invoke(state, op)
         reg, wsn, rsn, swsn, res, forwarded, know, _, _ = state
         if op.kind == "write":
             wsn += 1
             forwarded = forwarded | {wsn}  # the initiating broadcast is its forward
-            st = _new(ReplicaState, (op.value, wsn, rsn, swsn, res, forwarded, know, wsn, None))
+            st = (op.value, wsn, rsn, swsn, res, forwarded, know, wsn, None)
             return st, ((BROADCAST, _new(Write, (wsn, op.value))),), None
         rsn += 1
-        pr = _new(PendingRead, (rsn, frozenset(), 0))
-        st = _new(ReplicaState, (reg, wsn, rsn, swsn, res, forwarded, know, None, pr))
+        st = (reg, wsn, rsn, swsn, res, forwarded, know, None, (rsn, frozenset(), 0))
         return st, ((BROADCAST, _new(Read, (rsn,))),), None
 
     @staticmethod
-    def has_pending(state: ReplicaState) -> bool:
-        return state.pending_write is not None or state.pending_read is not None
+    def has_pending(state: tuple) -> bool:
+        return state[7] is not None or state[8] is not None  # pending_write, pending_read
 
     @staticmethod
-    def relabel(state: ReplicaState, perm) -> ReplicaState:
+    def relabel(state: tuple, perm) -> tuple:
         """`state` with each process id q it holds (the `know` holders and
         the pending read's responders) renamed to perm[q]."""
-        know = tuple((wsn, frozenset(perm[q] for q in holders)) for wsn, holders in state.know)
-        pr = state.pending_read
+        reg, wsn, rsn, swsn, res, forwarded, know, pw, pr = state
+        know = tuple((w, frozenset(perm[q] for q in holders)) for w, holders in know)
         if pr is not None:
-            pr = _new(PendingRead, (pr.rsn, frozenset(perm[q] for q in pr.responders), pr.maxwsn))
-        return _new(ReplicaState, (*state[:6], know, state.pending_write, pr))
+            pr = (pr[0], frozenset(perm[q] for q in pr[1]), pr[2])
+        return reg, wsn, rsn, swsn, res, forwarded, know, pw, pr
 
-    def on_write(self, state: ReplicaState, msg: Write, sender: int) -> tuple | None:
+    def on_write(self, state: tuple, msg: Write, sender: int) -> tuple | None:
         """WRITE receipt: adopt a newer value, relay the first copy of each
         write, count its sender as a holder and advance swsn on a quorum.
         The relay is `msg` itself, so every relay of one write sends the
@@ -162,56 +162,56 @@ class TeffAlgo:
             if len(holders) >= self.quorum:
                 swsn, res, know = wsn, value, know[i + 1 :]
                 if pw == wsn:  # the pending write's quorum update fired
-                    st = _new(ReplicaState, (reg, cur, rsn, swsn, res, forwarded, know, None, pr))
+                    st = (reg, cur, rsn, swsn, res, forwarded, know, None, pr)
                     return st, outgoing, OpResult("write", None, wsn)
-        st = _new(ReplicaState, (reg, cur, rsn, swsn, res, forwarded, know, pw, pr))
+        st = (reg, cur, rsn, swsn, res, forwarded, know, pw, pr)
         if pr is None:
             return st, outgoing, None
         return self._read_step(st, outgoing)
 
-    def on_read(self, state: ReplicaState, msg: Read, sender: int) -> tuple:
+    def on_read(self, state: tuple, msg: Read, sender: int) -> tuple:
         """READ receipt: reply with this process's wsn (and, in the modified
         variant, its value); the state is unchanged."""
         if self.variant == MODIFIED:
-            reply = _new(State, (msg.rsn, state.wsn, state.reg, True))
+            reply = _new(State, (msg.rsn, state[1], state[0], True))  # wsn, reg
         else:
-            reply = _new(State, (msg.rsn, state.wsn, None, False))
+            reply = _new(State, (msg.rsn, state[1], None, False))
         return state, ((sender, reply),), None
 
-    def on_state(self, state: ReplicaState, msg: State, sender: int) -> tuple | None:
+    def on_state(self, state: tuple, msg: State, sender: int) -> tuple | None:
         """STATE receipt: a reply to the pending read counts its sender and
         raises the largest advertised wsn.  The modified variant first
         treats every reply like a WRITE of its pair by its sender.  wsn 0 is
         the initial value: no WRITE(0) exists, so there is nothing to relay
         or count for it."""
-        rsn, wsn, value, _ = msg
+        asked, wsn, value, _ = msg
         absorb = self.variant == MODIFIED and wsn >= 1
-        pr = state.pending_read
-        if pr is None or pr.rsn != rsn:  # a reply to a finished read
+        reg, cur, rsn, swsn, res, forwarded, know, pw, pr = state
+        if pr is None or pr[0] != asked:  # a reply to a finished read
             return self.on_write(state, _new(Write, (wsn, value)), sender) if absorb else None
-        pr = _new(PendingRead, (rsn, pr.responders | {sender}, max(pr.maxwsn, wsn)))
-        state = _new(ReplicaState, (*state[:8], pr))
+        pr = (asked, pr[1] | {sender}, max(pr[2], wsn))
+        state = (reg, cur, rsn, swsn, res, forwarded, know, pw, pr)
         if absorb:
             out = self.on_write(state, _new(Write, (wsn, value)), sender)
             if out is not None:
                 return out
         return self._read_step(state, ())
 
-    def check_read_complete(self, state: ReplicaState) -> tuple[bytes | None, int] | None:
+    def check_read_complete(self, state: tuple) -> tuple[bytes | None, int] | None:
         """Read predicate: a quorum of replies and swsn caught up with the
         largest advertised wsn.  Returns (value, seqno)."""
-        pr = state.pending_read
+        _, _, _, swsn, res, _, _, _, pr = state
         if pr is None:
             raise ProtocolError("no read pending")
-        if len(pr.responders) >= self.quorum and state.swsn >= pr.maxwsn:
-            return (state.res, state.swsn)
+        if len(pr[1]) >= self.quorum and swsn >= pr[2]:  # responders, maxwsn
+            return (res, swsn)
         return None
 
-    def _read_step(self, state: ReplicaState, outgoing: tuple) -> tuple:
+    def _read_step(self, state: tuple, outgoing: tuple) -> tuple:
         """The output of a step that leaves a read pending in `state`:
         completes the read once its predicate holds."""
         done = self.check_read_complete(state)
         if done is None:
             return state, outgoing, None
-        st = _new(ReplicaState, (*state[:8], None))  # the read is no longer pending
+        st = (*state[:8], None)  # the read is no longer pending
         return st, outgoing, OpResult("read", *done)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from regsim.abd import AbdAlgo, AbdReplicaState
+from regsim.abd import AbdAlgo, AbdPending, AbdReplicaState
 from regsim.messages import (
     BROADCAST,
     AbdAck,
@@ -28,6 +28,14 @@ def read(process=2):
     return Op(process, "read")
 
 
+def fields(state) -> AbdReplicaState:
+    """A replica state, a plain tuple, with its fields and its pending
+    phase's named by their layouts."""
+    st = AbdReplicaState._make(state)
+    pd = st.pending
+    return st if pd is None else st._replace(pending=AbdPending._make(pd))
+
+
 def feed(state, messages, algo=A3):
     completions = []
     outgoing = []
@@ -46,7 +54,7 @@ def test_write_broadcasts_update_and_completes_on_quorum():
     assert completions == []
     st, _, completions = feed(st, [(AbdAck(1), 2)])
     assert completions == [OpResult("write", None, 1)]
-    assert st.pending is None
+    assert fields(st).pending is None
 
 
 def test_non_writer_rejected():
@@ -63,11 +71,11 @@ def test_op_while_pending_rejected():
 def test_server_adopts_newer_only_but_always_acks():
     st = A3.init()
     st, outgoing, _ = feed(st, [(AbdUpdate(9, 3, b"c"), 1)])
-    assert st.wsn == 3 and st.reg == b"c"
+    assert fields(st).wsn == 3 and fields(st).reg == b"c"
     after, _, _ = A3.deliver(st, AbdUpdate(10, 3, b"c"), 1)
     assert after is st  # not newer: no new state
     st, outgoing2, _ = feed(st, [(AbdUpdate(10, 1, b"a"), 1)])
-    assert st.wsn == 3 and st.reg == b"c"  # no adopt
+    assert fields(st).wsn == 3 and fields(st).reg == b"c"  # no adopt
     assert outgoing == [(1, AbdAck(9))]
     assert outgoing2 == [(1, AbdAck(10))]
 
@@ -121,7 +129,7 @@ def test_duplicate_ack_senders_not_counted_twice():
     st, _, _ = a5.begin(a5.init(), write(b"a"))
     st, _, completions = feed(st, [(AbdAck(1), 2), (AbdAck(1), 2)], a5)
     assert completions == []
-    assert st.pending.responders == frozenset({2})
+    assert fields(st).pending.responders == frozenset({2})
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -135,15 +143,15 @@ def test_handlers_leave_input_state_unchanged(seed):
     st = A3.init()
     for _ in range(150):
         before = copy.deepcopy(st)
-        if st.pending is None:
+        if fields(st).pending is None:
             out = A3.begin(st, write(b"v") if rng.random() < 0.5 else read(1))
         else:
-            opsn = rng.randint(max(1, st.opsn - 1), st.opsn)
+            opsn = rng.randint(max(1, fields(st).opsn - 1), fields(st).opsn)
             wsn = rng.randint(0, 3)
             msg = rng.choice(
                 [AbdUpdate(opsn, wsn, b"u"), AbdAck(opsn), AbdQuery(opsn), AbdReport(opsn, wsn, b"r")]
             )
             out = A3.deliver(st, msg, rng.randint(1, 3))
-        assert type(st) is AbdReplicaState and hash(st) == hash(before)
+        assert type(st) is tuple and hash(st) == hash(before)
         assert st == before
         st, _, _ = out

@@ -8,16 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import regsim.engine
-from regsim.abd import AbdReplicaState
+from regsim.abd import AbdPending, AbdReplicaState
 from regsim.algos import make_algorithm
 from regsim.config import load_scenario
 from regsim.engine import run
 from regsim.explore import explore
 from regsim.messages import WRITER, AbdAck, Op, ProtocolError, Write
-from regsim.teff import ReplicaState
+from regsim.teff import PendingRead, ReplicaState
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-STATE_CLASS = {"teff": ReplicaState, "teff-modified": ReplicaState, "abd": AbdReplicaState}
+# Each protocol's state layout and the layout of its pending record, the
+# state's last field.
+LAYOUT = {
+    "teff": (ReplicaState, PendingRead),
+    "teff-modified": (ReplicaState, PendingRead),
+    "abd": (AbdReplicaState, AbdPending),
+}
 
 
 @pytest.mark.parametrize(
@@ -88,20 +94,28 @@ def engine_calls(monkeypatch, cfg) -> list:
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_every_handler_returns_a_hashable_state_value(name, monkeypatch):
-    # Replica states are values: every state a handler returns is the
-    # protocol's own immutable class and hashes, so it can key a memo as it
-    # is, and init() builds equal states every time.
+    # Replica states are values: every state init, begin, a class handler or
+    # relabel returns is a plain tuple of its layout's length, not a tuple
+    # subclass such as the layout's NamedTuple, whose build costs several
+    # times as much on every delivery; its pending record is a plain tuple
+    # of that layout's length or None.  Every state hashes, so it can key a
+    # memo as it is, and init() builds equal states every time.
     cfg = load_scenario(SCENARIOS / name)
-    cls = STATE_CLASS[cfg.algorithm]
+    cls, pending_cls = LAYOUT[cfg.algorithm]
+    algo = make_algorithm(cfg.algorithm, cfg.n, cfg.t)
     # None is a class handler's no-op.
     returned = [out[0] for _, _, out in engine_calls(monkeypatch, cfg) if out is not None]
     assert returned
-    for state in returned:
-        assert type(state) is cls
+    reverse = (0, WRITER, *range(cfg.n, 1, -1))  # p2..pn in reverse order
+    returned += [algo.relabel(state, reverse) for state in returned]
+    for state in returned + [algo.init()]:
+        assert type(state) is tuple and len(state) == len(cls._fields), state
+        pending = state[-1]
+        if pending is not None:
+            assert type(pending) is tuple and len(pending) == len(pending_cls._fields), state
         hash(state)
-    algo = make_algorithm(cfg.algorithm, cfg.n, cfg.t)
     first = algo.init()
-    assert type(first) is cls and hash(first) == hash(algo.init())
+    assert hash(first) == hash(algo.init())
     assert all(algo.init() == first for _ in range(3))
 
 

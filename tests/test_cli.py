@@ -21,6 +21,7 @@ from regsim.cli import main
 from regsim.config import load_scenario
 from regsim.engine import run
 from regsim.explore import BroadcastCrash, explore
+from regsim.messages import State, encode_message
 from regsim.trace import to_jsonl_bytes
 from test_config import NEVER_RELAYED
 
@@ -72,6 +73,35 @@ def test_python_dash_m_runs_the_cli(tmp_path, capsys):
         env=env, capture_output=True, text=True, check=False,
     )
     assert done.returncode == 2 and done.stderr.startswith("config error: cannot read")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [["run"], ["sweep", "--seeds", "3"]], ids=["run", "sweep"]
+)
+def test_closed_stdout_exit_two_without_traceback(argv, buffered):
+    # Whoever reads stdout is gone before the first line, as when `regsim
+    # run ... | head` exits early: not a BrokenPipeError traceback and exit 1
+    # ("a check failed"), but exit 2 and one line on stderr, whether the
+    # write fails in a print or in the flush after the command.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command, *flags = argv
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "regsim", command, str(SCENARIOS / "read-quiet.json"), *flags],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, check=False,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr.startswith("output error: cannot write stdout: ")
+    assert done.stderr.count("\n") == 1
 
 
 def test_run_config_error_exit_two(tmp_path, capsys):
@@ -534,6 +564,11 @@ def _with(line, **fields):
             "invoke of op 0 by p0; processes start at p1",
         ),
         (_with(CRASH, p=-1), "crash of p-1; processes start at p1"),
+        (_with(SEND, p=-4, to=0), "send event 1 at p-4 to p0; processes start at p1"),
+        (
+            _with(SEND, kind="deliver", p=0, **{"from": 2}),
+            "deliver event 1 at p0 from p2; processes start at p1",
+        ),
     ],
     ids=[
         "not-an-object", "missing-field", "respond-without-invoke", "string-p",
@@ -541,7 +576,7 @@ def _with(line, **fields):
         "list-to", "bool-from", "numeric-msg", "string-round", "respond-before-invoke",
         "deep-nesting", "second-respond", "respond-other-kind", "respond-other-process",
         "second-invoke", "invoke-after-crash", "respond-after-crash", "second-crash",
-        "invoke-by-p0", "crash-by-p-1",
+        "invoke-by-p0", "crash-by-p-1", "send-by-p-4", "deliver-to-p0",
     ],
 )
 def test_check_malformed_event_exit_two(tmp_path, capsys, line, reason):
@@ -605,8 +640,13 @@ def test_check_skips_blank_lines_and_json_whitespace(tmp_path, capsys):
         ([RESPOND], "respond to op 0 with no invoke"),
         ([INVOKE, RESPOND, _with(READ, p=9, op=99)], "invoke of op 99 by p9; processes end at p3"),
         ([_with(CRASH, p=4)], "crash of p4; processes end at p3"),
+        ([INVOKE, _with(SEND, p=9, to=3)], "send event 1 at p9 to p3; processes end at p3"),
+        (
+            [INVOKE, _with(SEND, kind="deliver", p=2, **{"from": 4})],
+            "deliver event 1 at p2 from p4; processes end at p3",
+        ),
     ],
-    ids=["respond-without-invoke", "invoke-by-p9", "crash-of-p4"],
+    ids=["respond-without-invoke", "invoke-by-p9", "crash-of-p4", "send-by-p9", "deliver-from-p4"],
 )
 def test_check_with_config_malformed_trace_exit_two(tmp_path, capsys, lines, reason):
     cfg = write_config(tmp_path)
@@ -615,6 +655,26 @@ def test_check_with_config_malformed_trace_exit_two(tmp_path, capsys, lines, rea
     assert main(["check", str(trace), "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("trace error:") and reason in err and err.count("\n") == 1
+
+
+def test_check_counts_no_send_of_a_process_outside_the_scenario(tmp_path, capsys):
+    # A STATE(rsn 1) send by p9 appended to read-quiet.json's trace (n=5):
+    # with the scenario it is a malformed trace, not one more message of op
+    # 1.  Without one it passes, as a process with no op still relays and
+    # replies, so only ids below p1 are foreign there.
+    quiet = SCENARIOS / "read-quiet.json"
+    trace = tmp_path / "trace.jsonl"
+    assert main(["run", str(quiet), "--out", str(trace)]) == 0
+    seq = len(trace.read_text().splitlines())
+    with trace.open("a") as fh:
+        stray = encode_message(State(1, 1)).hex()
+        fh.write(_with(SEND, t=60, seq=seq, p=9, to=3, msg=stray) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(quiet)]) == 2
+    reason = f"send event {seq} at p9 to p3; processes end at p5"
+    assert capsys.readouterr().err == f"trace error: {trace}: {reason}\n"
+    assert main(["check", str(trace)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_check_with_config_runs_each_checker_once(tmp_path, capsys, monkeypatch):

@@ -9,12 +9,14 @@ from pathlib import Path
 import pytest
 
 import regsim.explore
+from regsim.abd import AbdReplicaState
 from regsim.algos import Op, make_algorithm
 from regsim.cli import _broadcast_crash, main
 from regsim.config import NetworkSpec, load_scenario
 from regsim.engine import run
 from regsim.explore import BroadcastCrash, ExploreLimitError, _Explorer, explore
 from regsim.history import check_claims, check_linearizable, check_termination, checkers_agree
+from regsim.teff import ReplicaState
 from regsim.trace import CRASH, INVOKE, RESPOND
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -464,9 +466,10 @@ def test_invocations_get_the_invokers_own_state(alg, monkeypatch):
     def checked_begin(self, state, op):
         earlier = [o for o in ops[: op.time] if o.process == op.process]
         if alg == "abd":
-            assert state.opsn == sum(1 if o.kind == "write" else 2 for o in earlier)
+            opsn = AbdReplicaState._make(state).opsn
+            assert opsn == sum(1 if o.kind == "write" else 2 for o in earlier)
         else:
-            assert state.rsn == sum(o.kind == "read" for o in earlier)
+            assert ReplicaState._make(state).rsn == sum(o.kind == "read" for o in earlier)
         invoked.add(op.time)
         return begin(self, state, op)
 

@@ -9,13 +9,13 @@ from pathlib import Path
 import pytest
 
 import regsim.explore
-from regsim.abd import PHASE_WRITE_BACK, AbdAlgo
+from regsim.abd import PHASE_WRITE_BACK, AbdAlgo, AbdPending, AbdReplicaState
 from regsim.algos import Op
 from regsim.cli import main
 from regsim.explore import explore
 from regsim.history import check_claims, check_linearizable, check_termination
 from regsim.messages import OpResult
-from regsim.teff import BASE, MODIFIED, TeffAlgo
+from regsim.teff import BASE, MODIFIED, ReplicaState, TeffAlgo
 from test_history import oracle
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -28,7 +28,7 @@ class ReadsRegNotRes(TeffAlgo):
 
     def check_read_complete(self, state):
         done = super().check_read_complete(state)
-        return None if done is None else (state.reg, done[1])
+        return None if done is None else (ReplicaState._make(state).reg, done[1])
 
 
 @pytest.mark.parametrize("variant", [BASE, MODIFIED])
@@ -88,11 +88,11 @@ class AbdNoWriteBack(AbdAlgo):
 
     def on_report(self, state, msg, sender):
         out = super().on_report(state, msg, sender)
-        pd = None if out is None else out[0].pending
+        st = None if out is None else AbdReplicaState._make(out[0])
+        pd = None if st is None or st.pending is None else AbdPending._make(st.pending)
         if pd is None or pd.phase != PHASE_WRITE_BACK:
             return out
-        st, _, _ = out
-        return st._replace(pending=None), (), OpResult("read", pd.best_value, pd.best_wsn)
+        return tuple(st._replace(pending=None)), (), OpResult("read", pd.best_value, pd.best_wsn)
 
 
 def test_abd_read_without_write_back_fails_every_checker(monkeypatch):

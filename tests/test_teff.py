@@ -25,6 +25,14 @@ def read(process=2):
     return Op(process, "read")
 
 
+def fields(state) -> teff.ReplicaState:
+    """A replica state, a plain tuple, with its fields and its pending
+    read's named by their layouts."""
+    st = teff.ReplicaState._make(state)
+    pr = st.pending_read
+    return st if pr is None else st._replace(pending_read=teff.PendingRead._make(pr))
+
+
 def drive(state, events):
     """Feed a list of (handler, message, sender) into successive states; a
     handler's None leaves the state as it is.  Returns the final state and
@@ -44,7 +52,7 @@ def drive(state, events):
 
 
 def test_init_fresh_state():
-    st = B3.init()
+    st = fields(B3.init())
     assert (st.wsn, st.swsn, st.rsn) == (0, 0, 0)
     assert st.reg is None and st.res is None
     assert st.forwarded == frozenset() and st.know == ()
@@ -60,7 +68,7 @@ def test_init_rejects_too_many_faults():
 def test_init_non_writer_is_valid():
     algo = TeffAlgo(5, 2, MODIFIED)
     st, _, _ = algo.begin(algo.init(), read(2))
-    assert st.pending_read.rsn == 1
+    assert fields(st).pending_read.rsn == 1
 
 
 # --- begin: write -------------------------------------------------------
@@ -69,6 +77,7 @@ def test_init_non_writer_is_valid():
 def test_first_write_broadcasts_wsn_one():
     st, outgoing, completion = B3.begin(B3.init(), write(b"a"))
     assert outgoing == ((BROADCAST, Write(1, b"a")),)
+    st = fields(st)
     assert st.wsn == 1 and st.reg == b"a"
     assert st.pending_write == 1
     assert 1 in st.forwarded
@@ -76,7 +85,7 @@ def test_first_write_broadcasts_wsn_one():
 
 
 def test_write_increments_existing_wsn():
-    st = B3.init()._replace(wsn=4)
+    st = tuple(teff.ReplicaState(wsn=4))
     _, outgoing, _ = B3.begin(st, write(b"e"))
     assert outgoing == ((BROADCAST, Write(5, b"e")),)
 
@@ -98,16 +107,16 @@ def test_second_write_while_pending_rejected():
 def test_fresh_value_adopted_and_forwarded():
     st = B3.init()
     st, outgoing, _ = B3.on_write(st, Write(1, b"a"), 1)
-    assert st.reg == b"a" and st.wsn == 1
+    assert fields(st).reg == b"a" and fields(st).wsn == 1
     assert outgoing == ((BROADCAST, Write(1, b"a")),)
 
 
 def test_stale_value_still_forwarded_once():
     # A process can see its first copy of an old sequence number after
     # already holding a newer one; the relay still happens.
-    st = B3.init()._replace(wsn=2, reg=b"b")
+    st = tuple(teff.ReplicaState(wsn=2, reg=b"b"))
     st, outgoing, _ = B3.on_write(st, Write(1, b"a"), 2)
-    assert st.reg == b"b" and st.wsn == 2
+    assert fields(st).reg == b"b" and fields(st).wsn == 2
     assert outgoing == ((BROADCAST, Write(1, b"a")),)
     _, again, _ = B3.on_write(st, Write(1, b"a"), 3)
     assert again == ()
@@ -120,6 +129,7 @@ def test_writer_completes_at_quorum():
     assert completions == []
     st, completions = drive(st, [(B3.on_write, Write(1, b"a"), 2)])
     assert completions == [teff.OpResult("write", None, 1)]
+    st = fields(st)
     assert st.pending_write is None
     assert st.swsn == 1 and st.res == b"a"
 
@@ -127,8 +137,8 @@ def test_writer_completes_at_quorum():
 def test_quorum_update_fires_once_per_wsn():
     st = B3.init()
     st, _ = drive(st, [(B3.on_write, Write(1, b"a"), 1), (B3.on_write, Write(1, b"a"), 3)])
-    assert st.swsn == 1 and st.res == b"a"
-    assert st.know == ()  # collected knowledge at or below swsn is dropped
+    assert fields(st).swsn == 1 and fields(st).res == b"a"
+    assert fields(st).know == ()  # collected knowledge at or below swsn is dropped
     # A later copy is a no-op: forwarded already and at or below swsn.
     assert B3.on_write(st, Write(1, b"a"), 2) is None
     assert B3.deliver(st, Write(1, b"a"), 2) == (st, (), None)
@@ -138,8 +148,8 @@ def test_duplicate_senders_do_not_reach_quorum():
     b5 = TeffAlgo(5, 2, BASE)
     st = b5.init()
     st, _ = drive(st, [(b5.on_write, Write(1, b"a"), 1), (b5.on_write, Write(1, b"a"), 1)])
-    assert st.swsn == 0
-    assert dict(st.know)[1] == {1}
+    assert fields(st).swsn == 0
+    assert dict(fields(st).know)[1] == {1}
 
 
 # --- begin: read / on_read -----------------------------------------------
@@ -148,9 +158,9 @@ def test_duplicate_senders_do_not_reach_quorum():
 def test_begin_read_broadcasts_next_rsn():
     st, outgoing, _ = B3.begin(B3.init(), read())
     assert outgoing == ((BROADCAST, Read(1)),)
-    assert st.pending_read.rsn == 1
+    assert fields(st).pending_read.rsn == 1
 
-    st = B3.init()._replace(rsn=7)
+    st = tuple(teff.ReplicaState(rsn=7))
     _, outgoing, _ = B3.begin(st, read())
     assert outgoing == ((BROADCAST, Read(8)),)
 
@@ -162,7 +172,7 @@ def test_begin_read_while_pending_rejected():
 
 
 def test_on_read_replies_current_wsn():
-    st = B3.init()._replace(wsn=5, reg=b"e")
+    st = tuple(teff.ReplicaState(wsn=5, reg=b"e"))
     after, outgoing, _ = B3.on_read(st, Read(2), 2)
     assert outgoing == ((2, State(2, 5)),)
     assert after is st  # a READ changes nothing, so no state is built
@@ -173,7 +183,7 @@ def test_on_read_replies_current_wsn():
 
 
 def test_on_read_modified_carries_value():
-    st = M3.init()._replace(wsn=5, reg=b"e")
+    st = tuple(teff.ReplicaState(wsn=5, reg=b"e"))
     after, outgoing, _ = M3.on_read(st, Read(2), 2)
     assert outgoing == ((2, State(2, 5, b"e", carries_value=True)),)
     assert after is st
@@ -186,7 +196,7 @@ def test_read_completes_on_fresh_system():
     st, _, _ = B3.begin(B3.init(), read())
     st, completions = drive(st, [(B3.on_state, State(1, 0), 2), (B3.on_state, State(1, 0), 3)])
     assert completions == [teff.OpResult("read", None, 0)]
-    assert st.pending_read is None
+    assert fields(st).pending_read is None
 
 
 def test_read_waits_for_swsn_to_catch_up():
@@ -215,13 +225,13 @@ def test_read_returns_newer_value_after_write_quorum():
         ],
     )
     assert completions == []
-    assert st.swsn == 1
+    assert fields(st).swsn == 1
     st, completions = drive(st, [(B3.on_state, State(1, 1), 2)])
     assert completions == [teff.OpResult("read", b"a", 1)]
 
 
 def test_stale_state_replies_ignored():
-    st = B3.init()._replace(rsn=3, pending_read=teff.PendingRead(3, frozenset(), 0))
+    st = tuple(teff.ReplicaState(rsn=3, pending_read=(3, frozenset(), 0)))
     assert B3.on_state(st, State(2, 9), 3) is None
     assert B3.deliver(st, State(2, 9), 3) == (st, (), None)
 
@@ -229,11 +239,11 @@ def test_stale_state_replies_ignored():
 def test_modified_state_feeds_write_path():
     st = M3.init()
     st, outgoing, _ = M3.on_state(st, State(1, 1, b"v", True), 3)
-    assert st.reg == b"v" and st.wsn == 1
+    assert fields(st).reg == b"v" and fields(st).wsn == 1
     assert outgoing == ((BROADCAST, Write(1, b"v")),)
     # Stale replies keep feeding it too.
     st2, _, _ = M3.on_state(st, State(1, 2, b"w", True), 1)
-    assert st2.wsn == 2 and st2.reg == b"w"
+    assert fields(st2).wsn == 2 and fields(st2).reg == b"w"
 
 
 def test_modified_state_counts_toward_quorum_by_default():
@@ -241,7 +251,7 @@ def test_modified_state_counts_toward_quorum_by_default():
     st, _ = drive(
         st, [(M3.on_state, State(1, 1, b"v", True), 3), (M3.on_write, Write(1, b"v"), 1)]
     )
-    assert st.swsn == 1 and st.res == b"v"
+    assert fields(st).swsn == 1 and fields(st).res == b"v"
 
 
 def test_modified_state_wsn_zero_is_inert_on_write_path():
@@ -250,8 +260,8 @@ def test_modified_state_wsn_zero_is_inert_on_write_path():
     st, _, _ = M3.begin(st, read())
     st, outgoing, _ = M3.on_state(st, State(1, 0, None, True), 3)
     assert outgoing == ()  # nothing to relay for the initial value
-    assert st.know == ()
-    assert st.pending_read.responders == {3}
+    assert fields(st).know == ()
+    assert fields(st).pending_read.responders == {3}
 
 
 # --- properties over random event sequences ------------------------------
@@ -278,7 +288,7 @@ def walk(seed, variant, steps=300):
             else:
                 reply = State(rng.randint(1, 3), wsn)
             out = algo.deliver(st, reply, sender)
-        elif st.pending_read is None:
+        elif fields(st).pending_read is None:
             out = algo.begin(st, read())
         else:
             out = algo.deliver(st, Read(rng.randint(1, 3)), sender)
@@ -298,7 +308,7 @@ def random_walk(seed, variant, steps=300):
 def test_monotonicity_and_coupling(seed, variant):
     trail = random_walk(seed, variant)
     values_by_wsn = {0: None, 1: b"a", 2: b"b", 3: b"c", 4: b"d"}
-    for prev, cur in zip(trail, trail[1:]):
+    for prev, cur in zip(map(fields, trail), map(fields, trail[1:])):
         assert cur.wsn >= prev.wsn
         assert cur.swsn >= prev.swsn
         assert cur.swsn <= cur.wsn
@@ -332,7 +342,7 @@ def test_handlers_leave_input_state_unchanged(seed, variant):
     # place; a handler that changed one anyway would show here as a change
     # from the deep copy of its input.
     for st, before, _ in walk(seed, variant):
-        assert type(st) is teff.ReplicaState and hash(st) == hash(before)
+        assert type(st) is tuple and hash(st) == hash(before)
         assert st == before
 
 
@@ -343,7 +353,7 @@ def test_handlers_are_pure():
     second = M3.on_state(st, State(1, 2, b"b", True), 3)
     assert first == second  # the state, the sends and the completion
     # and the input state was left alone
-    assert st.wsn == 1 and st.reg == b"a"
+    assert fields(st).wsn == 1 and fields(st).reg == b"a"
 
 
 @pytest.mark.parametrize("variant", [BASE, MODIFIED])
