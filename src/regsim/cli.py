@@ -7,9 +7,10 @@
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error
 (including a file or stdout that cannot be read or written, a trace line
-naming a process outside the run, a scenario crash that `explore` cannot
-model, and a `--max-states` or REGSIM_EVENT_BUDGET below 1), 3 resource
-bound exceeded.
+naming a process outside the run, a trace that does not run its
+`--config` scenario's ops, a scenario crash that `explore` cannot model,
+and a `--max-states` or REGSIM_EVENT_BUDGET below 1), 3 resource bound
+exceeded.
 REGSIM_EVENT_BUDGET sets the per-run event budget.  All scenario
 semantics live in the config file; flags only control seeds, I/O paths,
 crash enumeration and budgets.
@@ -28,7 +29,7 @@ from itertools import chain
 from pathlib import Path
 from typing import IO, Iterator
 
-from .config import ConfigError, ScenarioConfig, load_scenario
+from .config import ConfigError, load_scenario
 from .engine import DEFAULT_EVENT_BUDGET, BudgetExceededError, ScheduleError, chunks, run
 from .explore import DEFAULT_MAX_STATES, BroadcastCrash, ExploreLimitError, explore
 from .history import check_claims, check_linearizable, check_termination, extract_history
@@ -208,28 +209,17 @@ def cmd_sweep(args) -> int:
     return EXIT_PASS
 
 
-def _broadcast_crash(config: ScenarioConfig) -> BroadcastCrash | None:
-    """The scenario's crash as the one kind the explorer models: an op's
-    initiating broadcast cut at its invoke, the invoker halting there."""
-    if not config.crashes:
-        return None
-    if len(config.crashes) > 1:
-        raise ConfigError(f"explore models one crash, the scenario has {len(config.crashes)}")
-    (spec,) = config.crashes
-    if spec.op_index is None or spec.at is not None:
-        raise ConfigError("explore models a crash only as a during_broadcast cut without crash_at")
-    return BroadcastCrash(spec.op_index, spec.deliver_to)
-
-
 def cmd_explore(args) -> int:
     config = load_scenario(args.config)
     if args.max_states < 1:
         raise ConfigError(f"--max-states must be at least 1, got {args.max_states}")
     ops = config.ops
-    crash = _broadcast_crash(config)
-    crash_cases = [crash]
+    if len(config.crashes) > 1:
+        raise ConfigError(f"explore models one crash, the scenario has {len(config.crashes)}")
+    # explore() itself rejects, before its search, a crash it cannot model.
+    crash_cases = list(config.crashes) or [None]
     if args.crash_subsets:
-        if crash is not None:
+        if config.crashes:
             raise ConfigError("--crash-subsets needs a scenario without crashes")
         writes = [i for i, op in enumerate(ops) if op.kind == "write"]
         if not writes:

@@ -47,7 +47,8 @@ time order and halts it then.  A wsn that no write reaches, or a relay by
 the writer (whose own broadcast is its forward), could never fire and is a
 ConfigError.  Each crash parses into one `CrashSpec`: halt at `at`, or cut
 the step that invokes `op_index` or broadcasts `relay` and halt then, or
-at `at` if that is later.
+at `at` if that is later.  An op cut's `process` is None, so that one cut
+is one value: the process that halts is its op's invoker.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class CrashSpec:
-    process: int
+    process: int | None  # None for an op cut: it is ops[op_index]'s process
     at: int | None = None  # with a cut: responsive until then
     op_index: int | None = None  # cut this op's initiating broadcast
     relay: Message | None = None  # cut the broadcast of this relayed message
@@ -298,7 +299,7 @@ def _parse_crashes(
                         f"crashes[{i}]: crash_at windows are not defined for round_sync"
                     )
             crashes.append(
-                CrashSpec(process, at=crash_at, op_index=op_index, deliver_to=deliver_to)
+                CrashSpec(None, at=crash_at, op_index=op_index, deliver_to=deliver_to)
             )
         else:
             if algorithm == "abd":

@@ -15,11 +15,12 @@ time, ties in list order, as the engine does.
 Each suffix becomes invoke/respond/crash trace events with the record index
 as logical time, preserving the invoke/respond precedence order, which is
 all the checkers need; the simulator's history builder, extract_history,
-turns them into a history.  An optional crash cuts one operation's
-initiating broadcast down to a chosen subset of receivers and halts the
-invoker there, at that operation's invoke, mirroring a sender dying
-mid-broadcast.  The halted invoker takes no step and absorbs every message,
-so whether the subset holds it changes nothing.
+turns them into a history.  The optional crash is a scenario's
+`CrashSpec`, of the one kind `explore()` models: an op cut without `at`,
+which cuts ops[op_index]'s initiating broadcast down to `deliver_to` and
+halts the invoker at that invoke, mirroring a sender dying mid-broadcast.
+The halted invoker takes no step and absorbs every message, so whether
+`deliver_to` holds it changes nothing.
 
 A configuration is one tuple of interned local components, one per
 process: (process, replica state, inbox of the messages addressed to it,
@@ -30,9 +31,12 @@ per distinct state, and keys its memos by it.  Each local resolves its moves
 once, the first time a configuration holding it is expanded: per enabled
 action (its next invocation, then each distinct inbox entry), the
 stepper's next local, the messages it sends the others and the label
-records the step adds to the history.  Handlers are pure and read no receiver, so each distinct
-(state, input) calls its handler once per exploration, and an add memo
-maps (local, message) to a receiver's next local.  Expanding a
+records the step adds to the history.  Handlers are pure and read no
+receiver, so their results are memoized per distinct (state, input): an
+invocation calls `begin` once, and a delivered (state, message, sender)
+calls its handler twice, once for the no-op test (`is_noop_delivery`, as
+the message arrives) and once for the step (`deliver`).  An add memo maps
+(local, message) to a receiver's next local.  Expanding a
 configuration walks its locals' moves in one pass: each child swaps only
 the locals its move touches, however many messages are in flight, and is
 looked up in the configuration memo once.  Suffix-set unions and label
@@ -69,6 +73,7 @@ from itertools import permutations, product
 from math import factorial, prod
 
 from .algos import make_algorithm
+from .config import ConfigError, CrashSpec
 from .history import History, extract_history
 from .messages import WRITER, Op
 from .trace import CRASH, INVOKE, RESPOND, TraceEvent
@@ -98,13 +103,11 @@ class ExploreLimitError(Exception):
         self.visited = visited
 
 
-@dataclass(frozen=True)
-class BroadcastCrash:
-    """Crash the invoker of ops[op_index] during that op's broadcast,
-    delivering only to `deliver_to`."""
-
-    op_index: int
-    deliver_to: frozenset[int]
+def BroadcastCrash(op_index: int, deliver_to) -> CrashSpec:
+    """The op cut that crashes the invoker of ops[op_index] during that op's
+    broadcast, delivering only to `deliver_to` (any iterable of process
+    ids): the `CrashSpec` of a during_broadcast crash without crash_at."""
+    return CrashSpec(None, op_index=op_index, deliver_to=frozenset(deliver_to))
 
 
 @dataclass
@@ -112,7 +115,7 @@ class ExploreResult:
     histories: list[History]  # in canonical order
     states_visited: int  # configurations expanded: one per orbit
     edges: int  # configuration-graph edges: the moves of each explored configuration
-    transitions: int  # distinct local transitions: one handler call each
+    transitions: int  # distinct local transitions: one begin or deliver call each
     noop_pruned: int  # distinct (state, message, sender) whose handler returns None
 
 
@@ -140,7 +143,7 @@ def _program_order(n: int, ops: tuple[Op, ...]) -> dict[int, tuple[int, ...]]:
     return per_proc
 
 
-def _symmetries(n: int, ops: tuple[Op, ...], crash: BroadcastCrash | None) -> list[tuple]:
+def _symmetries(n: int, ops: tuple[Op, ...], crash: CrashSpec | None) -> list[tuple]:
     """The instance's process symmetries other than the identity, each as a
     tuple `perm` with perm[p] the image of process p (perm[0] unused).  A
     symmetry fixes p1, whose ops `begin` checks against WRITER, and the
@@ -437,11 +440,11 @@ def explore(
     t: int,
     ops: list[Op] | tuple[Op, ...],
     *,
-    crash: BroadcastCrash | None = None,
+    crash: CrashSpec | None = None,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> ExploreResult:
     """Every distinct history of `ops` on `algorithm` with n processes, t of
-    them allowed to crash, and at most the one broadcast cut `crash`.
+    them allowed to crash, and at most the one crash `crash`.
 
     The histories come sorted by their label records (None before any
     bytes), so the list depends on the instance alone.  Without a process
@@ -452,14 +455,19 @@ def explore(
     expanded.  Raises ExploreLimitError when the instance has more than
     `max_states` configurations (the bound counts finished ones, those on
     the search path and the one about to be visited) or a path deeper than
-    the recursion limit, and ValueError on an op process, crash op or crash
-    receiver out of range.
+    the recursion limit; before the search, ConfigError on a crash other
+    than an op cut without `at` (module docstring), and ValueError on an op
+    process, crash op or crash receiver out of range.
     """
     ops = tuple(ops)
     for i, op in enumerate(ops):
         if not 1 <= op.process <= n:
             raise ValueError(f"op {i}'s process {op.process} outside 1..{n}")
     if crash is not None:
+        if crash.op_index is None or crash.at is not None:
+            raise ConfigError(
+                "explore models a crash only as a during_broadcast cut without crash_at"
+            )
         if not 0 <= crash.op_index < len(ops):
             raise ValueError(f"crash op_index {crash.op_index} out of range")
         outside = sorted(p for p in crash.deliver_to if not 1 <= p <= n)

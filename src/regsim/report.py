@@ -7,7 +7,9 @@ as they are made.  The fold keeps only the operation events (invoke,
 respond, crash, round_start) and per-op send counts, so a report costs
 memory by operations, not by events.  `judge` gives a run's verdicts and
 whether it passes, the one definition of a passing run, which the report
-and `regsim sweep` share.
+and `regsim sweep` share.  A report is of its scenario: `build_report`
+rejects a trace whose invokes are not the scenario's ops, or that never
+invokes an op of a process it never crashes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .history import (
     check_termination,
     extract_history,
 )
+from .messages import Op
 # Not called here; perfbench/tracer.py wraps regsim.report.assert_bounds by name.
 from .metrics import assert_bounds  # noqa: F401
 from .metrics import check_bounds, sends_per_op, tally_sends
@@ -42,6 +45,7 @@ def build_report(config: ScenarioConfig, events: Iterable[TraceEvent], seed: int
     ops: list[TraceEvent] = []
     by_op, by_wsn, count = tally_sends(events, ops.append, config.n)
     history = extract_history(ops, config.n)
+    _check_ops(history, config.ops)
     passed, checks, bounds = judge(config, history, sends_per_op(by_op, by_wsn, history))
     message_totals: dict[str, int] = {}
     for entry in bounds.entries:
@@ -61,6 +65,34 @@ def build_report(config: ScenarioConfig, events: Iterable[TraceEvent], seed: int
         },
         "events": count,
     }
+
+
+def _check_ops(history: History, ops: tuple[Op, ...]) -> None:
+    """Raises ValueError unless `history` ran `ops`: each invoke names one
+    of them, by its process, as its kind and, for a write, with its value,
+    and every op of a process that never crashes is invoked.  A run of the
+    engine passes, as the engine invokes every op of a live process."""
+    for rec in history.ops:
+        if not 0 <= rec.op_id < len(ops):
+            raise ValueError(f"invoke of op {rec.op_id}; the scenario has {len(ops)} ops")
+        op = ops[rec.op_id]
+        invoked = (rec.kind, rec.process, rec.value if rec.kind == "write" else None)
+        if invoked != (op.kind, op.process, op.value):
+            raise ValueError(
+                f"invoke of op {rec.op_id} is {_describe(*invoked)}, "
+                f"but the scenario's op {rec.op_id} is {_describe(op.kind, op.process, op.value)}"
+            )
+    invoked_ids = {rec.op_id for rec in history.ops}
+    for op_id, op in enumerate(ops):
+        if op_id not in invoked_ids and op.process not in history.crashed:
+            raise ValueError(
+                f"op {op_id} ({op.kind} by p{op.process}) is never invoked, "
+                f"although p{op.process} never crashes"
+            )
+
+
+def _describe(kind: str, process: int, value: bytes | None) -> str:
+    return f"a write of {value!r} by p{process}" if kind == "write" else f"a read by p{process}"
 
 
 def report_to_json(report: dict) -> str:

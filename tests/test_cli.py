@@ -657,6 +657,44 @@ def test_check_with_config_malformed_trace_exit_two(tmp_path, capsys, lines, rea
     assert err.startswith("trace error:") and reason in err and err.count("\n") == 1
 
 
+# The scenario's ops: 0 is p1's write of "a", 1 is p2's read.
+@pytest.mark.parametrize(
+    "lines,reason",
+    [
+        ([], "op 0 (write by p1) is never invoked, although p1 never crashes"),
+        ([INVOKE, RESPOND], "op 1 (read by p2) is never invoked, although p2 never crashes"),
+        ([INVOKE, RESPOND, _with(READ, op=7)], "invoke of op 7; the scenario has 2 ops"),
+        (
+            [INVOKE, RESPOND, _with(READ, p=3)],
+            "invoke of op 1 is a read by p3, but the scenario's op 1 is a read by p2",
+        ),
+        (
+            [INVOKE, RESPOND, _with(INVOKE, t=2, seq=2, op=1)],
+            "invoke of op 1 is a write of b'a' by p1, but the scenario's op 1 is a read by p2",
+        ),
+        (
+            [_with(INVOKE, value="b"), RESPOND],
+            "invoke of op 0 is a write of b'b' by p1, but the scenario's op 0 is a write "
+            "of b'a' by p1",
+        ),
+    ],
+    ids=["empty", "missing-op", "op-outside", "other-process", "other-kind", "other-value"],
+)
+def test_check_with_config_trace_of_another_scenario_exit_two(tmp_path, capsys, lines, reason):
+    cfg = write_config(tmp_path)
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(line + "\n" for line in lines))
+    assert main(["check", str(trace), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"trace error: {trace}: {reason}\n"
+
+
+def test_check_with_config_excuses_the_ops_of_a_crashed_process(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(f"{INVOKE}\n{RESPOND}\n{_with(CRASH, t=2, seq=2, p=2)}\n")
+    assert main(["check", str(trace), "--config", str(cfg)]) == 0
+
+
 def test_check_counts_no_send_of_a_process_outside_the_scenario(tmp_path, capsys):
     # A STATE(rsn 1) send by p9 appended to read-quiet.json's trace (n=5):
     # with the scenario it is a malformed trace, not one more message of op

@@ -11,11 +11,12 @@ import pytest
 import regsim.explore
 from regsim.abd import AbdReplicaState
 from regsim.algos import Op, make_algorithm
-from regsim.cli import _broadcast_crash, main
-from regsim.config import NetworkSpec, load_scenario
+from regsim.cli import main
+from regsim.config import ConfigError, CrashSpec, NetworkSpec, load_scenario, parse_scenario
 from regsim.engine import run
 from regsim.explore import BroadcastCrash, ExploreLimitError, _Explorer, explore
 from regsim.history import check_claims, check_linearizable, check_termination, checkers_agree
+from regsim.messages import Write
 from regsim.teff import ReplicaState
 from regsim.trace import CRASH, INVOKE, RESPOND
 
@@ -414,6 +415,54 @@ def test_process_ids_out_of_range_are_rejected(ops, crash, reason):
     assert str(err.value) == reason
 
 
+# Each a crash the search cannot model: only an op cut without `at` is one.
+UNMODELLED = {
+    "at-tick": CrashSpec(2, at=5),
+    "cut-with-at": CrashSpec(None, at=4, op_index=0, deliver_to=frozenset({2})),
+    "relay-cut": CrashSpec(2, relay=Write(1, b"a"), deliver_to=frozenset({3})),
+}
+UNMODELLED_ERROR = "explore models a crash only as a during_broadcast cut without crash_at"
+
+
+@pytest.mark.parametrize("crash", UNMODELLED.values(), ids=list(UNMODELLED))
+def test_crashes_it_cannot_model_are_rejected_before_the_search(crash, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(regsim.explore, "make_algorithm", no_search)
+    with pytest.raises(ConfigError) as err:
+        explore("teff", 3, 1, [WRITE_A, READ2], crash=crash)
+    assert str(err.value) == UNMODELLED_ERROR
+
+
+@pytest.mark.parametrize("op_index,deliver_to", [(0, []), (0, [2]), (1, [1, 3])])
+def test_broadcast_crash_is_the_scenarios_cut(op_index, deliver_to):
+    ops = [
+        {"time": 0, "process": 1, "op": "write", "value": "a"},
+        {"time": 0, "process": 2, "op": "read"},
+    ]
+    cut = {"op_index": op_index, "deliver_to": deliver_to}
+    config = parse_scenario(
+        {
+            "n": 3,
+            "t": 1,
+            "network": {"kind": "async", "Dmax": 10},
+            "ops": ops,
+            "crashes": [{"process": 1 + op_index, "during_broadcast": cut}],  # op's invoker
+        }
+    )
+    assert config.crashes == (BroadcastCrash(op_index, frozenset(deliver_to)),)
+    assert config.crashes == (BroadcastCrash(op_index, deliver_to),)
+
+
+def test_broadcast_crash_takes_any_iterable_of_receivers():
+    as_list = explore("teff", 3, 1, [WRITE_A, READ2, READ3], crash=BroadcastCrash(0, [2]))
+    as_set = explore(
+        "teff", 3, 1, [WRITE_A, READ2, READ3], crash=BroadcastCrash(0, frozenset({2}))
+    )
+    assert as_list == as_set
+
+
 def frames_in_use() -> int:
     frame, count = sys._getframe(), 0
     while frame is not None:
@@ -549,7 +598,8 @@ def test_every_run_history_is_an_explore_history(name):
     # The scenario as bundled, then on an async network with its ops moved
     # close enough together to overlap, over many seeds.
     config = load_scenario(SCENARIOS / f"{name}.json")
-    res = explore(config.algorithm, config.n, config.t, config.ops, crash=_broadcast_crash(config))
+    (crash,) = config.crashes or (None,)
+    res = explore(config.algorithm, config.n, config.t, config.ops, crash=crash)
     explored = set(map(explored_records, res.histories))
     racing = replace(
         config,
