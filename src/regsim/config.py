@@ -55,8 +55,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import messages
 from .algos import ALGORITHMS
@@ -67,8 +67,7 @@ class ConfigError(Exception):
     """The scenario file is malformed or violates a model constraint."""
 
 
-@dataclass(frozen=True)
-class CrashSpec:
+class CrashSpec(NamedTuple):
     process: int | None  # None for an op cut: it is ops[op_index]'s process
     at: int | None = None  # with a cut: responsive until then
     op_index: int | None = None  # cut this op's initiating broadcast
@@ -84,16 +83,14 @@ _OP_FIELDS = ("time", "process", "op")
 _TRIGGERS = ("at", "during_broadcast", "during_forward")
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(NamedTuple):
     kind: str  # "async" | "bounded_delay" | "round_sync"
     delta: int  # Dmax, Delta or delta: the kind's `_DELTA_FIELD`
     delays: tuple[int, ...] | None = None  # pinned, in send order; None draws
     step: int = 0  # each send after the last pinned one is this much slower
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     n: int
     t: int
     algorithm: str
@@ -101,7 +98,7 @@ class ScenarioConfig:
     ops: tuple[Op, ...]
     crashes: tuple[CrashSpec, ...] = ()
     seed: int = 0
-    digest: str = ""
+    digest: str = ""  # sha256 of the file's bytes, or of `parse_scenario`'s canonical dump
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -113,13 +110,21 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         data = json.loads(raw)
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return replace(parse_scenario(data), digest=hashlib.sha256(raw).hexdigest())
+    return _parse(data)._replace(digest=hashlib.sha256(raw).hexdigest())
 
 
 _KNOWN_FIELDS = ("n", "t", "algorithm", "network", "crashes", "ops", "seed", "description")
 
 
 def parse_scenario(data: dict) -> ScenarioConfig:
+    """The scenario `data`, its digest taken over its canonical JSON dump."""
+    config = _parse(data)
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+    return config._replace(digest=hashlib.sha256(canonical).hexdigest())
+
+
+def _parse(data: dict) -> ScenarioConfig:
+    """The scenario `data`, without its digest."""
     _object(data, "scenario", _KNOWN_FIELDS)
     n = _req_int(data, "n")
     t = _req_int(data, "t")
@@ -134,16 +139,8 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     ops = _parse_ops(data.get("ops", []), n)
     crashes = _parse_crashes(data.get("crashes", []), n, t, ops, network, algorithm)
     seed = _int(data.get("seed", 0), "seed")
-    canonical = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
     return ScenarioConfig(
-        n=n,
-        t=t,
-        algorithm=algorithm,
-        network=network,
-        ops=ops,
-        crashes=crashes,
-        seed=seed,
-        digest=hashlib.sha256(canonical).hexdigest(),
+        n=n, t=t, algorithm=algorithm, network=network, ops=ops, crashes=crashes, seed=seed
     )
 
 
@@ -193,7 +190,7 @@ def _parse_network(data) -> NetworkSpec:
     if kind == "round_sync":
         if schedule is not None:
             raise ConfigError("round_sync delays are fixed at delta; no schedule allowed")
-        return replace(spec, delays=(spec.delta,))
+        return spec._replace(delays=(spec.delta,))
     return spec if schedule is None else _parse_schedule(spec, schedule)
 
 
@@ -215,11 +212,11 @@ def _parse_schedule(spec: NetworkSpec, schedule) -> NetworkSpec:
             raise ConfigError("an increasing schedule is unbounded; async only")
         start = _int(schedule.get("start", 1), "start", minimum=1)
         step = _int(schedule.get("step", 1), "step", minimum=1)
-        return replace(spec, delays=(start,), step=step)
+        return spec._replace(delays=(start,), step=step)
     for d in delays:
         if d > spec.delta:
             raise ConfigError(f"delay {d} exceeds {_DELTA_FIELD[spec.kind]}={spec.delta}")
-    return replace(spec, delays=tuple(delays))
+    return spec._replace(delays=tuple(delays))
 
 
 def _parse_ops(items, n: int) -> tuple[Op, ...]:

@@ -62,9 +62,8 @@ from __future__ import annotations
 import heapq
 import random
 import sys
-from dataclasses import dataclass
 from itertools import chain, count
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import trace
 from .algos import make_algorithm
@@ -106,8 +105,7 @@ class BudgetExceededError(Exception):
         self.queued = queued
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     trace: list[TraceEvent]
     crashed: dict[int, int]  # process -> crash tick
     seed: int

@@ -68,9 +68,9 @@ each call's memos alive until a collector pass.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial, prod
+from typing import NamedTuple
 
 from .algos import make_algorithm
 from .config import ConfigError, CrashSpec
@@ -110,8 +110,7 @@ def BroadcastCrash(op_index: int, deliver_to) -> CrashSpec:
     return CrashSpec(None, op_index=op_index, deliver_to=frozenset(deliver_to))
 
 
-@dataclass
-class ExploreResult:
+class ExploreResult(NamedTuple):
     histories: list[History]  # in canonical order
     states_visited: int  # configurations expanded: one per orbit
     edges: int  # configuration-graph edges: the moves of each explored configuration
@@ -470,6 +469,9 @@ def explore(
             )
         if not 0 <= crash.op_index < len(ops):
             raise ValueError(f"crash op_index {crash.op_index} out of range")
+        # As the engine reads it: None is every process, else any iterable.
+        receivers = range(1, n + 1) if crash.deliver_to is None else crash.deliver_to
+        crash = crash._replace(deliver_to=frozenset(receivers))
         outside = sorted(p for p in crash.deliver_to if not 1 <= p <= n)
         if outside:
             raise ValueError(f"crash deliver_to {outside} outside 1..{n}")

@@ -28,7 +28,6 @@ Three checkers run over a history:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import attrgetter
 
@@ -36,26 +35,60 @@ from .messages import WRITER
 from .trace import CRASH, INVOKE, RESPOND, TraceEvent
 
 
-@dataclass
-class OpRecord:
-    op_id: int
-    process: int
-    kind: str  # "write" | "read"
-    invoke: int
-    respond: int | None = None
-    value: bytes | None = None
-    seqno: int | None = None  # writes: assigned wsn; reads: returned wsn
+class Record:
+    """Base of the mutable records: a subclass lists its fields in
+    `__slots__`; records compare equal field by field, and only within one
+    class, repr as `Name(field=value, ...)` and are unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        fields = attrgetter(*self.__slots__)
+        return fields(self) == fields(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class OpRecord(Record):
+    __slots__ = ("op_id", "process", "kind", "invoke", "respond", "value", "seqno")
+
+    def __init__(
+        self,
+        op_id: int,
+        process: int,
+        kind: str,  # "write" | "read"
+        invoke: int,
+        respond: int | None = None,
+        value: bytes | None = None,
+        seqno: int | None = None,  # writes: assigned wsn; reads: returned wsn
+    ):
+        self.op_id = op_id
+        self.process = process
+        self.kind = kind
+        self.invoke = invoke
+        self.respond = respond
+        self.value = value
+        self.seqno = seqno
 
     @property
     def pending(self) -> bool:
         return self.respond is None
 
 
-@dataclass
-class History:
-    n: int
-    ops: list[OpRecord] = field(default_factory=list)
-    crashed: dict[int, int] = field(default_factory=dict)
+class History(Record):
+    __slots__ = ("n", "ops", "crashed")
+
+    def __init__(
+        self, n: int, ops: list[OpRecord] | None = None, crashed: dict[int, int] | None = None
+    ):
+        self.n = n
+        self.ops = [] if ops is None else ops
+        self.crashed = {} if crashed is None else crashed
 
     def writes(self) -> list[OpRecord]:
         return [op for op in self.ops if op.kind == "write"]
@@ -64,11 +97,13 @@ class History:
         return [op for op in self.ops if op.kind == "read"]
 
 
-@dataclass
-class Verdict:
-    name: str
-    status: str  # "pass" | "fail"
-    violations: list[str] = field(default_factory=list)
+class Verdict(Record):
+    __slots__ = ("name", "status", "violations")
+
+    def __init__(self, name: str, status: str, violations: list[str] | None = None):
+        self.name = name
+        self.status = status  # "pass" | "fail"
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

@@ -21,7 +21,6 @@ engine's relay cuts.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -105,8 +104,7 @@ def check_model(n: int, t: int) -> None:
         raise ProtocolError(f"need 2t < n, got n={n} t={t}")
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(NamedTuple):
     """One scheduled register operation."""
 
     process: int
@@ -115,8 +113,7 @@ class Op:
     time: int = 0
 
 
-@dataclass(frozen=True)
-class OpResult:
+class OpResult(NamedTuple):
     """Completion of the process's pending operation."""
 
     kind: str  # "write" | "read"

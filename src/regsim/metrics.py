@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .config import ScenarioConfig
-from .history import History, OpRecord
+from .history import History, OpRecord, Record
 # Not called here; perfbench/tracer.py wraps regsim.metrics.extract_history by name.
 from .history import extract_history  # noqa: F401
 from .messages import WRITER, AbdAck, AbdQuery, AbdReport, AbdUpdate, Read, State, Write
@@ -48,8 +47,7 @@ LE = "le"
 EQ = "eq"
 
 
-@dataclass
-class OpBound:
+class OpBound(NamedTuple):
     op_id: int
     process: int
     kind: str
@@ -61,13 +59,22 @@ class OpBound:
     messages: int = 0
 
 
-@dataclass
-class BoundReport:
-    algorithm: str
-    model: str
-    informational: bool
-    entries: list[OpBound] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
+class BoundReport(Record):
+    __slots__ = ("algorithm", "model", "informational", "entries", "violations")
+
+    def __init__(
+        self,
+        algorithm: str,
+        model: str,
+        informational: bool,
+        entries: list[OpBound] | None = None,
+        violations: list[str] | None = None,
+    ):
+        self.algorithm = algorithm
+        self.model = model
+        self.informational = informational
+        self.entries = [] if entries is None else entries
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

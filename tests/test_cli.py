@@ -75,6 +75,27 @@ def test_python_dash_m_runs_the_cli(tmp_path, capsys):
     assert done.returncode == 2 and done.stderr.startswith("config error: cannot read")
 
 
+def test_importing_regsim_loads_neither_dataclasses_nor_inspect():
+    # Every regsim process pays for its imports, and `dataclasses` (with
+    # the `inspect`, `ast`, `dis` and `tokenize` it imports) would cost
+    # each one more than regsim's own modules.  `-S` keeps site hooks out.
+    code = (
+        "import importlib, sys\n"
+        "from pathlib import Path\n"
+        "import regsim\n"
+        "for path in Path(regsim.__file__).parent.glob('*.py'):\n"
+        "    importlib.import_module('regsim.' + path.stem)\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv", [["run"], ["sweep", "--seeds", "3"]], ids=["run", "sweep"]

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -435,6 +434,19 @@ def test_crashes_it_cannot_model_are_rejected_before_the_search(crash, monkeypat
     assert str(err.value) == UNMODELLED_ERROR
 
 
+@pytest.mark.parametrize(
+    "deliver_to,receivers",
+    [([2], {2}), ((2, 3), {2, 3}), (None, {1, 2, 3})],
+    ids=["list", "tuple", "none-is-everyone"],
+)
+def test_a_hand_built_cut_reads_its_receivers_as_the_engine_does(deliver_to, receivers):
+    ops = [WRITE_A, READ2, READ3]
+    hand_built = CrashSpec(None, op_index=0, deliver_to=deliver_to)
+    assert explore("teff", 3, 1, ops, crash=hand_built) == explore(
+        "teff", 3, 1, ops, crash=CrashSpec(None, op_index=0, deliver_to=frozenset(receivers))
+    )
+
+
 @pytest.mark.parametrize("op_index,deliver_to", [(0, []), (0, [2]), (1, [1, 3])])
 def test_broadcast_crash_is_the_scenarios_cut(op_index, deliver_to):
     ops = [
@@ -601,10 +613,9 @@ def test_every_run_history_is_an_explore_history(name):
     (crash,) = config.crashes or (None,)
     res = explore(config.algorithm, config.n, config.t, config.ops, crash=crash)
     explored = set(map(explored_records, res.histories))
-    racing = replace(
-        config,
+    racing = config._replace(
         network=NetworkSpec("async", 10),
-        ops=tuple(replace(op, time=min(op.time, 5)) for op in config.ops),
+        ops=tuple(op._replace(time=min(op.time, 5)) for op in config.ops),
     )
     runs = [run(config, messages=False)]
     runs += [run(racing, seed=seed, messages=False) for seed in range(300)]

@@ -1,6 +1,7 @@
 """Checker behavior on constructed and extracted histories."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,6 +13,7 @@ from regsim.engine import run
 from regsim.history import (
     History,
     OpRecord,
+    Verdict,
     check_claims,
     check_linearizable,
     check_termination,
@@ -35,6 +37,34 @@ def hist(ops, crashed=None, n=3):
     h.ops = list(ops)
     h.crashed = dict(crashed or {})
     return h
+
+
+def test_records_default_fresh_lists_and_compare_field_by_field_within_a_class():
+    a, b = History(n=3), History(n=3)
+    assert a == b and a.ops is not b.ops and a.crashed is not b.crashed
+    a.ops.append(w(0, 0, 1, 1))
+    a.crashed[2] = 5
+    assert a != b and b.ops == [] and b.crashed == {}
+    verdict, other = Verdict("claims", "pass"), Verdict("claims", "pass")
+    assert verdict.violations == [] and verdict.violations is not other.violations
+    assert verdict == Verdict("claims", "pass", []) != Verdict("claims", "fail", [])
+    # A record equals no object of another class, whatever its fields.
+    assert verdict != SimpleNamespace(name="claims", status="pass", violations=[])
+    assert verdict != ("claims", "pass", [])
+    assert w(0, 0, 1, 1) == w(0, 0, 1, 1) != w(0, 0, 2, 1)
+    for record in (a, verdict, w(0, 0, 1, 1)):
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+def test_records_repr_their_fields_by_name():
+    assert repr(r(1, 2, 3, None, 0)) == (
+        "OpRecord(op_id=1, process=2, kind='read', invoke=3, respond=None, value=None, seqno=0)"
+    )
+    assert repr(hist([], {2: 5})) == "History(n=3, ops=[], crashed={2: 5})"
+    assert repr(Verdict("claims", "fail", ["x"])) == (
+        "Verdict(name='claims', status='fail', violations=['x'])"
+    )
 
 
 ORACLE_MAX_OPS = 9  # the brute-force oracle's reach

@@ -16,6 +16,7 @@ from regsim.metrics import (
     ROUND_CRASH,
     ROUND_NO_CRASH,
     WLF,
+    BoundReport,
     WriteIndex,
     assert_bounds,
     bound_for,
@@ -327,6 +328,20 @@ def test_assert_bounds_flags_violations():
     bad = assert_bounds(doctored, extract_history(doctored, cfg.n), cfg)
     assert not bad.ok
     assert "read" in bad.violations[0]
+
+
+def test_bound_report_defaults_fresh_lists_compares_by_field_and_reprs_them():
+    a, b = BoundReport("teff", "async", True), BoundReport("teff", "async", True)
+    assert a == b and a.entries is not b.entries and a.violations is not b.violations
+    a.violations.append("op 0 (write) took 30 ticks, bound le 20")
+    assert a != b and b.violations == []
+    assert b != ("teff", "async", True, [], [])
+    assert repr(b) == (
+        "BoundReport(algorithm='teff', model='async', informational=True, "
+        "entries=[], violations=[])"
+    )
+    with pytest.raises(TypeError):
+        hash(b)
 
 
 def test_pending_read_of_correct_process_counts_as_violation():
