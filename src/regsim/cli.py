@@ -7,10 +7,11 @@
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error
 (including a file or stdout that cannot be read or written, a trace line
-naming a process outside the run, a trace that does not run its
-`--config` scenario's ops, a scenario crash that `explore` cannot model,
-and a `--max-states` or REGSIM_EVENT_BUDGET below 1), 3 resource bound
-exceeded.
+naming a process outside the run, a write's respond whose wsn or value is
+not the write's own, a trace that does not run its `--config` scenario's
+ops or that carries a message class the scenario's protocol never sends,
+a scenario crash that `explore` cannot model, and a `--max-states` or
+REGSIM_EVENT_BUDGET below 1), 3 resource bound exceeded.
 REGSIM_EVENT_BUDGET sets the per-run event budget.  All scenario
 semantics live in the config file; flags only control seeds, I/O paths,
 crash enumeration and budgets.
@@ -267,9 +268,9 @@ def cmd_check(args) -> int:
             else:
                 # The op events, split off as build_report's fold splits them;
                 # with no n, a message event's ids need only start at p1, as
-                # processes without ops relay and reply too.
-                ops = []
-                tally_sends(events, ops.append, None)
+                # processes without ops relay and reply too, and with no
+                # protocol any message class passes.
+                ops = tally_sends(events, None)[0]
                 # No scenario names n: take the largest process id, so that
                 # no op event's process exceeds it.
                 history = extract_history(ops, max((ev.process for ev in ops), default=1))

@@ -34,9 +34,9 @@ stepper's next local, the messages it sends the others and the label
 records the step adds to the history.  Handlers are pure and read no
 receiver, so their results are memoized per distinct (state, input): an
 invocation calls `begin` once, and a delivered (state, message, sender)
-calls its handler twice, once for the no-op test (`is_noop_delivery`, as
-the message arrives) and once for the step (`deliver`).  An add memo maps
-(local, message) to a receiver's next local.  Expanding a
+calls its class handler once, bound from `HANDLERS`: None drops the
+message as it arrives, a triple is the step.  An add memo maps (local,
+message) to a receiver's next local.  Expanding a
 configuration walks its locals' moves in one pass: each child swaps only
 the locals its move touches, however many messages are in flight, and is
 looked up in the configuration memo once.  Suffix-set unions and label
@@ -114,8 +114,8 @@ class ExploreResult(NamedTuple):
     histories: list[History]  # in canonical order
     states_visited: int  # configurations expanded: one per orbit
     edges: int  # configuration-graph edges: the moves of each explored configuration
-    transitions: int  # distinct local transitions: one begin or deliver call each
-    noop_pruned: int  # distinct (state, message, sender) whose handler returns None
+    transitions: int  # distinct inputs whose begin or class handler gave a step
+    noop_pruned: int  # distinct (state, message, sender) whose handler gave None
 
 
 class _Interner:
@@ -181,7 +181,10 @@ def _symmetries(n: int, ops: tuple[Op, ...], crash: CrashSpec | None) -> list[tu
 
 class _Explorer:
     def __init__(self, algorithm, n, t, ops, crash, max_states, symmetries):
-        self.algo = make_algorithm(algorithm, n, t)
+        self.algo = algo = make_algorithm(algorithm, n, t)
+        # Bound by name, so a subclass's overrides are called; held here, not
+        # by the algorithm, so no cycle forms.
+        self.handlers = {cls: getattr(algo, name) for cls, name in algo.HANDLERS.items()}
         self.n = n
         self.ops = ops
         self.crash = crash
@@ -202,10 +205,9 @@ class _Explorer:
         self.terminal_set = self.suffix_sets.get(frozenset({self.empty_suffix}))
         self.memo: dict[tuple, int] = {}  # configuration -> suffix set id
         # Handler results, keyed (state, mid, sender) or ("i", op_id, state)
-        # -> (new state, ((dest, mid), ...), completion).
-        self.transitions: dict[tuple, tuple] = {}
+        # -> (new state, ((dest, mid), ...), completion), or None: a no-op.
+        self.transitions: dict[tuple, tuple | None] = {}
         self.adds: dict[tuple[int, int], int] = {}  # (local, entry) -> local
-        self.noop_memo: dict[tuple[int, int, int], bool] = {}
         self.edges = 0
         self.label_memo: dict[tuple[tuple, int], int] = {}
         self.union_memo: dict[tuple[int, ...], int] = {}
@@ -247,20 +249,9 @@ class _Explorer:
         n = self.n
         p, state, inbox, invoked = self.locals[ident]
         if kind == "i":
-            key = ("i", arg, state)
+            trans = self.result(("i", arg, state), self.algo.begin, state, self.ops[arg])
         else:
-            mid, sender = arg // n, arg % n + 1
-            key = (state, mid, sender)
-        trans = self.transitions.get(key)
-        if trans is None:
-            if kind == "i":
-                out = self.algo.begin(state, self.ops[arg])
-            else:
-                out = self.algo.deliver(state, self.msgs.items[mid], sender)
-            state, outgoing, completion = out
-            sends = tuple((dest, self.msgs.get(msg)) for dest, msg in outgoing)
-            trans = (self.states.setdefault(state, state), sends, completion)
-            self.transitions[key] = trans
+            trans = self.delivered(state, arg // n, arg % n + 1)
         state, sends, completion = trans
         labels = ()
         if kind == "i":
@@ -302,13 +293,26 @@ class _Explorer:
         return added
 
     def noop(self, state, mid: int, sender: int) -> bool:
-        """Memoized is_noop_delivery: the handler's None, a no-op forever."""
-        key = (state, mid, sender)
-        result = self.noop_memo.get(key)
-        if result is None:
-            result = self.algo.is_noop_delivery(state, self.msgs.items[mid], sender)
-            self.noop_memo[key] = result
-        return result
+        """Whether message `mid` from `sender` is a no-op in `state` forever."""
+        return self.delivered(state, mid, sender) is None
+
+    def delivered(self, state, mid: int, sender: int) -> tuple | None:
+        """The class handler's `result` for message `mid` from `sender`."""
+        msg = self.msgs.items[mid]
+        return self.result((state, mid, sender), self.handlers[type(msg)], state, msg, sender)
+
+    def result(self, key: tuple, handler, *args) -> tuple | None:
+        """handler(*args), called once per `key`: None (a no-op), or the step
+        with its state interned and its sends as (dest, mid) pairs."""
+        trans = self.transitions.get(key, key)
+        if trans is key:  # not called yet
+            trans = handler(*args)
+            if trans is not None:
+                state, outgoing, completion = trans
+                sends = tuple((dest, self.msgs.get(msg)) for dest, msg in outgoing)
+                trans = (self.states.setdefault(state, state), sends, completion)
+            self.transitions[key] = trans
+        return trans
 
     def prepend(self, label: tuple, set_id: int) -> int:
         """Suffix set for an edge with a non-empty label: the label followed
@@ -484,14 +488,15 @@ def explore(
         ) from None
     suffixes = [explorer.suffixes.items[s] for s in explorer.suffix_sets.items[root_set]]
     crash_op = -1 if crash is None else crash.op_index
+    noops = list(explorer.transitions.values()).count(None)
     return ExploreResult(
         histories=[
             extract_history(_events(s, ops, crash_op), n) for s in sorted(suffixes, key=_order_key)
         ],
         states_visited=len(explorer.memo),
         edges=explorer.edges,
-        transitions=len(explorer.transitions),
-        noop_pruned=sum(explorer.noop_memo.values()),
+        transitions=len(explorer.transitions) - noops,
+        noop_pruned=noops,
     )
 
 

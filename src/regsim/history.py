@@ -123,10 +123,11 @@ def extract_history(trace: list[TraceEvent], n: int) -> History:
     sequence number k whether or not it completed (the single writer
     increments by one per write), so pending writes still get a seqno.
     Raises ValueError unless each op is invoked once and responded to at
-    most once, after its invoke, by its process and as its kind; only p1
-    writes; each process invokes an op only once its previous op has
-    responded, at that tick or later; process ids start at 1; and a process
-    crashes at most once, with no op event of its own after its crash."""
+    most once, after its invoke, by its process and as its kind, a write
+    with no value and its own seqno; only p1 writes; each process invokes
+    an op only once its previous op has responded, at that tick or later;
+    process ids start at 1; and a process crashes at most once, with no op
+    event of its own after its crash."""
     hist = History(n=n)
     by_id: dict[int, OpRecord] = {}
     last: dict[int, OpRecord] = {}  # process -> its latest op
@@ -173,9 +174,14 @@ def extract_history(trace: list[TraceEvent], n: int) -> History:
                     f"respond to op {op_id} is a {op_kind} by p{process}, "
                     f"but it was invoked as a {rec.kind} by p{rec.process}"
                 )
-            rec.respond = time
             if rec.kind == "read":
                 rec.value, rec.seqno = value, seqno
+            elif value is not None or seqno != rec.seqno:
+                raise ValueError(
+                    f"respond to write op {op_id} carries wsn {seqno} and value {value!r}, "
+                    f"but the write has wsn {rec.seqno} and responds with no value"
+                )
+            rec.respond = time
         elif kind == CRASH:
             process = ev.process
             if process < 1:

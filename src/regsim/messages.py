@@ -138,7 +138,8 @@ def check_invoke(self, state, op: Op) -> None:
 
 def deliver(self, state, msg: Message, sender: int) -> tuple:
     """The handler's `(state, outgoing, completion)` for `msg` from `sender`,
-    a no-op as `(state, (), None)`."""
+    a no-op as `(state, (), None)`.  Neither the simulator nor the explorer
+    calls it: both call the class handlers through `HANDLERS`."""
     name = self.HANDLERS.get(type(msg))
     if name is None:
         raise ProtocolError(f"unexpected message for register protocol: {msg!r}")

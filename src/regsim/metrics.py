@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .config import ScenarioConfig
 from .history import History, OpRecord, Record
@@ -229,7 +229,7 @@ def assert_bounds(
 
 def check_bounds(history: History, config: ScenarioConfig, counts: dict[int, int]) -> BoundReport:
     """`assert_bounds` with the per-operation message counts given, as
-    `count_messages` or `sends_per_op` counts them."""
+    `count_messages` or `tally_sends` counts them."""
     model = config.network.kind
     unit = config.network.delta
     writes = WriteIndex(history)
@@ -298,83 +298,78 @@ _CHARGE = {
 
 def count_messages(trace: Iterable[TraceEvent], history: History) -> dict[int, int]:
     """Attribute every point-to-point send to an operation, in one pass
-    over the trace.
+    over the trace: `tally_sends`, with n from `history` and any class.
 
-    WRITE(s) traffic belongs to the write that produced sequence number s,
-    wherever it was relayed from.  A READ(rsn), or an ABD phase message
-    (QUERY or UPDATE with phase id opsn), belongs to the op its sender last
-    invoked when it first sent that number; the replies to it (STATE(rsn),
-    ACK or REPORT(opsn)) are charged through the number at their
-    destination.  So both phases of an ABD read charge the read.
+    WRITE(s) traffic belongs to the s-th write invoked, which produced
+    sequence number s, wherever it was relayed from.  A READ(rsn), or an ABD
+    phase message (QUERY or UPDATE with phase id opsn), belongs to the op
+    its sender last invoked when it first sent that number; the replies to
+    it (STATE(rsn), ACK or REPORT(opsn)) are charged through the number at
+    their destination.  So both phases of an ABD read charge the read.
     """
-    by_op, by_wsn, _ = tally_sends(trace, lambda ev: None, history.n)
-    return sends_per_op(by_op, by_wsn, history)
+    return tally_sends(trace, history.n)[1]
 
 
 def tally_sends(
-    events: Iterable[TraceEvent], keep: Callable[[TraceEvent], object], n: int | None
-) -> tuple[dict[int, int], dict[int, int], int]:
-    """One pass over `events`, as `count_messages` makes it: the sends
-    charged to each op as a request or a reply, the WRITE sends per wsn,
-    and the number of events.  Every event other than a send or a deliver
-    goes to `keep`, in trace order.  Raises ValueError on a send or deliver
-    whose process or peer lies outside p1..pn, or below p1 if n is None."""
+    events: Iterable[TraceEvent], n: int | None, classes: Iterable[type] | None = None
+) -> tuple[list[TraceEvent], dict[int, int], int]:
+    """One pass over `events`, charging sends as `count_messages` says: the
+    events other than sends and delivers, in trace order; the sends charged
+    to each op; and the number of events.  Raises ValueError on a send or
+    deliver whose process or peer lies outside p1..pn (below p1 if n is
+    None), or whose message class is not in `classes`, the protocol's
+    `HANDLERS` (None: any class)."""
     top = sys.maxsize if n is None else n
+    charge = _CHARGE if classes is None else {cls: _CHARGE[cls] for cls in classes}
     latest: dict[int, int] = {}  # process -> the op it last invoked
     owner: dict[tuple[int, int], int | None] = {}  # (process, rsn/opsn) -> op
+    writes: dict[int, int] = {}  # wsn -> the write op that produced it
+    ops: list[TraceEvent] = []
     by_op: dict[int, int] = {}
-    by_wsn: dict[int, int] = {}
     total = 0
     for total, ev in enumerate(events, 1):
         kind = ev.kind
         if kind == DELIVER:
-            if 0 < ev.process <= top and 0 < ev.peer <= top:
+            if 0 < ev.process <= top and 0 < ev.peer <= top and type(ev.message) in charge:
                 continue
-            raise _foreign(ev, top)
+            raise _foreign(ev, top, charge)
         if kind == SEND:
             p = ev.process
             peer = ev.peer
-            if not (0 < p <= top and 0 < peer <= top):
-                raise _foreign(ev, top)
             msg = ev.message
-            role = _CHARGE[type(msg)]
+            role = charge.get(type(msg))
+            if role is None or not (0 < p <= top and 0 < peer <= top):
+                raise _foreign(ev, top, charge)
             number = msg[0]
             if role == _BY_WSN:
-                by_wsn[number] = by_wsn.get(number, 0) + 1
-                continue
-            if role == _REQUEST:
+                op_id = writes.get(number)
+            elif role == _REQUEST:
                 op_id = owner.setdefault((p, number), latest.get(p))
             else:
                 op_id = owner.get((peer, number))
             if op_id is not None:
                 by_op[op_id] = by_op.get(op_id, 0) + 1
         else:
-            keep(ev)
+            ops.append(ev)
             if kind == INVOKE:
                 latest[ev.process] = ev.op_id
-    return by_op, by_wsn, total
+                if ev.op_kind == "write":
+                    writes[len(writes) + 1] = ev.op_id
+    return ops, by_op, total
 
 
-def _foreign(ev: TraceEvent, top: int) -> ValueError:
-    """The error for a send or deliver event with a process or peer outside
-    p1..p`top`."""
+def _foreign(ev: TraceEvent, top: int, charge: dict) -> ValueError:
+    """The error for a send or deliver event of a message class not in
+    `charge`, or with a process or peer outside p1..p`top`."""
+    if type(ev.message) not in charge:
+        return ValueError(
+            f"{ev.kind} event {ev.seq} carries {ev.message!r}, "
+            "a message class the scenario's protocol has no handler for"
+        )
     edge = "start at p1" if min(ev.process, ev.peer) < 1 else f"end at p{top}"
     way = "to" if ev.kind == SEND else "from"
     where = f"at p{ev.process} {way} p{ev.peer}"
     return ValueError(f"{ev.kind} event {ev.seq} {where}; processes {edge}")
-
-
-def sends_per_op(
-    by_op: dict[int, int], by_wsn: dict[int, int], history: History
-) -> dict[int, int]:
-    """`tally_sends`' counts per op, with each wsn's WRITE sends charged to
-    the write of `history` that produced it."""
-    counts = dict(by_op)
-    for wsn, op_id in {w.seqno: w.op_id for w in history.writes()}.items():
-        sent = by_wsn.get(wsn)
-        if sent:
-            counts[op_id] = counts.get(op_id, 0) + sent
-    return counts
 
 
 def slow_read_processes(report: BoundReport, threshold: int) -> dict[int, int]:

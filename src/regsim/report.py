@@ -8,8 +8,9 @@ respond, crash, round_start) and per-op send counts, so a report costs
 memory by operations, not by events.  `judge` gives a run's verdicts and
 whether it passes, the one definition of a passing run, which the report
 and `regsim sweep` share.  A report is of its scenario: `build_report`
-rejects a trace whose invokes are not the scenario's ops, or that never
-invokes an op of a process it never crashes.
+rejects a trace whose invokes are not the scenario's ops, that never
+invokes an op of a process it never crashes, or that sends or delivers a
+message class the scenario's protocol has no handler for.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
+from .algos import make_algorithm
 from .config import ScenarioConfig
 from .history import (
     History,
@@ -28,7 +30,7 @@ from .history import (
 from .messages import Op
 # Not called here; perfbench/tracer.py wraps regsim.report.assert_bounds by name.
 from .metrics import assert_bounds  # noqa: F401
-from .metrics import check_bounds, sends_per_op, tally_sends
+from .metrics import check_bounds, tally_sends
 from .trace import TraceEvent
 
 
@@ -42,11 +44,11 @@ def judge(config: ScenarioConfig, history: History, counts: dict[int, int]) -> t
 
 
 def build_report(config: ScenarioConfig, events: Iterable[TraceEvent], seed: int) -> dict:
-    ops: list[TraceEvent] = []
-    by_op, by_wsn, count = tally_sends(events, ops.append, config.n)
+    handlers = make_algorithm(config.algorithm, config.n, config.t).HANDLERS
+    ops, counts, count = tally_sends(events, config.n, handlers)
     history = extract_history(ops, config.n)
     _check_ops(history, config.ops)
-    passed, checks, bounds = judge(config, history, sends_per_op(by_op, by_wsn, history))
+    passed, checks, bounds = judge(config, history, counts)
     message_totals: dict[str, int] = {}
     for entry in bounds.entries:
         message_totals[entry.kind] = message_totals.get(entry.kind, 0) + entry.messages

@@ -21,7 +21,7 @@ from regsim.cli import main
 from regsim.config import load_scenario
 from regsim.engine import run
 from regsim.explore import BroadcastCrash, explore
-from regsim.messages import State, encode_message
+from regsim.messages import AbdQuery, Read, State, encode_message
 from regsim.trace import to_jsonl_bytes
 from test_config import NEVER_RELAYED
 
@@ -590,6 +590,14 @@ def _with(line, **fields):
             _with(SEND, kind="deliver", p=0, **{"from": 2}),
             "deliver event 1 at p0 from p2; processes start at p1",
         ),
+        (
+            INVOKE + "\n" + _with(RESPOND, wsn=7),
+            "respond to write op 0 carries wsn 7 and value None, but the write has wsn 1",
+        ),
+        (
+            INVOKE + "\n" + _with(RESPOND, value="zzz"),
+            "respond to write op 0 carries wsn 1 and value b'zzz', but the write has wsn 1",
+        ),
     ],
     ids=[
         "not-an-object", "missing-field", "respond-without-invoke", "string-p",
@@ -597,7 +605,8 @@ def _with(line, **fields):
         "list-to", "bool-from", "numeric-msg", "string-round", "respond-before-invoke",
         "deep-nesting", "second-respond", "respond-other-kind", "respond-other-process",
         "second-invoke", "invoke-after-crash", "respond-after-crash", "second-crash",
-        "invoke-by-p0", "crash-by-p-1", "send-by-p-4", "deliver-to-p0",
+        "invoke-by-p0", "crash-by-p-1", "send-by-p-4", "deliver-to-p0", "write-respond-wsn",
+        "write-respond-value",
     ],
 )
 def test_check_malformed_event_exit_two(tmp_path, capsys, line, reason):
@@ -655,6 +664,7 @@ def test_check_skips_blank_lines_and_json_whitespace(tmp_path, capsys):
 
 
 # The scenario has n=3, so p9 and p4 name no process of it.
+ABD_QUERY = encode_message(AbdQuery(1)).hex()
 @pytest.mark.parametrize(
     "lines,reason",
     [
@@ -666,8 +676,28 @@ def test_check_skips_blank_lines_and_json_whitespace(tmp_path, capsys):
             [INVOKE, _with(SEND, kind="deliver", p=2, **{"from": 4})],
             "deliver event 1 at p2 from p4; processes end at p3",
         ),
+        (
+            [INVOKE, _with(RESPOND, wsn=7)],
+            "respond to write op 0 carries wsn 7 and value None, but the write has wsn 1",
+        ),
+        (
+            [INVOKE, _with(RESPOND, value="zzz")],
+            "respond to write op 0 carries wsn 1 and value b'zzz', but the write has wsn 1",
+        ),
+        # The scenario runs teff, which sends no ABD message.
+        (
+            [INVOKE, _with(SEND, msg=ABD_QUERY)],
+            "send event 1 carries AbdQuery(opsn=1), a message class the scenario's protocol",
+        ),
+        (
+            [INVOKE, _with(SEND, kind="deliver", **{"from": 1}, msg=ABD_QUERY)],
+            "deliver event 1 carries AbdQuery(opsn=1), a message class the scenario's protocol",
+        ),
     ],
-    ids=["respond-without-invoke", "invoke-by-p9", "crash-of-p4", "send-by-p9", "deliver-from-p4"],
+    ids=[
+        "respond-without-invoke", "invoke-by-p9", "crash-of-p4", "send-by-p9", "deliver-from-p4",
+        "write-respond-wsn", "write-respond-value", "send-of-abd-query", "deliver-of-abd-query",
+    ],
 )
 def test_check_with_config_malformed_trace_exit_two(tmp_path, capsys, lines, reason):
     cfg = write_config(tmp_path)
@@ -731,6 +761,33 @@ def test_check_counts_no_send_of_a_process_outside_the_scenario(tmp_path, capsys
     capsys.readouterr()
     assert main(["check", str(trace), "--config", str(quiet)]) == 2
     reason = f"send event {seq} at p9 to p3; processes end at p5"
+    assert capsys.readouterr().err == f"trace error: {trace}: {reason}\n"
+    assert main(["check", str(trace)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "scenario,stray",
+    [("read-quiet.json", AbdQuery(1)), ("abd-baseline.json", Read(1))],
+    ids=["abd-query-in-teff", "read-in-abd"],
+)
+def test_check_counts_no_send_of_a_class_the_protocol_lacks(tmp_path, capsys, scenario, stray):
+    # A send of another protocol's request appended to a run's trace: with
+    # the scenario it is a malformed trace, not one more message of the op
+    # its sender last invoked.  Without one, no protocol is known, so any
+    # class passes.
+    config = SCENARIOS / scenario
+    trace = tmp_path / "trace.jsonl"
+    assert main(["run", str(config), "--out", str(trace)]) == 0
+    seq = len(trace.read_text().splitlines())
+    with trace.open("a") as fh:
+        fh.write(_with(SEND, t=60, seq=seq, p=3, to=2, msg=encode_message(stray).hex()) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(config)]) == 2
+    reason = (
+        f"send event {seq} carries {stray!r}, "
+        "a message class the scenario's protocol has no handler for"
+    )
     assert capsys.readouterr().err == f"trace error: {trace}: {reason}\n"
     assert main(["check", str(trace)]) == 0
     assert capsys.readouterr().err == ""

@@ -575,6 +575,55 @@ def test_noop_predicate_agrees_with_the_handlers(alg, monkeypatch):
         assert not outgoing and completion is None, (state, msg, sender)
 
 
+def counting_protocol(name, n, t, inputs, begins):
+    """The protocol `name` with a handler table that records each call it
+    makes, (state, message, sender) into `inputs`, and each `begin` call's
+    op into `begins`.  The table's entries wrap the class handlers, so a
+    handler that calls another itself (the modified variant's `on_state`
+    calls `on_write`) is recorded once, as the explorer called it."""
+    algo = make_algorithm(name, n, t)
+    protocol = type(algo)
+
+    class Counting(protocol):
+        HANDLERS = dict.fromkeys(protocol.HANDLERS, "counted")
+
+        def counted(self, state, msg, sender):
+            inputs.append((state, msg, sender))
+            return getattr(self, protocol.HANDLERS[type(msg)])(state, msg, sender)
+
+        def begin(self, state, op):
+            begins.append(op)
+            return protocol.begin(self, state, op)
+
+    algo.__class__ = Counting
+    return algo
+
+
+OP_LISTS = {"w:1,r:2": [WRITE_A, READ2], "w:1,r:2,r:3": [WRITE_A, READ2, READ3]}
+
+
+@pytest.mark.parametrize(
+    "alg,mask,ops",
+    [(alg, mask, "w:1,r:2") for alg, mask in PINNED]
+    + [(alg, mask, "w:1,r:2,r:3") for alg in ("teff", "teff-modified") for mask in (None, 6)]
+    + [("abd", 6, "w:1,r:2,r:3")],
+    ids=str,
+)
+def test_each_explored_input_reaches_its_handler_once(alg, mask, ops, monkeypatch):
+    # One result per distinct (state, message, sender) serves both the
+    # no-op test and the step, so every call is a transition or a prune.
+    ops = OP_LISTS[ops]
+    inputs, begins = [], []
+    monkeypatch.setattr(
+        regsim.explore,
+        "make_algorithm",
+        lambda name, n, t: counting_protocol(name, n, t, inputs, begins),
+    )
+    res = explore(alg, 3, 1, ops, crash=crash_of(mask))
+    assert inputs and len(set(inputs)) == len(inputs)
+    assert len(begins) + len(inputs) == res.transitions + res.noop_pruned
+
+
 def explored_records(history) -> tuple:
     """An explored history's invoke/respond/crash sequence: its records in
     index order, a crash right after the invoke it falls on."""

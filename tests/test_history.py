@@ -354,8 +354,28 @@ WRITE_RESPOND = TraceEvent(5, 1, RESPOND, 1, 0, "write", None, 1)
             [WRITE_INVOKE, WRITE_RESPOND._replace(op_kind="read", value=b"zz")],
             "respond to op 0 is a read by p1, but it was invoked as a write by p1",
         ),
+        (
+            [WRITE_INVOKE, WRITE_RESPOND._replace(seqno=7)],
+            "respond to write op 0 carries wsn 7 and value None, but the write has wsn 1",
+        ),
+        (
+            [WRITE_INVOKE, WRITE_RESPOND._replace(value=b"zzz")],
+            "respond to write op 0 carries wsn 1 and value b'zzz', but the write has wsn 1",
+        ),
+        (
+            [
+                WRITE_INVOKE,
+                WRITE_RESPOND,
+                WRITE_INVOKE._replace(time=6, seq=2, op_id=1),
+                WRITE_RESPOND._replace(time=7, seq=3, op_id=1),
+            ],
+            "respond to write op 1 carries wsn 1 and value None, but the write has wsn 2",
+        ),
     ],
-    ids=["second-invoke", "second-respond", "other-process", "other-kind"],
+    ids=[
+        "second-invoke", "second-respond", "other-process", "other-kind", "write-other-wsn",
+        "write-with-value", "second-write-first-wsn",
+    ],
 )
 def test_extraction_rejects_inconsistent_traces(trace, reason):
     with pytest.raises(ValueError, match=reason):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from regsim.config import parse_scenario
 from regsim.engine import run
 from regsim.history import History, OpRecord, extract_history
-from regsim.trace import CRASH, INVOKE, RESPOND, TraceEvent
+from regsim.messages import Read, State, Write
+from regsim.trace import CRASH, DELIVER, INVOKE, RESPOND, SEND, TraceEvent
 from regsim.metrics import (
     INTERFERING,
     INTERFERING_CRASH,
@@ -24,6 +25,7 @@ from regsim.metrics import (
     classify_read_round,
     count_messages,
     slow_read_processes,
+    tally_sends,
 )
 
 DELTA = 10
@@ -311,6 +313,37 @@ def test_concurrent_forwards_charged_to_the_write():
     total_sends = sum(1 for ev in result.trace if ev.kind == "send")
     assert counts[0] == 9  # the write's broadcasts, wherever triggered from
     assert counts[0] + counts[1] == total_sends
+
+
+def send(time, p, to, msg):
+    return TraceEvent(time, 0, SEND, p, None, None, None, None, to, msg)
+
+
+def test_writes_are_charged_by_their_invoke_order_in_one_pass():
+    # p1 writes a, p2 reads, then p1 crashes while writing b: the pending
+    # write still gets the WRITE(2) sends that p2 relays after the crash.
+    # A WRITE(5), whose wsn no write invoked, is charged to no op.
+    trace = [
+        TraceEvent(0, 0, INVOKE, 1, 0, "write", b"a"),
+        *(send(0, 1, q, Write(1, b"a")) for q in (1, 2, 3)),
+        TraceEvent(5, 0, RESPOND, 1, 0, "write", None, 1),
+        TraceEvent(6, 0, INVOKE, 2, 1, "read"),
+        send(6, 2, 1, Read(1)),
+        send(6, 2, 3, Read(1)),
+        TraceEvent(7, 0, INVOKE, 1, 2, "write", b"b"),
+        send(7, 1, 2, Write(2, b"b")),
+        TraceEvent(7, 0, CRASH, 1),
+        TraceEvent(8, 0, DELIVER, 2, peer=1, message=Write(2, b"b")),
+        send(8, 2, 1, Write(2, b"b")),
+        send(8, 2, 3, Write(2, b"b")),
+        send(8, 3, 2, State(1, 1)),
+        send(9, 3, 2, Write(5, b"x")),
+    ]
+    ops, counts, total = tally_sends(trace, 3)
+    assert ops == [ev for ev in trace if ev.kind not in (SEND, DELIVER)]
+    assert counts == {0: 3, 1: 3, 2: 3}
+    assert total == len(trace)
+    assert count_messages(trace, extract_history(trace, 3)) == counts
 
 
 def test_assert_bounds_flags_violations():
