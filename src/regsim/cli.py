@@ -34,7 +34,6 @@ from .config import ConfigError, load_scenario
 from .engine import DEFAULT_EVENT_BUDGET, BudgetExceededError, ScheduleError, chunks, run
 from .explore import DEFAULT_MAX_STATES, BroadcastCrash, ExploreLimitError, explore
 from .history import check_claims, check_linearizable, check_termination, extract_history
-from .metrics import tally_sends
 from .report import build_report, judge, report_to_json
 from .trace import read_events, tee_jsonl
 # Not called here; perfbench/tracer.py wraps regsim.cli.read_jsonl and
@@ -193,7 +192,7 @@ def cmd_sweep(args) -> int:
         # Verdicts and durations need only the operation events; a failing
         # seed is re-run in full (runs are deterministic) for its report.
         result = run(config, seed=seed, budget=budget, messages=False)
-        passed, _, bounds = judge(config, extract_history(result.trace, config.n), {})
+        passed, _, bounds = judge(config, extract_history(result.trace, config.n))
         if not passed:
             print(f"seed {seed}: FAILED — reproduce with --seed {seed}")
             result = run(config, seed=seed, budget=budget)
@@ -257,6 +256,8 @@ def cmd_explore(args) -> int:
 
 
 def cmd_check(args) -> int:
+    """Re-check a stored trace: as a run of its `--config` scenario, or else
+    by the three checkers, with any process id from p1 up and any class."""
     if args.report is not None and args.config is None:
         raise ConfigError("check --report needs --config")
     config = None if args.config is None else load_scenario(args.config)
@@ -266,14 +267,7 @@ def cmd_check(args) -> int:
             if config is not None:
                 report = build_report(config, events, config.seed)
             else:
-                # The op events, split off as build_report's fold splits them;
-                # with no n, a message event's ids need only start at p1, as
-                # processes without ops relay and reply too, and with no
-                # protocol any message class passes.
-                ops = tally_sends(events, None)[0]
-                # No scenario names n: take the largest process id, so that
-                # no op event's process exceeds it.
-                history = extract_history(ops, max((ev.process for ev in ops), default=1))
+                history = extract_history(events, None)
     except (ValueError, OSError) as exc:
         print(f"trace error: {args.trace}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -1,10 +1,12 @@
 """Operation histories and the register correctness checkers.
 
 A history is the per-operation view of a trace: invoke/respond times, the
-value and sequence number each write produced and each read returned.
-extract_history admits only histories of the paper's model: process 1 is
-the single writer, and each process invokes an operation only after its
-previous one responded, at that tick or later.  So the writes form a chain
+value and sequence number each write produced and each read returned, and
+the sends charged to each op.  extract_history is the one pass over a
+trace; it keeps no event, so it costs memory by operations, not by events.
+It admits only histories of the paper's model: process 1 is the single
+writer, and each process invokes an operation only after its previous one
+responded, at that tick or later.  So the writes form a chain
 w1 < w2 < ... in seqno order, of which only the last may be pending.
 
 One op precedes another if it responded at a tick before the other's
@@ -27,12 +29,14 @@ Three checkers run over a history:
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from itertools import accumulate
 from operator import attrgetter
+from typing import Iterable
 
-from .messages import WRITER
-from .trace import CRASH, INVOKE, RESPOND, TraceEvent
+from .messages import WRITER, AbdAck, AbdQuery, AbdReport, AbdUpdate, Read, State, Write
+from .trace import CRASH, DELIVER, INVOKE, RESPOND, SEND, TraceEvent
 
 
 class Record:
@@ -55,7 +59,7 @@ class Record:
 
 
 class OpRecord(Record):
-    __slots__ = ("op_id", "process", "kind", "invoke", "respond", "value", "seqno")
+    __slots__ = ("op_id", "process", "kind", "invoke", "respond", "value", "seqno", "messages")
 
     def __init__(
         self,
@@ -66,6 +70,7 @@ class OpRecord(Record):
         respond: int | None = None,
         value: bytes | None = None,
         seqno: int | None = None,  # writes: assigned wsn; reads: returned wsn
+        messages: int = 0,  # the sends charged to the op
     ):
         self.op_id = op_id
         self.process = process
@@ -74,6 +79,7 @@ class OpRecord(Record):
         self.respond = respond
         self.value = value
         self.seqno = seqno
+        self.messages = messages
 
     @property
     def pending(self) -> bool:
@@ -81,7 +87,7 @@ class OpRecord(Record):
 
 
 class History(Record):
-    __slots__ = ("n", "ops", "crashed")
+    __slots__ = ("n", "ops", "crashed", "events")
 
     def __init__(
         self, n: int, ops: list[OpRecord] | None = None, crashed: dict[int, int] | None = None
@@ -89,6 +95,7 @@ class History(Record):
         self.n = n
         self.ops = [] if ops is None else ops
         self.crashed = {} if crashed is None else crashed
+        self.events = 0  # the trace events it was read from
 
     def writes(self) -> list[OpRecord]:
         return [op for op in self.ops if op.kind == "write"]
@@ -118,29 +125,78 @@ class Verdict(Record):
         }
 
 
-def extract_history(trace: list[TraceEvent], n: int) -> History:
-    """Rebuild operation records from a trace.  The writer's k-th write has
-    sequence number k whether or not it completed (the single writer
-    increments by one per write), so pending writes still get a seqno.
+# How a send is charged to an op, by its message class: through its first
+# field (wsn, rsn or opsn) as a write's wsn, as a request from its sender or
+# as a reply to its destination.  A run uses one protocol, so READ and ABD
+# numbers never share a key.
+_BY_WSN, _REQUEST, _REPLY = range(3)
+_CHARGE = {
+    Write: _BY_WSN,
+    Read: _REQUEST,
+    State: _REPLY,
+    AbdQuery: _REQUEST,
+    AbdUpdate: _REQUEST,
+    AbdAck: _REPLY,
+    AbdReport: _REPLY,
+}
+
+
+def extract_history(
+    trace: Iterable[TraceEvent], n: int | None, classes: Iterable[type] | None = None
+) -> History:
+    """Rebuild operation records from a trace, in one pass.  The writer's
+    k-th write has sequence number k whether or not it completed (the single
+    writer increments by one per write), so pending writes still get a
+    seqno.  Each send is charged to an op's `messages`: WRITE(s) traffic to
+    the s-th write invoked, wherever it was relayed from; a READ(rsn), or an
+    ABD phase message (QUERY or UPDATE with phase id opsn), to the op its
+    sender last invoked when it first sent that number; and the replies to
+    it (STATE(rsn), ACK or REPORT(opsn)) through the number at their
+    destination, so both phases of an ABD read charge the read.
     Raises ValueError unless each op is invoked once and responded to at
     most once, after its invoke, by its process and as its kind, a write
     with no value and its own seqno; only p1 writes; each process invokes
     an op only once its previous op has responded, at that tick or later;
-    process ids start at 1; and a process crashes at most once, with no op
-    event of its own after its crash."""
+    every process and peer lies in p1..pn (with n None, from p1 up: the
+    history's n is then its largest op or crash process); a process crashes
+    at most once, with no op event of its own after its crash; and every
+    message's class is in `classes`, the protocol's `HANDLERS` (None: any)."""
+    top = sys.maxsize if n is None else n
+    charge = _CHARGE if classes is None else {cls: _CHARGE[cls] for cls in classes}
     hist = History(n=n)
     by_id: dict[int, OpRecord] = {}
     last: dict[int, OpRecord] = {}  # process -> its latest op
-    write_count = 0
-    for ev in trace:
+    writes: dict[int, OpRecord] = {}  # wsn -> the write that produced it
+    owner: dict[tuple[int, int], OpRecord | None] = {}  # (process, rsn/opsn) -> op
+    events = 0
+    for events, ev in enumerate(trace, 1):
         kind = ev.kind
-        if kind == INVOKE:
+        if kind == DELIVER:
+            if 0 < ev.process <= top and 0 < ev.peer <= top and type(ev.message) in charge:
+                continue
+            raise _foreign(ev, top, charge)
+        if kind == SEND:
+            p = ev.process
+            peer = ev.peer
+            msg = ev.message
+            role = charge.get(type(msg))
+            if role is None or not (0 < p <= top and 0 < peer <= top):
+                raise _foreign(ev, top, charge)
+            if role == _BY_WSN:
+                rec = writes.get(msg[0])
+            elif role == _REQUEST:
+                rec = owner.setdefault((p, msg[0]), last.get(p))
+            else:
+                rec = owner.get((peer, msg[0]))
+            if rec is not None:
+                rec.messages += 1
+        elif kind == INVOKE:
             time, _, _, process, op_id, op_kind, value, _, _, _, _ = ev
             if op_id in by_id:
                 raise ValueError(f"second invoke of op {op_id}")
             if process < 1:
                 raise ValueError(f"invoke of op {op_id} by p{process}; processes start at p1")
-            if process > n:
+            if process > top:
                 raise ValueError(f"invoke of op {op_id} by p{process}; processes end at p{n}")
             if process in hist.crashed:
                 raise ValueError(f"invoke of op {op_id} by p{process} after its crash")
@@ -154,8 +210,8 @@ def extract_history(trace: list[TraceEvent], n: int) -> History:
             if op_kind == "write":
                 if process != WRITER:
                     raise ValueError(f"write op {op_id} by p{process}; only p{WRITER} writes")
-                write_count += 1
-                rec.seqno = write_count
+                rec.seqno = len(writes) + 1
+                writes[rec.seqno] = rec
             by_id[op_id] = last[process] = rec
             hist.ops.append(rec)
         elif kind == RESPOND:
@@ -186,12 +242,29 @@ def extract_history(trace: list[TraceEvent], n: int) -> History:
             process = ev.process
             if process < 1:
                 raise ValueError(f"crash of p{process}; processes start at p1")
-            if process > n:
+            if process > top:
                 raise ValueError(f"crash of p{process}; processes end at p{n}")
             if process in hist.crashed:
                 raise ValueError(f"second crash of p{process}")
             hist.crashed[process] = ev.time
+    if n is None:
+        hist.n = max([*last, *hist.crashed], default=1)
+    hist.events = events
     return hist
+
+
+def _foreign(ev: TraceEvent, top: int, charge: dict) -> ValueError:
+    """The error for a send or deliver event of a message class not in
+    `charge`, or with a process or peer outside p1..p`top`."""
+    if type(ev.message) not in charge:
+        return ValueError(
+            f"{ev.kind} event {ev.seq} carries {ev.message!r}, "
+            "a message class the scenario's protocol has no handler for"
+        )
+    edge = "start at p1" if min(ev.process, ev.peer) < 1 else f"end at p{top}"
+    way = "to" if ev.kind == SEND else "from"
+    where = f"at p{ev.process} {way} p{ev.peer}"
+    return ValueError(f"{ev.kind} event {ev.seq} {where}; processes {edge}")
 
 
 def check_termination(history: History) -> Verdict:

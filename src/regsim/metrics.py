@@ -1,4 +1,4 @@
-"""Read classification, timing-bound checks, and message accounting.
+"""Read classification, timing-bound checks, and per-op message counts.
 
 Under bounded delay, a read starting at tick r falls into one of three
 classes:
@@ -26,16 +26,13 @@ concurrency.  Async runs get no bounds; reports are informational.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left, bisect_right
 from typing import Iterable, NamedTuple
 
 from .config import ScenarioConfig
-from .history import History, OpRecord, Record
-# Not called here; perfbench/tracer.py wraps regsim.metrics.extract_history by name.
-from .history import extract_history  # noqa: F401
-from .messages import WRITER, AbdAck, AbdQuery, AbdReport, AbdUpdate, Read, State, Write
-from .trace import DELIVER, INVOKE, SEND, TraceEvent
+from .history import History, OpRecord, Record, extract_history
+from .messages import WRITER
+from .trace import TraceEvent
 
 WLF = "wlf"
 INTERFERING = "interfering_no_crash"
@@ -222,14 +219,13 @@ def bound_for(
 def assert_bounds(
     trace: list[TraceEvent], history: History, config: ScenarioConfig
 ) -> BoundReport:
-    """Check every operation's measured duration (`history` is the trace's
-    history) against the bound table and attach per-operation message counts."""
-    return check_bounds(history, config, count_messages(trace, history))
+    """`check_bounds` of the trace's own history, read with `history`'s n."""
+    return check_bounds(extract_history(trace, history.n), config)
 
 
-def check_bounds(history: History, config: ScenarioConfig, counts: dict[int, int]) -> BoundReport:
-    """`assert_bounds` with the per-operation message counts given, as
-    `count_messages` or `tally_sends` counts them."""
+def check_bounds(history: History, config: ScenarioConfig) -> BoundReport:
+    """Check every operation's measured duration against the bound table,
+    with the sends `extract_history` charged to it as its messages."""
     model = config.network.kind
     unit = config.network.delta
     writes = WriteIndex(history)
@@ -267,7 +263,7 @@ def check_bounds(history: History, config: ScenarioConfig, counts: dict[int, int
             bound_kind=claim[0] if claim else None,
             bound=claim[1] if claim else None,
             within=within,
-            messages=counts.get(op.op_id, 0),
+            messages=op.messages,
         )
         report.entries.append(entry)
         if within is False:
@@ -280,96 +276,11 @@ def check_bounds(history: History, config: ScenarioConfig, counts: dict[int, int
     return report
 
 
-# tally_sends' dispatch on the message class: whether a send is charged by
-# its first field (wsn, rsn or opsn) as a write's wsn, as a request from its
-# sender or as a reply to its destination.  A run uses one protocol, so READ
-# and ABD numbers never share a key.
-_BY_WSN, _REQUEST, _REPLY = range(3)
-_CHARGE = {
-    Write: _BY_WSN,
-    Read: _REQUEST,
-    State: _REPLY,
-    AbdQuery: _REQUEST,
-    AbdUpdate: _REQUEST,
-    AbdAck: _REPLY,
-    AbdReport: _REPLY,
-}
-
-
 def count_messages(trace: Iterable[TraceEvent], history: History) -> dict[int, int]:
-    """Attribute every point-to-point send to an operation, in one pass
-    over the trace: `tally_sends`, with n from `history` and any class.
-
-    WRITE(s) traffic belongs to the s-th write invoked, which produced
-    sequence number s, wherever it was relayed from.  A READ(rsn), or an ABD
-    phase message (QUERY or UPDATE with phase id opsn), belongs to the op
-    its sender last invoked when it first sent that number; the replies to
-    it (STATE(rsn), ACK or REPORT(opsn)) are charged through the number at
-    their destination.  So both phases of an ABD read charge the read.
-    """
-    return tally_sends(trace, history.n)[1]
-
-
-def tally_sends(
-    events: Iterable[TraceEvent], n: int | None, classes: Iterable[type] | None = None
-) -> tuple[list[TraceEvent], dict[int, int], int]:
-    """One pass over `events`, charging sends as `count_messages` says: the
-    events other than sends and delivers, in trace order; the sends charged
-    to each op; and the number of events.  Raises ValueError on a send or
-    deliver whose process or peer lies outside p1..pn (below p1 if n is
-    None), or whose message class is not in `classes`, the protocol's
-    `HANDLERS` (None: any class)."""
-    top = sys.maxsize if n is None else n
-    charge = _CHARGE if classes is None else {cls: _CHARGE[cls] for cls in classes}
-    latest: dict[int, int] = {}  # process -> the op it last invoked
-    owner: dict[tuple[int, int], int | None] = {}  # (process, rsn/opsn) -> op
-    writes: dict[int, int] = {}  # wsn -> the write op that produced it
-    ops: list[TraceEvent] = []
-    by_op: dict[int, int] = {}
-    total = 0
-    for total, ev in enumerate(events, 1):
-        kind = ev.kind
-        if kind == DELIVER:
-            if 0 < ev.process <= top and 0 < ev.peer <= top and type(ev.message) in charge:
-                continue
-            raise _foreign(ev, top, charge)
-        if kind == SEND:
-            p = ev.process
-            peer = ev.peer
-            msg = ev.message
-            role = charge.get(type(msg))
-            if role is None or not (0 < p <= top and 0 < peer <= top):
-                raise _foreign(ev, top, charge)
-            number = msg[0]
-            if role == _BY_WSN:
-                op_id = writes.get(number)
-            elif role == _REQUEST:
-                op_id = owner.setdefault((p, number), latest.get(p))
-            else:
-                op_id = owner.get((peer, number))
-            if op_id is not None:
-                by_op[op_id] = by_op.get(op_id, 0) + 1
-        else:
-            ops.append(ev)
-            if kind == INVOKE:
-                latest[ev.process] = ev.op_id
-                if ev.op_kind == "write":
-                    writes[len(writes) + 1] = ev.op_id
-    return ops, by_op, total
-
-
-def _foreign(ev: TraceEvent, top: int, charge: dict) -> ValueError:
-    """The error for a send or deliver event of a message class not in
-    `charge`, or with a process or peer outside p1..p`top`."""
-    if type(ev.message) not in charge:
-        return ValueError(
-            f"{ev.kind} event {ev.seq} carries {ev.message!r}, "
-            "a message class the scenario's protocol has no handler for"
-        )
-    edge = "start at p1" if min(ev.process, ev.peer) < 1 else f"end at p{top}"
-    way = "to" if ev.kind == SEND else "from"
-    where = f"at p{ev.process} {way} p{ev.peer}"
-    return ValueError(f"{ev.kind} event {ev.seq} {where}; processes {edge}")
+    """The sends `extract_history` charges to each op that has any, read
+    from `trace` with `history`'s n and any message class."""
+    ops = extract_history(trace, history.n).ops
+    return {op.op_id: op.messages for op in ops if op.messages}
 
 
 def slow_read_processes(report: BoundReport, threshold: int) -> dict[int, int]:

@@ -1,16 +1,16 @@
 """Run reports: checker verdicts plus the bound/message tables for one run.
 
 Built purely from (config, events, seed), so regenerating a report from a
-stored trace file reproduces it byte for byte.  The events are folded in
-one pass and may come from any iterable: a run's chunks or a file's lines
-as they are made.  The fold keeps only the operation events (invoke,
-respond, crash, round_start) and per-op send counts, so a report costs
-memory by operations, not by events.  `judge` gives a run's verdicts and
-whether it passes, the one definition of a passing run, which the report
-and `regsim sweep` share.  A report is of its scenario: `build_report`
-rejects a trace whose invokes are not the scenario's ops, that never
-invokes an op of a process it never crashes, or that sends or delivers a
-message class the scenario's protocol has no handler for.
+stored trace file reproduces it byte for byte.  The events are read by one
+`extract_history` call and may come from any iterable: a run's chunks or a
+file's lines as they are made.  The history it builds holds the ops, their
+send counts and the number of events, so a report costs memory by
+operations, not by events.  `judge` gives a run's verdicts and whether it
+passes, the one definition of a passing run, which the report and `regsim
+sweep` share.  A report is of its scenario: `build_report` rejects a trace
+whose invokes are not the scenario's ops, that never invokes an op of a
+process it never crashes, or that sends or delivers a message class the
+scenario's protocol has no handler for.
 """
 
 from __future__ import annotations
@@ -30,25 +30,24 @@ from .history import (
 from .messages import Op
 # Not called here; perfbench/tracer.py wraps regsim.report.assert_bounds by name.
 from .metrics import assert_bounds  # noqa: F401
-from .metrics import check_bounds, tally_sends
+from .metrics import check_bounds
 from .trace import TraceEvent
 
 
-def judge(config: ScenarioConfig, history: History, counts: dict[int, int]) -> tuple:
+def judge(config: ScenarioConfig, history: History) -> tuple:
     """Whether the run of `history` passes, its termination, claims and
-    linearizability verdicts, and its `BoundReport`, with `counts` as each
-    op's messages (they decide no verdict)."""
+    linearizability verdicts, and its `BoundReport` (whose message counts
+    decide no verdict)."""
     checks = (check_termination(history), check_claims(history), check_linearizable(history))
-    bounds = check_bounds(history, config, counts)
+    bounds = check_bounds(history, config)
     return all(v.ok for v in checks) and bounds.ok, checks, bounds
 
 
 def build_report(config: ScenarioConfig, events: Iterable[TraceEvent], seed: int) -> dict:
     handlers = make_algorithm(config.algorithm, config.n, config.t).HANDLERS
-    ops, counts, count = tally_sends(events, config.n, handlers)
-    history = extract_history(ops, config.n)
+    history = extract_history(events, config.n, handlers)
     _check_ops(history, config.ops)
-    passed, checks, bounds = judge(config, history, counts)
+    passed, checks, bounds = judge(config, history)
     message_totals: dict[str, int] = {}
     for entry in bounds.entries:
         message_totals[entry.kind] = message_totals.get(entry.kind, 0) + entry.messages
@@ -65,7 +64,7 @@ def build_report(config: ScenarioConfig, events: Iterable[TraceEvent], seed: int
             "per_op": {str(e.op_id): e.messages for e in bounds.entries},
             "total_by_kind": message_totals,
         },
-        "events": count,
+        "events": history.events,
     }
 
 

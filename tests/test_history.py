@@ -20,7 +20,8 @@ from regsim.history import (
     checkers_agree,
     extract_history,
 )
-from regsim.trace import INVOKE, RESPOND, TraceEvent
+from regsim.messages import AbdQuery, Read, State, Write
+from regsim.trace import CRASH, DELIVER, INVOKE, RESPOND, SEND, TraceEvent
 
 
 def w(op_id, invoke, respond, seqno, process=1):
@@ -59,9 +60,10 @@ def test_records_default_fresh_lists_and_compare_field_by_field_within_a_class()
 
 def test_records_repr_their_fields_by_name():
     assert repr(r(1, 2, 3, None, 0)) == (
-        "OpRecord(op_id=1, process=2, kind='read', invoke=3, respond=None, value=None, seqno=0)"
+        "OpRecord(op_id=1, process=2, kind='read', invoke=3, respond=None, value=None, seqno=0, "
+        "messages=0)"
     )
-    assert repr(hist([], {2: 5})) == "History(n=3, ops=[], crashed={2: 5})"
+    assert repr(hist([], {2: 5})) == "History(n=3, ops=[], crashed={2: 5}, events=0)"
     assert repr(Verdict("claims", "fail", ["x"])) == (
         "Verdict(name='claims', status='fail', violations=['x'])"
     )
@@ -390,6 +392,47 @@ def test_invoke_at_the_previous_respond_tick_is_accepted():
         TraceEvent(4, 4, INVOKE, 2, 2, "read"),
     ]
     assert [op.invoke for op in extract_history(trace, 3).ops] == [2, 4]
+
+
+READ_INVOKE = TraceEvent(0, 0, INVOKE, 2, 0, "read")
+
+
+def message_event(kind, process, peer, message=Read(1)):
+    return TraceEvent(1, 1, kind, process, peer=peer, message=message)
+
+
+@pytest.mark.parametrize(
+    "kind,process,peer,reason",
+    [
+        (SEND, 2, 4, "send event 1 at p2 to p4; processes end at p3"),
+        (SEND, 0, 2, "send event 1 at p0 to p2; processes start at p1"),
+        (DELIVER, 4, 2, "deliver event 1 at p4 from p2; processes end at p3"),
+        (DELIVER, 3, -1, "deliver event 1 at p3 from p-1; processes start at p1"),
+    ],
+    ids=["send-peer-above", "send-process-below", "deliver-process-above", "deliver-peer-below"],
+)
+def test_extraction_rejects_a_message_event_outside_the_processes(kind, process, peer, reason):
+    trace = [READ_INVOKE, message_event(kind, process, peer)]
+    with pytest.raises(ValueError, match=reason):
+        extract_history(trace, 3)
+    if "end at" in reason:
+        assert extract_history(trace, None).n == 2  # with no n, no upper bound
+
+
+@pytest.mark.parametrize("kind", [SEND, DELIVER])
+def test_extraction_rejects_a_message_class_outside_the_given_classes(kind):
+    trace = [READ_INVOKE, message_event(kind, 2, 3, AbdQuery(1))]
+    with pytest.raises(ValueError, match=f"{kind} event 1 carries .* has no handler for"):
+        extract_history(trace, 3, (Write, Read, State))
+    assert extract_history(trace, 3).events == 2  # with no classes, any class
+
+
+def test_extraction_without_n_reads_it_from_the_op_and_crash_events():
+    trace = [READ_INVOKE, message_event(SEND, 2, 9), TraceEvent(2, 2, CRASH, 4)]
+    h = extract_history(trace, None)
+    assert (h.n, h.crashed, h.events) == (4, {4: 2}, 3)
+    assert h.ops == [OpRecord(0, 2, "read", 0, messages=1)]
+    assert extract_history([], None).n == 1
 
 
 # --- values and program order ----------------------------------------------

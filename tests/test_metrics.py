@@ -25,7 +25,6 @@ from regsim.metrics import (
     classify_read_round,
     count_messages,
     slow_read_processes,
-    tally_sends,
 )
 
 DELTA = 10
@@ -339,11 +338,15 @@ def test_writes_are_charged_by_their_invoke_order_in_one_pass():
         send(8, 3, 2, State(1, 1)),
         send(9, 3, 2, Write(5, b"x")),
     ]
-    ops, counts, total = tally_sends(trace, 3)
-    assert ops == [ev for ev in trace if ev.kind not in (SEND, DELIVER)]
-    assert counts == {0: 3, 1: 3, 2: 3}
-    assert total == len(trace)
-    assert count_messages(trace, extract_history(trace, 3)) == counts
+    history = extract_history(trace, 3)
+    assert history.ops == [
+        OpRecord(0, 1, "write", 0, 5, b"a", 1, messages=3),
+        OpRecord(1, 2, "read", 6, messages=3),
+        OpRecord(2, 1, "write", 7, None, b"b", 2, messages=3),
+    ]
+    assert history.crashed == {1: 7}
+    assert history.events == len(trace)
+    assert count_messages(trace, history) == {0: 3, 1: 3, 2: 3}
 
 
 def test_assert_bounds_flags_violations():
