@@ -9,9 +9,9 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 configuration error
 (including a file or stdout that cannot be read or written, a trace line
 naming a process outside the run, a write's respond whose wsn or value is
 not the write's own, a trace that does not run its `--config` scenario's
-ops or that carries a message class the scenario's protocol never sends,
-a scenario crash that `explore` cannot model, and a `--max-states` or
-REGSIM_EVENT_BUDGET below 1), 3 resource bound exceeded.
+ops or crashes, or that carries a message class the scenario's protocol
+never sends, a scenario crash that `explore` cannot model, and a
+`--max-states` or REGSIM_EVENT_BUDGET below 1), 3 resource bound exceeded.
 REGSIM_EVENT_BUDGET sets the per-run event budget.  All scenario
 semantics live in the config file; flags only control seeds, I/O paths,
 crash enumeration and budgets.

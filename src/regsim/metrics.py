@@ -18,9 +18,10 @@ invoke, so reads that merely follow a crashed write land in the crash class;
 the bound is an upper bound, such reads typically finish in 2*Delta.
 
 Under round synchrony the classes collapse to writer-crash-concurrent or
-not; writes take exactly two rounds, unaffected reads exactly two, and a
-read overlapping a crashing write at most three.  ABD: writes within (or,
-in rounds, exactly) one round trip, reads two round trips regardless of
+not; writes take exactly two rounds (one when n - t = 1, as the writer's own
+WRITE is then its quorum), unaffected reads exactly two, and a read
+overlapping a crashing write at most three.  ABD: writes within (or, in
+rounds, exactly) one round trip, reads two round trips regardless of
 concurrency.  Async runs get no bounds; reports are informational.
 """
 
@@ -186,10 +187,12 @@ def classify_read_round(
 
 
 def bound_for(
-    algorithm: str, model: str, op_kind: str, read_class: str | None, unit: int
+    algorithm: str, model: str, op_kind: str, read_class: str | None, unit: int, quorum: int = 2
 ) -> tuple[str, int] | None:
     """The claimed duration bound for one (algorithm, model, class) cell.
-    None means no claim (informational)."""
+    None means no claim (informational).  `quorum` is n - t; only a quorum
+    of 1 changes a cell: a round-synchronous teff write then completes on
+    the writer's own WRITE, one round after its invoke."""
     if model == "async":
         return None
     if model == "bounded_delay":
@@ -207,7 +210,7 @@ def bound_for(
         return None  # base variant: unbounded here by design
     if model == "round_sync":
         if op_kind == "write":
-            return (EQ, 2 * unit)
+            return (EQ, unit if quorum == 1 and algorithm != "abd" else 2 * unit)
         if algorithm == "abd":
             return (EQ, 4 * unit)
         if read_class == ROUND_CRASH:
@@ -228,6 +231,7 @@ def check_bounds(history: History, config: ScenarioConfig) -> BoundReport:
     with the sends `extract_history` charged to it as its messages."""
     model = config.network.kind
     unit = config.network.delta
+    quorum = config.n - config.t
     writes = WriteIndex(history)
     report = BoundReport(
         algorithm=config.algorithm, model=model, informational=model == "async"
@@ -240,7 +244,7 @@ def check_bounds(history: History, config: ScenarioConfig) -> BoundReport:
             else:
                 read_class = classify_read(history, op, unit, writes)
         duration = None if op.pending else op.respond - op.invoke
-        claim = bound_for(config.algorithm, model, op.kind, read_class, unit)
+        claim = bound_for(config.algorithm, model, op.kind, read_class, unit, quorum)
         within: bool | None
         if claim is None:
             within = None

@@ -9,8 +9,9 @@ operations, not by events.  `judge` gives a run's verdicts and whether it
 passes, the one definition of a passing run, which the report and `regsim
 sweep` share.  A report is of its scenario: `build_report` rejects a trace
 whose invokes are not the scenario's ops, that never invokes an op of a
-process it never crashes, or that sends or delivers a message class the
-scenario's protocol has no handler for.
+process it never crashes, that crashes a process the scenario does not
+crash (or, for a crash with only `at`, at another tick), or that sends or
+delivers a message class the scenario's protocol has no handler for.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ def build_report(config: ScenarioConfig, events: Iterable[TraceEvent], seed: int
     handlers = make_algorithm(config.algorithm, config.n, config.t).HANDLERS
     history = extract_history(events, config.n, handlers)
     _check_ops(history, config.ops)
+    _check_crashes(history, config)
     passed, checks, bounds = judge(config, history)
     message_totals: dict[str, int] = {}
     for entry in bounds.entries:
@@ -89,6 +91,25 @@ def _check_ops(history: History, ops: tuple[Op, ...]) -> None:
             raise ValueError(
                 f"op {op_id} ({op.kind} by p{op.process}) is never invoked, "
                 f"although p{op.process} never crashes"
+            )
+
+
+def _check_crashes(history: History, config: ScenarioConfig) -> None:
+    """Raises ValueError unless each crash in `history` is one the scenario
+    has: of an `at` or relay cut's process, or of an op cut's invoker, and a
+    crash with only `at` falls on that tick.  A crash excuses its process's
+    pending op, so one the scenario lacks would hide a lost response."""
+    declared = {
+        config.ops[spec.op_index].process if spec.process is None else spec.process: spec
+        for spec in config.crashes
+    }
+    for process, tick in history.crashed.items():
+        spec = declared.get(process)
+        if spec is None:
+            raise ValueError(f"crash of p{process}, which the scenario never crashes")
+        if spec.op_index is None and spec.relay is None and tick != spec.at:
+            raise ValueError(
+                f"crash of p{process} at tick {tick}, but the scenario crashes it at {spec.at}"
             )
 
 

@@ -740,10 +740,36 @@ def test_check_with_config_trace_of_another_scenario_exit_two(tmp_path, capsys, 
 
 
 def test_check_with_config_excuses_the_ops_of_a_crashed_process(tmp_path, capsys):
-    cfg = write_config(tmp_path)
+    cfg = write_config(tmp_path, crashes=[{"process": 2, "at": 2}])
     trace = tmp_path / "trace.jsonl"
     trace.write_text(f"{INVOKE}\n{RESPOND}\n{_with(CRASH, t=2, seq=2, p=2)}\n")
     assert main(["check", str(trace), "--config", str(cfg)]) == 0
+
+
+def test_check_with_config_rejects_a_crash_the_scenario_lacks(tmp_path, capsys):
+    # read-quiet.json crashes no process.  Its trace without p3's respond
+    # fails termination; a crash of p3 appended to it would excuse the read.
+    quiet = SCENARIOS / "read-quiet.json"
+    trace = tmp_path / "trace.jsonl"
+    assert main(["run", str(quiet), "--out", str(trace)]) == 0
+    lines = [line for line in trace.read_text().splitlines() if '"respond","p":3' not in line]
+    trace.write_text("".join(f"{line}\n" for line in lines))
+    assert main(["check", str(trace), "--config", str(quiet)]) == 1
+    with trace.open("a") as fh:
+        fh.write(_with(CRASH, t=61, seq=len(lines), p=3) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(trace), "--config", str(quiet)]) == 2
+    reason = "crash of p3, which the scenario never crashes"
+    assert capsys.readouterr().err == f"trace error: {trace}: {reason}\n"
+
+
+def test_check_with_config_rejects_a_crash_off_its_tick(tmp_path, capsys):
+    cfg = write_config(tmp_path, crashes=[{"process": 2, "at": 2}])
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(f"{INVOKE}\n{RESPOND}\n{_with(CRASH, t=3, seq=2, p=2)}\n")
+    assert main(["check", str(trace), "--config", str(cfg)]) == 2
+    reason = "crash of p2 at tick 3, but the scenario crashes it at 2"
+    assert capsys.readouterr().err == f"trace error: {trace}: {reason}\n"
 
 
 def test_check_counts_no_send_of_a_process_outside_the_scenario(tmp_path, capsys):

@@ -254,6 +254,32 @@ def test_bound_values_match_the_table():
     assert bound_for("abd", "round_sync", "read", ROUND_NO_CRASH, 1) == ("eq", 4)
 
 
+def test_round_sync_write_by_a_writer_that_is_its_own_quorum_takes_one_round():
+    # At n=1 the writer's own WRITE is its quorum of n - t = 1 copies, so a
+    # teff write responds one round after its invoke.  ABD still awaits its
+    # own ACK, a round later.
+    for algorithm, rounds in (("teff", 1), ("teff-modified", 1), ("abd", 2)):
+        cfg = parse_scenario(
+            {
+                "n": 1,
+                "t": 0,
+                "algorithm": algorithm,
+                "network": {"kind": "round_sync", "delta": 3},
+                "ops": [
+                    {"time": 0, "process": 1, "op": "write", "value": "a"},
+                    {"time": 9, "process": 1, "op": "read"},
+                ],
+            }
+        )
+        trace = run(cfg).trace
+        report = assert_bounds(trace, extract_history(trace, 1), cfg)
+        assert report.ok, report.violations
+        write = report.entries[0]
+        assert (write.duration, write.bound_kind, write.bound) == (3 * rounds, "eq", 3 * rounds)
+    assert bound_for("teff", "round_sync", "write", None, 1, quorum=1) == ("eq", 1)
+    assert bound_for("abd", "round_sync", "write", None, 1, quorum=1) == ("eq", 2)
+
+
 def run_scenario(algorithm, n, extra_read_time=100):
     cfg = parse_scenario(
         {
