@@ -4,9 +4,10 @@
 handlers, and both offer the interface the simulator and the exhaustive
 explorer call: init / begin / has_pending / relabel, and `HANDLERS`, the
 table naming each message class's handler.  A protocol is that table:
-`deliver`, `is_noop_delivery`, the invoke check `begin` opens with and the
-states' `clone`/`freeze` are written once in messages.py and bound in each
-class body.
+`deliver`, `is_noop_delivery`, the invoke check `begin` opens with (and
+`explore()` runs on each op before its search) and the states'
+`clone`/`freeze` are written once in messages.py and bound in each class
+body.
 `begin` and each class handler `(state, msg, sender)` return a plain
 `(state, outgoing, completion)` tuple: the new state, the `(destination,
 message)` sends (None: everyone) and an `OpResult` or None.  A class

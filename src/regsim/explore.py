@@ -39,8 +39,10 @@ message as it arrives, a triple is the step.  An add memo maps (local,
 message) to a receiver's next local.  Expanding a
 configuration walks its locals' moves in one pass: each child swaps only
 the locals its move touches, however many messages are in flight, and is
-looked up in the configuration memo once.  Suffix-set unions and label
-prefixes are memoized as well.
+looked up in the configuration memo once.  A suffix set is an int whose
+bit i is suffix id i, so a configuration's set is the OR of its children's,
+each labelled edge's first prefixed; equal sets are interned to one int
+object, and label prefixes are memoized per (label, set).
 
 Process symmetry (Ip & Dill, "Better verification through symmetry", FMSD
 1996).  No handler reads its receiver, and senders only enter sets of
@@ -200,17 +202,15 @@ class _Explorer:
         self.locals: list[tuple] = []
         self.moves: list[list | None] = []
         self.suffixes = _Interner()  # tuple of history records -> id
-        self.suffix_sets = _Interner()  # frozenset of suffix ids -> id
-        self.empty_suffix = self.suffixes.get(())
-        self.terminal_set = self.suffix_sets.get(frozenset({self.empty_suffix}))
-        self.memo: dict[tuple, int] = {}  # configuration -> suffix set id
+        self.terminal_set = 1 << self.suffixes.get(())
+        self.masks: dict[int, int] = {}  # suffix set -> the one int equal to it
+        self.memo: dict[tuple, int] = {}  # configuration -> suffix set
         # Handler results, keyed (state, mid, sender) or ("i", op_id, state)
         # -> (new state, ((dest, mid), ...), completion), or None: a no-op.
         self.transitions: dict[tuple, tuple | None] = {}
         self.adds: dict[tuple[int, int], int] = {}  # (local, entry) -> local
         self.edges = 0
         self.label_memo: dict[tuple[tuple, int], int] = {}
-        self.union_memo: dict[tuple[int, ...], int] = {}
         # Per symmetry: (perm, the configuration index each image slot takes
         # its local from, local -> image local, image op id -> op id).
         self.mirrors: list[tuple] = []
@@ -314,58 +314,45 @@ class _Explorer:
             self.transitions[key] = trans
         return trans
 
-    def prepend(self, label: tuple, set_id: int) -> int:
-        """Suffix set for an edge with a non-empty label: the label followed
-        by each suffix in the set."""
-        key = (label, set_id)
-        cached = self.label_memo.get(key)
-        if cached is None:
-            members = frozenset(
-                self.suffixes.get(label + self.suffixes.items[s])
-                for s in self.suffix_sets.items[set_id]
-            )
-            cached = self.suffix_sets.get(members)
-            self.label_memo[key] = cached
-        return cached
+    def intern(self, members) -> int:
+        """The suffix set of the suffix ids `members`, as its one int."""
+        mask = 0
+        for s in members:
+            mask |= 1 << s
+        return self.masks.setdefault(mask, mask)
 
-    def union(self, set_ids: list[int]) -> int:
-        distinct = set(set_ids)
-        if len(distinct) == 1:
-            return set_ids[0]
-        key = tuple(sorted(distinct))
-        cached = self.union_memo.get(key)
-        if cached is None:
-            members = frozenset().union(
-                *(self.suffix_sets.items[s] for s in key)
-            )
-            cached = self.suffix_sets.get(members)
-            self.union_memo[key] = cached
-        return cached
+    def prepend(self, label: tuple, mask: int) -> int:
+        """Suffix set for an edge with a non-empty label: the label followed
+        by each suffix in the set.  Called once per (label, mask): `visit`
+        looks it up in `label_memo` first."""
+        items = self.suffixes.items
+        prefixed = self.label_memo[label, mask] = self.intern(
+            self.suffixes.get(label + items[s]) for s in _bits(mask)
+        )
+        return prefixed
 
     def visit(self, node: tuple, depth: int) -> int:
-        """The suffix-set id of `node`, the `depth`-th configuration on the
+        """The suffix set of `node`, the `depth`-th configuration on the
         search path, which no memo holds yet.  A node without moves is
         terminal."""
         moves = self.moves
         adds = self.adds
         memo = self.memo
-        sets = []
+        label_memo = self.label_memo
+        acc = edges = 0
         for i, ident in enumerate(node):
             local_moves = moves[ident]
             if local_moves is None:
                 local_moves = moves[ident] = [self.step(ident, *a) for a in self.actions(ident)]
-            head, tail = node[:i], node[i + 1 :]
+            edges += len(local_moves)
             for new_local, sends, labels in local_moves:
-                if sends:
-                    ids = list(node)
-                    ids[i] = new_local
-                    for q, entry in sends:
-                        ident_q = ids[q]
-                        added = adds.get((ident_q, entry))
-                        ids[q] = self.add(ident_q, entry) if added is None else added
-                    child = tuple(ids)
-                else:
-                    child = head + (new_local,) + tail
+                ids = list(node)
+                ids[i] = new_local
+                for q, entry in sends:
+                    ident_q = ids[q]
+                    added = adds.get((ident_q, entry))
+                    ids[q] = self.add(ident_q, entry) if added is None else added
+                child = tuple(ids)
                 child_set = memo.get(child)
                 if child_set is None:
                     # The one miss site: an explored image, else a visit.
@@ -375,14 +362,17 @@ class _Explorer:
                         if len(memo) + depth >= self.max_states:  # counting the child
                             raise ExploreLimitError(self.max_states, len(memo))
                         child_set = self.visit(child, depth + 1)
-                sets.append(self.prepend(labels, child_set) if labels else child_set)
-        self.edges += len(sets)
-        set_id = self.union(sets) if sets else self.terminal_set
-        memo[node] = set_id
-        return set_id
+                if labels:
+                    prefixed = label_memo.get((labels, child_set))
+                    child_set = prefixed or self.prepend(labels, child_set)
+                acc |= child_set
+        self.edges += edges
+        # Every set holds a suffix, so only a node without moves has acc 0.
+        mask = memo[node] = self.masks.setdefault(acc, acc) if acc else self.terminal_set
+        return mask
 
     def mirror(self, node: tuple) -> int | None:
-        """The suffix-set id of `node` from an explored image of it under a
+        """The suffix set of `node` from an explored image of it under a
         symmetry, or None when no image is explored."""
         memo = self.memo
         for g, (_, source, images, _) in enumerate(self.mirrors):
@@ -390,9 +380,9 @@ class _Explorer:
                 image = tuple([images[node[k]] for k in source])
             except KeyError:
                 image = tuple([self.image(g, node[k]) for k in source])
-            set_id = memo.get(image)
-            if set_id is not None:
-                return self.rename(g, set_id)
+            mask = memo.get(image)
+            if mask is not None:
+                return self.rename(g, mask)
         return None
 
     def image(self, g: int, ident: int) -> int:
@@ -410,25 +400,22 @@ class _Explorer:
             found = images[ident] = self.local(perm[p], state, inbox, invoked)
         return found
 
-    def rename(self, g: int, set_id: int) -> int:
+    def rename(self, g: int, mask: int) -> int:
         """An image's suffix set with its op ids renamed back under
         symmetry g: the suffix set of the configuration it is the image of."""
-        key = (g, set_id)
+        key = (g, mask)
         cached = self.rename_memo.get(key)
         if cached is None:
             back = self.mirrors[g][3]
-            members = frozenset(
-                self.suffixes.get(
-                    tuple((label, back[op_id], *r) for label, op_id, *r in self.suffixes.items[s])
-                )
-                for s in self.suffix_sets.items[set_id]
+            items = self.suffixes.items
+            cached = self.rename_memo[key] = self.intern(
+                self.suffixes.get(tuple((label, back[op_id], *r) for label, op_id, *r in items[s]))
+                for s in _bits(mask)
             )
-            cached = self.suffix_sets.get(members)
-            self.rename_memo[key] = cached
         return cached
 
     def run(self) -> int:
-        """Returns the suffix-set id of the root configuration."""
+        """Returns the suffix set of the root configuration."""
         if self.max_states < 1:
             raise ExploreLimitError(self.max_states, 0)
         state = self.algo.init()
@@ -458,9 +445,11 @@ def explore(
     expanded.  Raises ExploreLimitError when the instance has more than
     `max_states` configurations (the bound counts finished ones, those on
     the search path and the one about to be visited) or a path deeper than
-    the recursion limit; before the search, ConfigError on a crash other
-    than an op cut without `at` (module docstring), and ValueError on an op
-    process, crash op or crash receiver out of range.
+    the recursion limit.  Before the search it raises ConfigError on a
+    crash other than an op cut without `at` (module docstring), ValueError
+    on an op process, crash op or crash receiver out of range, and
+    ProtocolError on n and t that break 2t < n or on an op the protocol's
+    invoke check rejects at its process's initial state.
     """
     ops = tuple(ops)
     for i, op in enumerate(ops):
@@ -480,13 +469,15 @@ def explore(
         if outside:
             raise ValueError(f"crash deliver_to {outside} outside 1..{n}")
     explorer = _Explorer(algorithm, n, t, ops, crash, max_states, _symmetries(n, ops, crash))
+    for op in ops:
+        explorer.algo.check_invoke(explorer.algo.init(), op)
     try:
         root_set = explorer.run()
     except RecursionError:
         raise ExploreLimitError(
             max_states, len(explorer.memo), sys.getrecursionlimit()
         ) from None
-    suffixes = [explorer.suffixes.items[s] for s in explorer.suffix_sets.items[root_set]]
+    suffixes = [explorer.suffixes.items[s] for s in _bits(root_set)]
     crash_op = -1 if crash is None else crash.op_index
     noops = list(explorer.transitions.values()).count(None)
     return ExploreResult(
@@ -498,6 +489,11 @@ def explore(
         transitions=len(explorer.transitions) - noops,
         noop_pruned=noops,
     )
+
+
+def _bits(mask: int) -> list[int]:
+    """The suffix ids in the set `mask`: the positions of its set bits."""
+    return [s for s, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def _order_key(records: tuple) -> tuple:
